@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .hypergeom import INTEGRALITY_GUARD
 from .series import ThetaConstants
@@ -272,9 +271,6 @@ def lu_inverse(matrix: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray
         raise ConditioningError(
             f"condition estimate {cond:.3e} exceeds limit {cond_limit:.0e}"
         )
-    lu, piv = lu_factor(a)
     eye = np.eye(a.shape[0], dtype=complex)
-    inv = lu_solve((lu, piv), eye)
-    residual = eye - a @ inv
-    inv = inv + lu_solve((lu, piv), residual)
-    return inv
+    inv = np.linalg.solve(a, eye)
+    return inv + inv @ (eye - a @ inv)

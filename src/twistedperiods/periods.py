@@ -25,7 +25,7 @@ import numpy as np
 from .hypergeom import gamma_real, gauss_2f1
 from .matrices import HgParams, SignPair, require_admissible, unit_phase
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, tanh_sinh
-from .series import TauPoint, lambda_tau, theta, theta_constants
+from .series import TauPoint, theta
 
 # Parameter shifts reducing each cocycle's periods to the third cocycle's
 # closed form: index -> (d_alpha, d_beta, d_gamma).
@@ -50,8 +50,8 @@ def _sigma1_sigma3(p: HgParams, tau: TauPoint) -> tuple[complex, complex]:
     """Closed forms for the periods over the first and third cycle, for the
     third cocycle, at already-shifted parameters."""
     a, b, g = p.alpha, p.beta, p.gamma
-    tc = theta_constants(tau)
-    lam = lambda_tau(tau)
+    tc = tau.constants
+    lam = tau.lam
     s1 = (
         gamma_real(a) * gamma_real(g - a) / (2.0 * gamma_real(g))
         * _cpow(tc.th2_0, 2 * g)
@@ -84,7 +84,7 @@ def _period_row(i: int, p: HgParams, tau: TauPoint) -> np.ndarray:
     # row by (theta3 / theta2)^(2 d_gamma), so the theta-constant prefactor
     # exponents end up at the unshifted gamma.
     if d_gamma != 0.0:
-        tc = theta_constants(tau)
+        tc = tau.constants
         scale = _cpow(tc.th3_0 / tc.th2_0, 2.0 * d_gamma)
         s1 *= scale
         s3 *= scale
@@ -125,12 +125,8 @@ def block_periods(sign, p: HgParams, tau: TauPoint) -> SignPair:
     forms: rows (1,2) for the odd eigenspace, rows (3,4) for the even one,
     columns (1,3) in both.
     """
-    q = _signed(p, sign)
-    require_admissible(q)
-    rows = {i: _period_row(i, q, tau) for i in (1, 2, 3, 4)}
-    minus = np.array([[rows[1][0], rows[1][2]], [rows[2][0], rows[2][2]]])
-    plus = np.array([[rows[3][0], rows[3][2]], [rows[4][0], rows[4][2]]])
-    return SignPair(minus=minus, plus=plus)
+    m = period_matrix(sign, p, tau)
+    return SignPair(minus=m[:2, ::2], plus=m[2:, ::2])
 
 
 def wirtinger_quadrature(p: HgParams, tau: TauPoint,

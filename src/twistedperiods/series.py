@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +44,13 @@ class PoleError(SeriesError):
 
 @dataclass(frozen=True)
 class TauPoint:
-    """A point in the upper half-plane with its cached nomes.
+    """A point in the upper half-plane with its cached nomes and kernel values.
 
-    ``q = exp(2*pi*i*tau)`` and ``q_half = exp(pi*i*tau)``.
+    ``q = exp(2*pi*i*tau)`` and ``q_half = exp(pi*i*tau)``.  The theta
+    constants, ``lambda(tau)`` and G2 at tau, 2 tau and tau/2 are computed
+    on first use and then kept on the point, so checks repeated at one tau
+    should share one point.  They are not dataclass fields: equality,
+    hashing and repr depend on tau alone.
     """
 
     tau: complex
@@ -68,6 +73,59 @@ class TauPoint:
     def scaled(self, factor: float) -> "TauPoint":
         """TauPoint at ``factor * tau`` (used for the G2 combinations)."""
         return TauPoint(self.tau * factor)
+
+    @cached_property
+    def constants(self) -> ThetaConstants:
+        """All theta constants at u = 0 needed by the intersection matrices.
+
+        Derivatives come from termwise differentiation of the defining
+        series, never from finite differences.
+        """
+        s1 = theta_taylor(1, 3, self)
+        s2 = theta_taylor(2, 2, self)
+        s3 = theta_taylor(3, 2, self)
+        s4 = theta_taylor(4, 2, self)
+        return ThetaConstants(
+            th2_0=s2.coeff(0),
+            th3_0=s3.coeff(0),
+            th4_0=s4.coeff(0),
+            th1p_0=s1.coeff(1),
+            th1ppp_0=6.0 * s1.coeff(3),
+            th2pp_0=2.0 * s2.coeff(2),
+            th3pp_0=2.0 * s3.coeff(2),
+            th4pp_0=2.0 * s4.coeff(2),
+        )
+
+    @cached_property
+    def lam(self) -> complex:
+        """Modular lambda: ``theta2(0)^4 / theta3(0)^4``."""
+        tc = self.constants
+        return (tc.th2_0 / tc.th3_0) ** 4
+
+    @cached_property
+    def g2(self) -> complex:
+        """Weight-two Eisenstein series
+        ``pi^2/3 - 8 pi^2 sum n q^n/(1-q^n)``."""
+        q = self.q
+        acc = 0.0 + 0.0j
+        qn = 1.0 + 0.0j
+        for n in range(1, MAX_TERMS):
+            qn *= q
+            term = n * qn / (1.0 - qn)
+            acc += term
+            if n >= MIN_TERMS and abs(term) < REL_CUTOFF * max(abs(acc), 1e-300):
+                break
+        return math.pi**2 / 3.0 - 8.0 * math.pi**2 * acc
+
+    @cached_property
+    def g2_double(self) -> complex:
+        """G2(2 tau)."""
+        return self.scaled(2.0).g2
+
+    @cached_property
+    def g2_half(self) -> complex:
+        """G2(tau/2); raises SeriesError when tau/2 is below the Im floor."""
+        return self.scaled(0.5).g2
 
 
 def _as_array(u):
@@ -267,45 +325,19 @@ def theta_taylor(j: int, order: int, tau: TauPoint) -> PowerSeries:
 
 
 def theta_constants(tau: TauPoint) -> ThetaConstants:
-    """All theta constants at u = 0 needed by the intersection matrices.
-
-    Derivatives come from termwise differentiation of the defining series,
-    never from finite differences.
-    """
-    s1 = theta_taylor(1, 3, tau)
-    s2 = theta_taylor(2, 2, tau)
-    s3 = theta_taylor(3, 2, tau)
-    s4 = theta_taylor(4, 2, tau)
-    return ThetaConstants(
-        th2_0=s2.coeff(0),
-        th3_0=s3.coeff(0),
-        th4_0=s4.coeff(0),
-        th1p_0=s1.coeff(1),
-        th1ppp_0=6.0 * s1.coeff(3),
-        th2pp_0=2.0 * s2.coeff(2),
-        th3pp_0=2.0 * s3.coeff(2),
-        th4pp_0=2.0 * s4.coeff(2),
-    )
+    """All theta constants at u = 0 (``tau.constants``)."""
+    return tau.constants
 
 
 def lambda_tau(tau: TauPoint) -> complex:
-    """Modular lambda: ``theta2(0)^4 / theta3(0)^4``."""
-    tc = theta_constants(tau)
-    return (tc.th2_0 / tc.th3_0) ** 4
+    """Modular lambda: ``theta2(0)^4 / theta3(0)^4`` (``tau.lam``)."""
+    return tau.lam
 
 
 def eisenstein_g2(tau: TauPoint) -> complex:
-    """Weight-two Eisenstein series ``pi^2/3 - 8 pi^2 sum n q^n/(1-q^n)``."""
-    q = tau.q
-    acc = 0.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for n in range(1, MAX_TERMS):
-        qn *= q
-        term = n * qn / (1.0 - qn)
-        acc += term
-        if n >= MIN_TERMS and abs(term) < REL_CUTOFF * max(abs(acc), 1e-300):
-            break
-    return math.pi**2 / 3.0 - 8.0 * math.pi**2 * acc
+    """Weight-two Eisenstein series ``pi^2/3 - 8 pi^2 sum n q^n/(1-q^n)``
+    (``tau.g2``)."""
+    return tau.g2
 
 
 # Jacobian elliptic functions as theta ratios.  Each entry maps a name to
@@ -331,7 +363,7 @@ def jacobi_elliptic(kind: str, u, tau: TauPoint):
     if kind not in _ELLIPTIC:
         raise SeriesError(f"unknown elliptic function {kind!r}")
     const, num, den = _ELLIPTIC[kind]
-    tc = theta_constants(tau)
+    tc = tau.constants
     denom = theta(den, u, tau)
     if np.min(np.abs(np.atleast_1d(np.asarray(denom)))) < POLE_THRESHOLD:
         raise PoleError(

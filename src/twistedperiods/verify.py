@@ -25,7 +25,7 @@ from .matrices import (AdmissibilityError, ConditioningError, HgParams,
 from .periods import SHIFT_RULES, PeriodError, block_periods, period_matrix
 from .quadrature import QuadratureError
 from .series import (MAX_TERMS, MIN_TERMS, REL_CUTOFF, SeriesError, TauPoint,
-                     eisenstein_g2, lambda_tau, theta_constants, theta_taylor)
+                     theta_taylor)
 
 SWEEP_TAUS = (1j, 1.3j, 2j, 0.3 + 1.2j)
 
@@ -241,7 +241,7 @@ def verify_full_tpr(p: HgParams, tau: TauPoint,
     tols = resolve_tolerances(tol)
 
     def residual():
-        c_mat = cohomology_C(p, theta_constants(tau))
+        c_mat = cohomology_C(p, tau.constants)
         h_inv = lu_inverse(homology_H(p))
         m = period_matrix("+", p, tau) @ h_inv.T @ period_matrix("-", p, tau).T
         return np.linalg.norm(c_mat - m) / np.linalg.norm(c_mat)
@@ -254,14 +254,22 @@ def verify_block_tpr(p: HgParams, tau: TauPoint,
     """Relative Frobenius residuals of the two eigenspace block relations."""
     tols = resolve_tolerances(tol)
     params = _params_dict(p, tau)
+    built = None
+
+    def blocks():
+        # Built by the first check and reused by the second.  A raise
+        # leaves nothing built, so the second check raises and errors too.
+        nonlocal built
+        if built is None:
+            built = (block_C(p, tau.constants), block_H_prime(p),
+                     block_periods("+", p, tau), block_periods("-", p, tau))
+        return built
 
     def residual_for(sign: int):
         def residual():
-            c_blk = block_C(p, theta_constants(tau)).for_sign(sign)
-            h_blk = block_H_prime(p).for_sign(sign)
-            m = (block_periods("+", p, tau).for_sign(sign)
-                 @ lu_inverse(h_blk).T
-                 @ block_periods("-", p, tau).for_sign(sign).T)
+            c_blk, h_blk, p_plus, p_minus = (
+                pair.for_sign(sign) for pair in blocks())
+            m = p_plus @ lu_inverse(h_blk).T @ p_minus.T
             return np.linalg.norm(c_blk - m) / np.linalg.norm(c_blk)
         return residual
 
@@ -291,7 +299,7 @@ def verify_orthogonality(p: HgParams, tol=PROFILES["default"]) -> CheckResult:
 
 def _entry22_theta_form(a: float, b: float, c: float,
                         tau: TauPoint) -> complex:
-    tc = theta_constants(tau)
+    tc = tau.constants
     bracket = (
         -(2 * a + 1) * tc.th1ppp_0 / tc.th1p_0
         + (2 * a - 2 * c + 1) * tc.th2pp_0 / tc.th2_0
@@ -302,7 +310,7 @@ def _entry22_theta_form(a: float, b: float, c: float,
 
 
 def _entry22_2f1_form(a: float, b: float, c: float, tau: TauPoint) -> complex:
-    lam = lambda_tau(tau)
+    lam = tau.lam
     first = c * gauss_2f1(a, b, c, lam) * gauss_2f1(-a - 1, -b + 1, -c, lam)
     second = (
         a * (a + 1) * (c - b) * (c - b + 1) / (c * (1 + c) * (1 - c))
@@ -328,7 +336,7 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
             require = admissible(p)
             if not require[0]:
                 raise AdmissibilityError(require[1])
-            lam = lambda_tau(tau)
+            lam = tau.lam
             if abs(lam) > 0.95:
                 raise SeriesError(f"|lambda(tau)| = {abs(lam):.3f} too "
                                   "large for the 2F1 series")
@@ -406,12 +414,12 @@ def verify_series_identities(tau: TauPoint,
     pi2 = math.pi**2
     q = tau.q
     qh = tau.q_half
-    tc = theta_constants(tau)
-    lam = lambda_tau(tau)
+    tc = tau.constants
+    lam = tau.lam
     t34 = tc.th3_0**4
-    g2t = eisenstein_g2(tau)
-    g2_2t = eisenstein_g2(tau.scaled(2.0))
-    g2_ht = eisenstein_g2(tau.scaled(0.5))
+    g2t = tau.g2
+    g2_2t = tau.g2_double
+    g2_ht = tau.g2_half
     r1 = tc.th1ppp_0 / tc.th1p_0
     r2 = tc.th2pp_0 / tc.th2_0
     r3 = tc.th3pp_0 / tc.th3_0

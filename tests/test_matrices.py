@@ -2,10 +2,15 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistedperiods
 from twistedperiods.matrices import (AdmissibilityError, ConditioningError,
                                      HgParams, admissible, basis_change,
                                      block_C, block_H_prime, cohomology_C,
@@ -203,3 +208,13 @@ class TestLuInverse:
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
         with pytest.raises(ConditioningError):
             lu_inverse(a)
+
+    def test_package_imports_without_scipy(self):
+        # numpy is the only runtime dependency
+        src = Path(twistedperiods.__file__).resolve().parents[1]
+        code = ("import sys, twistedperiods, twistedperiods.cli; "
+                "print('scipy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -16,7 +16,7 @@ from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
 from twistedperiods.quadrature import (QuadratureConfig, QuadratureError,
                                        tanh_sinh)
 from twistedperiods.series import TauPoint, lambda_tau, theta_constants
-from twistedperiods.verify import sample_admissible
+from twistedperiods.verify import SWEEP_TAUS, sample_admissible
 
 P_REF = HgParams(0.30, 0.21, 0.77)
 TAU_I = TauPoint(1j)
@@ -123,6 +123,19 @@ class TestPeriodMatrices:
             period_entry(4, 3, P_REF, TAU_I), rel=1e-14)
         assert bp.minus[0, 0] == pytest.approx(
             period_entry(1, 1, P_REF, TAU_I), rel=1e-14)
+
+    def test_blocks_are_exact_slices(self):
+        # rows (1,2) and (3,4), columns (1,3) of the full matrix
+        rng = np.random.default_rng(47)
+        for tau_val in SWEEP_TAUS:
+            for _ in range(5):
+                p = sample_admissible(rng)
+                for sign in ("+", "-"):
+                    full = period_matrix(sign, p, TauPoint(tau_val))
+                    blocks = block_periods(sign, p, TauPoint(tau_val))
+                    cols = full[:, [0, 2]]
+                    assert np.array_equal(blocks.minus, cols[[0, 1]])
+                    assert np.array_equal(blocks.plus, cols[[2, 3]])
 
     def test_blocks_match_basis_changed_periods(self):
         # integrating over the eigenspace cycle combinations reproduces

@@ -3,14 +3,19 @@ algebra.  Reference values were frozen from a 30-digit independent
 implementation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from twistedperiods import series
+from twistedperiods.matrices import HgParams
 from twistedperiods.series import (PoleError, PowerSeries, SeriesError,
                                    TauPoint, eisenstein_g2, fourier_partial,
                                    jacobi_elliptic, lambda_tau, theta,
                                    theta_constants, theta_taylor)
+from twistedperiods.verify import (verify_block_tpr, verify_entry22,
+                                   verify_full_tpr, verify_series_identities)
 
 TAU_I = TauPoint(1j)
 
@@ -44,6 +49,63 @@ class TestTauPoint:
 
     def test_scaled(self):
         assert TauPoint(2j).scaled(0.5).tau == 1j
+
+
+class TestKernelContext:
+    """A TauPoint computes its theta constants, lambda and G2 values once."""
+
+    def test_taylor_series_built_once_per_theta_index(self, monkeypatch):
+        built = Counter()
+        original = series.theta_taylor
+
+        def counting(j, order, tau):
+            if order <= 3:
+                built[j] += 1
+            return original(j, order, tau)
+
+        monkeypatch.setattr(series, "theta_taylor", counting)
+        tau = TauPoint(0.3 + 1.2j)
+        p = HgParams(0.30, 0.21, 0.77)
+        results = [verify_full_tpr(p, tau), *verify_block_tpr(p, tau),
+                   *verify_entry22(0.2, 0.3, 0.6, tau)]
+        assert all(r.passed for r in results)
+        assert built == {1: 1, 2: 1, 3: 1, 4: 1}
+
+    def test_public_functions_read_the_point(self):
+        tau = TauPoint(1.3j)
+        assert theta_constants(tau) is tau.constants
+        assert lambda_tau(tau) == tau.lam
+        assert eisenstein_g2(tau) == tau.g2
+        assert tau.g2_double == eisenstein_g2(TauPoint(2.6j))
+        assert tau.g2_half == eisenstein_g2(TauPoint(0.65j))
+
+    def test_identity_unchanged_by_filled_cache(self):
+        tau = TauPoint(0.3 + 1.2j)
+        before = (repr(tau), hash(tau))
+        tau.constants, tau.lam, tau.g2, tau.g2_double, tau.g2_half  # fill
+        assert (repr(tau), hash(tau)) == before
+        fresh = TauPoint(0.3 + 1.2j)
+        assert tau == fresh and hash(tau) == hash(fresh)
+        assert len({tau, fresh}) == 1
+
+    def test_scaled_point_has_its_own_values(self):
+        tau = TauPoint(2j)
+        half = tau.scaled(0.5)
+        assert half.constants is not tau.constants
+        assert half.lam == TauPoint(1j).lam
+        assert complex(half.lam).real == pytest.approx(0.5, abs=1e-12)
+        assert half.g2 == tau.g2_half
+        assert complex(half.g2).real == pytest.approx(G2_I, rel=1e-13)
+
+    def test_g2_half_below_floor_still_raises(self):
+        # tau/2 falls below the Im floor; lazy G2(tau/2) must not move the
+        # failure out of the identity suite
+        tau = TauPoint(0.15j)
+        assert abs(tau.lam) < 1.0
+        with pytest.raises(SeriesError):
+            tau.g2_half
+        with pytest.raises(SeriesError):
+            verify_series_identities(tau)
 
 
 class TestTheta:

@@ -80,6 +80,13 @@ class TestBlockTpr:
         assert minus.name == "block-tpr-minus" and minus.passed
         assert plus.name == "block-tpr-plus" and plus.passed
 
+    def test_inadmissible_errors_both_blocks(self):
+        results = verify_block_tpr(HgParams(0.30, 0.21, 1.0), TAU_I)
+        assert [r.name for r in results] == ["block-tpr-minus",
+                                             "block-tpr-plus"]
+        for r in results:
+            assert not r.passed and "c0 integral" in r.error
+
     def test_orthogonality(self):
         result = verify_orthogonality(P_REF)
         assert result.passed and result.residual <= 1e-12
