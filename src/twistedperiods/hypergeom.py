@@ -78,7 +78,9 @@ def gamma_real(x: float) -> float:
     """Gamma function for real x via the Lanczos approximation.
 
     Uses the reflection formula for x < 0.5 and raises at non-positive
-    integers (within the integrality guard).
+    integers (within the integrality guard).  Also raises where the Lanczos
+    power overflows double precision: x above about 142.6, or through the
+    reflection formula x below about -141.6.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -93,7 +95,13 @@ def gamma_real(x: float) -> float:
     for k in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[k] / (z + k)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        value = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise HypergeomError(f"Gamma({x}) overflows double precision")
+    return value
 
 
 def pochhammer(x: float, n: int) -> float:

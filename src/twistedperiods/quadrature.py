@@ -13,6 +13,7 @@ accuracy even when they underflow the spacing of x itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,8 +44,17 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def _nodes(ts: np.ndarray, h: float):
-    """Abscissa fractions, complements, and weights for node parameters ts."""
+def _level_nodes(level: int):
+    """Abscissa fractions sigma, complements 1 - sigma, and weights of the
+    nodes a level adds, as read-only arrays.
+
+    Level 0 has the integer nodes of step h = 1 on [-T_MAX, T_MAX]; level l
+    adds the odd multiples of h = 2^-l.  Nodes whose endpoint distance
+    underflows to zero are dropped.
+    """
+    h = 0.5**level
+    m = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
+    ts = (m if level == 0 else m[m % 2 != 0]) * h
     sinh_t = np.sinh(ts)
     # sigma and 1 - sigma, each computed without cancellation
     sigma = 1.0 / (1.0 + np.exp(-math.pi * sinh_t))
@@ -52,7 +62,16 @@ def _nodes(ts: np.ndarray, h: float):
     half_pi_sinh = (math.pi / 2.0) * sinh_t
     sech = 1.0 / np.cosh(half_pi_sinh)
     weights = (math.pi / 4.0) * np.cosh(ts) * sech * sech * h
-    return sigma, comp, weights
+    keep = (sigma > 0.0) & (comp > 0.0)
+    nodes = (sigma[keep], comp[keep], weights[keep])
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
+# Levels up to the default depth are built once, on first use; deeper
+# levels are built per call, so the cache stays bounded.
+_cached_level_nodes = functools.cache(_level_nodes)
 
 
 def tanh_sinh(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
@@ -68,28 +87,22 @@ def tanh_sinh(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE)
     if scale <= 0:
         raise ValueError("need a < b")
 
-    def level_sum(ts: np.ndarray, h: float) -> complex:
-        sigma, comp, w = _nodes(ts, h)
-        # drop nodes whose endpoint distance underflowed to zero
-        keep = (sigma > 0.0) & (comp > 0.0)
-        sigma, comp, w = sigma[keep], comp[keep], w[keep]
+    def level_sum(level: int) -> complex:
+        if level <= DEFAULT_QUADRATURE.levels:
+            sigma, comp, w = _cached_level_nodes(level)
+        else:
+            sigma, comp, w = _level_nodes(level)
         dl = scale * sigma
         dr = scale * comp
         x = a + dl
         vals = np.asarray(f(x, dl, dr))
         return complex(np.sum(vals * w) * scale)
 
-    h = 1.0
-    k = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
-    prev = level_sum(k * h, h)
+    prev = level_sum(0)
     total = prev
     diff = math.inf
-    for _level in range(1, cfg.levels + 1):
-        h *= 0.5
-        # new nodes: odd multiples of the new step
-        m = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
-        new_ts = m[m % 2 != 0] * h
-        total = prev / 2.0 + level_sum(new_ts, h)
+    for level in range(1, cfg.levels + 1):
+        total = prev / 2.0 + level_sum(level)
         diff = abs(total - prev)
         if diff <= max(_REL_STOP * abs(total), cfg.abs_floor):
             return total

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,12 +22,17 @@ import numpy as np
 
 TWO_PI_I = 2j * math.pi
 
-# Truncation policy for all q-series: stop once a term drops below
-# REL_CUTOFF times the running partial sum, after at least MIN_TERMS terms,
-# and never sum more than MAX_TERMS.
+# Truncation policy for the q-series: sum at least MIN_TERMS and at most
+# MAX_TERMS terms, and drop terms below REL_CUTOFF relative.  theta takes its
+# count from an a-priori bound and raises past MAX_TERMS; the other series
+# stop once a term drops below REL_CUTOFF times the running partial sum.
 REL_CUTOFF = 1e-17
 MIN_TERMS = 8
 MAX_TERMS = 400
+
+_LOG_CUTOFF = math.log(1.0 / REL_CUTOFF)
+# largest exponent whose exp (and so cosh) stays finite
+_LOG_MAX = math.log(sys.float_info.max)
 
 # Smallest admitted Im(tau); below this the q-series converge too slowly.
 IM_TAU_FLOOR = 0.1
@@ -97,6 +103,18 @@ class TauPoint:
         )
 
     @cached_property
+    def theta_terms(self) -> tuple:
+        """``(frequencies, Re prefactors, Im prefactors)`` of theta_1..4 for
+        real u, as read-only arrays indexed by j - 1."""
+        tables = []
+        for j in (1, 2, 3, 4):
+            freq, pref = _theta_terms(j, self, 0.0)
+            tables.append((freq, pref.real.copy(), pref.imag.copy()))
+            for a in tables[-1]:
+                a.setflags(write=False)
+        return tuple(tables)
+
+    @cached_property
     def lam(self) -> complex:
         """Modular lambda: ``theta2(0)^4 / theta3(0)^4``."""
         tc = self.constants
@@ -129,55 +147,89 @@ class TauPoint:
 
 
 def _as_array(u):
-    arr = np.asarray(u, dtype=complex)
-    if not np.all(np.isfinite(arr)):
+    arr = np.asarray(u)
+    if arr.dtype.kind != "c":
+        arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
         raise SeriesError("non-finite argument u")
     return arr
+
+
+def _theta_terms(j: int, tau: TauPoint, im_u: float):
+    """Frequencies ``2 pi mu`` and signed complex prefactors of the theta_j
+    series, with as many terms as ``|Im u| <= im_u`` needs.
+
+    Term mu is at most ``|q_half|^(mu^2 - mu_0^2) cosh(2 pi mu im_u)`` times
+    the leading term (mu_0 = 1/2 for j = 1, 2 and 0 for j = 3, 4); the count
+    keeps every term whose bound exceeds REL_CUTOFF, and at least MIN_TERMS.
+    For j = 3, 4 the constant term comes first, as frequency 0.
+    """
+    t = tau.tau.imag
+    first, lead = (0.5, 0.5) if j in (1, 2) else (1.0, 0.0)
+    # largest root of pi t (mu^2 - lead^2) - 2 pi mu im_u = ln(1/REL_CUTOFF),
+    # bounding ln cosh(z) by |z|
+    mu_max = (im_u + math.sqrt(
+        im_u * im_u + t * (t * lead * lead + _LOG_CUTOFF / math.pi))) / t
+    n = max(MIN_TERMS, math.floor(mu_max - first) + 1)
+    if n > MAX_TERMS:
+        raise SeriesError(
+            f"theta_{j} needs {n} terms at Im(tau) = {t}, |Im u| = {im_u}; "
+            f"the cap is {MAX_TERMS}"
+        )
+    if 2.0 * math.pi * (first + n - 1) * im_u > _LOG_MAX:
+        raise SeriesError(
+            f"theta_{j} terms overflow at |Im u| = {im_u}, Im(tau) = {t}"
+        )
+    mu = first + np.arange(n)
+    pref = np.exp(1j * math.pi * mu * mu * tau.tau) * 2.0
+    # signs (-1)^m: m = 0, 1, ... for j = 1 and m = 1, 2, ... for j = 4
+    if j == 1:
+        pref[1::2] *= -1.0
+    elif j == 4:
+        pref[::2] *= -1.0
+    freq = 2.0 * math.pi * mu
+    if j in (3, 4):
+        freq = np.concatenate(([0.0], freq))
+        pref = np.concatenate(([1.0], pref))
+    return freq, pref
 
 
 def theta(j: int, u, tau: TauPoint):
     """Evaluate the theta function ``theta_j(u, tau)`` for j in 1..4.
 
     ``u`` may be a scalar or an ndarray; the return type matches.  Terms are
-    paired symmetrically (m with -(m+1) for j=1,2 and m with -m for j=3,4)
-    and summation stops by the module truncation policy.
+    paired symmetrically (m with -(m+1) for j=1,2 and m with -m for j=3,4),
+    so theta_1 is a sine series and the others cosine series.  The term
+    count comes from an a-priori bound (see ``_theta_terms``), with at
+    least MIN_TERMS terms; a SeriesError is raised when the bound needs more
+    than MAX_TERMS terms or the terms' ``cosh(2 pi mu Im u)`` growth
+    overflows.  All terms are summed at once, each point along its own row.
+    For real u the terms come from ``tau.theta_terms`` and the work array
+    stays real, so a point's value does not depend on the other points of
+    the array; for complex u the count follows the largest |Im u|.
     """
     if j not in (1, 2, 3, 4):
         raise SeriesError(f"invalid theta index {j}")
     arr = _as_array(u)
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
-    t = tau.tau
-
-    total = np.zeros_like(x)
-    if j in (1, 2):
-        for m in range(MAX_TERMS):
-            mu = m + 0.5
-            pref = cmath.exp(1j * math.pi * mu * mu * t)
-            if j == 1:
-                # pair m and -(m+1); the sine form keeps full relative
-                # accuracy near the zero at u = 0
-                term = pref * 2.0 * (-1) ** m * np.sin(2.0 * math.pi * mu * x)
-            else:
-                term = pref * 2.0 * np.cos(2.0 * math.pi * mu * x)
-            total = total + term
-            if m + 1 >= MIN_TERMS and np.max(np.abs(term)) < REL_CUTOFF * max(
-                np.max(np.abs(total)), 1e-300
-            ):
-                break
+    x = arr.reshape(-1, 1)
+    # the sine form keeps full relative accuracy near theta_1's zero at 0
+    trig = np.sin if j == 1 else np.cos
+    if np.iscomplexobj(x):
+        im_u = float(np.abs(x.imag).max(initial=0.0))
+        freq, pref = _theta_terms(j, tau, im_u)
+        work = x * freq
+        trig(work, out=work)
+        work *= pref
+        total = work.sum(axis=1)
     else:
-        total = total + 1.0
-        for m in range(1, MAX_TERMS):
-            pref = cmath.exp(1j * math.pi * m * m * t)
-            if j == 4:
-                pref *= (-1) ** m
-            term = pref * 2.0 * np.cos(2.0 * math.pi * m * x)
-            total = total + term
-            if m >= MIN_TERMS and np.max(np.abs(term)) < REL_CUTOFF * max(
-                np.max(np.abs(total)), 1e-300
-            ):
-                break
-    return complex(total[0]) if scalar else total
+        freq, pref_re, pref_im = tau.theta_terms[j - 1]
+        work = x * freq
+        trig(work, out=work)
+        im = (work * pref_im).sum(axis=1)
+        work *= pref_re
+        total = work.sum(axis=1).astype(complex)
+        total.imag = im
+    return complex(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
 
 
 @dataclass(frozen=True)

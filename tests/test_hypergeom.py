@@ -53,6 +53,11 @@ class TestGammaReal:
         with pytest.raises(HypergeomError):
             gamma_real(x)
 
+    @pytest.mark.parametrize("x", [142.7, 171.5, 200.8, -150.3])
+    def test_overflow_raises_typed_error(self, x):
+        with pytest.raises(HypergeomError, match="overflows"):
+            gamma_real(x)
+
 
 class TestPochhammer:
     def test_empty_product(self):

@@ -13,8 +13,9 @@ from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
                                     euler_pairing, euler_pairing_closed,
                                     period_entry, period_matrix,
                                     wirtinger_quadrature)
-from twistedperiods.quadrature import (QuadratureConfig, QuadratureError,
-                                       tanh_sinh)
+from twistedperiods import quadrature
+from twistedperiods.quadrature import (DEFAULT_QUADRATURE, QuadratureConfig,
+                                       QuadratureError, tanh_sinh)
 from twistedperiods.series import TauPoint, lambda_tau, theta_constants
 from twistedperiods.verify import SWEEP_TAUS, sample_admissible
 
@@ -47,6 +48,39 @@ class TestTanhSinh:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             tanh_sinh(lambda x, dl, dr: x, 1.0, 0.0)
+
+    def test_cached_nodes_read_only(self):
+        for level in range(DEFAULT_QUADRATURE.levels + 1):
+            nodes = quadrature._cached_level_nodes(level)
+            assert quadrature._cached_level_nodes(level) is nodes
+            for cached, fresh in zip(nodes, quadrature._level_nodes(level)):
+                assert np.array_equal(cached, fresh)
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0] = 0.5
+
+    def test_repeated_calls_identical(self):
+        def f(x, dl, dr):
+            return dl**-0.5 * dr**-0.25 * np.cos(3.0 * x)
+        assert tanh_sinh(f, 0.2, 1.7) == tanh_sinh(f, 0.2, 1.7)
+
+    def test_more_levels_same_value_when_converged(self):
+        def f(x, dl, dr):
+            return dl**-0.5 * dr**-0.5
+        assert (tanh_sinh(f, 0.0, 1.0, QuadratureConfig(levels=12))
+                == tanh_sinh(f, 0.0, 1.0))
+
+    def test_levels_past_the_cached_tables(self):
+        # cos(3000 x) converges at level 11, which is built per call
+        sums = []
+
+        def f(x, dl, dr):
+            sums.append(x.size)
+            return np.cos(3000.0 * x)
+        val = tanh_sinh(f, 0.0, 1.0, QuadratureConfig(levels=12))
+        assert len(sums) == 12  # levels 0..11
+        assert complex(val).real == pytest.approx(math.sin(3000.0) / 3000.0,
+                                                  abs=1e-13)
 
 
 class TestShiftRules:

@@ -3,6 +3,7 @@ algebra.  Reference values were frozen from a 30-digit independent
 implementation."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -170,6 +171,60 @@ class TestTheta:
         for x in (1e-8, 1e-14, 1e-100):
             val = complex(theta(1, x, TAU_I))
             assert val == pytest.approx(complex(tc.th1p_0) * x, rel=1e-13)
+
+    @pytest.mark.parametrize("tau_re", [-0.5, -0.2, 0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("tau_im", [0.1, 0.35, 1.0, 3.0])
+    def test_matches_mpmath(self, tau_re, tau_im):
+        mpmath = pytest.importorskip("mpmath")
+        tau = TauPoint(complex(tau_re, tau_im))
+        x = np.array([-0.83, -0.31, 0.07, 0.19, 0.42, 0.64])
+        # complex points stay clear of the zeros at Im u = +-Im(tau)/2
+        z = x + 1j * tau_im * np.array([-0.4, -0.25, 0.1, 0.3, 0.45, -0.1])
+        with mpmath.workdps(30):
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.tau))
+            for j in (1, 2, 3, 4):
+                for u in (x, z):
+                    vals = theta(j, u, tau)
+                    for k in range(len(u)):
+                        ref = complex(mpmath.jtheta(
+                            j, mpmath.pi * mpmath.mpc(complex(u[k])), nome))
+                        assert abs(vals[k] - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("tau_val", [0.1j, 0.37 + 0.6j, -0.5 + 1.7j, 3j])
+    def test_array_matches_scalar_bitwise(self, tau_val):
+        tau = TauPoint(tau_val)
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, 257)
+        for j in (1, 2, 3, 4):
+            vals = theta(j, x, tau)
+            for k in range(len(x)):
+                assert vals[k] == theta(j, float(x[k]), tau)
+        grid = x[:256].reshape(16, 16)
+        assert np.array_equal(theta(3, grid, tau),
+                              theta(3, x[:256], tau).reshape(16, 16))
+
+    def test_cached_term_tables_read_only(self):
+        tau = TauPoint(0.2 + 0.9j)
+        theta(2, 0.3, tau)
+        tables = tau.theta_terms
+        assert tau.theta_terms is tables
+        for arrays in tables:
+            for a in arrays:
+                assert len(a) >= series.MIN_TERMS
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    @pytest.mark.parametrize("u, tau_val", [
+        (0.1 + 50j, 0.1j),     # the bound needs more than MAX_TERMS terms
+        (0.1 + 200j, 3j),      # cosh(2 pi mu Im u) overflows
+    ])
+    def test_term_cap_and_overflow_raise(self, u, tau_val):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesError):
+                theta(1, u, TauPoint(tau_val))
+            with pytest.raises(SeriesError):
+                theta(3, np.array([0.2, u]), TauPoint(tau_val))
 
 
 class TestThetaConstants:

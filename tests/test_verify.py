@@ -242,3 +242,13 @@ class TestCli:
 
     def test_bad_tau_exit_code(self, capsys):
         assert main(["lambda", "--tau-im", "0.01"]) == 2
+
+    def test_gamma_overflow_is_an_errored_check(self, capsys):
+        assert main(["tpr", "full", "--alpha", "200.3", "--beta", "0.25",
+                     "--gamma", "0.6", "--json", "stdout", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        d = json.loads(captured.out)
+        [check] = d["checks"]
+        assert check["name"] == "full-tpr"
+        assert "overflows" in check["error"]
+        assert "Traceback" not in captured.err
