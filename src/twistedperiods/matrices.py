@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypergeom import INTEGRALITY_GUARD
+from .hypergeom import INTEGRALITY_GUARD, is_near_integer
 from .series import ThetaConstants
 
 TWO_PI_I = 2j * math.pi
@@ -80,44 +80,29 @@ class HgParams:
         return HgParams(self.alpha + d_alpha, self.beta + d_beta, self.gamma + d_gamma)
 
 
-def _near_integer(x: float) -> bool:
-    return abs(x - round(x)) <= INTEGRALITY_GUARD
-
-
-def _near_half_integer(x: float) -> bool:
-    return abs(2.0 * x - round(2.0 * x)) <= INTEGRALITY_GUARD
-
-
-def admissible(p: HgParams) -> tuple[bool, list[str]]:
+def admissible(p: HgParams,
+               guard: float = INTEGRALITY_GUARD) -> tuple[bool, list[str]]:
     """Check every non-integrality condition the closed forms rely on.
 
     Returns (ok, violations).  The conditions keep all 1 - e(.) and
     1 +- e(.) denominators, the C-matrix rational denominators, and the
-    Gamma factors of the period formulas away from their zeros/poles.
+    Gamma factors of the period formulas away from their zeros/poles.  A
+    value counts as integral within ``guard`` of an integer.
     """
-    violations: list[str] = []
-    for name, value in (("c0", p.c0), ("c1", p.c1), ("c2", p.c2),
-                        ("c3", p.c3), ("c4", p.c4)):
-        if _near_integer(value):
-            violations.append(f"{name} integral ({name} = {value})")
-    for name, value in (("alpha", p.alpha), ("beta", p.beta),
-                        ("gamma-alpha", p.gamma - p.alpha),
-                        ("gamma-beta", p.gamma - p.beta)):
-        if _near_half_integer(value):
-            violations.append(f"{name} in (1/2)Z ({name} = {value})")
-    for target in (-1.0, 0.0, 1.0):
-        if abs(p.c1 - target) <= INTEGRALITY_GUARD:
-            violations.append(f"c1 = {target}")
-        if abs(p.gamma - target) <= INTEGRALITY_GUARD:
-            violations.append(f"gamma = {target}")
-    if abs(p.c2) <= INTEGRALITY_GUARD:
-        violations.append("c2 = 0")
-    if abs(p.c3) <= INTEGRALITY_GUARD:
-        violations.append("c3 = 0")
-    # dedupe, preserving order
-    seen: set[str] = set()
-    unique = [v for v in violations if not (v in seen or seen.add(v))]
-    return (not unique, unique)
+    violations = [
+        f"{name} integral ({name} = {value})"
+        for name, value in (("c0", p.c0), ("c1", p.c1), ("c2", p.c2),
+                            ("c3", p.c3), ("c4", p.c4))
+        if is_near_integer(value, guard)
+    ]
+    violations += [
+        f"{name} in (1/2)Z ({name} = {value})"
+        for name, value in (("alpha", p.alpha), ("beta", p.beta),
+                            ("gamma-alpha", p.gamma - p.alpha),
+                            ("gamma-beta", p.gamma - p.beta))
+        if is_near_integer(2.0 * value, guard)
+    ]
+    return (not violations, violations)
 
 
 def require_admissible(p: HgParams) -> None:
@@ -245,19 +230,10 @@ def block_H_prime(p: HgParams) -> SignPair:
 
 
 def block_C(p: HgParams, tc: ThetaConstants) -> SignPair:
-    """The 2x2 cohomology intersection blocks (same formulas as the
-    corresponding blocks of the full matrix)."""
-    require_admissible(p)
-    a, b, g = p.alpha, p.beta, p.gamma
-    c_minus = TWO_PI_I * np.array([
-        [0.0, 1.0 / (2 * a + 1.0)],
-        [1.0 / (2 * a - 1.0), cohomology_c22(p, tc)],
-    ], dtype=complex)
-    c_plus = TWO_PI_I * np.array([
-        [2 * g / (2 * a * (2 * g - 2 * a)), 1.0 / (2 * a)],
-        [1.0 / (2 * a), (2 * b - 2 * a) / (2 * a * 2 * b)],
-    ], dtype=complex)
-    return SignPair(minus=c_minus, plus=c_plus)
+    """The 2x2 cohomology intersection blocks: the diagonal blocks of
+    ``cohomology_C``."""
+    c = cohomology_C(p, tc)
+    return SignPair(minus=c[:2, :2], plus=c[2:, 2:])
 
 
 def lu_inverse(matrix: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray:

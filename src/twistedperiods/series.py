@@ -22,10 +22,11 @@ import numpy as np
 
 TWO_PI_I = 2j * math.pi
 
-# Truncation policy for the q-series: sum at least MIN_TERMS and at most
-# MAX_TERMS terms, and drop terms below REL_CUTOFF relative.  theta takes its
-# count from an a-priori bound and raises past MAX_TERMS; the other series
-# stop once a term drops below REL_CUTOFF times the running partial sum.
+# Truncation policy for the q-series: every series takes its term count from
+# an a-priori bound that drops only terms below REL_CUTOFF relative, sums at
+# least MIN_TERMS terms, and raises SeriesError where the bound needs more
+# than MAX_TERMS.  Theta series get their terms from _theta_terms, Lambert
+# series theirs from q_terms.
 REL_CUTOFF = 1e-17
 MIN_TERMS = 8
 MAX_TERMS = 400
@@ -124,16 +125,9 @@ class TauPoint:
     def g2(self) -> complex:
         """Weight-two Eisenstein series
         ``pi^2/3 - 8 pi^2 sum n q^n/(1-q^n)``."""
-        q = self.q
-        acc = 0.0 + 0.0j
-        qn = 1.0 + 0.0j
-        for n in range(1, MAX_TERMS):
-            qn *= q
-            term = n * qn / (1.0 - qn)
-            acc += term
-            if n >= MIN_TERMS and abs(term) < REL_CUTOFF * max(abs(acc), 1e-300):
-                break
-        return math.pi**2 / 3.0 - 8.0 * math.pi**2 * acc
+        n, qn = q_terms(self.q)
+        lambert = complex((n * qn / (1.0 - qn)).sum())
+        return math.pi**2 / 3.0 - 8.0 * math.pi**2 * lambert
 
     @cached_property
     def g2_double(self) -> complex:
@@ -155,14 +149,39 @@ def _as_array(u):
     return arr
 
 
-def _theta_terms(j: int, tau: TauPoint, im_u: float):
+def q_terms(x: complex):
+    """Indices ``n = 1..N`` and powers ``x**n`` for a Lambert-type series.
+
+    Such terms fall off like ``n |x|^n``, so N is chosen with
+    ``N |x|^N <= REL_CUTOFF`` (a term or two above the least such N), and at
+    least MIN_TERMS.  A SeriesError is raised when that needs more than
+    MAX_TERMS terms.
+    """
+    a = -math.log(max(abs(x), sys.float_info.min))
+    n = math.inf
+    if a * MAX_TERMS > _LOG_CUTOFF:
+        # N a - ln N >= ln(1/REL_CUTOFF) with ln N bounded above by its
+        # tangent at n0 = ln(1/REL_CUTOFF) / a: linear in N, an upper bound
+        n0 = _LOG_CUTOFF / a
+        n = max(MIN_TERMS, math.ceil(
+            (_LOG_CUTOFF + math.log(n0) - 1.0) / (a - 1.0 / n0)))
+    if n > MAX_TERMS:
+        raise SeriesError(
+            f"q-series at |x| = {abs(x)} needs more than {MAX_TERMS} terms")
+    return np.arange(1, n + 1), np.full(n, complex(x)).cumprod()
+
+
+def _theta_terms(j: int, tau: TauPoint, im_u: float, order: int = 0):
     """Frequencies ``2 pi mu`` and signed complex prefactors of the theta_j
-    series, with as many terms as ``|Im u| <= im_u`` needs.
+    series, with as many terms as ``|Im u| <= im_u`` and the derivatives up
+    to ``order`` at real u need.
 
     Term mu is at most ``|q_half|^(mu^2 - mu_0^2) cosh(2 pi mu im_u)`` times
-    the leading term (mu_0 = 1/2 for j = 1, 2 and 0 for j = 3, 4); the count
-    keeps every term whose bound exceeds REL_CUTOFF, and at least MIN_TERMS.
-    For j = 3, 4 the constant term comes first, as frequency 0.
+    the leading term (mu_0 = 1/2 for j = 1, 2 and 0 for j = 3, 4), and its
+    derivatives grow by a further ``(mu / mu_1)^order`` (mu_1 the first
+    frequency); the count keeps every term whose bound exceeds REL_CUTOFF,
+    and at least MIN_TERMS.  For j = 3, 4 the constant term comes first, as
+    frequency 0.
     """
     t = tau.tau.imag
     first, lead = (0.5, 0.5) if j in (1, 2) else (1.0, 0.0)
@@ -170,6 +189,14 @@ def _theta_terms(j: int, tau: TauPoint, im_u: float):
     # bounding ln cosh(z) by |z|
     mu_max = (im_u + math.sqrt(
         im_u * im_u + t * (t * lead * lead + _LOG_CUTOFF / math.pi))) / t
+    if order:
+        # add order * ln(mu / first) to the left side, bounded above by its
+        # tangent at mu_max, so the root stays a quadratic's and an upper
+        # bound
+        b = (im_u + order / (2.0 * math.pi * mu_max)) / t
+        rhs = (lead * lead + (_LOG_CUTOFF + order * (
+            math.log(mu_max / first) - 1.0)) / (math.pi * t))
+        mu_max = b + math.sqrt(b * b + rhs)
     n = max(MIN_TERMS, math.floor(mu_max - first) + 1)
     if n > MAX_TERMS:
         raise SeriesError(
@@ -180,18 +207,15 @@ def _theta_terms(j: int, tau: TauPoint, im_u: float):
         raise SeriesError(
             f"theta_{j} terms overflow at |Im u| = {im_u}, Im(tau) = {t}"
         )
-    mu = first + np.arange(n)
+    # j = 3, 4 start from the constant term, mu = 0
+    mu = 0.5 + np.arange(n) if j in (1, 2) else np.arange(n + 1.0)
     pref = np.exp(1j * math.pi * mu * mu * tau.tau) * 2.0
-    # signs (-1)^m: m = 0, 1, ... for j = 1 and m = 1, 2, ... for j = 4
-    if j == 1:
+    # signs (-1)^(mu - 1/2) for j = 1 and (-1)^mu for j = 4
+    if j in (1, 4):
         pref[1::2] *= -1.0
-    elif j == 4:
-        pref[::2] *= -1.0
-    freq = 2.0 * math.pi * mu
     if j in (3, 4):
-        freq = np.concatenate(([0.0], freq))
-        pref = np.concatenate(([1.0], pref))
-    return freq, pref
+        pref[0] = 1.0
+    return 2.0 * math.pi * mu, pref
 
 
 def theta(j: int, u, tau: TauPoint):
@@ -292,12 +316,8 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(len(self.coeffs), len(other.coeffs))
-        out = np.zeros(n, dtype=complex)
-        for i in range(n):
-            for k in range(i + 1):
-                if k < len(self.coeffs) and i - k < len(other.coeffs):
-                    out[i] += self.coeffs[k] * other.coeffs[i - k]
-        return PowerSeries(out, self.pole_order + other.pole_order)
+        return PowerSeries(np.convolve(self.coeffs, other.coeffs)[:n],
+                           self.pole_order + other.pole_order)
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; leading exact zeros become pole orders."""
@@ -329,50 +349,35 @@ class PowerSeries:
         return self * other.inverse()
 
 
+# Taylor orders k = 0..12 and the sign and scale (-1)^(k//2) / k! of each
+_ORDERS = np.arange(13)
+_TAYLOR_SCALE = np.array(
+    [(-1.0) ** (k // 2) / math.factorial(k) for k in range(13)])
+
+
 def theta_taylor(j: int, order: int, tau: TauPoint) -> PowerSeries:
     """Taylor series of ``theta_j`` around u = 0 by termwise differentiation.
 
-    Parity is enforced exactly: odd-index coefficients of the even functions
-    (j = 2, 3, 4) and even-index coefficients of ``theta_1`` are zero.
+    The terms are theta's (``_theta_terms``, counted for the derivatives up
+    to ``order``), and coefficient k is ``(-1)^(k//2) sum pref freq^k / k!``
+    summed in term order.  Parity is enforced exactly: odd-index
+    coefficients of the even functions (j = 2, 3, 4) and even-index
+    coefficients of ``theta_1`` are zero.
     """
     if j not in (1, 2, 3, 4):
         raise SeriesError(f"invalid theta index {j}")
     if order > 12:
         raise SeriesError(f"order {order} exceeds the supported maximum 12")
-    t = tau.tau
+    freq, pref = _theta_terms(j, tau, 0.0, order)
+    # the parity-matching orders k: odd for theta_1, even for the others
+    k = slice(1 if j == 1 else 0, order + 1, 2)
+    work = freq[:, None] ** _ORDERS[k] * _TAYLOR_SCALE[k]
+    # A running sum in term order makes theta_j(0) and so lambda(tau) the
+    # same to the bit as a term-by-term loop: entry22-2f1 sums 2F1 at
+    # lambda near its radius guard, where one ulp of lambda can move the
+    # residual across its tolerance.
     coeffs = np.zeros(order + 1, dtype=complex)
-    factorials = [math.factorial(k) for k in range(order + 1)]
-
-    if j in (1, 2):
-        for m in range(MAX_TERMS):
-            mu = m + 0.5
-            pref = cmath.exp(1j * math.pi * mu * mu * t)
-            z = TWO_PI_I * mu
-            if j == 1:
-                # theta_1(u) = -sum_m Q_m e(mu/2) e(mu u), paired over +/-mu
-                phase = cmath.exp(1j * math.pi * mu)
-                for k in range(1, order + 1, 2):
-                    coeffs[k] += (
-                        -pref
-                        * (phase * z**k + phase.conjugate() * (-z) ** k)
-                        / factorials[k]
-                    )
-            else:
-                for k in range(0, order + 1, 2):
-                    coeffs[k] += pref * 2.0 * z**k / factorials[k]
-            if m + 1 >= MIN_TERMS and abs(pref) * (2.0 * math.pi * mu) ** order < REL_CUTOFF:
-                break
-    else:
-        coeffs[0] = 1.0
-        for m in range(1, MAX_TERMS):
-            pref = cmath.exp(1j * math.pi * m * m * t)
-            if j == 4:
-                pref *= (-1) ** m
-            z = TWO_PI_I * m
-            for k in range(0, order + 1, 2):
-                coeffs[k] += pref * 2.0 * z**k / factorials[k]
-            if m >= MIN_TERMS and abs(pref) * (2.0 * math.pi * m) ** order < REL_CUTOFF:
-                break
+    coeffs[k] = np.add.accumulate(work * pref[:, None])[-1]
     return PowerSeries(coeffs, 0)
 
 
@@ -436,30 +441,14 @@ def fourier_partial(kind: str, u: float, tau: TauPoint) -> complex:
     if isinstance(u, complex) or not (0.0 < float(u) < 1.0):
         raise SeriesError(f"u = {u} outside the validity strip (real, 0 < u < 1)")
     u = float(u)
-    q = tau.q
-    qh = tau.q_half
     pi = math.pi
     if kind == "cs":
-        head = pi / math.tan(pi * u)
-        acc = 0.0 + 0.0j
-        qn = 1.0 + 0.0j
-        for n in range(1, MAX_TERMS):
-            qn *= q
-            term = qn * math.sin(2.0 * n * pi * u) / (1.0 + qn)
-            acc += term
-            if n >= MIN_TERMS and abs(term) < REL_CUTOFF * max(abs(head + acc), 1e-300):
-                break
-        return head - 4.0 * pi * acc
-    # ds and ns share the cosec head; they differ only by the sign pattern
-    # of the q^(n-1/2) tail.
-    head = pi / math.sin(pi * u)
-    denom_sign = 1.0 if kind == "ds" else -1.0
-    tail_sign = -1.0 if kind == "ds" else 1.0
-    acc = 0.0 + 0.0j
-    for n in range(1, MAX_TERMS):
-        qpow = qh ** (2 * n - 1)
-        term = qpow * math.sin((2 * n - 1) * pi * u) / (1.0 + denom_sign * qpow)
-        acc += term
-        if n >= MIN_TERMS and abs(term) < REL_CUTOFF * max(abs(head), 1e-300):
-            break
-    return head + tail_sign * 4.0 * pi * acc
+        n, qn = q_terms(tau.q)
+        tail = (qn * np.sin(2.0 * pi * u * n) / (1.0 + qn)).sum()
+        return pi / math.tan(pi * u) - 4.0 * pi * complex(tail)
+    # ds and ns share the cosec head and the odd powers q_half^(2n-1); they
+    # differ only by the sign pattern of the tail.
+    n, qn = (a[::2] for a in q_terms(tau.q_half))
+    sign = 1.0 if kind == "ds" else -1.0
+    tail = (qn * np.sin(pi * u * n) / (1.0 + sign * qn)).sum()
+    return pi / math.sin(pi * u) - sign * 4.0 * pi * complex(tail)

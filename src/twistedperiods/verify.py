@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .hypergeom import (HypergeomError, gauss_2f1, product_term1_coeff,
-                        product_term2_coeff)
+from .hypergeom import (DEFAULT_POLICY, HypergeomError, gauss_2f1,
+                        product_term1_coeff, product_term2_coeff)
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        admissible, basis_change, block_C, block_H_prime,
-                       cohomology_C, homology_H, lu_inverse)
+                       cohomology_C, homology_H, lu_inverse,
+                       require_admissible)
 from .periods import SHIFT_RULES, PeriodError, block_periods, period_matrix
 from .quadrature import QuadratureError
-from .series import (MAX_TERMS, MIN_TERMS, REL_CUTOFF, SeriesError, TauPoint,
-                     theta_taylor)
+from .series import SeriesError, TauPoint, q_terms, theta_taylor
 
 SWEEP_TAUS = (1j, 1.3j, 2j, 0.3 + 1.2j)
 
@@ -333,11 +333,9 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
 
     def make(name, fn):
         def residual():
-            require = admissible(p)
-            if not require[0]:
-                raise AdmissibilityError(require[1])
+            require_admissible(p)
             lam = tau.lam
-            if abs(lam) > 0.95:
+            if abs(lam) > DEFAULT_POLICY.radius_guard:
                 raise SeriesError(f"|lambda(tau)| = {abs(lam):.3f} too "
                                   "large for the 2F1 series")
             return fn(lam)
@@ -384,17 +382,6 @@ def verify_whipple(a: float, b: float, c: float, n_max: int = 12,
     return _run_check("whipple-cancellation", params, tols.whipple, residual)
 
 
-def _q_sum(term) -> complex:
-    """Sum term(n) for n >= 1 under the module truncation policy."""
-    total = 0.0 + 0.0j
-    for n in range(1, MAX_TERMS + 1):
-        t = term(n)
-        total += t
-        if n >= MIN_TERMS and abs(t) < REL_CUTOFF * max(abs(total), 1e-300):
-            return total
-    raise SeriesError("q-series did not converge within the term cap")
-
-
 def _rel(x: complex, y: complex) -> float:
     return abs(x - y) / (1.0 + abs(x))
 
@@ -412,8 +399,10 @@ def verify_series_identities(tau: TauPoint,
     tols = resolve_tolerances(tol)
     params = _params_dict(None, tau)
     pi2 = math.pi**2
-    q = tau.q
-    qh = tau.q_half
+    # Lambert-series terms in q^n and in q_half^m, with q^m = q_half^(2m)
+    n, qn = q_terms(tau.q)
+    m, qhm = q_terms(tau.q_half)
+    qm = qhm * qhm
     tc = tau.constants
     lam = tau.lam
     t34 = tc.th3_0**4
@@ -430,31 +419,28 @@ def verify_series_identities(tau: TauPoint,
         results.append(_run_check(name, params, tols.series, fn))
 
     add("theta1-log-derivative", lambda: max(
-        _rel(r1, pi2 * (-1.0 + 24.0 * _q_sum(lambda n: q**n / (1 - q**n)**2))),
+        _rel(r1, pi2 * (-1.0 + 24.0 * (qn / (1 - qn)**2).sum())),
         _rel(r1, r2 + r3 + r4),
     ))
     add("theta2-ratio-g2", lambda: max(
         _rel(r2, -4.0 * g2_2t + g2t),
-        _rel(r2, pi2 * (-1.0 + 8.0 * _q_sum(
-            lambda n: (-1) ** n * n * q**n / (1 - q**n)))),
+        _rel(r2, pi2 * (-1.0 + 8.0 * ((-1.0) ** n * n * qn / (1 - qn)).sum())),
     ))
     # expanding q^(n-1/2)/(1+q^(n-1/2))^2 termwise gives the alternating
     # sum with a leading plus sign
     add("theta3-ratio-g2", lambda: max(
         _rel(r3, 4.0 * g2_2t - 5.0 * g2t + g2_ht),
-        _rel(r3, 8.0 * pi2 * _q_sum(
-            lambda n: (-1) ** n * n * qh**n / (1 - q**n))),
+        _rel(r3, 8.0 * pi2 * ((-1.0) ** m * m * qhm / (1 - qm)).sum()),
     ))
     add("theta4-ratio-g2", lambda: max(
         _rel(r4, g2t - g2_ht),
-        _rel(r4, 8.0 * pi2 * _q_sum(lambda n: n * qh**n / (1 - q**n))),
+        _rel(r4, 8.0 * pi2 * (m * qhm / (1 - qm)).sum()),
     ))
 
-    sum_cs = 1.0 + 24.0 * _q_sum(lambda n: n * q**n / (1 + q**n))
-    sum_ds = 1.0 - 24.0 * _q_sum(
-        lambda n: (2 * n - 1) * qh ** (2 * n - 1) / (1 + qh ** (2 * n - 1)))
-    sum_ns = 1.0 + 24.0 * _q_sum(
-        lambda n: (2 * n - 1) * qh ** (2 * n - 1) / (1 - qh ** (2 * n - 1)))
+    # the odd slices [::2] hold the powers q_half^(2n-1)
+    sum_cs = 1.0 + 24.0 * (n * qn / (1 + qn)).sum()
+    sum_ds = 1.0 - 24.0 * (m * qhm / (1 + qhm))[::2].sum()
+    sum_ns = 1.0 + 24.0 * (m * qhm / (1 - qhm))[::2].sum()
     add("lambda-quartic-cs", lambda: _rel(sum_cs, (1.0 - lam / 2.0) * t34))
     add("lambda-quartic-ds", lambda: _rel(sum_ds, (1.0 - 2.0 * lam) * t34))
     add("lambda-quartic-ns", lambda: _rel(sum_ns, (1.0 + lam) * t34))
@@ -515,10 +501,6 @@ def verify_series_identities(tau: TauPoint,
     return results
 
 
-def _integer_distance(x: float) -> float:
-    return abs(x - round(x))
-
-
 def sample_admissible(rng: np.random.Generator,
                       margin: float = SAMPLER_MARGIN) -> HgParams:
     """Draw one parameter triple uniformly from (-2, 2)^3, rejecting any
@@ -530,21 +512,7 @@ def sample_admissible(rng: np.random.Generator,
         variants = [p, p.negated()]
         variants += [p.shifted(*s) for s in SHIFT_RULES.values()]
         variants += [p.negated().shifted(*s) for s in SHIFT_RULES.values()]
-        ok = True
-        for v in variants:
-            clearance = min(
-                _integer_distance(v.c0), _integer_distance(v.c1),
-                _integer_distance(v.c2), _integer_distance(v.c3),
-                _integer_distance(v.c4),
-                _integer_distance(2.0 * v.alpha),
-                _integer_distance(2.0 * v.beta),
-                _integer_distance(2.0 * (v.gamma - v.alpha)),
-                _integer_distance(2.0 * (v.gamma - v.beta)),
-            )
-            if clearance <= margin or not admissible(v)[0]:
-                ok = False
-                break
-        if ok:
+        if all(admissible(v, margin)[0] for v in variants):
             return p
 
 

@@ -56,7 +56,13 @@ class TestAdmissible:
     def test_integral_gamma(self):
         ok, violations = admissible(HgParams(0.30, 0.21, 1.0))
         assert not ok
-        assert any("c0 integral" in v for v in violations)
+        assert violations == ["c0 integral (c0 = 1.0)"]
+
+    def test_guard_sets_the_integrality_distance(self):
+        p = HgParams(0.30, 0.21, 1.0005)
+        assert admissible(p)[0]
+        ok, violations = admissible(p, guard=1e-3)
+        assert not ok and violations == ["c0 integral (c0 = 1.0005)"]
 
     def test_half_integer_alpha(self):
         ok, violations = admissible(HgParams(0.5, 0.21, 0.77))

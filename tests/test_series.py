@@ -348,6 +348,40 @@ class TestThetaTaylor:
         with pytest.raises(SeriesError):
             theta_taylor(2, 13, TAU_I)
 
+    @pytest.mark.parametrize("tau_re", [-0.5, -0.2, 0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("tau_im", [0.1, 0.35, 1.0, 3.0])
+    def test_matches_mpmath(self, tau_re, tau_im):
+        # each coefficient to 1e-13 of the sum of its terms' absolute values
+        mpmath = pytest.importorskip("mpmath")
+        tau = TauPoint(complex(tau_re, tau_im))
+
+        def abs_sum(j, k):
+            first = 0.5 if j in (1, 2) else 1.0
+            total = sum(2.0 * math.exp(-math.pi * tau_im * mu * mu)
+                        * (2.0 * math.pi * mu) ** k
+                        for mu in first + np.arange(200))
+            return (total + (j in (3, 4) and k == 0)) / math.factorial(k)
+
+        with mpmath.workdps(30):
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.tau))
+
+            def ref(j, k):
+                return complex(mpmath.pi**k * mpmath.jtheta(j, 0, nome, k)
+                               / mpmath.factorial(k))
+
+            for j in (1, 2, 3, 4):
+                s = theta_taylor(j, 7, tau)
+                for k in range(1 if j == 1 else 0, 8, 2):
+                    assert abs(s.coeff(k) - ref(j, k)) <= 1e-13 * abs_sum(j, k)
+            tc = tau.constants
+            for value, j, k in ((tc.th2_0, 2, 0), (tc.th3_0, 3, 0),
+                                (tc.th4_0, 4, 0), (tc.th1p_0, 1, 1),
+                                (tc.th1ppp_0 / 6.0, 1, 3),
+                                (tc.th2pp_0 / 2.0, 2, 2),
+                                (tc.th3pp_0 / 2.0, 3, 2),
+                                (tc.th4pp_0 / 2.0, 4, 2)):
+                assert abs(value - ref(j, k)) <= 1e-13 * abs_sum(j, k)
+
     def test_division_pole_order_and_leading(self):
         tc = theta_constants(TAU_I)
         s1 = theta_taylor(1, 8, TAU_I)
@@ -356,6 +390,27 @@ class TestThetaTaylor:
         assert ratio_sq.pole_order == 2
         expect = tc.th4_0**2 / tc.th1p_0**2
         assert ratio_sq.coeff(-2) == pytest.approx(complex(expect), rel=1e-12)
+
+
+class TestQTerms:
+    @pytest.mark.parametrize("x", [0.0, 0.3j, -0.5 + 0.1j, 0.73, 0.85])
+    def test_powers_and_count(self, x):
+        n, powers = series.q_terms(x)
+        count = len(n)
+        assert np.array_equal(n, np.arange(1, count + 1))
+        assert count >= series.MIN_TERMS
+        assert count * abs(x) ** count <= series.REL_CUTOFF
+        # the tangent bound overshoots the least count by at most two terms
+        least = next(m for m in range(1, count + 1)
+                     if m * abs(x) ** m <= series.REL_CUTOFF)
+        assert count <= max(series.MIN_TERMS, least + 2)
+        np.testing.assert_allclose(powers, complex(x) ** n, rtol=1e-13,
+                                   atol=1e-300)
+
+    @pytest.mark.parametrize("x", [0.99, -0.995j, 1.0, 1.5])
+    def test_term_cap_raises(self, x):
+        with pytest.raises(SeriesError):
+            series.q_terms(x)
 
 
 class TestPowerSeries:
