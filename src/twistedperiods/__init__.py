@@ -17,7 +17,8 @@ from .hypergeom import (DEFAULT_POLICY, HypergeomError, SeriesEvalPolicy,
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        SignPair, admissible, basis_change, block_C,
                        block_H_prime, cohomology_C, cohomology_c22,
-                       homology_H, lu_inverse, require_admissible, unit_phase)
+                       guarded_solve, homology_H, require_admissible,
+                       unit_phase)
 from .periods import (PeriodError, block_periods, euler_pairing,
                       euler_pairing_closed, period_entry, period_matrix,
                       wirtinger_quadrature)
@@ -29,9 +30,8 @@ from .series import (PoleError, PowerSeries, SeriesError, TauPoint,
                      theta_taylor)
 from .verify import (CHECK_REGISTRY, CheckResult, PROFILES, Tolerances,
                      VerificationReport, resolve_tolerances, run_sweep,
-                     sample_admissible, verify_block_tpr, verify_entry22,
-                     verify_full_tpr, verify_orthogonality,
-                     verify_series_identities, verify_whipple)
+                     sample_admissible, verify_entry22, verify_orthogonality,
+                     verify_series_identities, verify_tpr, verify_whipple)
 
 __all__ = [
     "__version__",
@@ -43,12 +43,12 @@ __all__ = [
     "admissible", "basis_change", "block_C", "block_H_prime", "block_periods",
     "cohomology_C", "cohomology_c22", "eisenstein_g2", "euler_pairing",
     "euler_pairing_closed", "fourier_partial", "gamma_real", "gauss_2f1",
-    "homology_H", "hyper_4f3_terminating", "jacobi_elliptic", "lambda_tau",
-    "lu_inverse", "period_entry", "period_matrix", "pochhammer",
+    "guarded_solve", "homology_H", "hyper_4f3_terminating", "jacobi_elliptic",
+    "lambda_tau", "period_entry", "period_matrix", "pochhammer",
     "product_term1_coeff", "product_term2_coeff", "require_admissible",
     "resolve_tolerances", "run_sweep", "sample_admissible", "tanh_sinh",
     "theta", "theta_constants", "theta_taylor", "unit_phase",
-    "verify_block_tpr", "verify_entry22", "verify_full_tpr",
-    "verify_orthogonality", "verify_series_identities", "verify_whipple",
+    "verify_entry22", "verify_orthogonality", "verify_series_identities",
+    "verify_tpr", "verify_whipple",
     "whipple_transform_rhs", "wirtinger_quadrature",
 ]

@@ -14,9 +14,8 @@ from .hypergeom import HypergeomError, gauss_2f1
 from .matrices import AdmissibilityError, ConditioningError, HgParams
 from .series import SeriesError, TauPoint, lambda_tau, theta
 from .verify import (CheckResult, VerificationReport, resolve_tolerances,
-                     run_sweep, verify_block_tpr, verify_entry22,
-                     verify_full_tpr, verify_orthogonality,
-                     verify_series_identities)
+                     run_sweep, verify_entry22, verify_orthogonality,
+                     verify_series_identities, verify_tpr)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -148,13 +147,11 @@ def main(argv=None) -> int:
         tols = resolve_tolerances(args.tol)
         if args.command == "tpr":
             tau = _tau_from_args(args)
-            if args.variant == "full":
+            if args.variant in ("full", "blocks"):
                 p = HgParams(args.alpha, args.beta, args.gamma)
-                checks = [verify_full_tpr(p, tau, tols)]
-            elif args.variant == "blocks":
-                p = HgParams(args.alpha, args.beta, args.gamma)
-                checks = list(verify_block_tpr(p, tau, tols))
-                checks.append(verify_orthogonality(p, tols))
+                full, *blocks = verify_tpr(p, tau, tols)
+                checks = ([full] if args.variant == "full"
+                          else [*blocks, verify_orthogonality(p, tols)])
             else:
                 checks = list(verify_entry22(args.a, args.b, args.c, tau, tols))
             return _emit_report(checks, seed=0, args=args)

@@ -78,9 +78,9 @@ def gamma_real(x: float) -> float:
     """Gamma function for real x via the Lanczos approximation.
 
     Uses the reflection formula for x < 0.5 and raises at non-positive
-    integers (within the integrality guard).  Also raises where the Lanczos
-    power overflows double precision: x above about 142.6, or through the
-    reflection formula x below about -141.6.
+    integers (within the integrality guard).  Finite up to x about 171.6,
+    where Gamma itself overflows double precision; above that it raises,
+    as it does through the reflection formula below about -170.6.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -100,6 +100,14 @@ def gamma_real(x: float) -> float:
     except OverflowError:
         value = math.inf
     if math.isinf(value):
+        # Above x of about 142.6 the power overflows before exp(-t) scales
+        # it down; split it in two halves around exp(-t).
+        try:
+            half = t ** ((z + 0.5) / 2.0)
+            value = math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
         raise HypergeomError(f"Gamma({x}) overflows double precision")
     return value
 

@@ -37,7 +37,7 @@ class AdmissibilityError(Exception):
 
 
 class ConditioningError(Exception):
-    """Raised when a matrix is too ill-conditioned to invert reliably."""
+    """Raised when a matrix is too ill-conditioned to solve with reliably."""
 
 
 def unit_phase(x: float) -> complex:
@@ -87,21 +87,21 @@ def admissible(p: HgParams,
     Returns (ok, violations).  The conditions keep all 1 - e(.) and
     1 +- e(.) denominators, the C-matrix rational denominators, and the
     Gamma factors of the period formulas away from their zeros/poles.  A
-    value counts as integral within ``guard`` of an integer.
+    value counts as integral within ``guard`` of an integer; a non-finite
+    value is a violation of its own.
     """
-    violations = [
-        f"{name} integral ({name} = {value})"
-        for name, value in (("c0", p.c0), ("c1", p.c1), ("c2", p.c2),
-                            ("c3", p.c3), ("c4", p.c4))
-        if is_near_integer(value, guard)
-    ]
-    violations += [
-        f"{name} in (1/2)Z ({name} = {value})"
-        for name, value in (("alpha", p.alpha), ("beta", p.beta),
-                            ("gamma-alpha", p.gamma - p.alpha),
-                            ("gamma-beta", p.gamma - p.beta))
-        if is_near_integer(2.0 * value, guard)
-    ]
+    violations = []
+    for scale, condition, values in (
+            (1.0, "integral", (("c0", p.c0), ("c1", p.c1), ("c2", p.c2),
+                               ("c3", p.c3), ("c4", p.c4))),
+            (2.0, "in (1/2)Z", (("alpha", p.alpha), ("beta", p.beta),
+                                ("gamma-alpha", p.gamma - p.alpha),
+                                ("gamma-beta", p.gamma - p.beta)))):
+        for name, value in values:
+            if not math.isfinite(scale * value):
+                violations.append(f"{name} not finite ({name} = {value})")
+            elif is_near_integer(scale * value, guard):
+                violations.append(f"{name} {condition} ({name} = {value})")
     return (not violations, violations)
 
 
@@ -229,24 +229,20 @@ def block_H_prime(p: HgParams) -> SignPair:
     return SignPair(minus=block(-1.0), plus=block(+1.0))
 
 
-def block_C(p: HgParams, tc: ThetaConstants) -> SignPair:
-    """The 2x2 cohomology intersection blocks: the diagonal blocks of
-    ``cohomology_C``."""
-    c = cohomology_C(p, tc)
+def block_C(c: np.ndarray) -> SignPair:
+    """The 2x2 cohomology intersection blocks: the diagonal blocks of the
+    4x4 ``cohomology_C`` matrix ``c``."""
     return SignPair(minus=c[:2, :2], plus=c[2:, 2:])
 
 
-def lu_inverse(matrix: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """Inverse by LU with partial pivoting plus one refinement step.
+def guarded_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution x of ``a x = b`` by LU with partial pivoting.
 
-    Rejects matrices whose condition estimate exceeds ``cond_limit``.
+    Rejects matrices whose condition number exceeds ``COND_LIMIT``.
     """
-    a = np.asarray(matrix, dtype=complex)
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ConditioningError(
-            f"condition estimate {cond:.3e} exceeds limit {cond_limit:.0e}"
+            f"condition estimate {cond:.3e} exceeds limit {COND_LIMIT:.0e}"
         )
-    eye = np.eye(a.shape[0], dtype=complex)
-    inv = np.linalg.solve(a, eye)
-    return inv + inv @ (eye - a @ inv)
+    return np.linalg.solve(a, b)

@@ -102,30 +102,25 @@ def period_entry(i: int, j: int, p: HgParams, tau: TauPoint) -> complex:
     return complex(_period_row(i, p, tau)[j - 1])
 
 
-def _signed(p: HgParams, sign: str) -> HgParams:
-    if sign in ("+", "plus", "+1", 1, +1):
-        return p
-    if sign in ("-", "minus", "-1", -1):
-        return p.negated()
-    raise PeriodError(f"invalid sign {sign!r}")
-
-
-def period_matrix(sign, p: HgParams, tau: TauPoint) -> np.ndarray:
-    """4x4 period matrix; the minus sign negates all three parameters."""
-    q = _signed(p, sign)
+def period_matrix(sign: str, p: HgParams, tau: TauPoint) -> np.ndarray:
+    """4x4 period matrix for sign "+" or "-"; the minus sign negates all
+    three parameters."""
+    if sign not in ("+", "-"):
+        raise PeriodError(f"invalid sign {sign!r}")
+    q = p if sign == "+" else p.negated()
     require_admissible(q)
     return np.array([_period_row(i, q, tau) for i in (1, 2, 3, 4)], dtype=complex)
 
 
-def block_periods(sign, p: HgParams, tau: TauPoint) -> SignPair:
-    """The 2x2 period blocks in the eigenspace bases.
+def block_periods(m: np.ndarray) -> SignPair:
+    """The 2x2 period blocks in the eigenspace bases, from the 4x4
+    ``period_matrix`` ``m``.
 
     Integrals over the eigenspace cycle combinations reduce to the first
     and third cycle, so the blocks are sub-matrices of the full closed
     forms: rows (1,2) for the odd eigenspace, rows (3,4) for the even one,
     columns (1,3) in both.
     """
-    m = period_matrix(sign, p, tau)
     return SignPair(minus=m[:2, ::2], plus=m[2:, ::2])
 
 

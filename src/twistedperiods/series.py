@@ -197,6 +197,8 @@ def _theta_terms(j: int, tau: TauPoint, im_u: float, order: int = 0):
         rhs = (lead * lead + (_LOG_CUTOFF + order * (
             math.log(mu_max / first) - 1.0)) / (math.pi * t))
         mu_max = b + math.sqrt(b * b + rhs)
+    if not math.isfinite(mu_max):
+        raise SeriesError(f"theta_{j} term bound overflows at Im(tau) = {t}")
     n = max(MIN_TERMS, math.floor(mu_max - first) + 1)
     if n > MAX_TERMS:
         raise SeriesError(

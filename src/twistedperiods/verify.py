@@ -9,9 +9,9 @@ name is an error, so the report vocabulary cannot drift from the docs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +21,7 @@ from .hypergeom import (DEFAULT_POLICY, HypergeomError, gauss_2f1,
                         product_term1_coeff, product_term2_coeff)
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        admissible, basis_change, block_C, block_H_prime,
-                       cohomology_C, homology_H, lu_inverse,
+                       cohomology_C, guarded_solve, homology_H,
                        require_admissible)
 from .periods import SHIFT_RULES, PeriodError, block_periods, period_matrix
 from .quadrature import QuadratureError
@@ -91,14 +91,13 @@ _RECOVERABLE = (AdmissibilityError, ConditioningError, HypergeomError,
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named check: echoed parameters, residual, verdict, timing."""
+    """One named check: echoed parameters, residual, verdict."""
 
     name: str
     params: dict
     residual: float | None
     tolerance: float
     passed: bool
-    elapsed_ms: float
     error: str | None = None
 
     def __post_init__(self):
@@ -119,7 +118,6 @@ class CheckResult:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
-            "elapsed_ms": self.elapsed_ms,
             "error": self.error,
         }
 
@@ -160,7 +158,7 @@ class VerificationReport:
             CheckResult(
                 name=c["name"], params=c["params"], residual=c["residual"],
                 tolerance=c["tolerance"], passed=c["pass"],
-                elapsed_ms=c["elapsed_ms"], error=c["error"],
+                error=c["error"],
             )
             for c in d["checks"]
         ]
@@ -220,63 +218,54 @@ def _params_dict(p: HgParams | None, tau: TauPoint | None, **extra) -> dict:
     return out
 
 
+def _errored(name: str, params: dict, tolerance: float,
+             exc: Exception) -> CheckResult:
+    return CheckResult(name=name, params=params, residual=None,
+                       tolerance=tolerance, passed=False, error=str(exc))
+
+
 def _run_check(name: str, params: dict, tolerance: float, fn) -> CheckResult:
-    start = time.perf_counter()
     try:
         residual = float(fn())
     except _RECOVERABLE as exc:
-        elapsed = (time.perf_counter() - start) * 1e3
-        return CheckResult(name=name, params=params, residual=None,
-                           tolerance=tolerance, passed=False,
-                           elapsed_ms=elapsed, error=str(exc))
-    elapsed = (time.perf_counter() - start) * 1e3
+        return _errored(name, params, tolerance, exc)
     return CheckResult(name=name, params=params, residual=residual,
-                       tolerance=tolerance, passed=residual <= tolerance,
-                       elapsed_ms=elapsed)
+                       tolerance=tolerance, passed=residual <= tolerance)
 
 
-def verify_full_tpr(p: HgParams, tau: TauPoint,
-                    tol=PROFILES["default"]) -> CheckResult:
-    """Relative Frobenius residual of the full 4x4 quadratic relation."""
-    tols = resolve_tolerances(tol)
+def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
+               ) -> tuple[CheckResult, CheckResult, CheckResult]:
+    """Relative Frobenius residuals of the full 4x4 relation
+    C = P+ . H^-T . P-^T and of its two eigenspace blocks.
 
-    def residual():
-        c_mat = cohomology_C(p, tau.constants)
-        h_inv = lu_inverse(homology_H(p))
-        m = period_matrix("+", p, tau) @ h_inv.T @ period_matrix("-", p, tau).T
-        return np.linalg.norm(c_mat - m) / np.linalg.norm(c_mat)
-
-    return _run_check("full-tpr", _params_dict(p, tau), tols.matrix, residual)
-
-
-def verify_block_tpr(p: HgParams, tau: TauPoint,
-                     tol=PROFILES["default"]) -> tuple[CheckResult, CheckResult]:
-    """Relative Frobenius residuals of the two eigenspace block relations."""
+    C, P+ and P- are built once; the blocks are their diagonal slices,
+    paired with ``block_H_prime``.  Returns (full-tpr, block-tpr-minus,
+    block-tpr-plus).  A failed build errors all three checks; a badly
+    conditioned H or H' errors only its own.
+    """
     tols = resolve_tolerances(tol)
     params = _params_dict(p, tau)
-    built = None
+    names = ("full-tpr", "block-tpr-minus", "block-tpr-plus")
+    try:
+        c = cohomology_C(p, tau.constants)
+        pp = period_matrix("+", p, tau)
+        pm = period_matrix("-", p, tau)
+        blocks = (block_C(c), block_periods(pp), block_periods(pm),
+                  block_H_prime(p))
+        relations = [(c, pp, pm, homology_H(p))] + [
+            tuple(pair.for_sign(sign) for pair in blocks) for sign in (-1, 1)]
+    except _RECOVERABLE as exc:
+        return tuple(_errored(name, params, tols.matrix, exc)
+                     for name in names)
 
-    def blocks():
-        # Built by the first check and reused by the second.  A raise
-        # leaves nothing built, so the second check raises and errors too.
-        nonlocal built
-        if built is None:
-            built = (block_C(p, tau.constants), block_H_prime(p),
-                     block_periods("+", p, tau), block_periods("-", p, tau))
-        return built
+    def residual(c, pp, pm, h):
+        return (np.linalg.norm(c - pp @ guarded_solve(h.T, pm.T))
+                / np.linalg.norm(c))
 
-    def residual_for(sign: int):
-        def residual():
-            c_blk, h_blk, p_plus, p_minus = (
-                pair.for_sign(sign) for pair in blocks())
-            m = p_plus @ lu_inverse(h_blk).T @ p_minus.T
-            return np.linalg.norm(c_blk - m) / np.linalg.norm(c_blk)
-        return residual
-
-    return (
-        _run_check("block-tpr-minus", params, tols.matrix, residual_for(-1)),
-        _run_check("block-tpr-plus", params, tols.matrix, residual_for(+1)),
-    )
+    return tuple(
+        _run_check(name, params, tols.matrix,
+                   functools.partial(residual, *relation))
+        for name, relation in zip(names, relations))
 
 
 def verify_orthogonality(p: HgParams, tol=PROFILES["default"]) -> CheckResult:
@@ -341,22 +330,16 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
             return fn(lam)
         return _run_check(name, params, tols.entry22, residual)
 
-    def res_theta(lam):
-        target = (a - b + 1) * lam + c
-        return abs(_entry22_theta_form(a, b, c, tau) - target)
-
-    def res_2f1(lam):
-        target = (a - b + 1) * lam + c
-        return abs(_entry22_2f1_form(a, b, c, tau) - target)
-
-    def res_cross(lam):
-        return abs(_entry22_theta_form(a, b, c, tau)
-                   - _entry22_2f1_form(a, b, c, tau))
-
+    # Each form is evaluated once, by the first check that needs it.  A
+    # form that raises is not kept, so every check using it errors.
+    theta_form = functools.cache(lambda: _entry22_theta_form(a, b, c, tau))
+    f21_form = functools.cache(lambda: _entry22_2f1_form(a, b, c, tau))
     return (
-        make("entry22-theta", res_theta),
-        make("entry22-2f1", res_2f1),
-        make("entry22-cross", res_cross),
+        make("entry22-theta",
+             lambda lam: abs(theta_form() - ((a - b + 1) * lam + c))),
+        make("entry22-2f1",
+             lambda lam: abs(f21_form() - ((a - b + 1) * lam + c))),
+        make("entry22-cross", lambda lam: abs(theta_form() - f21_form())),
     )
 
 
@@ -531,8 +514,7 @@ def run_sweep(seed: int, count: int,
     for k in range(count):
         p = sample_admissible(rng)
         tau = TauPoint(SWEEP_TAUS[k % len(SWEEP_TAUS)])
-        checks.append(verify_full_tpr(p, tau, tols))
-        checks.extend(verify_block_tpr(p, tau, tols))
+        checks.extend(verify_tpr(p, tau, tols))
         checks.append(verify_orthogonality(p, tols))
         a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
         checks.extend(verify_entry22(a, b, c, tau, tols))

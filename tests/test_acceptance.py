@@ -14,10 +14,9 @@ from twistedperiods.matrices import HgParams
 from twistedperiods.periods import wirtinger_quadrature
 from twistedperiods.series import (TauPoint, lambda_tau, theta,
                                    theta_constants)
-from twistedperiods.verify import (sample_admissible, verify_block_tpr,
-                                   verify_entry22, verify_full_tpr,
+from twistedperiods.verify import (sample_admissible, verify_entry22,
                                    verify_orthogonality,
-                                   verify_series_identities)
+                                   verify_series_identities, verify_tpr)
 
 SWEEP_TAUS = (TauPoint(1j), TauPoint(1.3j), TauPoint(2j),
               TauPoint(0.3 + 1.2j))
@@ -39,7 +38,7 @@ class TestAcceptance:
         for _ in range(100):
             p = sample_admissible(rng)
             for tau in SWEEP_TAUS:
-                r = verify_full_tpr(p, tau)
+                r = verify_tpr(p, tau)[0]
                 assert r.error is None
                 worst = max(worst, r.residual)
         elapsed = time.perf_counter() - start
@@ -57,7 +56,7 @@ class TestAcceptance:
             assert ro.error is None
             worst_orth = max(worst_orth, ro.residual)
             for tau in SWEEP_TAUS:
-                for r in verify_block_tpr(p, tau):
+                for r in verify_tpr(p, tau)[1:]:
                     assert r.error is None
                     worst_block = max(worst_block, r.residual)
         ok = worst_block <= 1e-8 and worst_orth <= 1e-12

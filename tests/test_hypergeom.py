@@ -53,7 +53,16 @@ class TestGammaReal:
         with pytest.raises(HypergeomError):
             gamma_real(x)
 
-    @pytest.mark.parametrize("x", [142.7, 171.5, 200.8, -150.3])
+    @pytest.mark.parametrize("x", [142.7, 150.5, 171.5, -150.3, -150.5])
+    def test_large_arguments_match_mpmath(self, x):
+        # finite up to about 171.6, past where the unsplit Lanczos power
+        # overflows (about 142.6)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            expect = float(mpmath.gamma(mpmath.mpf(x)))
+        assert gamma_real(x) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [172.0, 200.8, -171.5, 1e308])
     def test_overflow_raises_typed_error(self, x):
         with pytest.raises(HypergeomError, match="overflows"):
             gamma_real(x)

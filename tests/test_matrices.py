@@ -1,4 +1,4 @@
-"""Exponent bookkeeping, intersection matrices, basis change, LU inverse."""
+"""Exponent bookkeeping, intersection matrices, basis change, guarded solve."""
 
 import cmath
 import math
@@ -14,7 +14,7 @@ import twistedperiods
 from twistedperiods.matrices import (AdmissibilityError, ConditioningError,
                                      HgParams, admissible, basis_change,
                                      block_C, block_H_prime, cohomology_C,
-                                     homology_H, lu_inverse,
+                                     guarded_solve, homology_H,
                                      require_admissible, unit_phase)
 from twistedperiods.series import TauPoint, theta_constants
 from twistedperiods.verify import sample_admissible
@@ -68,6 +68,13 @@ class TestAdmissible:
         ok, violations = admissible(HgParams(0.5, 0.21, 0.77))
         assert not ok
         assert any("c1" in v for v in violations)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_values_are_violations(self, value):
+        ok, violations = admissible(HgParams(value, 0.21, 0.77))
+        assert not ok
+        assert "c1 not finite (c1 = {})".format(2.0 * value) in violations
+        assert "alpha not finite (alpha = {})".format(value) in violations
 
     def test_require_raises(self):
         with pytest.raises(AdmissibilityError) as err:
@@ -190,7 +197,7 @@ class TestBlocks:
 
     def test_block_c_structure(self):
         p = P_REF
-        cb = block_C(p, TC_I)
+        cb = block_C(cohomology_C(p, TC_I))
         assert cb.minus[0, 0] == 0.0
         assert cb.plus[0, 1] == cb.plus[1, 0] == pytest.approx(
             2j * math.pi / (2.0 * p.alpha), rel=1e-14)
@@ -198,22 +205,24 @@ class TestBlocks:
     def test_blocks_match_full_matrix(self):
         p = P_REF
         c = cohomology_C(p, TC_I)
-        cb = block_C(p, TC_I)
+        cb = block_C(c)
         assert np.array_equal(c[:2, :2], cb.minus)
         assert np.array_equal(c[2:, 2:], cb.plus)
 
 
 class TestLuInverse:
+    """LU solves behind the condition-number guard (``guarded_solve``)."""
+
     def test_inverse_residual(self):
         rng = np.random.default_rng(31)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        inv = lu_inverse(a)
+        inv = guarded_solve(a, np.eye(4))
         assert np.max(np.abs(a @ inv - np.eye(4))) < 1e-13
 
     def test_conditioning_rejection(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
         with pytest.raises(ConditioningError):
-            lu_inverse(a)
+            guarded_solve(a, np.eye(2))
 
     def test_package_imports_without_scipy(self):
         # numpy is the only runtime dependency

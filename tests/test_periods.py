@@ -146,11 +146,13 @@ class TestPeriodMatrices:
             period_entry(3, 1, P_REF.negated(), TAU_I), rel=1e-14)
 
     def test_invalid_sign(self):
-        with pytest.raises(PeriodError):
-            period_matrix("x", P_REF, TAU_I)
+        # only "+" and "-" name a sign
+        for sign in ("x", "plus", "+1", 1, "minus", -1):
+            with pytest.raises(PeriodError):
+                period_matrix(sign, P_REF, TAU_I)
 
     def test_block_entries(self):
-        bp = block_periods("+", P_REF, TAU_I)
+        bp = block_periods(period_matrix("+", P_REF, TAU_I))
         assert bp.plus[0, 0] == pytest.approx(
             period_entry(3, 1, P_REF, TAU_I), rel=1e-14)
         assert bp.plus[1, 1] == pytest.approx(
@@ -166,7 +168,7 @@ class TestPeriodMatrices:
                 p = sample_admissible(rng)
                 for sign in ("+", "-"):
                     full = period_matrix(sign, p, TauPoint(tau_val))
-                    blocks = block_periods(sign, p, TauPoint(tau_val))
+                    blocks = block_periods(full)
                     cols = full[:, [0, 2]]
                     assert np.array_equal(blocks.minus, cols[[0, 1]])
                     assert np.array_equal(blocks.plus, cols[[2, 3]])
@@ -181,7 +183,7 @@ class TestPeriodMatrices:
             for sign_name, q in (("+", p), ("-", p.negated())):
                 full = period_matrix(sign_name, p, tau)
                 combo = basis_change(q)
-                blocks = block_periods(sign_name, p, tau)
+                blocks = block_periods(full)
                 for eps, rows in ((-1, (0, 1)), (1, (2, 3))):
                     projected = full[rows, :] @ combo.for_sign(eps).T
                     expect = blocks.for_sign(eps)

@@ -15,8 +15,8 @@ from twistedperiods.series import (PoleError, PowerSeries, SeriesError,
                                    TauPoint, eisenstein_g2, fourier_partial,
                                    jacobi_elliptic, lambda_tau, theta,
                                    theta_constants, theta_taylor)
-from twistedperiods.verify import (verify_block_tpr, verify_entry22,
-                                   verify_full_tpr, verify_series_identities)
+from twistedperiods.verify import (verify_entry22, verify_series_identities,
+                                   verify_tpr)
 
 TAU_I = TauPoint(1j)
 
@@ -67,8 +67,7 @@ class TestKernelContext:
         monkeypatch.setattr(series, "theta_taylor", counting)
         tau = TauPoint(0.3 + 1.2j)
         p = HgParams(0.30, 0.21, 0.77)
-        results = [verify_full_tpr(p, tau), *verify_block_tpr(p, tau),
-                   *verify_entry22(0.2, 0.3, 0.6, tau)]
+        results = [*verify_tpr(p, tau), *verify_entry22(0.2, 0.3, 0.6, tau)]
         assert all(r.passed for r in results)
         assert built == {1: 1, 2: 1, 3: 1, 4: 1}
 

@@ -1,20 +1,28 @@
 """Verifier checks, sweep determinism, report serialization, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistedperiods
+from twistedperiods import matrices, verify
 from twistedperiods.cli import main
+from twistedperiods.hypergeom import HypergeomError
 from twistedperiods.matrices import HgParams
 from twistedperiods.series import TauPoint
 from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
                                    Tolerances, VerificationReport,
                                    resolve_tolerances, run_sweep,
-                                   sample_admissible, verify_block_tpr,
-                                   verify_entry22, verify_full_tpr,
+                                   sample_admissible, verify_entry22,
                                    verify_orthogonality,
-                                   verify_series_identities, verify_whipple)
+                                   verify_series_identities, verify_tpr,
+                                   verify_whipple)
 
 P_REF = HgParams(0.30, 0.21, 0.77)
 TAU_I = TauPoint(1j)
@@ -24,18 +32,17 @@ class TestCheckResult:
     def test_registry_enforced(self):
         with pytest.raises(ValueError):
             CheckResult(name="no-such-check", params={}, residual=0.0,
-                        tolerance=1.0, passed=True, elapsed_ms=0.0)
+                        tolerance=1.0, passed=True)
 
     def test_pass_flag_consistency(self):
         with pytest.raises(ValueError):
             CheckResult(name="full-tpr", params={}, residual=2.0,
-                        tolerance=1.0, passed=True, elapsed_ms=0.0)
+                        tolerance=1.0, passed=True)
 
     def test_errored_cannot_pass(self):
         with pytest.raises(ValueError):
             CheckResult(name="full-tpr", params={}, residual=None,
-                        tolerance=1.0, passed=True, elapsed_ms=0.0,
-                        error="boom")
+                        tolerance=1.0, passed=True, error="boom")
 
     def test_registry_descriptions_nonempty(self):
         for name, description in CHECK_REGISTRY.items():
@@ -61,27 +68,48 @@ class TestTolerances:
 
 class TestFullTpr:
     def test_reference_point(self):
-        result = verify_full_tpr(P_REF, TAU_I)
+        result = verify_tpr(P_REF, TAU_I)[0]
+        assert result.name == "full-tpr"
         assert result.passed and result.residual <= 1e-8
 
     def test_complex_tau(self):
-        result = verify_full_tpr(P_REF, TauPoint(0.3 + 1.2j))
+        result = verify_tpr(P_REF, TauPoint(0.3 + 1.2j))[0]
         assert result.passed and result.residual <= 1e-8
 
     def test_inadmissible_recorded_not_raised(self):
-        result = verify_full_tpr(HgParams(0.30, 0.21, 1.0), TAU_I)
+        result = verify_tpr(HgParams(0.30, 0.21, 1.0), TAU_I)[0]
         assert result.error is not None and not result.passed
         assert "c0 integral" in result.error
+
+    def test_conditioning_recorded_per_check(self, monkeypatch):
+        monkeypatch.setattr(matrices, "COND_LIMIT", 1.0)
+        for r in verify_tpr(P_REF, TAU_I):
+            assert not r.passed and "condition estimate" in r.error
+
+    def test_one_build_per_draw(self, monkeypatch):
+        # full and block relations share one C, one P+ and one P-
+        calls = Counter()
+        for name in ("cohomology_C", "period_matrix"):
+            original = getattr(verify, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(verify, name, counting)
+        report = run_sweep(seed=3, count=2)
+        assert report.summary["pass"] == len(report.checks)
+        assert calls == {"cohomology_C": 2, "period_matrix": 4}
 
 
 class TestBlockTpr:
     def test_both_blocks_pass(self):
-        minus, plus = verify_block_tpr(P_REF, TAU_I)
+        minus, plus = verify_tpr(P_REF, TAU_I)[1:]
         assert minus.name == "block-tpr-minus" and minus.passed
         assert plus.name == "block-tpr-plus" and plus.passed
 
     def test_inadmissible_errors_both_blocks(self):
-        results = verify_block_tpr(HgParams(0.30, 0.21, 1.0), TAU_I)
+        results = verify_tpr(HgParams(0.30, 0.21, 1.0), TAU_I)[1:]
         assert [r.name for r in results] == ["block-tpr-minus",
                                              "block-tpr-plus"]
         for r in results:
@@ -104,6 +132,28 @@ class TestEntry22:
     def test_inadmissible_recorded(self):
         results = verify_entry22(0.2, 0.3, 1.0, TAU_I)
         assert all(r.error is not None for r in results)
+
+    def test_each_form_evaluated_once(self, monkeypatch):
+        calls = Counter()
+        original = verify.gauss_2f1
+
+        def counting(*args):
+            calls["2f1"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(verify, "gauss_2f1", counting)
+        results = verify_entry22(0.2, 0.3, 0.6, TAU_I)
+        assert all(r.passed for r in results)
+        assert calls["2f1"] == 4
+
+    def test_2f1_failure_spares_the_theta_check(self, monkeypatch):
+        def failing(*args):
+            raise HypergeomError("no convergence")
+
+        monkeypatch.setattr(verify, "gauss_2f1", failing)
+        theta, f21, cross = verify_entry22(0.2, 0.3, 0.6, TAU_I)
+        assert theta.passed
+        assert f21.error == cross.error == "no convergence"
 
 
 class TestWhipple:
@@ -178,9 +228,10 @@ class TestSweep:
         d = json.loads(report.to_json())
         assert set(d) == {"tool_version", "seed", "checks", "summary"}
         assert set(d["summary"]) == {"pass", "fail", "errored"}
+        for check in d["checks"]:
+            assert set(check) == {"name", "params", "residual", "tolerance",
+                                  "pass", "error"}
         check = d["checks"][0]
-        assert {"name", "params", "residual", "tolerance", "pass",
-                "elapsed_ms", "error"} <= set(check)
         assert {"alpha", "beta", "gamma", "tau_re", "tau_im"} <= set(
             check["params"])
 
@@ -245,6 +296,37 @@ class TestCli:
 
     def test_bad_tau_exit_code(self, capsys):
         assert main(["lambda", "--tau-im", "0.01"]) == 2
+
+    def test_sweep_json_byte_identical_across_processes(self, tmp_path):
+        src = Path(twistedperiods.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            subprocess.run([sys.executable, "-m", "twistedperiods", "sweep",
+                            "--seed", "42", "--count", "3", "--json",
+                            str(path), "--quiet"], env=env, check=True)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("tpr full", "--alpha"), ("tpr full", "--gamma"),
+        ("tpr blocks", "--beta"), ("tpr entry22", "--a"),
+        ("tpr entry22", "--c"), ("theta", "--tau-im"),
+        ("lambda", "--tau-im"), ("identities", "--tau-im")])
+    @pytest.mark.parametrize("value", [
+        "0", "-0.5", "1e308", "-1e308", "inf", "nan", "1e-300"])
+    def test_extreme_values_exit_with_a_code(self, command, flag, value,
+                                             capsys):
+        defaults = {"--alpha": "0.3", "--beta": "0.21", "--gamma": "0.77",
+                    "--a": "0.2", "--b": "0.3", "--c": "0.6"}
+        argv = command.split()
+        if command.startswith("tpr"):
+            names = (("--a", "--b", "--c") if command.endswith("entry22")
+                     else ("--alpha", "--beta", "--gamma"))
+            argv += [f"{name}={defaults[name]}" for name in names
+                     if name != flag]
+        # --flag=value, so that argparse reads -1e308 as a value
+        argv.append(f"{flag}={value}")
+        assert main(argv) in (0, 1, 2)
 
     def test_gamma_overflow_is_an_errored_check(self, capsys):
         assert main(["tpr", "full", "--alpha", "200.3", "--beta", "0.25",
