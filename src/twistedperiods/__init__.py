@@ -10,23 +10,19 @@ ties the layers together into named identity checks and seeded sweeps;
 
 __version__ = "0.1.0"
 
-from .hypergeom import (DEFAULT_POLICY, HypergeomError, SeriesEvalPolicy,
-                        gamma_real, gauss_2f1, hyper_4f3_terminating,
-                        pochhammer, product_term1_coeff, product_term2_coeff,
-                        whipple_transform_rhs)
+from .hypergeom import (HypergeomError, gamma_real, gauss_2f1,
+                        hyper_4f3_terminating, pochhammer, product_term1_coeff,
+                        product_term2_coeff, whipple_transform_rhs)
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        SignPair, admissible, basis_change, block_C,
-                       block_H_prime, cohomology_C, cohomology_c22,
-                       guarded_solve, homology_H, require_admissible,
-                       unit_phase)
+                       block_H_prime, cohomology_C, guarded_solve, homology_H,
+                       require_admissible, unit_phase)
 from .periods import (PeriodError, block_periods, euler_pairing,
-                      euler_pairing_closed, period_entry, period_matrix,
+                      euler_pairing_closed, period_matrix,
                       wirtinger_quadrature)
-from .quadrature import (DEFAULT_QUADRATURE, QuadratureConfig,
-                         QuadratureError, tanh_sinh)
-from .series import (PoleError, PowerSeries, SeriesError, TauPoint,
-                     ThetaConstants, eisenstein_g2, fourier_partial,
-                     jacobi_elliptic, lambda_tau, theta, theta_constants,
+from .quadrature import QuadratureError, tanh_sinh
+from .series import (PowerSeries, SeriesError, TauPoint, ThetaConstants,
+                     eisenstein_g2, lambda_tau, theta, theta_constants,
                      theta_taylor)
 from .verify import (CHECK_REGISTRY, CheckResult, PROFILES, Tolerances,
                      VerificationReport, resolve_tolerances, run_sweep,
@@ -36,15 +32,13 @@ from .verify import (CHECK_REGISTRY, CheckResult, PROFILES, Tolerances,
 __all__ = [
     "__version__",
     "AdmissibilityError", "CheckResult", "CHECK_REGISTRY", "ConditioningError",
-    "DEFAULT_POLICY", "DEFAULT_QUADRATURE", "HgParams", "HypergeomError",
-    "PeriodError", "PoleError", "PowerSeries", "PROFILES", "QuadratureConfig",
-    "QuadratureError", "SeriesError", "SeriesEvalPolicy", "SignPair",
-    "TauPoint", "ThetaConstants", "Tolerances", "VerificationReport",
+    "HgParams", "HypergeomError", "PeriodError", "PowerSeries", "PROFILES",
+    "QuadratureError", "SeriesError", "SignPair", "TauPoint", "ThetaConstants",
+    "Tolerances", "VerificationReport",
     "admissible", "basis_change", "block_C", "block_H_prime", "block_periods",
-    "cohomology_C", "cohomology_c22", "eisenstein_g2", "euler_pairing",
-    "euler_pairing_closed", "fourier_partial", "gamma_real", "gauss_2f1",
-    "guarded_solve", "homology_H", "hyper_4f3_terminating", "jacobi_elliptic",
-    "lambda_tau", "period_entry", "period_matrix", "pochhammer",
+    "cohomology_C", "eisenstein_g2", "euler_pairing", "euler_pairing_closed",
+    "gamma_real", "gauss_2f1", "guarded_solve", "homology_H",
+    "hyper_4f3_terminating", "lambda_tau", "period_matrix", "pochhammer",
     "product_term1_coeff", "product_term2_coeff", "require_admissible",
     "resolve_tolerances", "run_sweep", "sample_admissible", "tanh_sinh",
     "theta", "theta_constants", "theta_taylor", "unit_phase",

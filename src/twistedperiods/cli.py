@@ -26,7 +26,8 @@ def _add_tau_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau-re", type=float, default=0.0,
                         help="real part of tau (default 0)")
     parser.add_argument("--tau-im", type=float, default=1.0,
-                        help="imaginary part of tau (default 1, must be >= 0.1)")
+                        help="imaginary part of tau "
+                             "(default 1, 0.1 <= Im tau <= 50)")
 
 
 def _add_abg_flags(parser: argparse.ArgumentParser) -> None:

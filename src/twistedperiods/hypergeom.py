@@ -2,13 +2,12 @@
 
 Parameters are restricted to real values; complexity enters only through the
 series argument z.  The 2F1 is served by its defining power series within
-|z| <= radius_guard; no analytic continuation is attempted.
+|z| <= RADIUS_GUARD; no analytic continuation is attempted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Shared "near-integer" guard: a real x counts as integral when it is within
 # this distance of an integer.
@@ -27,22 +26,12 @@ def is_near_nonpositive_integer(x: float, guard: float = INTEGRALITY_GUARD) -> b
     return x <= guard and is_near_integer(x, guard)
 
 
-@dataclass(frozen=True)
-class SeriesEvalPolicy:
-    """Stopping policy for the 2F1 power series."""
-
-    max_terms: int = 2000
-    rel_tol: float = 1e-16
-    radius_guard: float = 0.95
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError("rel_tol must be in (0, 1)")
-        if not (0.0 < self.radius_guard < 1.0):
-            raise ValueError("radius_guard must be in (0, 1)")
-
-
-DEFAULT_POLICY = SeriesEvalPolicy()
+# Stopping rule and domain of the 2F1 power series: stop once two successive
+# terms fall below F21_REL_TOL relative, raise after F21_MAX_TERMS terms or
+# for |z| > RADIUS_GUARD.
+F21_MAX_TERMS = 2000
+F21_REL_TOL = 1e-16
+RADIUS_GUARD = 0.95
 
 # Lanczos coefficients (g = 607/128, 15 terms); good to ~1e-15 relative
 # on the positive axis.
@@ -122,32 +111,30 @@ def pochhammer(x: float, n: int) -> float:
     return out
 
 
-def gauss_2f1(a: float, b: float, c: float, z: complex,
-              policy: SeriesEvalPolicy = DEFAULT_POLICY) -> complex:
+def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     """Gauss hypergeometric series sum (a)_n (b)_n / ((c)_n n!) z^n.
 
-    Valid for |z| <= policy.radius_guard; c must not be a non-positive
-    integer.
+    Valid for |z| <= RADIUS_GUARD; c must not be a non-positive integer.
     """
     z = complex(z)
-    if abs(z) > policy.radius_guard:
+    if abs(z) > RADIUS_GUARD:
         raise HypergeomError(
-            f"|z| = {abs(z):.4f} exceeds the series radius guard {policy.radius_guard}"
+            f"|z| = {abs(z):.4f} exceeds the series radius guard {RADIUS_GUARD}"
         )
     if is_near_nonpositive_integer(c):
         raise HypergeomError(f"2F1 pole: c = {c} is a non-positive integer")
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
-    for n in range(policy.max_terms):
+    for n in range(F21_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) <= policy.rel_tol * abs(total):
+        if abs(term) <= F21_REL_TOL * abs(total):
             # one extra term as a tail guard
             nxt = term * (a + n + 1) * (b + n + 1) / ((c + n + 1) * (n + 2.0)) * z
-            if abs(nxt) <= policy.rel_tol * abs(total):
+            if abs(nxt) <= F21_REL_TOL * abs(total):
                 return total
     raise HypergeomError(
-        f"2F1 series did not converge within {policy.max_terms} terms at z = {z}"
+        f"2F1 series did not converge within {F21_MAX_TERMS} terms at z = {z}"
     )
 
 

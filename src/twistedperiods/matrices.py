@@ -144,7 +144,7 @@ def homology_H(p: HgParams) -> np.ndarray:
     ], dtype=complex)
 
 
-def cohomology_c22(p: HgParams, tc: ThetaConstants) -> complex:
+def _c22(p: HgParams, tc: ThetaConstants) -> complex:
     """The theta-constant entry of the cohomology intersection matrix
     (before the overall 2 pi i factor)."""
     c1, c2, c3, c4 = p.c1, p.c2, p.c3, p.c4
@@ -164,7 +164,7 @@ def cohomology_C(p: HgParams, tc: ThetaConstants) -> np.ndarray:
     m = np.zeros((4, 4), dtype=complex)
     m[0, 1] = 1.0 / (c1 + 1.0)
     m[1, 0] = 1.0 / (c1 - 1.0)
-    m[1, 1] = cohomology_c22(p, tc)
+    m[1, 1] = _c22(p, tc)
     m[2, 2] = (c1 + c2) / (c1 * c2)
     m[2, 3] = 1.0 / c1
     m[3, 2] = 1.0 / c1
@@ -172,19 +172,21 @@ def cohomology_C(p: HgParams, tc: ThetaConstants) -> np.ndarray:
     return TWO_PI_I * m
 
 
-class BasisChange(NamedTuple):
-    """Coefficients of the involution-eigenspace cycle combinations in the
-    original four-cycle basis (rows: first/second combination)."""
+class SignPair(NamedTuple):
+    """A pair of arrays indexed by the involution eigenvalue: 2x2 blocks,
+    or the 2x4 rows of ``basis_change``."""
 
-    coeffs_minus: np.ndarray
-    coeffs_plus: np.ndarray
+    minus: np.ndarray
+    plus: np.ndarray
 
     def for_sign(self, sign: int) -> np.ndarray:
-        return self.coeffs_plus if sign > 0 else self.coeffs_minus
+        return self.plus if sign > 0 else self.minus
 
 
-def basis_change(p: HgParams) -> BasisChange:
-    """Basis-change coefficients onto the involution eigenspaces."""
+def basis_change(p: HgParams) -> SignPair:
+    """Coefficients of the involution-eigenspace cycle combinations in the
+    original four-cycle basis: a 2x4 array per eigenvalue, one row per
+    combination."""
     require_admissible(p)
     e = unit_phase
     a, b, g = p.alpha, p.beta, p.gamma
@@ -201,17 +203,7 @@ def basis_change(p: HgParams) -> BasisChange:
         out[1, 3] = pref2 * e(g)
         return out
 
-    return BasisChange(coeffs_minus=rows(-1.0), coeffs_plus=rows(+1.0))
-
-
-class SignPair(NamedTuple):
-    """A pair of 2x2 blocks indexed by the involution eigenvalue."""
-
-    minus: np.ndarray
-    plus: np.ndarray
-
-    def for_sign(self, sign: int) -> np.ndarray:
-        return self.plus if sign > 0 else self.minus
+    return SignPair(minus=rows(-1.0), plus=rows(+1.0))
 
 
 def block_H_prime(p: HgParams) -> SignPair:

@@ -1,6 +1,8 @@
 """Period matrices: closed forms, eigenspace blocks, and quadrature routes.
 
-Every period integral over the four reference cycles reduces, by the shift
+``period_matrix`` gives the periods of the four cocycles (rows) over the
+four reference cycles (columns) as one 4x4 matrix, and ``block_periods``
+slices the eigenspace blocks out of it.  Every row reduces, by the shift
 table below, to the two independent closed forms for the first and third
 cycle; the second and fourth columns are fixed linear combinations of
 those.  The plus-sign matrix uses the parameters as given, the minus-sign
@@ -24,7 +26,7 @@ import numpy as np
 
 from .hypergeom import gamma_real, gauss_2f1
 from .matrices import HgParams, SignPair, require_admissible, unit_phase
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, tanh_sinh
+from .quadrature import tanh_sinh
 from .series import TauPoint, theta
 
 # Parameter shifts reducing each cocycle's periods to the third cocycle's
@@ -71,9 +73,7 @@ def _sigma1_sigma3(p: HgParams, tau: TauPoint) -> tuple[complex, complex]:
 
 
 def _period_row(i: int, p: HgParams, tau: TauPoint) -> np.ndarray:
-    """All four cycle periods of cocycle i as a length-4 vector."""
-    if i not in SHIFT_RULES:
-        raise PeriodError(f"invalid cocycle index {i}")
+    """All four cycle periods of cocycle i (1..4) as a length-4 vector."""
     d_gamma = SHIFT_RULES[i][2]
     ps = p.shifted(*SHIFT_RULES[i])
     require_admissible(ps)
@@ -93,13 +93,6 @@ def _period_row(i: int, p: HgParams, tau: TauPoint) -> np.ndarray:
         e(2 * a - 2 * g) * (1.0 - e(g))
     )
     return np.array([s1, s2, s3, s4], dtype=complex)
-
-
-def period_entry(i: int, j: int, p: HgParams, tau: TauPoint) -> complex:
-    """Period of cocycle i over cycle j, by the closed forms."""
-    if j not in (1, 2, 3, 4):
-        raise PeriodError(f"invalid cycle index {j}")
-    return complex(_period_row(i, p, tau)[j - 1])
 
 
 def period_matrix(sign: str, p: HgParams, tau: TauPoint) -> np.ndarray:
@@ -124,16 +117,16 @@ def block_periods(m: np.ndarray) -> SignPair:
     return SignPair(minus=m[:2, ::2], plus=m[2:, ::2])
 
 
-def wirtinger_quadrature(p: HgParams, tau: TauPoint,
-                         cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     """Direct tanh-sinh evaluation of the theta-power integral over (0, 1/2).
 
     Integrand: theta1(u)^(2a-1) theta2(u)^(2g-2a-1) theta3(u)^(-2b+1)
     theta4(u)^(2b-2g+1).  Requires purely imaginary tau and endpoint
     exponents > -1 (a > 0 and g - a > 0), so every factor is a positive
     real and principal real powers apply.  The closed form
-    ``period_entry(3, 1, ...)`` equals pi theta2(0)^2 times this value,
-    the Jacobian of the coordinate change from the rational model.
+    ``period_matrix("+", p, tau)[2, 0]`` (cocycle 3 over cycle 1) equals
+    pi theta2(0)^2 times this value, the Jacobian of the coordinate change
+    from the rational model.
     """
     require_admissible(p)
     if abs(tau.tau.real) > 1e-12:
@@ -160,7 +153,7 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint,
             * t4 ** (2 * b - 2 * g + 1)
         )
 
-    return float(np.real(tanh_sinh(integrand, 0.0, 0.5, cfg)))
+    return float(np.real(tanh_sinh(integrand, 0.0, 0.5)))
 
 
 # Euler-integral pairings on the projective line.  Each side is an integral
@@ -179,8 +172,8 @@ def _euler_exponents(p_side: str, a: float, b: float, c: float):
     raise PeriodError(f"invalid pairing side {p_side!r}")
 
 
-def euler_pairing(p_side: str, a: float, b: float, c: float, z: complex,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
+def euler_pairing(p_side: str, a: float, b: float, c: float,
+                  z: complex) -> complex:
     """Euler-integral pairing by tanh-sinh quadrature.
 
     ``p_side`` is one of '1+', '2+', '1-', '2-'.  Requires real z in (0,1)
@@ -201,7 +194,7 @@ def euler_pairing(p_side: str, a: float, b: float, c: float, z: complex,
     def integrand(t, dl, dr):
         return dl**e0 * dr**e1 * (1.0 - zr + zr * dr) ** ez
 
-    val = tanh_sinh(integrand, 0.0, 1.0, cfg)
+    val = tanh_sinh(integrand, 0.0, 1.0)
     return complex(zr**zpow * val)
 
 

@@ -15,42 +15,31 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _T_MAX = 6.0
 _REL_STOP = 1e-11
 _FAIL_DIFF = 1e-9
+# Maximum doubling levels, and the absolute floor below which a
+# successive-level difference counts as converged.
+_LEVELS = 10
+_ABS_FLOOR = 1e-15
 
 
 class QuadratureError(Exception):
     """Raised when level doubling fails to converge."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tanh-sinh settings: maximum doubling levels and an absolute floor
-    below which successive-level differences count as converged."""
-
-    levels: int = 10
-    abs_floor: float = 1e-15
-
-    def __post_init__(self):
-        if self.levels < 6:
-            raise ValueError("levels must be >= 6")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
+@functools.cache
 def _level_nodes(level: int):
     """Abscissa fractions sigma, complements 1 - sigma, and weights of the
     nodes a level adds, as read-only arrays.
 
     Level 0 has the integer nodes of step h = 1 on [-T_MAX, T_MAX]; level l
     adds the odd multiples of h = 2^-l.  Nodes whose endpoint distance
-    underflows to zero are dropped.
+    underflows to zero are dropped.  Each level is built once, on first
+    use.
     """
     h = 0.5**level
     m = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
@@ -69,18 +58,13 @@ def _level_nodes(level: int):
     return nodes
 
 
-# Levels up to the default depth are built once, on first use; deeper
-# levels are built per call, so the cache stays bounded.
-_cached_level_nodes = functools.cache(_level_nodes)
-
-
-def tanh_sinh(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
+def tanh_sinh(f, a: float, b: float) -> complex:
     """Integrate ``f`` over the open interval (a, b).
 
     ``f(x, dl, dr)`` must accept ndarrays and return the integrand values;
     dl and dr are the exact distances to the endpoints.  Convergence is
     declared when two successive levels differ by less than 1e-11 relative
-    (or the absolute floor); failure to get below 1e-9 by the last level
+    (or 1e-15 absolute); failure to get below 1e-9 within _LEVELS levels
     raises.
     """
     scale = b - a
@@ -88,10 +72,7 @@ def tanh_sinh(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE)
         raise ValueError("need a < b")
 
     def level_sum(level: int) -> complex:
-        if level <= DEFAULT_QUADRATURE.levels:
-            sigma, comp, w = _cached_level_nodes(level)
-        else:
-            sigma, comp, w = _level_nodes(level)
+        sigma, comp, w = _level_nodes(level)
         dl = scale * sigma
         dr = scale * comp
         x = a + dl
@@ -101,15 +82,15 @@ def tanh_sinh(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE)
     prev = level_sum(0)
     total = prev
     diff = math.inf
-    for level in range(1, cfg.levels + 1):
+    for level in range(1, _LEVELS + 1):
         total = prev / 2.0 + level_sum(level)
         diff = abs(total - prev)
-        if diff <= max(_REL_STOP * abs(total), cfg.abs_floor):
+        if diff <= max(_REL_STOP * abs(total), _ABS_FLOOR):
             return total
         prev = total
-    if diff > max(_FAIL_DIFF * abs(total), cfg.abs_floor):
+    if diff > max(_FAIL_DIFF * abs(total), _ABS_FLOOR):
         raise QuadratureError(
-            f"tanh-sinh failed to converge in {cfg.levels} levels "
+            f"tanh-sinh failed to converge in {_LEVELS} levels "
             f"(last successive difference {diff:.3e})"
         )
     return total

@@ -2,8 +2,8 @@
 
 Everything in this module is a q-series: the four theta functions, their
 derivatives at the origin, the modular lambda function, the weight-two
-Eisenstein series, the Jacobian elliptic functions expressed as theta
-ratios, and truncated power/Laurent series used for coefficient checks.
+Eisenstein series, and truncated power/Laurent series used for coefficient
+checks.
 
 Conventions: ``e(x) = exp(2*pi*i*x)``, the nome is ``q = e(tau)``, and the
 theta series use the half nome ``exp(pi*i*tau)`` so that, e.g.,
@@ -35,18 +35,15 @@ _LOG_CUTOFF = math.log(1.0 / REL_CUTOFF)
 # largest exponent whose exp (and so cosh) stays finite
 _LOG_MAX = math.log(sys.float_info.max)
 
-# Smallest admitted Im(tau); below this the q-series converge too slowly.
+# Admitted range of Im(tau): below the floor the q-series converge too
+# slowly; well above the ceiling residuals overflow and the theta constants
+# underflow.
 IM_TAU_FLOOR = 0.1
-
-POLE_THRESHOLD = 1e-13
+IM_TAU_CEILING = 50.0
 
 
 class SeriesError(Exception):
     """Raised when a series evaluation cannot be performed as requested."""
-
-
-class PoleError(SeriesError):
-    """Raised when an evaluation point sits on (or too close to) a pole."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +69,11 @@ class TauPoint:
             raise SeriesError(
                 f"Im(tau) = {tau.imag} below floor {IM_TAU_FLOOR}; "
                 "q-series would converge too slowly"
+            )
+        if tau.imag > IM_TAU_CEILING:
+            raise SeriesError(
+                f"Im(tau) = {tau.imag} above ceiling {IM_TAU_CEILING}; "
+                "residuals and theta constants would leave double range"
             )
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "q", cmath.exp(TWO_PI_I * tau))
@@ -125,19 +127,24 @@ class TauPoint:
     def g2(self) -> complex:
         """Weight-two Eisenstein series
         ``pi^2/3 - 8 pi^2 sum n q^n/(1-q^n)``."""
-        n, qn = q_terms(self.q)
-        lambert = complex((n * qn / (1.0 - qn)).sum())
-        return math.pi**2 / 3.0 - 8.0 * math.pi**2 * lambert
+        return _g2(self.q)
 
     @cached_property
     def g2_double(self) -> complex:
-        """G2(2 tau)."""
-        return self.scaled(2.0).g2
+        """G2(2 tau), from its nome alone: 2 tau may lie above the Im
+        ceiling, where G2 needs no theta constant."""
+        return _g2(cmath.exp(TWO_PI_I * (self.tau * 2.0)))
 
     @cached_property
     def g2_half(self) -> complex:
         """G2(tau/2); raises SeriesError when tau/2 is below the Im floor."""
         return self.scaled(0.5).g2
+
+
+def _g2(q: complex) -> complex:
+    n, qn = q_terms(q)
+    lambert = complex((n * qn / (1.0 - qn)).sum())
+    return math.pi**2 / 3.0 - 8.0 * math.pi**2 * lambert
 
 
 def _as_array(u):
@@ -288,30 +295,12 @@ class PowerSeries:
         if self.pole_order < 0:
             raise ValueError("pole_order must be >= 0")
 
-    @property
-    def order(self) -> int:
-        """Highest retained power of u."""
-        return len(self.coeffs) - 1 - self.pole_order
-
     def coeff(self, power: int) -> complex:
         """Coefficient of u**power (0 outside the retained window)."""
         k = power + self.pole_order
         if k < 0 or k >= len(self.coeffs):
             return 0.0 + 0.0j
         return complex(self.coeffs[k])
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        p = max(self.pole_order, other.pole_order)
-        top = min(self.order, other.order)
-        n = top + p + 1
-        out = np.zeros(n, dtype=complex)
-        for k in range(n):
-            power = k - p
-            out[k] = self.coeff(power) + other.coeff(power)
-        return PowerSeries(out, p)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + other.scale(-1.0)
 
     def scale(self, factor: complex) -> "PowerSeries":
         return PowerSeries(self.coeffs * factor, self.pole_order)
@@ -397,60 +386,3 @@ def eisenstein_g2(tau: TauPoint) -> complex:
     """Weight-two Eisenstein series ``pi^2/3 - 8 pi^2 sum n q^n/(1-q^n)``
     (``tau.g2``)."""
     return tau.g2
-
-
-# Jacobian elliptic functions as theta ratios.  Each entry maps a name to
-# (constant factor builder, numerator index, denominator index): the value at
-# lattice coordinate u is  const(tc) * theta_num(u) / theta_den(u), and it
-# equals the classical function evaluated at 2K u with K = pi*theta3(0)^2/2.
-_ELLIPTIC = {
-    "sn": (lambda tc: tc.th3_0 / tc.th2_0, 1, 4),
-    "cn": (lambda tc: tc.th4_0 / tc.th2_0, 2, 4),
-    "dn": (lambda tc: tc.th4_0 / tc.th3_0, 3, 4),
-    "cs": (lambda tc: tc.th4_0 / tc.th3_0, 2, 1),
-    "ds": (lambda tc: tc.th2_0 * tc.th4_0 / tc.th3_0**2, 3, 1),
-    "ns": (lambda tc: tc.th2_0 / tc.th3_0, 4, 1),
-}
-
-
-def jacobi_elliptic(kind: str, u, tau: TauPoint):
-    """Jacobian elliptic function at argument ``2K u`` via theta ratios.
-
-    ``kind`` is one of sn, cn, dn, cs, ds, ns; ``u`` is the coordinate on
-    the torus (so ``jacobi_elliptic('sn', u, tau)`` is sn(2K u)).
-    """
-    if kind not in _ELLIPTIC:
-        raise SeriesError(f"unknown elliptic function {kind!r}")
-    const, num, den = _ELLIPTIC[kind]
-    tc = tau.constants
-    denom = theta(den, u, tau)
-    if np.min(np.abs(np.atleast_1d(np.asarray(denom)))) < POLE_THRESHOLD:
-        raise PoleError(
-            f"{kind}: theta_{den} denominator vanishes at u = {u} "
-            f"(|theta_{den}(u)| < {POLE_THRESHOLD})"
-        )
-    return const(tc) * theta(num, u, tau) / denom
-
-
-def fourier_partial(kind: str, u: float, tau: TauPoint) -> complex:
-    """Trigonometric series for ``2K * kind(2K u)``, valid for real 0 < u < 1.
-
-    This is the cot/cosec term plus the q-Fourier tail, an evaluation route
-    independent of the theta-ratio one.
-    """
-    if kind not in ("cs", "ds", "ns"):
-        raise SeriesError(f"no trigonometric series route for {kind!r}")
-    if isinstance(u, complex) or not (0.0 < float(u) < 1.0):
-        raise SeriesError(f"u = {u} outside the validity strip (real, 0 < u < 1)")
-    u = float(u)
-    pi = math.pi
-    if kind == "cs":
-        n, qn = q_terms(tau.q)
-        tail = (qn * np.sin(2.0 * pi * u * n) / (1.0 + qn)).sum()
-        return pi / math.tan(pi * u) - 4.0 * pi * complex(tail)
-    # ds and ns share the cosec head and the odd powers q_half^(2n-1); they
-    # differ only by the sign pattern of the tail.
-    n, qn = (a[::2] for a in q_terms(tau.q_half))
-    sign = 1.0 if kind == "ds" else -1.0
-    tail = (qn * np.sin(pi * u * n) / (1.0 + sign * qn)).sum()
-    return pi / math.sin(pi * u) - sign * 4.0 * pi * complex(tail)

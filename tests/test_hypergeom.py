@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from twistedperiods.hypergeom import (HypergeomError, SeriesEvalPolicy,
-                                      gamma_real, gauss_2f1,
+from twistedperiods.hypergeom import (HypergeomError, gamma_real, gauss_2f1,
                                       hyper_4f3_terminating, pochhammer,
                                       product_term1_coeff,
                                       product_term2_coeff,
@@ -121,12 +120,6 @@ class TestGauss2F1:
                    - complex(gauss_2f1(a, b, c, z - h))) / (2.0 * h)
         analytic = a * b / c * complex(gauss_2f1(a + 1, b + 1, c + 1, z))
         assert numeric == pytest.approx(analytic, rel=1e-7)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SeriesEvalPolicy(rel_tol=2.0)
-        with pytest.raises(ValueError):
-            SeriesEvalPolicy(radius_guard=1.5)
 
 
 class TestTerminating4F3:

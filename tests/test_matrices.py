@@ -145,13 +145,13 @@ class TestBasisChange:
         b = basis_change(p)
         e = unit_phase
         # first combination: -/+ 1/(2 e(gamma - alpha)); second: +/- e(gamma)/(2 e(beta + gamma))
-        assert b.coeffs_plus[0, 3] == pytest.approx(
+        assert b.plus[0, 3] == pytest.approx(
             -1.0 / (2.0 * e(p.gamma - p.alpha)), rel=1e-14)
-        assert b.coeffs_minus[0, 3] == pytest.approx(
+        assert b.minus[0, 3] == pytest.approx(
             1.0 / (2.0 * e(p.gamma - p.alpha)), rel=1e-14)
-        assert b.coeffs_plus[1, 3] == pytest.approx(
+        assert b.plus[1, 3] == pytest.approx(
             e(p.gamma) / (2.0 * e(p.beta + p.gamma)), rel=1e-14)
-        assert b.coeffs_minus[1, 3] == pytest.approx(
+        assert b.minus[1, 3] == pytest.approx(
             -e(p.gamma) / (2.0 * e(p.beta + p.gamma)), rel=1e-14)
 
 

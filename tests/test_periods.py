@@ -11,16 +11,20 @@ from twistedperiods.hypergeom import gamma_real, gauss_2f1
 from twistedperiods.matrices import HgParams, unit_phase
 from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
                                     euler_pairing, euler_pairing_closed,
-                                    period_entry, period_matrix,
-                                    wirtinger_quadrature)
+                                    period_matrix, wirtinger_quadrature)
 from twistedperiods import quadrature
-from twistedperiods.quadrature import (DEFAULT_QUADRATURE, QuadratureConfig,
-                                       QuadratureError, tanh_sinh)
+from twistedperiods.quadrature import QuadratureError, tanh_sinh
 from twistedperiods.series import TauPoint, lambda_tau, theta_constants
 from twistedperiods.verify import SWEEP_TAUS, sample_admissible
 
 P_REF = HgParams(0.30, 0.21, 0.77)
 TAU_I = TauPoint(1j)
+
+
+def period(i, j, p, tau):
+    """Period of cocycle i over cycle j (both 1..4), by the closed forms."""
+    return period_matrix("+", p, tau)[i - 1, j - 1]
+
 
 # 30-digit oracle: Gamma(0.3) Gamma(0.47) / (2 Gamma(0.77)) *
 # th2^1.54 th3^-1.02 th4^-0.52 * 2F1(0.3, 0.21, 0.77; 0.5) at tau = i
@@ -41,19 +45,16 @@ class TestTanhSinh:
         val = tanh_sinh(lambda x, dl, dr: np.exp(x), 0.0, 1.0)
         assert complex(val).real == pytest.approx(math.e - 1.0, rel=1e-13)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(levels=3)
-
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             tanh_sinh(lambda x, dl, dr: x, 1.0, 0.0)
 
     def test_cached_nodes_read_only(self):
-        for level in range(DEFAULT_QUADRATURE.levels + 1):
-            nodes = quadrature._cached_level_nodes(level)
-            assert quadrature._cached_level_nodes(level) is nodes
-            for cached, fresh in zip(nodes, quadrature._level_nodes(level)):
+        for level in range(quadrature._LEVELS + 1):
+            nodes = quadrature._level_nodes(level)
+            assert quadrature._level_nodes(level) is nodes
+            rebuilt = quadrature._level_nodes.__wrapped__(level)
+            for cached, fresh in zip(nodes, rebuilt):
                 assert np.array_equal(cached, fresh)
                 assert not cached.flags.writeable
                 with pytest.raises(ValueError):
@@ -64,20 +65,22 @@ class TestTanhSinh:
             return dl**-0.5 * dr**-0.25 * np.cos(3.0 * x)
         assert tanh_sinh(f, 0.2, 1.7) == tanh_sinh(f, 0.2, 1.7)
 
-    def test_more_levels_same_value_when_converged(self):
+    def test_more_levels_same_value_when_converged(self, monkeypatch):
         def f(x, dl, dr):
             return dl**-0.5 * dr**-0.5
-        assert (tanh_sinh(f, 0.0, 1.0, QuadratureConfig(levels=12))
-                == tanh_sinh(f, 0.0, 1.0))
+        default = tanh_sinh(f, 0.0, 1.0)
+        monkeypatch.setattr(quadrature, "_LEVELS", 12)
+        assert tanh_sinh(f, 0.0, 1.0) == default
 
-    def test_levels_past_the_cached_tables(self):
-        # cos(3000 x) converges at level 11, which is built per call
+    def test_levels_past_the_cached_tables(self, monkeypatch):
+        # cos(3000 x) converges at level 11, one past the default depth
         sums = []
 
         def f(x, dl, dr):
             sums.append(x.size)
             return np.cos(3000.0 * x)
-        val = tanh_sinh(f, 0.0, 1.0, QuadratureConfig(levels=12))
+        monkeypatch.setattr(quadrature, "_LEVELS", 12)
+        val = tanh_sinh(f, 0.0, 1.0)
         assert len(sums) == 12  # levels 0..11
         assert complex(val).real == pytest.approx(math.sin(3000.0) / 3000.0,
                                                   abs=1e-13)
@@ -99,23 +102,21 @@ class TestShiftRules:
         for i, (da, db, dg) in SHIFT_RULES.items():
             scale = (tc.th3_0 / tc.th2_0) ** (2.0 * dg)
             for j in (1, 2, 3, 4):
-                lhs = period_entry(i, j, P_REF, TAU_I)
-                rhs = scale * period_entry(3, j, P_REF.shifted(da, db, dg),
-                                           TAU_I)
+                lhs = period(i, j, P_REF, TAU_I)
+                rhs = scale * period(3, j, P_REF.shifted(da, db, dg), TAU_I)
                 assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 class TestPeriodEntries:
     def test_entry_31_oracle(self):
-        assert period_entry(3, 1, P_REF, TAU_I) == pytest.approx(
+        assert period(3, 1, P_REF, TAU_I) == pytest.approx(
             ENTRY_31_REF, rel=1e-13)
 
     def test_column_four_relation(self):
         p = P_REF
         for i, (da, db, dg) in SHIFT_RULES.items():
             ps = p.shifted(da, db, dg)
-            ratio = (period_entry(i, 4, p, TAU_I)
-                     / period_entry(i, 1, p, TAU_I))
+            ratio = period(i, 4, p, TAU_I) / period(i, 1, p, TAU_I)
             expect = 1.0 - unit_phase(ps.gamma - ps.alpha)
             assert ratio == pytest.approx(expect, rel=1e-13)
 
@@ -124,26 +125,19 @@ class TestPeriodEntries:
         e = unit_phase
         for i, (da, db, dg) in SHIFT_RULES.items():
             a, b, g = p.alpha + da, p.beta + db, p.gamma + dg
-            s1 = period_entry(i, 1, p, tau)
-            s3 = period_entry(i, 3, p, tau)
+            s1 = period(i, 1, p, tau)
+            s3 = period(i, 3, p, tau)
             expect = -((1.0 - e(a)) * s1
                        + e(2 * a + 2 * b - 2 * g) * (1.0 - e(g - b)) * s3) / (
                 e(2 * a - 2 * g) * (1.0 - e(g)))
-            assert period_entry(i, 2, p, tau) == pytest.approx(expect,
-                                                               rel=1e-13)
-
-    def test_invalid_indices(self):
-        with pytest.raises(PeriodError):
-            period_entry(5, 1, P_REF, TAU_I)
-        with pytest.raises(PeriodError):
-            period_entry(3, 0, P_REF, TAU_I)
+            assert period(i, 2, p, tau) == pytest.approx(expect, rel=1e-13)
 
 
 class TestPeriodMatrices:
     def test_minus_matrix_negates_parameters(self):
         pm = period_matrix("-", P_REF, TAU_I)
         assert pm[2, 0] == pytest.approx(
-            period_entry(3, 1, P_REF.negated(), TAU_I), rel=1e-14)
+            period(3, 1, P_REF.negated(), TAU_I), rel=1e-14)
 
     def test_invalid_sign(self):
         # only "+" and "-" name a sign
@@ -154,11 +148,11 @@ class TestPeriodMatrices:
     def test_block_entries(self):
         bp = block_periods(period_matrix("+", P_REF, TAU_I))
         assert bp.plus[0, 0] == pytest.approx(
-            period_entry(3, 1, P_REF, TAU_I), rel=1e-14)
+            period(3, 1, P_REF, TAU_I), rel=1e-14)
         assert bp.plus[1, 1] == pytest.approx(
-            period_entry(4, 3, P_REF, TAU_I), rel=1e-14)
+            period(4, 3, P_REF, TAU_I), rel=1e-14)
         assert bp.minus[0, 0] == pytest.approx(
-            period_entry(1, 1, P_REF, TAU_I), rel=1e-14)
+            period(1, 1, P_REF, TAU_I), rel=1e-14)
 
     def test_blocks_are_exact_slices(self):
         # rows (1,2) and (3,4), columns (1,3) of the full matrix
@@ -195,7 +189,7 @@ class TestWirtingerQuadrature:
     def test_matches_closed_form(self):
         tc = theta_constants(TAU_I)
         raw = wirtinger_quadrature(P_REF, TAU_I)
-        closed = period_entry(3, 1, P_REF, TAU_I)
+        closed = period(3, 1, P_REF, TAU_I)
         assert math.pi * tc.th2_0.real**2 * raw == pytest.approx(
             closed.real, rel=1e-12)
 

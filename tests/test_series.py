@@ -1,6 +1,6 @@
-"""Theta kernels: q-series values, identities, elliptic functions, series
-algebra.  Reference values were frozen from a 30-digit independent
-implementation."""
+"""Theta kernels: q-series values, identities, elliptic functions as theta
+ratios, series algebra.  Reference values were frozen from a 30-digit
+independent implementation."""
 
 import math
 import warnings
@@ -11,9 +11,8 @@ import pytest
 
 from twistedperiods import series
 from twistedperiods.matrices import HgParams
-from twistedperiods.series import (PoleError, PowerSeries, SeriesError,
-                                   TauPoint, eisenstein_g2, fourier_partial,
-                                   jacobi_elliptic, lambda_tau, theta,
+from twistedperiods.series import (PowerSeries, SeriesError, TauPoint,
+                                   eisenstein_g2, lambda_tau, theta,
                                    theta_constants, theta_taylor)
 from twistedperiods.verify import (verify_entry22, verify_series_identities,
                                    verify_tpr)
@@ -43,6 +42,19 @@ class TestTauPoint:
     def test_imaginary_part_floor(self):
         with pytest.raises(SeriesError):
             TauPoint(0.05j)
+
+    @pytest.mark.parametrize("tau_val", [50.01j, 0.3 + 80j, 1000j])
+    def test_imaginary_part_ceiling(self, tau_val):
+        with pytest.raises(SeriesError, match="above ceiling"):
+            TauPoint(tau_val)
+
+    def test_checks_finite_up_to_the_ceiling(self):
+        # G2(2 tau) lies above the ceiling here and is still summed
+        tau = TauPoint(0.3 + 50j)
+        results = [*verify_series_identities(tau),
+                   *verify_entry22(0.2, 0.3, 0.6, tau)]
+        assert all(r.passed for r in results)
+        assert tau.g2_double == pytest.approx(math.pi**2 / 3.0, rel=1e-15)
 
     def test_rejects_non_finite(self):
         with pytest.raises(SeriesError):
@@ -301,18 +313,28 @@ class TestLambdaAndG2:
             complex(math.pi**2 / 3.0 * (1.0 + lam) * t34), rel=1e-11)
 
 
+def _elliptic(kind, u, tau):
+    """sn, cn, dn at 2K u as the theta ratios they stand for,
+    K = pi theta3(0)^2 / 2."""
+    tc = theta_constants(tau)
+    const, num = {"sn": (tc.th3_0 / tc.th2_0, 1),
+                  "cn": (tc.th4_0 / tc.th2_0, 2),
+                  "dn": (tc.th4_0 / tc.th3_0, 3)}[kind]
+    return complex(const * theta(num, u, tau) / theta(4, u, tau))
+
+
 class TestJacobiElliptic:
     def test_values_at_zero(self):
-        assert abs(jacobi_elliptic("sn", 0.0, TAU_I)) < 1e-14
-        assert complex(jacobi_elliptic("cn", 0.0, TAU_I)) == pytest.approx(1.0)
-        assert complex(jacobi_elliptic("dn", 0.0, TAU_I)) == pytest.approx(1.0)
+        assert abs(_elliptic("sn", 0.0, TAU_I)) < 1e-14
+        assert _elliptic("cn", 0.0, TAU_I) == pytest.approx(1.0)
+        assert _elliptic("dn", 0.0, TAU_I) == pytest.approx(1.0)
 
     def test_oracle_values(self):
-        assert complex(jacobi_elliptic("sn", 0.3, TAU_I)).real == pytest.approx(
+        assert _elliptic("sn", 0.3, TAU_I).real == pytest.approx(
             SN_03_I, rel=1e-13)
-        assert complex(jacobi_elliptic("cn", 0.3, TAU_I)).real == pytest.approx(
+        assert _elliptic("cn", 0.3, TAU_I).real == pytest.approx(
             CN_03_I, rel=1e-13)
-        assert complex(jacobi_elliptic("dn", 0.3, TAU_I)).real == pytest.approx(
+        assert _elliptic("dn", 0.3, TAU_I).real == pytest.approx(
             DN_03_I, rel=1e-13)
 
     def test_pythagorean_identities(self):
@@ -320,20 +342,12 @@ class TestJacobiElliptic:
         for _ in range(10):
             u = rng.uniform(0.05, 0.45)
             tau = TauPoint(complex(0.0, rng.uniform(0.8, 2.0)))
-            sn = complex(jacobi_elliptic("sn", u, tau))
-            cn = complex(jacobi_elliptic("cn", u, tau))
-            dn = complex(jacobi_elliptic("dn", u, tau))
+            sn = _elliptic("sn", u, tau)
+            cn = _elliptic("cn", u, tau)
+            dn = _elliptic("dn", u, tau)
             lam = complex(lambda_tau(tau))
             assert sn * sn + cn * cn == pytest.approx(1.0, rel=1e-11)
             assert dn * dn + lam * sn * sn == pytest.approx(1.0, rel=1e-11)
-
-    def test_pole_detection(self):
-        with pytest.raises(PoleError):
-            jacobi_elliptic("ns", 0.0, TAU_I)
-
-    def test_invalid_kind(self):
-        with pytest.raises(SeriesError):
-            jacobi_elliptic("sd", 0.1, TAU_I)
 
 
 class TestThetaTaylor:
@@ -414,10 +428,10 @@ class TestQTerms:
 
 class TestPowerSeries:
     def test_add_and_scale(self):
-        a = PowerSeries([1.0, 2.0, 3.0])
-        b = PowerSeries([0.5, -2.0, 1.0])
-        s = a + b.scale(2.0)
-        assert s.coeff(0) == 2.0 and s.coeff(1) == -2.0 and s.coeff(2) == 5.0
+        b = PowerSeries([0.5, -2.0, 1.0], pole_order=1)
+        s = b.scale(2.0)
+        assert s.coeff(-1) == 1.0 and s.coeff(0) == -4.0 and s.coeff(1) == 2.0
+        assert s.pole_order == 1
 
     def test_multiply(self):
         a = PowerSeries([1.0, 1.0, 0.0])
@@ -443,13 +457,29 @@ class TestPowerSeries:
             PowerSeries([0.0, 0.0]).inverse()
 
 
+def _fourier_partial(kind, u, tau):
+    """2K kind(2K u) for real 0 < u < 1 by its trigonometric series: the
+    cot/cosec term plus the q-Fourier tail, a route independent of the
+    theta ratios."""
+    pi = math.pi
+    if kind == "cs":
+        n, qn = series.q_terms(tau.q)
+        tail = (qn * np.sin(2.0 * pi * u * n) / (1.0 + qn)).sum()
+        return pi / math.tan(pi * u) - 4.0 * pi * complex(tail)
+    # ds and ns: odd powers q_half^(2n-1), differing only in sign pattern
+    n, qn = (a[::2] for a in series.q_terms(tau.q_half))
+    sign = 1.0 if kind == "ds" else -1.0
+    tail = (qn * np.sin(pi * u * n) / (1.0 + sign * qn)).sum()
+    return pi / math.sin(pi * u) - sign * 4.0 * pi * complex(tail)
+
+
 class TestFourierPartial:
     def test_cs_matches_theta_route(self):
         u = 0.23
         tc = theta_constants(TAU_I)
         via_theta = (math.pi * tc.th3_0 * tc.th4_0
                      * theta(2, u, TAU_I) / theta(1, u, TAU_I))
-        assert complex(fourier_partial("cs", u, TAU_I)) == pytest.approx(
+        assert _fourier_partial("cs", u, TAU_I) == pytest.approx(
             complex(via_theta), rel=1e-11)
 
     def test_ns_matches_theta_route(self):
@@ -457,7 +487,7 @@ class TestFourierPartial:
         tc = theta_constants(tau)
         via_theta = (math.pi * tc.th2_0 * tc.th3_0
                      * theta(4, u, tau) / theta(1, u, tau))
-        assert complex(fourier_partial("ns", u, tau)) == pytest.approx(
+        assert _fourier_partial("ns", u, tau) == pytest.approx(
             complex(via_theta), rel=1e-11)
 
     def test_ds_matches_theta_route(self):
@@ -465,9 +495,5 @@ class TestFourierPartial:
         tc = theta_constants(tau)
         via_theta = (math.pi * tc.th2_0 * tc.th4_0
                      * theta(3, u, tau) / theta(1, u, tau))
-        assert complex(fourier_partial("ds", u, tau)) == pytest.approx(
+        assert _fourier_partial("ds", u, tau) == pytest.approx(
             complex(via_theta), rel=1e-11)
-
-    def test_rejects_u_outside_strip(self):
-        with pytest.raises(SeriesError):
-            fourier_partial("cs", 1.5, TAU_I)

@@ -155,6 +155,15 @@ class TestEntry22:
         assert theta.passed
         assert f21.error == cross.error == "no convergence"
 
+    @pytest.mark.parametrize("tau_val", [0.1j, 0.3j, 0.25 + 0.15j, 0.5 + 0.3j])
+    def test_theta_form_past_the_2f1_radius(self, tau_val):
+        tau = TauPoint(tau_val)
+        assert abs(tau.lam) > 0.95
+        theta, f21, cross = verify_entry22(0.2, 0.3, 0.6, tau)
+        assert theta.passed and theta.residual <= 1e-13
+        assert f21.error == cross.error
+        assert "exceeds the series radius guard" in f21.error
+
 
 class TestWhipple:
     def test_random_triples(self):
@@ -297,6 +306,14 @@ class TestCli:
     def test_bad_tau_exit_code(self, capsys):
         assert main(["lambda", "--tau-im", "0.01"]) == 2
 
+    def test_entry22_theta_passes_past_the_2f1_radius(self, capsys):
+        assert main(["tpr", "entry22", "--a", "0.2", "--b", "0.3",
+                     "--c", "0.6", "--tau-im", "0.3", "--json", "stdout",
+                     "--quiet"]) == 2
+        theta, f21, cross = json.loads(capsys.readouterr().out)["checks"]
+        assert theta["pass"] and theta["error"] is None
+        assert f21["error"] is not None and cross["error"] is not None
+
     def test_sweep_json_byte_identical_across_processes(self, tmp_path):
         src = Path(twistedperiods.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
@@ -313,7 +330,7 @@ class TestCli:
         ("tpr entry22", "--c"), ("theta", "--tau-im"),
         ("lambda", "--tau-im"), ("identities", "--tau-im")])
     @pytest.mark.parametrize("value", [
-        "0", "-0.5", "1e308", "-1e308", "inf", "nan", "1e-300"])
+        "0", "-0.5", "1e308", "-1e308", "inf", "nan", "1e-300", "1000"])
     def test_extreme_values_exit_with_a_code(self, command, flag, value,
                                              capsys):
         defaults = {"--alpha": "0.3", "--beta": "0.21", "--gamma": "0.77",
