@@ -27,7 +27,7 @@ import numpy as np
 from .hypergeom import gamma_real, gauss_2f1
 from .matrices import HgParams, SignPair, require_admissible, unit_phase
 from .quadrature import tanh_sinh
-from .series import TauPoint, theta
+from .series import TauPoint, trig_sums
 
 # Parameter shifts reducing each cocycle's periods to the third cocycle's
 # closed form: index -> (d_alpha, d_beta, d_gamma).
@@ -121,12 +121,19 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     """Direct tanh-sinh evaluation of the theta-power integral over (0, 1/2).
 
     Integrand: theta1(u)^(2a-1) theta2(u)^(2g-2a-1) theta3(u)^(-2b+1)
-    theta4(u)^(2b-2g+1).  Requires purely imaginary tau and endpoint
-    exponents > -1 (a > 0 and g - a > 0), so every factor is a positive
-    real and principal real powers apply.  The closed form
+    theta4(u)^(2b-2g+1).  Requires purely imaginary tau (|Re tau| up to
+    1e-12 is taken as 0), where every factor is a positive real on
+    (0, 1/2) and principal real powers apply, and endpoint exponents > -1
+    (a > 0 and g - a > 0), where the integral converges.  The closed form
     ``period_matrix("+", p, tau)[2, 0]`` (cocycle 3 over cycle 1) equals
     pi theta2(0)^2 times this value, the Jacobian of the coordinate change
     from the rational model.
+
+    theta1 vanishes linearly at the endpoint u = 0 and theta2 at u = 1/2;
+    both are summed as theta1 at the exact endpoint distance (theta2(u) =
+    theta1(1/2 - u)), keeping full relative accuracy at either end.  Only
+    the real prefactors are summed, so each level builds one sine table
+    (theta1, theta2) and one cosine table (theta3, theta4).
     """
     require_admissible(p)
     if abs(tau.tau.real) > 1e-12:
@@ -137,15 +144,17 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
             f"endpoint exponents 2a-1 = {2*a-1} and 2g-2a-1 = {2*(g-a)-1} "
             "must exceed -1"
         )
+    sin_freq, th1_pref, _ = tau.theta_terms[0]
+    cos_freq, th3_pref, _ = tau.theta_terms[2]
+    th4_pref = tau.theta_terms[3][1]
 
     def integrand(u, dl, dr):
-        # theta1 vanishes linearly at 0 and theta2 at 1/2; evaluate both
-        # through theta1 at the exact endpoint distances (theta2(u) =
-        # theta1(1/2 - u)), keeping full accuracy near the endpoints.
-        t1 = np.real(theta(1, dl, tau))
-        t2 = np.real(theta(1, dr, tau))
-        t3 = np.real(theta(3, u, tau))
-        t4 = np.real(theta(4, u, tau))
+        (t1,) = trig_sums(np.sin, dl, sin_freq, th1_pref)
+        # the tanh-sinh nodes are mirror-symmetric, so dr is dl reversed
+        # and theta1(dr) is t1 reversed; a contiguous copy keeps np.power's
+        # rounding that of a fresh array
+        t2 = t1[::-1].copy()
+        t3, t4 = trig_sums(np.cos, u, cos_freq, th3_pref, th4_pref)
         return (
             t1 ** (2 * a - 1)
             * t2 ** (2 * g - 2 * a - 1)

@@ -40,14 +40,19 @@ def _level_nodes(level: int):
     adds the odd multiples of h = 2^-l.  Nodes whose endpoint distance
     underflows to zero are dropped.  Each level is built once, on first
     use.
+
+    The nodes are mirror-symmetric, bit for bit: the complements are sigma
+    reversed and the weights read the same reversed, so an integrand may
+    take its values at ``dr`` as its values at ``dl`` reversed.
     """
     h = 0.5**level
     m = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
     ts = (m if level == 0 else m[m % 2 != 0]) * h
     sinh_t = np.sinh(ts)
-    # sigma and 1 - sigma, each computed without cancellation
+    # sigma without cancellation, and 1 - sigma(t) = sigma(-t) on the
+    # symmetric grid of t
     sigma = 1.0 / (1.0 + np.exp(-math.pi * sinh_t))
-    comp = 1.0 / (1.0 + np.exp(math.pi * sinh_t))
+    comp = sigma[::-1].copy()
     half_pi_sinh = (math.pi / 2.0) * sinh_t
     sech = 1.0 / np.cosh(half_pi_sinh)
     weights = (math.pi / 4.0) * np.cosh(ts) * sech * sech * h

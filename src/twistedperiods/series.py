@@ -108,13 +108,21 @@ class TauPoint:
     @cached_property
     def theta_terms(self) -> tuple:
         """``(frequencies, Re prefactors, Im prefactors)`` of theta_1..4 for
-        real u, as read-only arrays indexed by j - 1."""
-        tables = []
-        for j in (1, 2, 3, 4):
+        real u, as read-only arrays indexed by j - 1.
+
+        Only the j = 2 and j = 3 terms are built; theta_1 and theta_4 share
+        their frequencies and take the same prefactors with the odd ones
+        negated, by the very step ``_theta_terms`` applies.
+        """
+        tables = [None] * 4
+        for j, j_odd in ((2, 1), (3, 4)):
             freq, pref = _theta_terms(j, self, 0.0)
-            tables.append((freq, pref.real.copy(), pref.imag.copy()))
-            for a in tables[-1]:
-                a.setflags(write=False)
+            odd_negated = pref.copy()
+            odd_negated[1::2] *= -1.0
+            for k, pr in ((j, pref), (j_odd, odd_negated)):
+                tables[k - 1] = (freq, pr.real.copy(), pr.imag.copy())
+                for a in tables[k - 1]:
+                    a.setflags(write=False)
         return tuple(tables)
 
     @cached_property
@@ -227,41 +235,55 @@ def _theta_terms(j: int, tau: TauPoint, im_u: float, order: int = 0):
     return 2.0 * math.pi * mu, pref
 
 
+def trig_sums(trig, x, freq, *weights) -> tuple:
+    """``sum_k w[k] trig(freq[k] x)`` at every point of ``x``, one sum per
+    weight vector ``w``, all from one (points x terms) table of
+    ``trig(freq x)``.
+
+    Each row is summed on its own, so a point's sums do not depend on the
+    other points of ``x``.
+    """
+    table = np.reshape(x, (-1, 1)) * freq
+    trig(table, out=table)
+    return tuple((table * w).sum(axis=1) for w in weights)
+
+
 def theta(j: int, u, tau: TauPoint):
     """Evaluate the theta function ``theta_j(u, tau)`` for j in 1..4.
 
     ``u`` may be a scalar or an ndarray; the return type matches.  Terms are
     paired symmetrically (m with -(m+1) for j=1,2 and m with -m for j=3,4),
-    so theta_1 is a sine series and the others cosine series.  The term
-    count comes from an a-priori bound (see ``_theta_terms``), with at
-    least MIN_TERMS terms; a SeriesError is raised when the bound needs more
-    than MAX_TERMS terms or the terms' ``cosh(2 pi mu Im u)`` growth
-    overflows.  All terms are summed at once, each point along its own row.
-    For real u the terms come from ``tau.theta_terms`` and the work array
-    stays real, so a point's value does not depend on the other points of
-    the array; for complex u the count follows the largest |Im u|.
+    so theta_1 is a sine series and the others cosine series.  The series
+    is summed at ``u - n``, n = round(Re u), and theta_1, theta_2 take the
+    sign ``(-1)^n``; the shift is exact, so large real u loses no accuracy
+    to the sum.  The term count comes from an a-priori bound (see
+    ``_theta_terms``), with at least MIN_TERMS terms; a SeriesError is
+    raised when the bound needs more than MAX_TERMS terms or the terms'
+    ``cosh(2 pi mu Im u)`` growth overflows.  For real u the terms come
+    from ``tau.theta_terms`` and the table stays real, so a point's value
+    does not depend on the other points of the array; for complex u the
+    count follows the largest |Im u|.
     """
     if j not in (1, 2, 3, 4):
         raise SeriesError(f"invalid theta index {j}")
     arr = _as_array(u)
-    x = arr.reshape(-1, 1)
+    # x - rint(x) is exact; adding 0.0 turns rint's -0.0 into 0.0, so that
+    # u = -0.0 keeps its sign and |Re u| <= 1/2 is summed as given
+    n = np.rint(arr.real.reshape(-1)) + 0.0
+    x = arr.reshape(-1) - n
     # the sine form keeps full relative accuracy near theta_1's zero at 0
     trig = np.sin if j == 1 else np.cos
     if np.iscomplexobj(x):
         im_u = float(np.abs(x.imag).max(initial=0.0))
         freq, pref = _theta_terms(j, tau, im_u)
-        work = x * freq
-        trig(work, out=work)
-        work *= pref
-        total = work.sum(axis=1)
+        (total,) = trig_sums(trig, x, freq, pref)
     else:
         freq, pref_re, pref_im = tau.theta_terms[j - 1]
-        work = x * freq
-        trig(work, out=work)
-        im = (work * pref_im).sum(axis=1)
-        work *= pref_re
-        total = work.sum(axis=1).astype(complex)
+        re, im = trig_sums(trig, x, freq, pref_re, pref_im)
+        total = re.astype(complex)
         total.imag = im
+    if j in (1, 2):
+        np.negative(total, out=total, where=n % 2.0 != 0.0)
     return complex(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
 
 

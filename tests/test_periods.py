@@ -14,7 +14,8 @@ from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
                                     period_matrix, wirtinger_quadrature)
 from twistedperiods import quadrature
 from twistedperiods.quadrature import QuadratureError, tanh_sinh
-from twistedperiods.series import TauPoint, lambda_tau, theta_constants
+from twistedperiods.series import (TauPoint, lambda_tau, theta,
+                                   theta_constants)
 from twistedperiods.verify import SWEEP_TAUS, sample_admissible
 
 P_REF = HgParams(0.30, 0.21, 0.77)
@@ -59,6 +60,13 @@ class TestTanhSinh:
                 assert not cached.flags.writeable
                 with pytest.raises(ValueError):
                     cached[0] = 0.5
+
+    @pytest.mark.parametrize("level", range(quadrature._LEVELS + 1))
+    def test_nodes_mirror_symmetric(self, level):
+        # integrands may read their values at dr as those at dl reversed
+        sigma, comp, w = quadrature._level_nodes(level)
+        assert comp.tobytes() == sigma[::-1].tobytes()
+        assert w.tobytes() == w[::-1].tobytes()
 
     def test_repeated_calls_identical(self):
         def f(x, dl, dr):
@@ -185,6 +193,51 @@ class TestPeriodMatrices:
                         1.0, float(np.max(np.abs(expect))))
 
 
+def _four_theta_wirtinger(p, tau):
+    """The Wirtinger integral with one vector theta call per factor and
+    level, real parts kept: the reference for the two-table integrand."""
+    a, b, g = p.alpha, p.beta, p.gamma
+
+    def integrand(u, dl, dr):
+        t1 = np.real(theta(1, dl, tau))
+        t2 = np.real(theta(1, dr, tau))
+        t3 = np.real(theta(3, u, tau))
+        t4 = np.real(theta(4, u, tau))
+        return (t1 ** (2 * a - 1) * t2 ** (2 * g - 2 * a - 1)
+                * t3 ** (-2 * b + 1) * t4 ** (2 * b - 2 * g + 1))
+
+    return float(np.real(tanh_sinh(integrand, 0.0, 0.5)))
+
+
+def _outcome(fn, p, tau):
+    """The value's bytes, or the text of the QuadratureError raised."""
+    try:
+        return np.float64(fn(p, tau)).tobytes()
+    except QuadratureError as exc:
+        return str(exc)
+
+
+def _wirtinger_cases():
+    # draws as in the quadrature benchmark, then endpoint exponents near
+    # -1 (a or g - a below 0.02), Re tau = 1e-13, and a failing integral
+    rng = np.random.default_rng(2024)
+    cases = []
+    while len(cases) < 35:
+        p = sample_admissible(rng)
+        if p.alpha > 0.0 and p.gamma - p.alpha > 0.0:
+            cases.append((p, complex(0.0, rng.uniform(0.1, 3.0))))
+    return cases + [
+        (HgParams(0.013, 0.3, 0.6), 1j),
+        (HgParams(0.4, 0.7, 0.415), 0.5j),
+        (HgParams(0.019, -1.2, 0.031), 0.23j),
+        (P_REF, complex(1e-13, 0.8)),
+        (HgParams(0.011, -0.37, 0.019), 2j),
+    ]
+
+
+WIRTINGER_CASES = _wirtinger_cases()
+
+
 class TestWirtingerQuadrature:
     def test_matches_closed_form(self):
         tc = theta_constants(TAU_I)
@@ -233,6 +286,17 @@ class TestWirtingerQuadrature:
         assert half(0.0, 0.25) == pytest.approx(half(0.25, 0.5), rel=1e-10)
         assert half(0.0, 0.25) + half(0.25, 0.5) == pytest.approx(full,
                                                                   rel=1e-10)
+
+    @pytest.mark.parametrize("p, tau_val", WIRTINGER_CASES)
+    def test_bitwise_equal_to_four_theta_integrand(self, p, tau_val):
+        tau = TauPoint(tau_val)
+        assert (_outcome(wirtinger_quadrature, p, tau)
+                == _outcome(_four_theta_wirtinger, p, tau))
+
+    def test_reference_cases_include_a_failure(self):
+        p, tau_val = WIRTINGER_CASES[-1]
+        with pytest.raises(QuadratureError, match="failed to converge"):
+            wirtinger_quadrature(p, TauPoint(tau_val))
 
     def test_preconditions(self):
         with pytest.raises(PeriodError):

@@ -225,6 +225,71 @@ class TestTheta:
                 with pytest.raises(ValueError):
                     a[0] = 0.0
 
+    @pytest.mark.parametrize("tau_val", [
+        complex(re, im) for re in (-0.5, -0.13, 0.0, 1e-13, 0.37)
+        for im in (0.1, 0.45, 1.0, 3.7, 50.0)])
+    def test_cached_term_tables_match_theta_terms(self, tau_val):
+        # theta_1 and theta_4 are derived from theta_2 and theta_3
+        tau = TauPoint(tau_val)
+        for j in (1, 2, 3, 4):
+            freq, pref_re, pref_im = tau.theta_terms[j - 1]
+            fresh_freq, pref = series._theta_terms(j, tau, 0.0)
+            assert freq.tobytes() == fresh_freq.tobytes()
+            assert pref_re.tobytes() == pref.real.tobytes()
+            assert pref_im.tobytes() == pref.imag.tobytes()
+
+    @pytest.mark.parametrize("u", [1e10, -1e10, 3.0, 2.0**52 + 1, 1e300])
+    def test_theta1_vanishes_at_large_integers(self, u):
+        assert theta(1, u, TAU_I) == 0.0
+        tau = TauPoint(0.3 + 0.7j)
+        assert theta(1, np.array([u, -u]), tau).tolist() == [0.0, 0.0]
+
+    def test_large_real_u_is_reduced_exactly(self):
+        assert theta(3, 1e300, TAU_I) == theta(3, 0.0, TAU_I)
+        assert theta(4, 1e10, TAU_I) == theta(4, 0.0, TAU_I)
+        assert theta(2, 2.0**52 + 1, TAU_I) == -theta(2, 0.0, TAU_I)
+
+    @pytest.mark.parametrize("n", [1, -1, 2, 7, -12, 2**20 + 1, -2**40])
+    def test_integer_translations_exact(self, n):
+        # u + n is exact for these u, so theta_j(u + n) is
+        # (-1)^n theta_j(u) for j = 1, 2 and theta_j(u) for j = 3, 4,
+        # bit for bit
+        tau = TauPoint(0.21 + 0.8j)
+        x = np.array([0.25, -0.375, 0.125, -0.0625, 0.4375, 0.0])
+        z = x + 1j * np.array([0.3, -0.1, 0.0, 0.25, -0.35, 0.2])
+        for u in (x, z):
+            for j in (1, 2, 3, 4):
+                sign = (-1.0) ** n if j in (1, 2) else 1.0
+                assert np.array_equal(theta(j, u + n, tau),
+                                      sign * theta(j, u, tau))
+
+    @pytest.mark.parametrize("tau_val", [0.37 + 0.6j, 1j])
+    def test_reduction_keeps_points_within_half(self, tau_val):
+        # |Re u| <= 1/2 is summed as given, -0.0 included
+        tau = TauPoint(tau_val)
+        x = np.array([-0.5, -0.31, -0.0, 0.0, 1e-300, 0.2, 0.5])
+        for j in (1, 2, 3, 4):
+            freq, pref_re, pref_im = tau.theta_terms[j - 1]
+            trig = np.sin if j == 1 else np.cos
+            re, im = series.trig_sums(trig, x, freq, pref_re, pref_im)
+            vals = theta(j, x, tau)
+            assert vals.real.tobytes() == re.tobytes()
+            assert vals.imag.tobytes() == im.tobytes()
+
+    def test_large_real_u_matches_mpmath(self):
+        # at its default precision mpmath loses the same digits to pi u
+        mpmath = pytest.importorskip("mpmath")
+        tau = TauPoint(0.3 + 1.1j)
+        u = np.array([1e10 + 0.25, -3e12 - 0.125, 12345.6789])
+        with mpmath.workdps(40):
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.tau))
+            for j in (1, 2, 3, 4):
+                vals = theta(j, u, tau)
+                for k in range(len(u)):
+                    ref = complex(mpmath.jtheta(
+                        j, mpmath.pi * mpmath.mpf(float(u[k])), nome))
+                    assert abs(vals[k] - ref) <= 1e-13 * abs(ref)
+
     @pytest.mark.parametrize("u, tau_val", [
         (0.1 + 50j, 0.1j),     # the bound needs more than MAX_TERMS terms
         (0.1 + 200j, 3j),      # cosh(2 pi mu Im u) overflows

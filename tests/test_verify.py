@@ -251,6 +251,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "theta1" in out and "theta4" in out
 
+    @pytest.mark.parametrize("u", ["1e10", "1e300"])
+    def test_theta_command_at_large_integer_u(self, capsys, u):
+        assert main(["theta", "--u", u, "--tau-im", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "= +0.000000000000000e+00 +0.000000000000000e+00j" in out
+        assert "theta3" in out and "+1.086434811213308e+00" in out
+
     def test_lambda_command(self, capsys):
         assert main(["lambda", "--tau-im", "1"]) == 0
         out = capsys.readouterr().out
