@@ -101,6 +101,11 @@ def gamma_real(x: float) -> float:
     return value
 
 
+def beta_real(a: float, c: float) -> float:
+    """Euler's Beta factor ``Gamma(a) Gamma(c - a) / Gamma(c)``."""
+    return gamma_real(a) * gamma_real(c - a) / gamma_real(c)
+
+
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial x (x+1) ... (x+n-1); the empty product is 1."""
     if n < 0:

@@ -144,17 +144,17 @@ def homology_H(p: HgParams) -> np.ndarray:
     ], dtype=complex)
 
 
+def theta_bracket(p: HgParams, tc: ThetaConstants) -> complex:
+    """The (2,2) entry's -c1 r1 - c2 r2 - c3 r3 + (2 c1 - c4) r4, r = tc.log_ratios."""
+    r1, r2, r3, r4 = tc.log_ratios
+    return -p.c1 * r1 - p.c2 * r2 - p.c3 * r3 + (2.0 * p.c1 - p.c4) * r4
+
+
 def _c22(p: HgParams, tc: ThetaConstants) -> complex:
     """The theta-constant entry of the cohomology intersection matrix
     (before the overall 2 pi i factor)."""
-    c1, c2, c3, c4 = p.c1, p.c2, p.c3, p.c4
-    bracket = (
-        -c1 * tc.th1ppp_0 / tc.th1p_0
-        - c2 * tc.th2pp_0 / tc.th2_0
-        - c3 * tc.th3pp_0 / tc.th3_0
-        + (2.0 * c1 - c4) * tc.th4pp_0 / tc.th4_0
-    )
-    return bracket / (math.pi**2 * tc.th3_0**4 * (c1 - 1.0) * (c1 + 1.0))
+    return theta_bracket(p, tc) / (
+        math.pi**2 * tc.th3_0**4 * (p.c1 - 1.0) * (p.c1 + 1.0))
 
 
 def cohomology_C(p: HgParams, tc: ThetaConstants) -> np.ndarray:

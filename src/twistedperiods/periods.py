@@ -9,6 +9,10 @@ those.  The plus-sign matrix uses the parameters as given, the minus-sign
 matrix the negated parameters (which is what integrating the inverse
 weight amounts to).
 
+Prefactors, at the signed (a, b, g): the first cycle's period carries
+P1 = theta2^(2g) theta3^(-2a-2b) theta4^(2a+2b-2g) in every row, the third's
+P3 / lambda^(d_gamma), P3 = theta2^(4-2g) theta3^(2a+2b-4) theta4^(2g-2a-2b).
+
 A direct tanh-sinh evaluation of the defining integral over (0, 1/2) is
 kept for purely imaginary tau, where the integrand is a product of
 positive reals and the principal powers are unambiguous.  The analogous
@@ -20,11 +24,10 @@ endpoint exponents allow it, and by their Gamma-factor closed forms.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
-from .hypergeom import gamma_real, gauss_2f1
+from .hypergeom import beta_real, gauss_2f1
 from .matrices import HgParams, SignPair, require_admissible, unit_phase
 from .quadrature import tanh_sinh
 from .series import TauPoint, trig_sums
@@ -48,46 +51,18 @@ def _cpow(z: complex, s: float) -> complex:
     return cmath.exp(s * cmath.log(z))
 
 
-def _sigma1_sigma3(p: HgParams, tau: TauPoint) -> tuple[complex, complex]:
-    """Closed forms for the periods over the first and third cycle, for the
-    third cocycle, at already-shifted parameters."""
-    a, b, g = p.alpha, p.beta, p.gamma
-    tc = tau.constants
-    lam = tau.lam
-    s1 = (
-        gamma_real(a) * gamma_real(g - a) / (2.0 * gamma_real(g))
-        * _cpow(tc.th2_0, 2 * g)
-        * _cpow(tc.th3_0, -2 * a - 2 * b)
-        * _cpow(tc.th4_0, -2 * g + 2 * a + 2 * b)
-        * gauss_2f1(a, b, g, lam)
-    )
-    s3 = (
-        -unit_phase(0.5 * (a + b - g))
-        * gamma_real(1 - b) * gamma_real(1 - g + b) / (2.0 * gamma_real(2 - g))
-        * _cpow(tc.th2_0, 4 - 2 * g)
-        * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
-        * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b)
-        * gauss_2f1(1 - b, 1 - a, 2 - g, lam)
-    )
-    return s1, s3
-
-
-def _period_row(i: int, p: HgParams, tau: TauPoint) -> np.ndarray:
-    """All four cycle periods of cocycle i (1..4) as a length-4 vector."""
+def _period_row(i: int, p: HgParams, lam: complex, p1: complex,
+                p3: complex) -> np.ndarray:
+    """All four cycle periods of cocycle i (1..4) as a length-4 vector;
+    the first carries ``p1``, the third ``p3 / lambda^(d_gamma)``."""
     d_gamma = SHIFT_RULES[i][2]
     ps = p.shifted(*SHIFT_RULES[i])
     require_admissible(ps)
     e = unit_phase
     a, b, g = ps.alpha, ps.beta, ps.gamma
-    s1, s3 = _sigma1_sigma3(ps, tau)
-    # The reduction to the third cocycle's closed form rescales the whole
-    # row by (theta3 / theta2)^(2 d_gamma), so the theta-constant prefactor
-    # exponents end up at the unshifted gamma.
-    if d_gamma != 0.0:
-        tc = tau.constants
-        scale = _cpow(tc.th3_0 / tc.th2_0, 2.0 * d_gamma)
-        s1 *= scale
-        s3 *= scale
+    s1 = beta_real(a, g) / 2.0 * p1 * gauss_2f1(a, b, g, lam)
+    s3 = (-e(0.5 * (a + b - g)) * beta_real(1 - b, 2 - g) / 2.0
+          * p3 / lam**d_gamma * gauss_2f1(1 - b, 1 - a, 2 - g, lam))
     s4 = (1.0 - e(g - a)) * s1
     s2 = -((1.0 - e(a)) * s1 + e(2 * a + 2 * b - 2 * g) * (1.0 - e(g - b)) * s3) / (
         e(2 * a - 2 * g) * (1.0 - e(g))
@@ -102,7 +77,14 @@ def period_matrix(sign: str, p: HgParams, tau: TauPoint) -> np.ndarray:
         raise PeriodError(f"invalid sign {sign!r}")
     q = p if sign == "+" else p.negated()
     require_admissible(q)
-    return np.array([_period_row(i, q, tau) for i in (1, 2, 3, 4)], dtype=complex)
+    a, b, g = q.alpha, q.beta, q.gamma
+    tc = tau.constants
+    p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
+          * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
+    p3 = (_cpow(tc.th2_0, 4 - 2 * g) * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
+          * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
+    return np.array([_period_row(i, q, tau.lam, p1, p3) for i in (1, 2, 3, 4)],
+                    dtype=complex)
 
 
 def block_periods(m: np.ndarray) -> SignPair:
@@ -165,20 +147,22 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     return float(np.real(tanh_sinh(integrand, 0.0, 0.5)))
 
 
-# Euler-integral pairings on the projective line.  Each side is an integral
-# of t^e0 (1-t)^e1 (1-zt)^ez over (0,1), after mapping the (1/z, infinity)
-# path to (0,1) by t -> 1/(z s).  The table stores (exponent builder,
-# closed-form builder); exponents are (e0, e1, ez, z_power).
-def _euler_exponents(p_side: str, a: float, b: float, c: float):
-    if p_side == "1+":
-        return (a - 1.0, c - a - 1.0, -b, 0.0)
-    if p_side == "1-":
-        return (-a - 2.0, a - c, b - 1.0, 0.0)
-    if p_side == "2+":
-        return (b - c, -b, c - a - 1.0, 1.0 - c)
-    if p_side == "2-":
-        return (c - b + 1.0, b - 1.0, a - c, c + 1.0)
-    raise PeriodError(f"invalid pairing side {p_side!r}")
+# Euler-integral pairings on the projective line.  Each side is z^z_power
+# times Euler's integral of t^(A-1) (1-t)^(C-A-1) (1-zt)^(-B) over (0,1),
+# which is B(A, C - A) 2F1(A, B; C; z) (DLMF 15.6.1); the (1/z, infinity)
+# sides are mapped to (0,1) by t -> 1/(z s).  side -> (A, B, C, z_power).
+_EULER_SIDES = {
+    "1+": lambda a, b, c: (a, b, c, 0.0),
+    "1-": lambda a, b, c: (-a - 1.0, 1.0 - b, -c, 0.0),
+    "2+": lambda a, b, c: (b - c + 1.0, a - c + 1.0, 2.0 - c, 1.0 - c),
+    "2-": lambda a, b, c: (c - b + 2.0, c - a, c + 2.0, c + 1.0),
+}
+
+
+def _euler_side(p_side: str, a: float, b: float, c: float):
+    if p_side not in _EULER_SIDES:
+        raise PeriodError(f"invalid pairing side {p_side!r}")
+    return _EULER_SIDES[p_side](a, b, c)
 
 
 def euler_pairing(p_side: str, a: float, b: float, c: float,
@@ -194,7 +178,8 @@ def euler_pairing(p_side: str, a: float, b: float, c: float,
     if abs(z.imag) > 1e-14 or not (0.0 < z.real < 1.0):
         raise PeriodError("euler quadrature requires real z in (0, 1)")
     zr = z.real
-    e0, e1, ez, zpow = _euler_exponents(p_side, a, b, c)
+    A, B, C, zpow = _euler_side(p_side, a, b, c)
+    e0, e1, ez = A - 1.0, C - A - 1.0, -B
     if not (e0 > -1.0 and e1 > -1.0):
         raise PeriodError(
             f"endpoint exponents ({e0}, {e1}) for side {p_side} must exceed -1"
@@ -210,18 +195,6 @@ def euler_pairing(p_side: str, a: float, b: float, c: float,
 def euler_pairing_closed(p_side: str, a: float, b: float, c: float, z: complex) -> complex:
     """Gamma-factor closed form of the Euler pairing (valid by continuation
     even where the literal integral diverges)."""
-    z = complex(z)
-
-    def beta_f21(A: float, B: float, C: float) -> complex:
-        return (gamma_real(A) * gamma_real(C - A) / gamma_real(C)
-                * gauss_2f1(A, B, C, z))
-
-    if p_side == "1+":
-        return beta_f21(a, b, c)
-    if p_side == "1-":
-        return beta_f21(-a - 1.0, 1.0 - b, -c)
-    if p_side == "2+":
-        return _cpow(z, 1.0 - c) * beta_f21(b - c + 1.0, a - c + 1.0, 2.0 - c)
-    if p_side == "2-":
-        return _cpow(z, c + 1.0) * beta_f21(c - b + 2.0, c - a, c + 2.0)
-    raise PeriodError(f"invalid pairing side {p_side!r}")
+    A, B, C, zpow = _euler_side(p_side, a, b, c)
+    value = beta_real(A, C) * gauss_2f1(A, B, C, z)
+    return _cpow(complex(z), zpow) * value if zpow else value

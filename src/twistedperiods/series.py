@@ -79,10 +79,6 @@ class TauPoint:
         object.__setattr__(self, "q", cmath.exp(TWO_PI_I * tau))
         object.__setattr__(self, "q_half", cmath.exp(TWO_PI_I * tau / 2.0))
 
-    def scaled(self, factor: float) -> "TauPoint":
-        """TauPoint at ``factor * tau`` (used for the G2 combinations)."""
-        return TauPoint(self.tau * factor)
-
     @cached_property
     def constants(self) -> ThetaConstants:
         """All theta constants at u = 0 needed by the intersection matrices.
@@ -145,8 +141,8 @@ class TauPoint:
 
     @cached_property
     def g2_half(self) -> complex:
-        """G2(tau/2); raises SeriesError when tau/2 is below the Im floor."""
-        return self.scaled(0.5).g2
+        """G2(tau/2), from ``q_half``: tau/2 may lie below the Im floor."""
+        return _g2(self.q_half)
 
 
 def _g2(q: complex) -> complex:
@@ -299,6 +295,12 @@ class ThetaConstants:
     th2pp_0: complex
     th3pp_0: complex
     th4pp_0: complex
+
+    @property
+    def log_ratios(self) -> tuple[complex, complex, complex, complex]:
+        """theta1'''/theta1' and theta_j''/theta_j for j = 2, 3, 4, at 0."""
+        return (self.th1ppp_0 / self.th1p_0, self.th2pp_0 / self.th2_0,
+                self.th3pp_0 / self.th3_0, self.th4pp_0 / self.th4_0)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .hypergeom import (HypergeomError, gauss_2f1, product_term1_coeff,
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        admissible, basis_change, block_C, block_H_prime,
                        cohomology_C, guarded_solve, homology_H,
-                       require_admissible)
+                       require_admissible, theta_bracket)
 from .periods import SHIFT_RULES, PeriodError, block_periods, period_matrix
 from .quadrature import QuadratureError
 from .series import SeriesError, TauPoint, q_terms, theta_taylor
@@ -286,16 +286,9 @@ def verify_orthogonality(p: HgParams, tol=PROFILES["default"]) -> CheckResult:
                       tols.orthogonality, residual)
 
 
-def _entry22_theta_form(a: float, b: float, c: float,
-                        tau: TauPoint) -> complex:
+def _entry22_theta_form(p: HgParams, tau: TauPoint) -> complex:
     tc = tau.constants
-    bracket = (
-        -(2 * a + 1) * tc.th1ppp_0 / tc.th1p_0
-        + (2 * a - 2 * c + 1) * tc.th2pp_0 / tc.th2_0
-        + (2 * b - 1) * tc.th3pp_0 / tc.th3_0
-        + (4 * a - 2 * b + 2 * c + 3) * tc.th4pp_0 / tc.th4_0
-    )
-    return bracket / (2.0 * math.pi**2 * tc.th3_0**4)
+    return theta_bracket(p, tc) / (2.0 * math.pi**2 * tc.th3_0**4)
 
 
 def _entry22_2f1_form(a: float, b: float, c: float, tau: TauPoint) -> complex:
@@ -330,7 +323,7 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
 
     # Each form is evaluated once, by the first check that needs it.  A
     # form that raises is not kept, so every check using it errors.
-    theta_form = functools.cache(lambda: _entry22_theta_form(a, b, c, tau))
+    theta_form = functools.cache(lambda: _entry22_theta_form(p, tau))
     f21_form = functools.cache(lambda: _entry22_2f1_form(a, b, c, tau))
     return (
         make("entry22-theta",
@@ -390,10 +383,7 @@ def verify_series_identities(tau: TauPoint,
     g2t = tau.g2
     g2_2t = tau.g2_double
     g2_ht = tau.g2_half
-    r1 = tc.th1ppp_0 / tc.th1p_0
-    r2 = tc.th2pp_0 / tc.th2_0
-    r3 = tc.th3pp_0 / tc.th3_0
-    r4 = tc.th4pp_0 / tc.th4_0
+    r1, r2, r3, r4 = tc.log_ratios
     results: list[CheckResult] = []
 
     def add(name, fn):
@@ -476,7 +466,8 @@ def verify_series_identities(tau: TauPoint,
             - 2.0 * (a - b + 1) * (4.0 * g2_2t + g2_ht - 4.0 * g2t)
             + c * (2.0 * g2t - g2_ht)
         ) / (pi2 * t34)
-        return _rel(_entry22_theta_form(a, b, c, tau), rewrite)
+        theta_form = _entry22_theta_form(HgParams(a + 0.5, b - 0.5, c), tau)
+        return _rel(theta_form, rewrite)
 
     add("entry22-g2-form", entry22_g2_residual)
     return results

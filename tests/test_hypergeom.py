@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from twistedperiods.hypergeom import (HypergeomError, gamma_real, gauss_2f1,
-                                      hyper_4f3_terminating, pochhammer,
-                                      product_term1_coeff,
+from twistedperiods.hypergeom import (HypergeomError, beta_real, gamma_real,
+                                      gauss_2f1, hyper_4f3_terminating,
+                                      pochhammer, product_term1_coeff,
                                       product_term2_coeff,
                                       whipple_transform_rhs)
 
@@ -65,6 +65,18 @@ class TestGammaReal:
     def test_overflow_raises_typed_error(self, x):
         with pytest.raises(HypergeomError, match="overflows"):
             gamma_real(x)
+
+
+class TestBetaReal:
+    @pytest.mark.parametrize("a, c", [(0.5, 1.0), (0.3, 0.77), (-1.7, 0.4),
+                                      (2.5, 6.25)])
+    def test_matches_math_gamma(self, a, c):
+        expect = math.gamma(a) * math.gamma(c - a) / math.gamma(c)
+        assert beta_real(a, c) == pytest.approx(expect, rel=1e-13)
+
+    def test_pole_raises(self):
+        with pytest.raises(HypergeomError):
+            beta_real(0.3, 0.3)
 
 
 class TestPochhammer:

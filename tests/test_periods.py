@@ -1,6 +1,7 @@
 """Closed-form period entries, block periods, quadrature routes, and the
 Euler-integral pairings."""
 
+import cmath
 import math
 import time
 
@@ -12,7 +13,7 @@ from twistedperiods.matrices import HgParams, unit_phase
 from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
                                     euler_pairing, euler_pairing_closed,
                                     period_matrix, wirtinger_quadrature)
-from twistedperiods import quadrature
+from twistedperiods import periods, quadrature
 from twistedperiods.quadrature import QuadratureError, tanh_sinh
 from twistedperiods.series import (TauPoint, lambda_tau, theta,
                                    theta_constants)
@@ -193,6 +194,76 @@ class TestPeriodMatrices:
                         1.0, float(np.max(np.abs(expect))))
 
 
+def _per_row_period_matrix(sign, p, tau):
+    """The period matrix with each row's theta-constant prefactors taken
+    at its shifted parameters and rescaled by (theta3/theta2)^(2 d_gamma):
+    the reference for the prefactors taken once per matrix."""
+    def cpow(z, s):
+        return cmath.exp(s * cmath.log(z))
+
+    q = p if sign == "+" else p.negated()
+    tc, lam, e = tau.constants, tau.lam, unit_phase
+    rows = []
+    for i in (1, 2, 3, 4):
+        d_gamma = SHIFT_RULES[i][2]
+        ps = q.shifted(*SHIFT_RULES[i])
+        a, b, g = ps.alpha, ps.beta, ps.gamma
+        s1 = (gamma_real(a) * gamma_real(g - a) / (2.0 * gamma_real(g))
+              * cpow(tc.th2_0, 2 * g) * cpow(tc.th3_0, -2 * a - 2 * b)
+              * cpow(tc.th4_0, -2 * g + 2 * a + 2 * b)
+              * gauss_2f1(a, b, g, lam))
+        s3 = (-e(0.5 * (a + b - g))
+              * gamma_real(1 - b) * gamma_real(1 - g + b)
+              / (2.0 * gamma_real(2 - g))
+              * cpow(tc.th2_0, 4 - 2 * g) * cpow(tc.th3_0, 2 * a + 2 * b - 4)
+              * cpow(tc.th4_0, 2 * g - 2 * a - 2 * b)
+              * gauss_2f1(1 - b, 1 - a, 2 - g, lam))
+        if d_gamma != 0.0:
+            scale = cpow(tc.th3_0 / tc.th2_0, 2.0 * d_gamma)
+            s1 *= scale
+            s3 *= scale
+        s4 = (1.0 - e(g - a)) * s1
+        s2 = -((1.0 - e(a)) * s1
+               + e(2 * a + 2 * b - 2 * g) * (1.0 - e(g - b)) * s3) / (
+            e(2 * a - 2 * g) * (1.0 - e(g)))
+        rows.append([s1, s2, s3, s4])
+    return np.array(rows, dtype=complex)
+
+
+# tau outside the discs |tau -+ 1/2| < 1/2, where the closed forms hold
+PREFACTOR_TAUS = (*SWEEP_TAUS, 0.1 + 0.6j, 0.45 + 0.9j, -0.4 + 0.9j,
+                  -0.45 + 1.1j)
+
+
+class TestPrefactorsOncePerMatrix:
+    @pytest.mark.parametrize("tau_val", PREFACTOR_TAUS)
+    def test_matches_per_row_prefactors(self, tau_val):
+        tau = TauPoint(tau_val)
+        assert min(abs(tau_val - 0.5), abs(tau_val + 0.5)) > 0.5
+        rng = np.random.default_rng(59)
+        for _ in range(30):
+            p = sample_admissible(rng)
+            for sign in ("+", "-"):
+                old = _per_row_period_matrix(sign, p, tau)
+                err = np.abs(period_matrix(sign, p, tau) - old)
+                # entry by entry for the closed forms (columns 1 and 3);
+                # column 2 is a cancelling combination of them
+                assert np.max(err[:, ::2] / np.abs(old[:, ::2])) <= 1e-13
+                assert np.max(err) <= 1e-13 * np.max(np.abs(old))
+
+    def test_six_principal_powers_per_matrix(self, monkeypatch):
+        calls = []
+        original = periods._cpow
+
+        def counting(z, s):
+            calls.append(s)
+            return original(z, s)
+
+        monkeypatch.setattr(periods, "_cpow", counting)
+        period_matrix("+", P_REF, TauPoint(0.3 + 1.2j))
+        assert len(calls) == 6
+
+
 def _four_theta_wirtinger(p, tau):
     """The Wirtinger integral with one vector theta call per factor and
     level, real parts kept: the reference for the two-table integrand."""
@@ -348,6 +419,23 @@ class TestEulerPairings:
     def test_invalid_side(self):
         with pytest.raises(PeriodError):
             euler_pairing_closed("3+", 0.3, 0.2, 1.1, 0.5)
+        with pytest.raises(PeriodError, match="invalid pairing side"):
+            euler_pairing("3+", 0.3, 0.2, 1.1, 0.5)
+
+    def test_quadrature_exponents_per_side(self):
+        # (e0, e1, ez, z_power) of t^e0 (1-t)^e1 (1-zt)^ez written out
+        # side by side; the table derives them from Euler's integral
+        a, b, c = 0.35, 0.27, 1.22
+        written_out = {
+            "1+": (a - 1.0, c - a - 1.0, -b, 0.0),
+            "1-": (-a - 2.0, a - c, b - 1.0, 0.0),
+            "2+": (b - c, -b, c - a - 1.0, 1.0 - c),
+            "2-": (c - b + 1.0, b - 1.0, a - c, c + 1.0),
+        }
+        for side, expect in written_out.items():
+            A, B, C, zpow = periods._euler_side(side, a, b, c)
+            assert (A - 1.0, C - A - 1.0, -B, zpow) == pytest.approx(
+                expect, abs=1e-15)
 
     def test_z_domain(self):
         with pytest.raises(PeriodError):

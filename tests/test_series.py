@@ -60,9 +60,6 @@ class TestTauPoint:
         with pytest.raises(SeriesError):
             TauPoint(complex("inf"))
 
-    def test_scaled(self):
-        assert TauPoint(2j).scaled(0.5).tau == 1j
-
 
 class TestKernelContext:
     """A TauPoint computes its theta constants, lambda and G2 values once."""
@@ -102,22 +99,26 @@ class TestKernelContext:
 
     def test_scaled_point_has_its_own_values(self):
         tau = TauPoint(2j)
-        half = tau.scaled(0.5)
+        half = TauPoint(0.5 * tau.tau)
         assert half.constants is not tau.constants
         assert half.lam == TauPoint(1j).lam
         assert complex(half.lam).real == pytest.approx(0.5, abs=1e-12)
         assert half.g2 == tau.g2_half
         assert complex(half.g2).real == pytest.approx(G2_I, rel=1e-13)
 
-    def test_g2_half_below_floor_still_raises(self):
-        # tau/2 falls below the Im floor; lazy G2(tau/2) must not move the
-        # failure out of the identity suite
+    def test_g2_half_below_floor_matches_mpmath(self):
+        # tau/2 falls below the Im floor; G2(tau/2) is summed in q_half,
+        # so the whole identity suite runs there
+        mpmath = pytest.importorskip("mpmath")
         tau = TauPoint(0.15j)
-        assert abs(tau.lam) < 1.0
-        with pytest.raises(SeriesError):
-            tau.g2_half
-        with pytest.raises(SeriesError):
-            verify_series_identities(tau)
+        with mpmath.workdps(30):
+            # G2 = -(pi^2/3) theta1'''(0)/theta1'(0) at the nome of tau/2
+            nome = mpmath.exp(0.5j * mpmath.pi * mpmath.mpc(tau.tau))
+            ref = complex(-mpmath.pi**2 / 3 * mpmath.jtheta(1, 0, nome, 3)
+                          / mpmath.jtheta(1, 0, nome, 1))
+        assert tau.g2_half == pytest.approx(ref, rel=1e-14)
+        results = verify_series_identities(tau)
+        assert len(results) == 15 and all(r.passed for r in results)
 
 
 class TestTheta:
@@ -370,10 +371,10 @@ class TestLambdaAndG2:
         tau = TauPoint(tau_val)
         lam = lambda_tau(tau)
         t34 = theta_constants(tau).th3_0**4
-        combo1 = 2.0 * eisenstein_g2(tau.scaled(2.0)) - eisenstein_g2(tau)
+        combo1 = 2.0 * eisenstein_g2(TauPoint(2.0 * tau.tau)) - eisenstein_g2(tau)
         assert complex(combo1) == pytest.approx(
             complex(math.pi**2 / 3.0 * (1.0 - lam / 2.0) * t34), rel=1e-11)
-        combo3 = 2.0 * eisenstein_g2(tau) - eisenstein_g2(tau.scaled(0.5))
+        combo3 = 2.0 * eisenstein_g2(tau) - eisenstein_g2(TauPoint(0.5 * tau.tau))
         assert complex(combo3) == pytest.approx(
             complex(math.pi**2 / 3.0 * (1.0 + lam) * t34), rel=1e-11)
 

@@ -1,6 +1,7 @@
 """Verifier checks, sweep determinism, report serialization, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from twistedperiods.hypergeom import HypergeomError
 from twistedperiods.matrices import HgParams
 from twistedperiods.series import TauPoint
 from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
-                                   Tolerances, VerificationReport,
+                                   SWEEP_TAUS, Tolerances, VerificationReport,
                                    resolve_tolerances, run_sweep,
                                    sample_admissible, verify_entry22,
                                    verify_orthogonality,
@@ -26,6 +27,19 @@ from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
 
 P_REF = HgParams(0.30, 0.21, 0.77)
 TAU_I = TauPoint(1j)
+
+
+def _written_out_entry22_theta_form(a, b, c, tau):
+    """The (2,2) entry's theta form with its four coefficients written out
+    in (a, b, c): the reference for ``theta_bracket``."""
+    tc = tau.constants
+    bracket = (
+        -(2 * a + 1) * tc.th1ppp_0 / tc.th1p_0
+        + (2 * a - 2 * c + 1) * tc.th2pp_0 / tc.th2_0
+        + (2 * b - 1) * tc.th3pp_0 / tc.th3_0
+        + (4 * a - 2 * b + 2 * c + 3) * tc.th4pp_0 / tc.th4_0
+    )
+    return bracket / (2.0 * math.pi**2 * tc.th3_0**4)
 
 
 class TestCheckResult:
@@ -154,6 +168,19 @@ class TestEntry22:
         theta, f21, cross = verify_entry22(0.2, 0.3, 0.6, TAU_I)
         assert theta.passed
         assert f21.error == cross.error == "no convergence"
+
+    @pytest.mark.parametrize("tau_val", [*SWEEP_TAUS, 0.1j, 0.25 + 0.15j,
+                                         -0.4 + 0.7j, 0.3 + 50j])
+    def test_theta_form_matches_written_out_coefficients(self, tau_val):
+        tau = TauPoint(tau_val)
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            p = sample_admissible(rng)
+            a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
+            old = _written_out_entry22_theta_form(a, b, c, tau)
+            new = verify._entry22_theta_form(
+                HgParams(a + 0.5, b - 0.5, c), tau)
+            assert abs(new - old) <= 1e-14 * max(1.0, abs(old))
 
     @pytest.mark.parametrize("tau_val", [0.1j, 0.3j, 0.25 + 0.15j, 0.5 + 0.3j])
     def test_theta_form_past_the_2f1_radius(self, tau_val):
