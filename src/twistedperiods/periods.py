@@ -30,7 +30,7 @@ import numpy as np
 from .hypergeom import beta_real, gauss_2f1
 from .matrices import HgParams, SignPair, require_admissible, unit_phase
 from .quadrature import tanh_sinh
-from .series import TauPoint, trig_sums
+from .series import TauPoint, _theta_terms, trig_sums
 
 # Parameter shifts reducing each cocycle's periods to the third cocycle's
 # closed form: index -> (d_alpha, d_beta, d_gamma).
@@ -57,7 +57,6 @@ def _period_row(i: int, p: HgParams, lam: complex, p1: complex,
     the first carries ``p1``, the third ``p3 / lambda^(d_gamma)``."""
     d_gamma = SHIFT_RULES[i][2]
     ps = p.shifted(*SHIFT_RULES[i])
-    require_admissible(ps)
     e = unit_phase
     a, b, g = ps.alpha, ps.beta, ps.gamma
     s1 = beta_real(a, g) / 2.0 * p1 * gauss_2f1(a, b, g, lam)
@@ -126,17 +125,18 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
             f"endpoint exponents 2a-1 = {2*a-1} and 2g-2a-1 = {2*(g-a)-1} "
             "must exceed -1"
         )
-    sin_freq, th1_pref, _ = tau.theta_terms[0]
-    cos_freq, th3_pref, _ = tau.theta_terms[2]
-    th4_pref = tau.theta_terms[3][1]
+    sin_freq, th1_pref = _theta_terms(1, tau, 0.0)
+    cos_freq, th3_pref = _theta_terms(3, tau, 0.0)
+    th4_pref = _theta_terms(4, tau, 0.0)[1]
 
     def integrand(u, dl, dr):
-        (t1,) = trig_sums(np.sin, dl, sin_freq, th1_pref)
+        (t1,) = trig_sums(np.sin, dl, sin_freq, th1_pref.real)
         # the tanh-sinh nodes are mirror-symmetric, so dr is dl reversed
         # and theta1(dr) is t1 reversed; a contiguous copy keeps np.power's
         # rounding that of a fresh array
         t2 = t1[::-1].copy()
-        t3, t4 = trig_sums(np.cos, u, cos_freq, th3_pref, th4_pref)
+        t3, t4 = trig_sums(np.cos, u, cos_freq, th3_pref.real,
+                            th4_pref.real)
         return (
             t1 ** (2 * a - 1)
             * t2 ** (2 * g - 2 * a - 1)

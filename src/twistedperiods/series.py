@@ -102,26 +102,6 @@ class TauPoint:
         )
 
     @cached_property
-    def theta_terms(self) -> tuple:
-        """``(frequencies, Re prefactors, Im prefactors)`` of theta_1..4 for
-        real u, as read-only arrays indexed by j - 1.
-
-        Only the j = 2 and j = 3 terms are built; theta_1 and theta_4 share
-        their frequencies and take the same prefactors with the odd ones
-        negated, by the very step ``_theta_terms`` applies.
-        """
-        tables = [None] * 4
-        for j, j_odd in ((2, 1), (3, 4)):
-            freq, pref = _theta_terms(j, self, 0.0)
-            odd_negated = pref.copy()
-            odd_negated[1::2] *= -1.0
-            for k, pr in ((j, pref), (j_odd, odd_negated)):
-                tables[k - 1] = (freq, pr.real.copy(), pr.imag.copy())
-                for a in tables[k - 1]:
-                    a.setflags(write=False)
-        return tuple(tables)
-
-    @cached_property
     def lam(self) -> complex:
         """Modular lambda: ``theta2(0)^4 / theta3(0)^4``."""
         tc = self.constants
@@ -252,13 +232,12 @@ def theta(j: int, u, tau: TauPoint):
     so theta_1 is a sine series and the others cosine series.  The series
     is summed at ``u - n``, n = round(Re u), and theta_1, theta_2 take the
     sign ``(-1)^n``; the shift is exact, so large real u loses no accuracy
-    to the sum.  The term count comes from an a-priori bound (see
-    ``_theta_terms``), with at least MIN_TERMS terms; a SeriesError is
-    raised when the bound needs more than MAX_TERMS terms or the terms'
-    ``cosh(2 pi mu Im u)`` growth overflows.  For real u the terms come
-    from ``tau.theta_terms`` and the table stays real, so a point's value
-    does not depend on the other points of the array; for complex u the
-    count follows the largest |Im u|.
+    to the sum.  Real and complex u take one path: the terms come from
+    ``_theta_terms`` with as many as the largest |Im u| of the array needs
+    (0 for real u), at least MIN_TERMS; a SeriesError is raised when the
+    bound needs more than MAX_TERMS terms or the terms'
+    ``cosh(2 pi mu Im u)`` growth overflows.  Each point is summed on its
+    own, so at real u its value does not depend on the other points.
     """
     if j not in (1, 2, 3, 4):
         raise SeriesError(f"invalid theta index {j}")
@@ -269,15 +248,9 @@ def theta(j: int, u, tau: TauPoint):
     x = arr.reshape(-1) - n
     # the sine form keeps full relative accuracy near theta_1's zero at 0
     trig = np.sin if j == 1 else np.cos
-    if np.iscomplexobj(x):
-        im_u = float(np.abs(x.imag).max(initial=0.0))
-        freq, pref = _theta_terms(j, tau, im_u)
-        (total,) = trig_sums(trig, x, freq, pref)
-    else:
-        freq, pref_re, pref_im = tau.theta_terms[j - 1]
-        re, im = trig_sums(trig, x, freq, pref_re, pref_im)
-        total = re.astype(complex)
-        total.imag = im
+    im_u = float(np.abs(x.imag).max(initial=0.0))
+    freq, pref = _theta_terms(j, tau, im_u)
+    (total,) = trig_sums(trig, x, freq, pref)
     if j in (1, 2):
         np.negative(total, out=total, where=n % 2.0 != 0.0)
     return complex(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
@@ -308,7 +281,7 @@ class PowerSeries:
     """Truncated Laurent series ``sum_k coeffs[k] * u**(k - pole_order)``.
 
     Arithmetic is exact on the retained coefficients; the retained length of
-    a product/quotient is the shorter of the operands'.
+    a product is the shorter of the operands'.
     """
 
     coeffs: np.ndarray
@@ -359,9 +332,6 @@ class PowerSeries:
             inv = np.concatenate([np.zeros(-new_pole, dtype=complex), inv])[:n]
             new_pole = 0
         return PowerSeries(inv, new_pole)
-
-    def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
-        return self * other.inverse()
 
 
 # Taylor orders k = 0..12 and the sign and scale (-1)^(k//2) / k! of each

@@ -219,16 +219,21 @@ def _params_dict(p: HgParams | None, tau: TauPoint | None, **extra) -> dict:
 
 
 def _errored(name: str, params: dict, tolerance: float,
-             exc: Exception) -> CheckResult:
+             error: Exception | str) -> CheckResult:
     return CheckResult(name=name, params=params, residual=None,
-                       tolerance=tolerance, passed=False, error=str(exc))
+                       tolerance=tolerance, passed=False, error=str(error))
 
 
 def _run_check(name: str, params: dict, tolerance: float, fn) -> CheckResult:
+    """A check of ``fn()``'s residual; a recoverable exception or a
+    non-finite residual makes it an errored check, never a plain FAIL."""
     try:
         residual = float(fn())
     except _RECOVERABLE as exc:
         return _errored(name, params, tolerance, exc)
+    if not math.isfinite(residual):
+        return _errored(name, params, tolerance,
+                        f"non-finite residual {residual}")
     return CheckResult(name=name, params=params, residual=residual,
                        tolerance=tolerance, passed=residual <= tolerance)
 
@@ -242,6 +247,10 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
     paired with ``block_H_prime``.  Returns (full-tpr, block-tpr-minus,
     block-tpr-plus).  A failed build errors all three checks; a badly
     conditioned H or H' errors only its own.
+
+    full-tpr is not a certificate above Im tau of about 3: over 40 seeded
+    draws at Re tau = 0.1 it failed 0 at Im tau = 3, 7 at 4, 33 at 10 and
+    40 at 50, while both block relations stayed at or below 1.1e-13.
     """
     tols = resolve_tolerances(tol)
     params = _params_dict(p, tau)
@@ -423,25 +432,24 @@ def verify_series_identities(tau: TauPoint,
     add("g2-combination-ns", lambda: _rel(
         2.0 * g2t - g2_ht, (pi2 / 3.0) * (1.0 + lam) * t34))
 
-    # u^1 Laurent coefficients via series division of theta Taylor expansions
-    s1 = theta_taylor(1, 7, tau)
-    s2 = theta_taylor(2, 7, tau)
-    s3 = theta_taylor(3, 7, tau)
-    s4 = theta_taylor(4, 7, tau)
+    # u^1 Laurent coefficients via series division of theta Taylor
+    # expansions: t_j1 = theta_j / theta_1, with theta1 inverted once
+    inv1 = theta_taylor(1, 7, tau).inverse()
+    t21, t31, t41 = (theta_taylor(j, 7, tau) * inv1 for j in (2, 3, 4))
     two_k_sq = (math.pi * tc.th3_0**2) ** 2
     ratios = {
         "laurent-coeff-cs": (
-            math.pi * tc.th3_0 * tc.th4_0 * (s2 / s1).coeff(1),
+            math.pi * tc.th3_0 * tc.th4_0 * t21.coeff(1),
             -(pi2 / 3.0) * sum_cs,
             (-1.0 / 3.0 + lam / 6.0) * two_k_sq,
         ),
         "laurent-coeff-ds": (
-            math.pi * tc.th2_0 * tc.th4_0 * (s3 / s1).coeff(1),
+            math.pi * tc.th2_0 * tc.th4_0 * t31.coeff(1),
             (pi2 / 6.0) * sum_ds,
             (1.0 / 6.0 - lam / 3.0) * two_k_sq,
         ),
         "laurent-coeff-ns": (
-            math.pi * tc.th2_0 * tc.th3_0 * (s4 / s1).coeff(1),
+            math.pi * tc.th2_0 * tc.th3_0 * t41.coeff(1),
             (pi2 / 6.0) * sum_ns,
             (1.0 / 6.0 + lam / 6.0) * two_k_sq,
         ),
@@ -451,7 +459,7 @@ def verify_series_identities(tau: TauPoint,
             _rel(sc, qc), _rel(sc, lc)))
 
     def phi2_residual():
-        ratio_sq = (s4 / s1) * (s4 / s1)
+        ratio_sq = t41 * t41
         phi2 = ratio_sq.scale(math.pi * tc.th2_0**2)
         lead = 1.0 / (math.pi * tc.th3_0**2)
         const = lead * (r4 - r1 / 3.0)
@@ -492,17 +500,19 @@ def run_sweep(seed: int, count: int,
               tol_profile="default") -> VerificationReport:
     """Seeded sweep of every check over ``count`` admissible draws.
 
-    tau cycles through the fixed list; residuals are deterministic given
-    the seed because every summation order in the library is fixed.
+    tau cycles through the fixed list, one ``TauPoint`` per entry, so its
+    kernel values are computed once; residuals are deterministic given the
+    seed because every summation order in the library is fixed.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     tols = resolve_tolerances(tol_profile)
     rng = np.random.default_rng(seed)
+    taus = [TauPoint(t) for t in SWEEP_TAUS]
     checks: list[CheckResult] = []
     for k in range(count):
         p = sample_admissible(rng)
-        tau = TauPoint(SWEEP_TAUS[k % len(SWEEP_TAUS)])
+        tau = taus[k % len(taus)]
         checks.extend(verify_tpr(p, tau, tols))
         checks.append(verify_orthogonality(p, tols))
         a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma

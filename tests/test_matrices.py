@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistedperiods
 from twistedperiods.matrices import (AdmissibilityError, ConditioningError,
@@ -16,6 +18,7 @@ from twistedperiods.matrices import (AdmissibilityError, ConditioningError,
                                      block_C, block_H_prime, cohomology_C,
                                      guarded_solve, homology_H,
                                      require_admissible, unit_phase)
+from twistedperiods.periods import SHIFT_RULES
 from twistedperiods.series import TauPoint, theta_constants
 from twistedperiods.verify import sample_admissible
 
@@ -80,6 +83,29 @@ class TestAdmissible:
         with pytest.raises(AdmissibilityError) as err:
             require_admissible(HgParams(0.30, 0.21, 1.0))
         assert "c0 integral" in str(err.value)
+
+    # a coordinate anywhere in the sampled range, or within 2e-3 of a
+    # half-integer, where the (1/2)Z and integrality conditions bite
+    _coordinate = st.one_of(
+        st.floats(-2.0, 2.0),
+        st.builds(lambda k, d: k / 2.0 + d, st.integers(-4, 4),
+                  st.floats(-2e-3, 2e-3)))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.builds(HgParams, _coordinate, _coordinate, _coordinate),
+           st.sampled_from([1e-9, 1e-3]))
+    def test_negation_and_shifts_keep_the_violations(self, p, guard):
+        # negation and every SHIFT_RULES shift move c0..c4, 2 alpha,
+        # 2 beta, 2(gamma - alpha) and 2(gamma - beta) by integers, so one
+        # check of the signed parameters covers every period row
+        def names(q):
+            return [v.split()[0] for v in admissible(q, guard)[1]]
+
+        expected = names(p)
+        for q in (p, p.negated()):
+            assert names(q) == expected
+            for shift in SHIFT_RULES.values():
+                assert names(q.shifted(*shift)) == expected
 
 
 class TestHomologyH:

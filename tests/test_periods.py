@@ -13,10 +13,9 @@ from twistedperiods.matrices import HgParams, unit_phase
 from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
                                     euler_pairing, euler_pairing_closed,
                                     period_matrix, wirtinger_quadrature)
-from twistedperiods import periods, quadrature
+from twistedperiods import periods, quadrature, series
 from twistedperiods.quadrature import QuadratureError, tanh_sinh
-from twistedperiods.series import (TauPoint, lambda_tau, theta,
-                                   theta_constants)
+from twistedperiods.series import TauPoint, lambda_tau, theta_constants
 from twistedperiods.verify import SWEEP_TAUS, sample_admissible
 
 P_REF = HgParams(0.30, 0.21, 0.77)
@@ -265,15 +264,23 @@ class TestPrefactorsOncePerMatrix:
 
 
 def _four_theta_wirtinger(p, tau):
-    """The Wirtinger integral with one vector theta call per factor and
-    level, real parts kept: the reference for the two-table integrand."""
+    """The Wirtinger integral with one table per theta factor and level,
+    real prefactors summed, which is what the real part of a vector theta
+    call summed when real u had a path of its own (every node lies in
+    [0, 1/2], where theta sums at u as given): the reference for the
+    two-table integrand."""
     a, b, g = p.alpha, p.beta, p.gamma
 
+    def real_theta(j, x):
+        freq, pref = series._theta_terms(j, tau, 0.0)
+        trig = np.sin if j == 1 else np.cos
+        return series.trig_sums(trig, x, freq, pref.real.copy())[0]
+
     def integrand(u, dl, dr):
-        t1 = np.real(theta(1, dl, tau))
-        t2 = np.real(theta(1, dr, tau))
-        t3 = np.real(theta(3, u, tau))
-        t4 = np.real(theta(4, u, tau))
+        t1 = real_theta(1, dl)
+        t2 = real_theta(1, dr)
+        t3 = real_theta(3, u)
+        t4 = real_theta(4, u)
         return (t1 ** (2 * a - 1) * t2 ** (2 * g - 2 * a - 1)
                 * t3 ** (-2 * b + 1) * t4 ** (2 * b - 2 * g + 1))
 

@@ -129,6 +129,16 @@ class TestBlockTpr:
         for r in results:
             assert not r.passed and "c0 integral" in r.error
 
+    @pytest.mark.parametrize("tau_val", [0.1 + 10j, 0.1 + 50j])
+    def test_blocks_pass_where_full_tpr_stops(self, tau_val):
+        # full-tpr fails most of these draws above Im tau = 3; the block
+        # relations stay a certificate up to the Im ceiling
+        rng = np.random.default_rng(0)
+        tau = TauPoint(tau_val)
+        for _ in range(40):
+            minus, plus = verify_tpr(sample_admissible(rng), tau)[1:]
+            assert minus.passed and plus.passed
+
     def test_orthogonality(self):
         result = verify_orthogonality(P_REF)
         assert result.passed and result.residual <= 1e-12
@@ -230,6 +240,19 @@ class TestSweep:
         report = run_sweep(seed=42, count=4)
         assert report.summary["fail"] == 0
         assert report.summary["errored"] == 0
+
+    def test_one_tau_point_per_sweep_tau(self, monkeypatch):
+        built = []
+        original = TauPoint.__post_init__
+
+        def counting(point):
+            built.append(point.tau)
+            original(point)
+
+        monkeypatch.setattr(TauPoint, "__post_init__", counting)
+        report = run_sweep(seed=5, count=10)
+        assert len(report.checks) == 10 * 23
+        assert len(built) <= len(SWEEP_TAUS)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -378,6 +401,25 @@ class TestCli:
         # --flag=value, so that argparse reads -1e308 as a value
         argv.append(f"{flag}={value}")
         assert main(argv) in (0, 1, 2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_residual_is_an_errored_check(self, monkeypatch,
+                                                     capsys, value):
+        monkeypatch.setattr(verify, "guarded_solve",
+                            lambda a, b: np.full(b.shape, value))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        # the inf case meets inf * 0 in the residual's matmul
+        with np.errstate(invalid="ignore"):
+            assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
+                         "--gamma", "0.77", "--json", "stdout",
+                         "--quiet"]) == 2
+        [check] = json.loads(capsys.readouterr().out,
+                             parse_constant=reject)["checks"]
+        assert check["residual"] is None and not check["pass"]
+        assert check["error"].startswith("non-finite residual")
 
     def test_gamma_overflow_is_an_errored_check(self, capsys):
         assert main(["tpr", "full", "--alpha", "200.3", "--beta", "0.25",
