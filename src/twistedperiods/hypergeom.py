@@ -8,6 +8,7 @@ series argument z.  The 2F1 is served by its defining power series within
 from __future__ import annotations
 
 import math
+import sys
 
 # Shared "near-integer" guard: a real x counts as integral when it is within
 # this distance of an integer.
@@ -33,71 +34,28 @@ F21_MAX_TERMS = 2000
 F21_REL_TOL = 1e-16
 RADIUS_GUARD = 0.95
 
-# Lanczos coefficients (g = 607/128, 15 terms); good to ~1e-15 relative
-# on the positive axis.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi x) with argument reduction done in exact arithmetic."""
-    n = round(x)
-    r = x - n
-    s = math.sin(math.pi * r)
-    return -s if n % 2 else s
-
 
 def gamma_real(x: float) -> float:
-    """Gamma function for real x via the Lanczos approximation.
+    """Gamma function for real x (``math.gamma``) with typed errors.
 
-    Uses the reflection formula for x < 0.5 and raises at non-positive
-    integers (within the integrality guard).  Finite up to x about 171.6,
-    where Gamma itself overflows double precision; above that it raises,
-    as it does through the reflection formula below about -170.6.
+    Raises at non-positive integers (within the integrality guard), where
+    Gamma overflows double precision (x above about 171.6), and where
+    |Gamma| falls below the smallest normal double, so that its reciprocal
+    overflows (x below about -170.6, except close to a pole).
     """
     x = float(x)
     if not math.isfinite(x):
         raise HypergeomError(f"non-finite argument {x}")
     if is_near_nonpositive_integer(x):
         raise HypergeomError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (_sinpi(x) * gamma_real(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
     try:
-        value = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+        value = math.gamma(x)
     except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        # Above x of about 142.6 the power overflows before exp(-t) scales
-        # it down; split it in two halves around exp(-t).
-        try:
-            half = t ** ((z + 0.5) / 2.0)
-            value = math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
-        except OverflowError:
-            value = math.inf
-    if not math.isfinite(value):
-        raise HypergeomError(f"Gamma({x}) overflows double precision")
+        raise HypergeomError(
+            f"Gamma({x}) overflows double precision") from None
+    if abs(value) < sys.float_info.min:
+        # math.gamma returns a subnormal or zero here instead of raising
+        raise HypergeomError(f"1/Gamma({x}) overflows double precision")
     return value
 
 

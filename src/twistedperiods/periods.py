@@ -71,9 +71,19 @@ def _period_row(i: int, p: HgParams, lam: complex, p1: complex,
 
 def period_matrix(sign: str, p: HgParams, tau: TauPoint) -> np.ndarray:
     """4x4 period matrix for sign "+" or "-"; the minus sign negates all
-    three parameters."""
+    three parameters.
+
+    Raises PeriodError inside the discs |tau - 2k -+ 1/2| < 1/2 (lambda
+    has period 2), past lambda's cut: there sigma_1 is wrong (39% off at
+    -0.4+0.2i) yet full-tpr passes.
+    """
     if sign not in ("+", "-"):
         raise PeriodError(f"invalid sign {sign!r}")
+    t = tau.tau - 2.0 * round(tau.tau.real / 2.0)
+    if abs(t - 0.5) < 0.5 or abs(t + 0.5) < 0.5:
+        raise PeriodError(
+            f"tau = {tau.tau} lies inside a disc |tau - 2k -+ 1/2| < 1/2, "
+            "where the closed-form periods are on the wrong branch")
     q = p if sign == "+" else p.negated()
     require_admissible(q)
     a, b, g = q.alpha, q.beta, q.gamma

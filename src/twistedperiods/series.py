@@ -16,7 +16,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +41,11 @@ _LOG_MAX = math.log(sys.float_info.max)
 IM_TAU_FLOOR = 0.1
 IM_TAU_CEILING = 50.0
 
+# Entries of each per-process kernel cache (theta constants by tau, G2 by
+# nome), least recently used evicted first: room for the 4 and 12 entries
+# of a sweep's 4 taus, while a run with a fresh tau per unit keeps few.
+KERNEL_CACHE_SIZE = 32
+
 
 class SeriesError(Exception):
     """Raised when a series evaluation cannot be performed as requested."""
@@ -51,10 +56,11 @@ class TauPoint:
     """A point in the upper half-plane with its cached nomes and kernel values.
 
     ``q = exp(2*pi*i*tau)`` and ``q_half = exp(pi*i*tau)``.  The theta
-    constants, ``lambda(tau)`` and G2 at tau, 2 tau and tau/2 are computed
-    on first use and then kept on the point, so checks repeated at one tau
-    should share one point.  They are not dataclass fields: equality,
-    hashing and repr depend on tau alone.
+    constants and G2 at tau, 2 tau and tau/2 are computed on first use and
+    shared by all points at one tau in a process (two caches of
+    KERNEL_CACHE_SIZE entries); ``lambda(tau)`` is kept on the point.  They
+    are not dataclass fields: equality, hashing and repr depend on tau
+    alone.
     """
 
     tau: complex
@@ -79,27 +85,11 @@ class TauPoint:
         object.__setattr__(self, "q", cmath.exp(TWO_PI_I * tau))
         object.__setattr__(self, "q_half", cmath.exp(TWO_PI_I * tau / 2.0))
 
-    @cached_property
+    @property
     def constants(self) -> ThetaConstants:
-        """All theta constants at u = 0 needed by the intersection matrices.
-
-        Derivatives come from termwise differentiation of the defining
-        series, never from finite differences.
-        """
-        s1 = theta_taylor(1, 3, self)
-        s2 = theta_taylor(2, 2, self)
-        s3 = theta_taylor(3, 2, self)
-        s4 = theta_taylor(4, 2, self)
-        return ThetaConstants(
-            th2_0=s2.coeff(0),
-            th3_0=s3.coeff(0),
-            th4_0=s4.coeff(0),
-            th1p_0=s1.coeff(1),
-            th1ppp_0=6.0 * s1.coeff(3),
-            th2pp_0=2.0 * s2.coeff(2),
-            th3pp_0=2.0 * s3.coeff(2),
-            th4pp_0=2.0 * s4.coeff(2),
-        )
+        """All theta constants at u = 0 needed by the intersection matrices,
+        built once per tau and process (``_theta_constants_at``)."""
+        return _theta_constants_at(self)
 
     @cached_property
     def lam(self) -> complex:
@@ -107,24 +97,48 @@ class TauPoint:
         tc = self.constants
         return (tc.th2_0 / tc.th3_0) ** 4
 
-    @cached_property
+    @property
     def g2(self) -> complex:
         """Weight-two Eisenstein series
         ``pi^2/3 - 8 pi^2 sum n q^n/(1-q^n)``."""
         return _g2(self.q)
 
-    @cached_property
+    @property
     def g2_double(self) -> complex:
         """G2(2 tau), from its nome alone: 2 tau may lie above the Im
         ceiling, where G2 needs no theta constant."""
         return _g2(cmath.exp(TWO_PI_I * (self.tau * 2.0)))
 
-    @cached_property
+    @property
     def g2_half(self) -> complex:
         """G2(tau/2), from ``q_half``: tau/2 may lie below the Im floor."""
         return _g2(self.q_half)
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _theta_constants_at(tau: TauPoint) -> ThetaConstants:
+    """The theta constants, by termwise differentiation of the series.
+
+    Points at Re tau = +0.0 and -0.0 are equal and share one entry; their
+    sums agree to the bit.
+    """
+    s1 = theta_taylor(1, 3, tau)
+    s2 = theta_taylor(2, 2, tau)
+    s3 = theta_taylor(3, 2, tau)
+    s4 = theta_taylor(4, 2, tau)
+    return ThetaConstants(
+        th2_0=s2.coeff(0),
+        th3_0=s3.coeff(0),
+        th4_0=s4.coeff(0),
+        th1p_0=s1.coeff(1),
+        th1ppp_0=6.0 * s1.coeff(3),
+        th2pp_0=2.0 * s2.coeff(2),
+        th3pp_0=2.0 * s3.coeff(2),
+        th4pp_0=2.0 * s4.coeff(2),
+    )
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _g2(q: complex) -> complex:
     n, qn = q_terms(q)
     lambert = complex((n * qn / (1.0 - qn)).sum())

@@ -149,7 +149,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """One-line JSON, sorted keys; ``indent`` would bypass C encoding."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":

@@ -1,0 +1,65 @@
+"""The benchmark's own correctness verdict on a few units of each workload.
+
+perfbench reports ``correct: false`` when any value lies further than
+WRONG_TOL from its mpmath oracle or a report fails its JSON round trip.
+These tests run the unmodified workload and oracle modules in-process, so
+a change that would make the benchmark's outputs incorrect fails here
+first.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import twistedperiods as tp
+
+pytest.importorskip("mpmath")
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    """perfbench/<name>.py as module ``perfbench_<name>``, leaving sys.path
+    alone; dataclasses need the module in sys.modules while it runs."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load("oracle")
+workloads = _load("workloads")
+
+UNITS = 3
+
+
+@pytest.fixture(autouse=True)
+def _oracle_importable(monkeypatch):
+    # workloads.score runs ``import oracle``; serve it the module loaded
+    # above for the length of one test
+    monkeypatch.setitem(sys.modules, "oracle", oracle)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_timed_units_are_correct(name):
+    wl = workloads.WORKLOADS[name](7)
+    records = [wl.record(wl.run(wl.inputs(workloads.TIMED, index)))
+               for index in range(UNITS)]
+    score = workloads.score(records, UNITS)
+    assert score.attempted > 0
+    assert score.wrong == 0 and score.roundtrip_failures == 0
+
+
+def test_quadrature_near_minus_one_endpoint_exponent():
+    # seed 13, unit 31414: the Wirtinger integrand's endpoint exponent
+    # 2g - 2a - 1 is -0.99898, so the piece below the last tanh-sinh node
+    # is 2.8e-6 of the integral (the unit's Euler pairing, with exponent
+    # -0.99949, raises QuadratureError: a counted failure, not a wrong value)
+    p, tau_im, _ = workloads.Quadrature(13).inputs(workloads.TIMED, 31414)
+    value = tp.wirtinger_quadrature(p, tp.TauPoint(complex(0.0, tau_im)))
+    ref = oracle.wirtinger_integral(p.alpha, p.beta, p.gamma, tau_im)
+    assert abs(value - ref) <= workloads.QUAD_TOL * abs(ref)

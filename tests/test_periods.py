@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from twistedperiods.hypergeom import gamma_real, gauss_2f1
+from twistedperiods.hypergeom import HypergeomError, gamma_real, gauss_2f1
 from twistedperiods.matrices import HgParams, unit_phase
 from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
                                     euler_pairing, euler_pairing_closed,
@@ -49,6 +49,25 @@ class TestTanhSinh:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             tanh_sinh(lambda x, dl, dr: x, 1.0, 0.0)
+
+    @pytest.mark.parametrize("eps, e", [(1e-6, -0.99), (1e-9, -0.999)])
+    def test_endpoint_tail_of_a_power_near_minus_one(self, eps, e):
+        # int_0^1 (1 + eps t^e) dt = 1 + eps / (e + 1); below the last
+        # node, at about 7e-276, lies the fraction 7e-276^(e + 1) (0.002
+        # and 0.53) of the power's part, which the tails restore
+        def f(x, dl, dr):
+            return 1.0 + eps * dl**e
+        exact = 1.0 + eps / (e + 1.0)
+        assert tanh_sinh(f, 0.0, 1.0).real == pytest.approx(exact, rel=1e-12)
+        mirrored = tanh_sinh(lambda x, dl, dr: f(x, dr, dl), 0.0, 1.0)
+        assert mirrored.real == pytest.approx(exact, rel=1e-12)
+
+    def test_no_tail_where_the_end_value_is_zero(self):
+        # f vanishes at the outermost nodes, so no exponent can be read
+        # there; the sum alone is the integral of 1 over (1e-100, 1)
+        def f(x, dl, dr):
+            return np.where(dl < 1e-100, 0.0, 1.0)
+        assert tanh_sinh(f, 0.0, 1.0).real == pytest.approx(1.0, rel=1e-12)
 
     def test_cached_nodes_read_only(self):
         for level in range(quadrature._LEVELS + 1):
@@ -152,6 +171,24 @@ class TestPeriodMatrices:
         for sign in ("x", "plus", "+1", 1, "minus", -1):
             with pytest.raises(PeriodError):
                 period_matrix(sign, P_REF, TAU_I)
+
+    @pytest.mark.parametrize("tau_val", [-0.4 + 0.2j, 0.4 + 0.2j,
+                                         0.5 + 0.49j, -0.7 + 0.2j,
+                                         1.6 + 0.2j, -2.4 + 0.2j])
+    def test_rejects_tau_inside_the_discs(self, tau_val):
+        # lambda crosses its cut on the circles |tau - 2k -+ 1/2| = 1/2,
+        # and inside them the closed forms are on the wrong branch: at
+        # 1.6 + 0.2i, where lambda is that of -0.4 + 0.2i, |sigma_1| is
+        # 0.677 of the integral's, as there
+        with pytest.raises(PeriodError, match="inside a disc"):
+            period_matrix("+", P_REF, TauPoint(tau_val))
+
+    @pytest.mark.parametrize("tau_val", [0.5 + 0.5j, -0.5 + 0.5j])
+    def test_admits_the_circles(self, tau_val):
+        # on the circles lambda = 2 lies on its cut, so the build passes
+        # the disc test and stops at the 2F1 radius guard
+        with pytest.raises(HypergeomError, match="radius guard"):
+            period_matrix("+", P_REF, TauPoint(tau_val))
 
     def test_block_entries(self):
         bp = block_periods(period_matrix("+", P_REF, TAU_I))

@@ -61,24 +61,72 @@ class TestTauPoint:
             TauPoint(complex("inf"))
 
 
+def _count_constants_builds(monkeypatch) -> Counter:
+    """Empty the theta-constant cache and count, by theta index, the
+    Taylor series built for theta constants from now on."""
+    built = Counter()
+    original = series.theta_taylor
+
+    def counting(j, order, tau):
+        if order <= 3:
+            built[j] += 1
+        return original(j, order, tau)
+
+    monkeypatch.setattr(series, "theta_taylor", counting)
+    series._theta_constants_at.cache_clear()
+    return built
+
+
+def _kernel_bytes(tau_val) -> bytes:
+    """Every kernel value of a TauPoint at ``tau_val``, computed afresh."""
+    series._theta_constants_at.cache_clear()
+    series._g2.cache_clear()
+    tau = TauPoint(tau_val)
+    tc = tau.constants
+    return np.array([tc.th2_0, tc.th3_0, tc.th4_0, tc.th1p_0, tc.th1ppp_0,
+                     tc.th2pp_0, tc.th3pp_0, tc.th4pp_0, tau.lam, tau.g2,
+                     tau.g2_double, tau.g2_half]).tobytes()
+
+
 class TestKernelContext:
-    """A TauPoint computes its theta constants, lambda and G2 values once."""
+    """Each tau's theta constants and G2 values are computed once per
+    process; lambda once per TauPoint."""
 
     def test_taylor_series_built_once_per_theta_index(self, monkeypatch):
-        built = Counter()
-        original = series.theta_taylor
-
-        def counting(j, order, tau):
-            if order <= 3:
-                built[j] += 1
-            return original(j, order, tau)
-
-        monkeypatch.setattr(series, "theta_taylor", counting)
+        built = _count_constants_builds(monkeypatch)
         tau = TauPoint(0.3 + 1.2j)
         p = HgParams(0.30, 0.21, 0.77)
         results = [*verify_tpr(p, tau), *verify_entry22(0.2, 0.3, 0.6, tau)]
         assert all(r.passed for r in results)
         assert built == {1: 1, 2: 1, 3: 1, 4: 1}
+
+    def test_points_at_one_tau_share_one_build(self, monkeypatch):
+        built = _count_constants_builds(monkeypatch)
+        series._g2.cache_clear()
+        first, second = TauPoint(0.3 + 1.2j), TauPoint(0.3 + 1.2j)
+        first.g2, first.g2_double, first.g2_half  # fill
+        assert second.constants is first.constants
+        assert (second.g2, second.g2_double, second.g2_half) == (
+            first.g2, first.g2_double, first.g2_half)
+        assert built == {1: 1, 2: 1, 3: 1, 4: 1}
+        assert series._g2.cache_info().misses == 3
+
+    def test_signed_zero_real_part_shares_bitwise_equal_values(self):
+        # TauPoint(+0.0 + it) == TauPoint(-0.0 + it), so both read one
+        # cache entry; that is sound because their sums agree to the bit
+        for t in np.linspace(0.1, 50.0, 1000):
+            assert _kernel_bytes(complex(0.0, t)) == _kernel_bytes(
+                complex(-0.0, t))
+
+    def test_caches_stay_at_their_bound(self):
+        for cache in (series._theta_constants_at, series._g2):
+            cache.cache_clear()
+        for k in range(series.KERNEL_CACHE_SIZE + 1):
+            tau = TauPoint(complex(0.1 * k, 1.0 + k / 64.0))
+            tau.constants, tau.g2  # fill
+        for cache in (series._theta_constants_at, series._g2):
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize == series.KERNEL_CACHE_SIZE
 
     def test_public_functions_read_the_point(self):
         tau = TauPoint(1.3j)

@@ -90,6 +90,12 @@ class TestFullTpr:
         result = verify_tpr(P_REF, TauPoint(0.3 + 1.2j))[0]
         assert result.passed and result.residual <= 1e-8
 
+    def test_tau_inside_a_disc_errors_all_three(self):
+        # there the closed-form sigma_1 is off by 39% while the full
+        # relation would still read 3.3e-15
+        for r in verify_tpr(P_REF, TauPoint(-0.4 + 0.2j)):
+            assert not r.passed and "inside a disc" in r.error
+
     def test_inadmissible_recorded_not_raised(self):
         result = verify_tpr(HgParams(0.30, 0.21, 1.0), TAU_I)[0]
         assert result.error is not None and not result.passed
@@ -282,6 +288,15 @@ class TestSweep:
         text = report.to_json()
         assert VerificationReport.from_json(text).to_json() == text
 
+    def test_indented_and_compact_reports_load_equal(self):
+        # reports are one line; indented ones written before still load
+        report = run_sweep(seed=42, count=2)
+        compact = report.to_json()
+        indented = json.dumps(json.loads(compact), sort_keys=True, indent=2)
+        assert "\n" not in compact and "\n" in indented
+        assert (VerificationReport.from_json(indented)
+                == VerificationReport.from_json(compact) == report)
+
     def test_json_schema(self):
         report = run_sweep(seed=42, count=1)
         d = json.loads(report.to_json())
@@ -331,6 +346,12 @@ class TestCli:
     def test_tpr_inadmissible_exit_code(self):
         assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
                      "--gamma", "1.0", "--tau-im", "1"]) == 2
+
+    def test_tpr_tau_inside_a_disc_exit_code(self, capsys):
+        assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
+                     "--gamma", "0.77", "--tau-re", "-0.4",
+                     "--tau-im", "0.2"]) == 2
+        assert "inside a disc" in capsys.readouterr().out
 
     def test_tpr_blocks(self):
         assert main(["tpr", "blocks", "--alpha", "0.3", "--beta", "0.21",
