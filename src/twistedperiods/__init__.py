@@ -21,9 +21,8 @@ from .periods import (PeriodError, block_periods, euler_pairing,
                       euler_pairing_closed, period_matrix,
                       wirtinger_quadrature)
 from .quadrature import QuadratureError, tanh_sinh
-from .series import (PowerSeries, SeriesError, TauPoint, ThetaConstants,
-                     eisenstein_g2, lambda_tau, theta, theta_constants,
-                     theta_taylor)
+from .series import (SeriesError, TauPoint, ThetaConstants, eisenstein_g2,
+                     lambda_tau, theta, theta_constants, theta_taylor)
 from .verify import (CHECK_REGISTRY, CheckResult, PROFILES, Tolerances,
                      VerificationReport, resolve_tolerances, run_sweep,
                      sample_admissible, verify_entry22, verify_orthogonality,
@@ -32,7 +31,7 @@ from .verify import (CHECK_REGISTRY, CheckResult, PROFILES, Tolerances,
 __all__ = [
     "__version__",
     "AdmissibilityError", "CheckResult", "CHECK_REGISTRY", "ConditioningError",
-    "HgParams", "HypergeomError", "PeriodError", "PowerSeries", "PROFILES",
+    "HgParams", "HypergeomError", "PeriodError", "PROFILES",
     "QuadratureError", "SeriesError", "SignPair", "TauPoint", "ThetaConstants",
     "Tolerances", "VerificationReport",
     "admissible", "basis_change", "block_C", "block_H_prime", "block_periods",

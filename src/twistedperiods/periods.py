@@ -73,16 +73,21 @@ def period_matrix(sign: str, p: HgParams, tau: TauPoint) -> np.ndarray:
     """4x4 period matrix for sign "+" or "-"; the minus sign negates all
     three parameters.
 
-    Raises PeriodError inside the discs |tau - 2k -+ 1/2| < 1/2 (lambda
-    has period 2), past lambda's cut: there sigma_1 is wrong (39% off at
-    -0.4+0.2i) yet full-tpr passes.
+    Raises PeriodError inside the discs |tau -+ 1/2| < 1/2, past lambda's
+    cut: there sigma_1 is wrong (39% off at -0.4+0.2i) yet full-tpr passes.
+    Also raises for |Re tau| > 1, where sigma_1 is the integral times a
+    phase exp(+-i pi gamma) (at 1.3+1.2i and -1.3+1.2i, for instance).
     """
     if sign not in ("+", "-"):
         raise PeriodError(f"invalid sign {sign!r}")
-    t = tau.tau - 2.0 * round(tau.tau.real / 2.0)
+    t = tau.tau
+    if abs(t.real) > 1.0:
+        raise PeriodError(
+            f"tau = {t} has |Re tau| > 1, where the closed-form periods "
+            "differ from the integral by a phase")
     if abs(t - 0.5) < 0.5 or abs(t + 0.5) < 0.5:
         raise PeriodError(
-            f"tau = {tau.tau} lies inside a disc |tau - 2k -+ 1/2| < 1/2, "
+            f"tau = {t} lies inside a disc |tau -+ 1/2| < 1/2, "
             "where the closed-form periods are on the wrong branch")
     q = p if sign == "+" else p.negated()
     require_admissible(q)

@@ -1,9 +1,8 @@
 """Jacobi theta functions and the series kernels built on top of them.
 
 Everything in this module is a q-series: the four theta functions, their
-derivatives at the origin, the modular lambda function, the weight-two
-Eisenstein series, and truncated power/Laurent series used for coefficient
-checks.
+Taylor coefficients at the origin, the modular lambda function and the
+weight-two Eisenstein series.
 
 Conventions: ``e(x) = exp(2*pi*i*x)``, the nome is ``q = e(tau)``, and the
 theta series use the half nome ``exp(pi*i*tau)`` so that, e.g.,
@@ -127,14 +126,14 @@ def _theta_constants_at(tau: TauPoint) -> ThetaConstants:
     s3 = theta_taylor(3, 2, tau)
     s4 = theta_taylor(4, 2, tau)
     return ThetaConstants(
-        th2_0=s2.coeff(0),
-        th3_0=s3.coeff(0),
-        th4_0=s4.coeff(0),
-        th1p_0=s1.coeff(1),
-        th1ppp_0=6.0 * s1.coeff(3),
-        th2pp_0=2.0 * s2.coeff(2),
-        th3pp_0=2.0 * s3.coeff(2),
-        th4pp_0=2.0 * s4.coeff(2),
+        th2_0=complex(s2[0]),
+        th3_0=complex(s3[0]),
+        th4_0=complex(s4[0]),
+        th1p_0=complex(s1[1]),
+        th1ppp_0=6.0 * complex(s1[3]),
+        th2pp_0=2.0 * complex(s2[2]),
+        th3pp_0=2.0 * complex(s3[2]),
+        th4pp_0=2.0 * complex(s4[2]),
     )
 
 
@@ -290,72 +289,15 @@ class ThetaConstants:
                 self.th3pp_0 / self.th3_0, self.th4pp_0 / self.th4_0)
 
 
-@dataclass
-class PowerSeries:
-    """Truncated Laurent series ``sum_k coeffs[k] * u**(k - pole_order)``.
-
-    Arithmetic is exact on the retained coefficients; the retained length of
-    a product is the shorter of the operands'.
-    """
-
-    coeffs: np.ndarray
-    pole_order: int = 0
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.pole_order < 0:
-            raise ValueError("pole_order must be >= 0")
-
-    def coeff(self, power: int) -> complex:
-        """Coefficient of u**power (0 outside the retained window)."""
-        k = power + self.pole_order
-        if k < 0 or k >= len(self.coeffs):
-            return 0.0 + 0.0j
-        return complex(self.coeffs[k])
-
-    def scale(self, factor: complex) -> "PowerSeries":
-        return PowerSeries(self.coeffs * factor, self.pole_order)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return PowerSeries(np.convolve(self.coeffs, other.coeffs)[:n],
-                           self.pole_order + other.pole_order)
-
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; leading exact zeros become pole orders."""
-        c = self.coeffs
-        lead = 0
-        while lead < len(c) and c[lead] == 0:
-            lead += 1
-        if lead == len(c):
-            raise ZeroDivisionError("inverting the zero series")
-        tail = c[lead:]
-        n = len(tail)
-        inv = np.zeros(n, dtype=complex)
-        inv[0] = 1.0 / tail[0]
-        for i in range(1, n):
-            acc = 0.0 + 0.0j
-            for k in range(1, i + 1):
-                acc += tail[k] * inv[i - k]
-            inv[i] = -acc / tail[0]
-        # self = u**(lead - pole_order) * tail-series, so the inverse carries
-        # pole order (lead - pole_order); a negative value is a zero at 0 and
-        # shifts the coefficients instead.
-        new_pole = lead - self.pole_order
-        if new_pole < 0:
-            inv = np.concatenate([np.zeros(-new_pole, dtype=complex), inv])[:n]
-            new_pole = 0
-        return PowerSeries(inv, new_pole)
-
-
 # Taylor orders k = 0..12 and the sign and scale (-1)^(k//2) / k! of each
 _ORDERS = np.arange(13)
 _TAYLOR_SCALE = np.array(
     [(-1.0) ** (k // 2) / math.factorial(k) for k in range(13)])
 
 
-def theta_taylor(j: int, order: int, tau: TauPoint) -> PowerSeries:
-    """Taylor series of ``theta_j`` around u = 0 by termwise differentiation.
+def theta_taylor(j: int, order: int, tau: TauPoint) -> np.ndarray:
+    """Taylor coefficients ``c[k]`` of u^k, k = 0..order, of ``theta_j``
+    around u = 0, by termwise differentiation.
 
     The terms are theta's (``_theta_terms``, counted for the derivatives up
     to ``order``), and coefficient k is ``(-1)^(k//2) sum pref freq^k / k!``
@@ -377,7 +319,7 @@ def theta_taylor(j: int, order: int, tau: TauPoint) -> PowerSeries:
     # residual across its tolerance.
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[k] = np.add.accumulate(work * pref[:, None])[-1]
-    return PowerSeries(coeffs, 0)
+    return coeffs
 
 
 def theta_constants(tau: TauPoint) -> ThetaConstants:

@@ -25,7 +25,7 @@ from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        require_admissible, theta_bracket)
 from .periods import SHIFT_RULES, PeriodError, block_periods, period_matrix
 from .quadrature import QuadratureError
-from .series import SeriesError, TauPoint, q_terms, theta_taylor
+from .series import SeriesError, TauPoint, ThetaConstants, q_terms
 
 SWEEP_TAUS = (1j, 1.3j, 2j, 0.3 + 1.2j)
 
@@ -80,7 +80,9 @@ CHECK_REGISTRY: dict[str, str] = {
     "laurent-coeff-ns": "u^1 Laurent coefficient of 2K ns(2Ku) matches its "
                         "q-sum and lambda forms",
     "phi2-laurent": "second cocycle over du has u^-2 coefficient "
-                    "1/(pi theta3^2) and the stated u^0 coefficient",
+                    "1/(pi theta3^2) (Jacobi's theta1' = pi theta2 theta3 "
+                    "theta4) and u^0 coefficient that times "
+                    "theta4''/theta4 - theta1'''/(3 theta1')",
     "entry22-g2-form": "theta-derivative form of the (2,2) entry equals "
                        "its G2-combination rewrite",
 }
@@ -366,6 +368,20 @@ def verify_whipple(a: float, b: float, c: float, n_max: int = 12,
     return _run_check("whipple-cancellation", params, tols.whipple, residual)
 
 
+def _laurent_coefficients(tc: ThetaConstants) -> tuple[complex, ...]:
+    """The u^1 Laurent coefficients of theta_j / theta_1 for j = 2, 3, 4,
+    then the u^-2 and u^0 ones of phi2 = pi theta2(0)^2 (theta4/theta1)^2.
+
+    They follow from theta_j = theta_j(0) (1 + (r_j/2) u^2 + ...) and
+    theta_1 = theta1'(0) u (1 + (r1/6) u^2 + ...), r = ``tc.log_ratios``.
+    """
+    r1, r2, r3, r4 = tc.log_ratios
+    t21, t31, t41 = (th / tc.th1p_0 * (r / 2.0 - r1 / 6.0) for th, r in (
+        (tc.th2_0, r2), (tc.th3_0, r3), (tc.th4_0, r4)))
+    m2 = math.pi * tc.th2_0**2 * tc.th4_0**2 / tc.th1p_0**2
+    return t21, t31, t41, m2, m2 * (r4 - r1 / 3.0)
+
+
 def _rel(x: complex, y: complex) -> float:
     return abs(x - y) / (1.0 + abs(x))
 
@@ -433,24 +449,21 @@ def verify_series_identities(tau: TauPoint,
     add("g2-combination-ns", lambda: _rel(
         2.0 * g2t - g2_ht, (pi2 / 3.0) * (1.0 + lam) * t34))
 
-    # u^1 Laurent coefficients via series division of theta Taylor
-    # expansions: t_j1 = theta_j / theta_1, with theta1 inverted once
-    inv1 = theta_taylor(1, 7, tau).inverse()
-    t21, t31, t41 = (theta_taylor(j, 7, tau) * inv1 for j in (2, 3, 4))
+    t21, t31, t41, phi2_m2, phi2_0 = _laurent_coefficients(tc)
     two_k_sq = (math.pi * tc.th3_0**2) ** 2
     ratios = {
         "laurent-coeff-cs": (
-            math.pi * tc.th3_0 * tc.th4_0 * t21.coeff(1),
+            math.pi * tc.th3_0 * tc.th4_0 * t21,
             -(pi2 / 3.0) * sum_cs,
             (-1.0 / 3.0 + lam / 6.0) * two_k_sq,
         ),
         "laurent-coeff-ds": (
-            math.pi * tc.th2_0 * tc.th4_0 * t31.coeff(1),
+            math.pi * tc.th2_0 * tc.th4_0 * t31,
             (pi2 / 6.0) * sum_ds,
             (1.0 / 6.0 - lam / 3.0) * two_k_sq,
         ),
         "laurent-coeff-ns": (
-            math.pi * tc.th2_0 * tc.th3_0 * t41.coeff(1),
+            math.pi * tc.th2_0 * tc.th3_0 * t41,
             (pi2 / 6.0) * sum_ns,
             (1.0 / 6.0 + lam / 6.0) * two_k_sq,
         ),
@@ -459,14 +472,9 @@ def verify_series_identities(tau: TauPoint,
         add(name, lambda sc=series_c, qc=qsum_c, lc=lam_c: max(
             _rel(sc, qc), _rel(sc, lc)))
 
-    def phi2_residual():
-        ratio_sq = t41 * t41
-        phi2 = ratio_sq.scale(math.pi * tc.th2_0**2)
-        lead = 1.0 / (math.pi * tc.th3_0**2)
-        const = lead * (r4 - r1 / 3.0)
-        return max(_rel(phi2.coeff(-2), lead), _rel(phi2.coeff(0), const))
-
-    add("phi2-laurent", phi2_residual)
+    lead = 1.0 / (math.pi * tc.th3_0**2)
+    add("phi2-laurent", lambda: max(
+        _rel(phi2_m2, lead), _rel(phi2_0, lead * (r4 - r1 / 3.0))))
 
     def entry22_g2_residual():
         a, b, c = 0.2, 0.3, 0.6

@@ -173,15 +173,26 @@ class TestPeriodMatrices:
                 period_matrix(sign, P_REF, TAU_I)
 
     @pytest.mark.parametrize("tau_val", [-0.4 + 0.2j, 0.4 + 0.2j,
-                                         0.5 + 0.49j, -0.7 + 0.2j,
-                                         1.6 + 0.2j, -2.4 + 0.2j])
+                                         0.5 + 0.49j, -0.7 + 0.2j])
     def test_rejects_tau_inside_the_discs(self, tau_val):
-        # lambda crosses its cut on the circles |tau - 2k -+ 1/2| = 1/2,
-        # and inside them the closed forms are on the wrong branch: at
-        # 1.6 + 0.2i, where lambda is that of -0.4 + 0.2i, |sigma_1| is
-        # 0.677 of the integral's, as there
+        # lambda crosses its cut on the circles |tau -+ 1/2| = 1/2, and
+        # inside them the closed forms are on the wrong branch
         with pytest.raises(PeriodError, match="inside a disc"):
             period_matrix("+", P_REF, TauPoint(tau_val))
+
+    @pytest.mark.parametrize("tau_val", [1.6 + 0.2j, -2.4 + 0.2j,
+                                         1.05 + 1.2j, -1.3 + 1.2j])
+    def test_rejects_real_part_beyond_one(self, tau_val):
+        # beyond |Re tau| = 1 sigma_1 is the integral times a phase
+        # exp(+-i pi gamma), or off in modulus too inside a shifted disc:
+        # at 1.6 + 0.2i, where lambda is that of -0.4 + 0.2i, |sigma_1| is
+        # 0.677 of the integral's
+        with pytest.raises(PeriodError, match=r"\|Re tau\| > 1"):
+            period_matrix("+", P_REF, TauPoint(tau_val))
+
+    def test_admits_real_part_one(self):
+        pm = period_matrix("+", P_REF, TauPoint(1.0 + 1.2j))
+        assert np.isfinite(pm).all()
 
     @pytest.mark.parametrize("tau_val", [0.5 + 0.5j, -0.5 + 0.5j])
     def test_admits_the_circles(self, tau_val):

@@ -1,6 +1,6 @@
 """Theta kernels: q-series values, identities, elliptic functions as theta
-ratios, series algebra.  Reference values were frozen from a 30-digit
-independent implementation."""
+ratios, Taylor and Laurent coefficients.  Reference values were frozen from
+a 30-digit independent implementation."""
 
 import math
 import warnings
@@ -11,11 +11,11 @@ import pytest
 
 from twistedperiods import series
 from twistedperiods.matrices import HgParams
-from twistedperiods.series import (PowerSeries, SeriesError, TauPoint,
-                                   eisenstein_g2, lambda_tau, theta,
-                                   theta_constants, theta_taylor)
-from twistedperiods.verify import (verify_entry22, verify_series_identities,
-                                   verify_tpr)
+from twistedperiods.series import (SeriesError, TauPoint, eisenstein_g2,
+                                   lambda_tau, theta, theta_constants,
+                                   theta_taylor)
+from twistedperiods.verify import (_laurent_coefficients, verify_entry22,
+                                   verify_series_identities, verify_tpr)
 
 TAU_I = TauPoint(1j)
 
@@ -63,16 +63,16 @@ class TestTauPoint:
 
 def _count_constants_builds(monkeypatch) -> Counter:
     """Empty the theta-constant cache and count, by theta index, the
-    Taylor series built for theta constants from now on."""
+    Taylor series built from now on, whichever module calls
+    ``theta_taylor``: each build takes one term table at real u."""
     built = Counter()
-    original = series.theta_taylor
+    original = series._theta_terms
 
-    def counting(j, order, tau):
-        if order <= 3:
-            built[j] += 1
-        return original(j, order, tau)
+    def counting(j, tau, im_u, order=0):
+        built[j] += 1
+        return original(j, tau, im_u, order)
 
-    monkeypatch.setattr(series, "theta_taylor", counting)
+    monkeypatch.setattr(series, "_theta_terms", counting)
     series._theta_constants_at.cache_clear()
     return built
 
@@ -97,6 +97,14 @@ class TestKernelContext:
         tau = TauPoint(0.3 + 1.2j)
         p = HgParams(0.30, 0.21, 0.77)
         results = [*verify_tpr(p, tau), *verify_entry22(0.2, 0.3, 0.6, tau)]
+        assert all(r.passed for r in results)
+        assert built == {1: 1, 2: 1, 3: 1, 4: 1}
+
+    def test_identity_suite_builds_only_the_constants(self, monkeypatch):
+        # its Laurent coefficients come from the theta constants, so a
+        # fresh tau costs the four Taylor series behind them and no more
+        built = _count_constants_builds(monkeypatch)
+        results = verify_series_identities(TauPoint(0.3 + 1.2j))
         assert all(r.passed for r in results)
         assert built == {1: 1, 2: 1, 3: 1, 4: 1}
 
@@ -475,8 +483,8 @@ class TestThetaTaylor:
     def test_parity_exact(self):
         s1 = theta_taylor(1, 8, TAU_I)
         s3 = theta_taylor(3, 8, TAU_I)
-        assert s1.coeff(0) == 0.0 and s1.coeff(2) == 0.0 and s1.coeff(4) == 0.0
-        assert s3.coeff(1) == 0.0 and s3.coeff(3) == 0.0
+        assert s1[0] == 0.0 and s1[2] == 0.0 and s1[4] == 0.0
+        assert s3[1] == 0.0 and s3[3] == 0.0
 
     def test_order_cap(self):
         with pytest.raises(SeriesError):
@@ -506,7 +514,7 @@ class TestThetaTaylor:
             for j in (1, 2, 3, 4):
                 s = theta_taylor(j, 7, tau)
                 for k in range(1 if j == 1 else 0, 8, 2):
-                    assert abs(s.coeff(k) - ref(j, k)) <= 1e-13 * abs_sum(j, k)
+                    assert abs(s[k] - ref(j, k)) <= 1e-13 * abs_sum(j, k)
             tc = tau.constants
             for value, j, k in ((tc.th2_0, 2, 0), (tc.th3_0, 3, 0),
                                 (tc.th4_0, 4, 0), (tc.th1p_0, 1, 1),
@@ -516,14 +524,49 @@ class TestThetaTaylor:
                                 (tc.th4pp_0 / 2.0, 4, 2)):
                 assert abs(value - ref(j, k)) <= 1e-13 * abs_sum(j, k)
 
-    def test_division_pole_order_and_leading(self):
-        tc = theta_constants(TAU_I)
-        s1 = theta_taylor(1, 8, TAU_I)
-        s4 = theta_taylor(4, 8, TAU_I)
-        ratio_sq = (s4 * s1.inverse()) * (s4 * s1.inverse())
-        assert ratio_sq.pole_order == 2
-        expect = tc.th4_0**2 / tc.th1p_0**2
-        assert ratio_sq.coeff(-2) == pytest.approx(complex(expect), rel=1e-12)
+    @pytest.mark.parametrize("tau_re", [-0.5, -0.2, 0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("tau_im", [0.1, 0.35, 1.0, 3.0])
+    def test_laurent_coefficients_match_mpmath(self, tau_re, tau_im):
+        # the identity suite's closed forms against a 30-digit division of
+        # the theta Taylor series: u^1 of theta_j/theta_1 (j = 2, 3, 4),
+        # then u^-2 and u^0 of phi2 = pi theta2(0)^2 (theta4/theta1)^2
+        mpmath = pytest.importorskip("mpmath")
+        tau = TauPoint(complex(tau_re, tau_im))
+        with mpmath.workdps(30):
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.tau))
+
+            def taylor(j, start):
+                # coefficients of u^start, u^(start+1), ... u^(start+4)
+                return [mpmath.pi**k * mpmath.jtheta(j, 0, nome, k)
+                        / mpmath.factorial(k) for k in range(start, start + 5)]
+
+            def divide(num, den):
+                out = []
+                for i in range(len(num)):
+                    acc = num[i] - sum(den[k] * out[i - k]
+                                       for k in range(1, i + 1))
+                    out.append(acc / den[0])
+                return out
+
+            # theta_j/theta_1 = u^-1 (theta_j / (theta_1/u)): u^1 is entry 2
+            th1_over_u = taylor(1, 1)
+            quotients = {j: divide(taylor(j, 0), th1_over_u)
+                         for j in (2, 3, 4)}
+            q4 = quotients[4]
+            pref = mpmath.pi * mpmath.jtheta(2, 0, nome) ** 2
+            expect = [quotients[j][2] for j in (2, 3, 4)] + [
+                pref * q4[0] ** 2, pref * (2 * q4[0] * q4[2] + q4[1] ** 2)]
+        # each to 1e-12 of the absolute values of its two parts, since some
+        # cancel to zero (ds at tau = i, where lambda = 1/2)
+        tc = tau.constants
+        r1, r2, r3, r4 = tc.log_ratios
+        m2 = math.pi * abs(tc.th2_0 * tc.th4_0 / tc.th1p_0) ** 2
+        scales = [abs(th / tc.th1p_0) * (abs(r) / 2.0 + abs(r1) / 6.0)
+                  for th, r in ((tc.th2_0, r2), (tc.th3_0, r3), (tc.th4_0, r4))
+                  ] + [m2, m2 * (abs(r4) + abs(r1) / 3.0)]
+        for got, want, scale in zip(_laurent_coefficients(tc), expect,
+                                    scales):
+            assert abs(got - complex(want)) <= 1e-12 * scale
 
 
 class TestQTerms:
@@ -545,37 +588,6 @@ class TestQTerms:
     def test_term_cap_raises(self, x):
         with pytest.raises(SeriesError):
             series.q_terms(x)
-
-
-class TestPowerSeries:
-    def test_add_and_scale(self):
-        b = PowerSeries([0.5, -2.0, 1.0], pole_order=1)
-        s = b.scale(2.0)
-        assert s.coeff(-1) == 1.0 and s.coeff(0) == -4.0 and s.coeff(1) == 2.0
-        assert s.pole_order == 1
-
-    def test_multiply(self):
-        a = PowerSeries([1.0, 1.0, 0.0])
-        prod = a * a
-        assert prod.coeff(0) == 1.0 and prod.coeff(1) == 2.0
-        assert prod.coeff(2) == 1.0
-
-    def test_inverse_of_unit(self):
-        a = PowerSeries([1.0, 1.0, 1.0, 1.0])
-        inv = a.inverse()
-        # 1/(1 + u + u^2 + ...) = 1 - u
-        assert inv.coeff(0) == 1.0 and inv.coeff(1) == -1.0
-        assert abs(inv.coeff(2)) < 1e-15
-
-    def test_inverse_with_zero_at_origin(self):
-        a = PowerSeries([0.0, 2.0, 0.0, 1.0])
-        inv = a.inverse()
-        assert inv.pole_order == 1
-        assert inv.coeff(-1) == 0.5
-
-    def test_zero_series_inverse_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            PowerSeries([0.0, 0.0]).inverse()
 
 
 def _fourier_partial(kind, u, tau):

@@ -353,6 +353,12 @@ class TestCli:
                      "--tau-im", "0.2"]) == 2
         assert "inside a disc" in capsys.readouterr().out
 
+    def test_tpr_real_part_beyond_one_exit_code(self, capsys):
+        assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
+                     "--gamma", "0.77", "--tau-re", "1.3",
+                     "--tau-im", "1.2"]) == 2
+        assert "|Re tau| > 1" in capsys.readouterr().out
+
     def test_tpr_blocks(self):
         assert main(["tpr", "blocks", "--alpha", "0.3", "--beta", "0.21",
                      "--gamma", "0.77", "--tau-re", "0.3",
