@@ -117,8 +117,12 @@ def _emit_report(checks: list[CheckResult], seed: int, args) -> int:
         if args.json_out == "stdout":
             print(text)
         else:
-            with open(args.json_out, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.json_out, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
     s = report.summary
     if s["errored"]:
         return EXIT_USAGE

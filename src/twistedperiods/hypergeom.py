@@ -7,6 +7,7 @@ series argument z.  The 2F1 is served by its defining power series within
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -19,12 +20,8 @@ class HypergeomError(Exception):
     """Raised for pole hits, radius violations, and non-convergence."""
 
 
-def is_near_integer(x: float, guard: float = INTEGRALITY_GUARD) -> bool:
-    return abs(x - round(x)) <= guard
-
-
 def is_near_nonpositive_integer(x: float, guard: float = INTEGRALITY_GUARD) -> bool:
-    return x <= guard and is_near_integer(x, guard)
+    return x <= guard and abs(x - round(x)) <= guard
 
 
 # Stopping rule and domain of the 2F1 power series: stop once two successive
@@ -64,22 +61,31 @@ def beta_real(a: float, c: float) -> float:
     return gamma_real(a) * gamma_real(c - a) / gamma_real(c)
 
 
+def _rising(x: float, n: int) -> list[float]:
+    """``pochhammer(x, k)`` for k = 0..n: the prefixes of one running product."""
+    out = [1.0]
+    for k in range(n):
+        out.append(out[-1] * (x + k))
+    return out
+
+
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial x (x+1) ... (x+n-1); the empty product is 1."""
     if n < 0:
         raise HypergeomError("pochhammer needs n >= 0")
-    out = 1.0
-    for k in range(n):
-        out *= x + k
-    return out
+    return _rising(x, n)[n]
 
 
 def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     """Gauss hypergeometric series sum (a)_n (b)_n / ((c)_n n!) z^n.
 
-    Valid for |z| <= RADIUS_GUARD; c must not be a non-positive integer.
+    Valid for finite arguments with |z| <= RADIUS_GUARD and c not a
+    non-positive integer.
     """
     z = complex(z)
+    for name, value in (("a", a), ("b", b), ("c", c), ("z", z)):
+        if not cmath.isfinite(value):
+            raise HypergeomError(f"non-finite 2F1 argument {name} = {value}")
     if abs(z) > RADIUS_GUARD:
         raise HypergeomError(
             f"|z| = {abs(z):.4f} exceeds the series radius guard {RADIUS_GUARD}"
@@ -88,7 +94,8 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
         raise HypergeomError(f"2F1 pole: c = {c} is a non-positive integer")
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
-    for n in range(F21_MAX_TERMS):
+    n = 0.0  # a float counter, as in hyper_4f3_terminating
+    for _ in range(F21_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         if abs(term) <= F21_REL_TOL * abs(total):
@@ -96,6 +103,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
             nxt = term * (a + n + 1) * (b + n + 1) / ((c + n + 1) * (n + 2.0)) * z
             if abs(nxt) <= F21_REL_TOL * abs(total):
                 return total
+        n += 1.0
     raise HypergeomError(
         f"2F1 series did not converge within {F21_MAX_TERMS} terms at z = {z}"
     )
@@ -111,20 +119,25 @@ def hyper_4f3_terminating(n: int, uppers, lowers) -> float:
     if n < 0 or n != int(n):
         raise HypergeomError("termination index n must be a non-negative integer")
     n = int(n)
-    a, b, c = (float(v) for v in uppers)
-    d, e, f = (float(v) for v in lowers)
+    a, b, c = map(float, uppers)
+    d, e, f = map(float, lowers)
     for low in (d, e, f):
-        for k in range(n):
-            if abs(low + k) <= INTEGRALITY_GUARD:
-                raise HypergeomError(
-                    f"lower parameter {low} hits a pole at term k = {k + 1}"
-                )
+        # only the nearest integer to -low can lie within the guard
+        k = -round(low) if math.isfinite(low) else -1
+        if 0 <= k < n and abs(low + k) <= INTEGRALITY_GUARD:
+            raise HypergeomError(
+                f"lower parameter {low} hits a pole at term k = {k + 1}"
+            )
     total = 1.0
     term = 1.0
-    for k in range(n):
-        term *= (-n + k) * (a + k) * (b + k) * (c + k)
+    # a float counter: the same values as an int k, without converting k
+    # in every operation
+    m, k = float(n), 0.0
+    for _ in range(n):
+        term *= (k - m) * (a + k) * (b + k) * (c + k)
         term /= (d + k) * (e + k) * (f + k) * (k + 1.0)
         total += term
+        k += 1.0
     return total
 
 
@@ -142,35 +155,62 @@ def whipple_transform_rhs(n: int, a: float, b: float, c: float,
     )
 
 
-def product_term1_coeff(n: int, a: float, b: float, c: float) -> float:
-    """Power-series coefficient (degree n) of the first 2F1-product term
-    in the theta-constant quadratic identity.
+def _risings(n: int, a: float, b: float, c: float) -> list[list[float]]:
+    """Prefixes 0..n of the rising factorials of -c, -a-1, 1-b, 2-c, 1-a."""
+    return [_rising(x, n) for x in (-c, -a - 1.0, -b + 1.0, 2.0 - c, -a + 1.0)]
 
-    Equals c for n = 0 and a - b + 1 for n = 1.
-    """
-    denom = pochhammer(-c, n) * math.factorial(n)
+
+def _term1(n, a, b, c, neg_c, neg_a_1, one_b, *_) -> float:
+    if n < 0:
+        raise HypergeomError("pochhammer needs n >= 0")
+    denom = neg_c[n] * math.factorial(n)
     if denom == 0.0:
         raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
-    pref = (c * pochhammer(-a - 1.0, n) * pochhammer(-b + 1.0, n) / denom)
+    pref = (c * neg_a_1[n] * one_b[n] / denom)
     return pref * hyper_4f3_terminating(
         n, (b, a, 1.0 - n + c), (2.0 - n + a, c, -float(n) + b)
     )
 
 
-def product_term2_coeff(n: int, a: float, b: float, c: float) -> float:
-    """Power-series coefficient (degree n, n >= 2) of the second
-    2F1-product term; cancels ``product_term1_coeff`` for n >= 2."""
+def _term2(n, a, b, c, _, __, one_b, two_c, one_a) -> float:
     if n < 2:
         return 0.0
     denom = (c * (1.0 + c) * (1.0 - c)
-             * pochhammer(2.0 - c, n - 2) * math.factorial(n - 2))
+             * two_c[n - 2] * math.factorial(n - 2))
     if denom == 0.0:
         raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
     pref = (a * (a + 1.0) * (c - b) * (c - b + 1.0)
-            * pochhammer(-a + 1.0, n - 2) * pochhammer(-b + 1.0, n - 2)
+            * one_a[n - 2] * one_b[n - 2]
             / denom)
     # Lower parameter 2 - n + b (not -n + b): verified against a direct
     # Cauchy-product expansion of the two 2F1 factors.
     return pref * hyper_4f3_terminating(
         n - 2, (b, a + 2.0, 1.0 - n + c), (2.0 - n + a, 2.0 + c, 2.0 - n + b)
     )
+
+
+def product_coeffs(n_max: int, a: float, b: float, c: float
+                   ) -> list[tuple[float, float]]:
+    """The (term-1, term-2) coefficient pairs of degrees n = 0..n_max, in
+    order and term 1 first, so the first failure raises.  Each Pochhammer
+    symbol is a prefix of one running product per base, so every pair
+    equals ``product_term1_coeff`` and ``product_term2_coeff`` bit for bit.
+    """
+    r = _risings(n_max, a, b, c)
+    return [(_term1(n, a, b, c, *r), _term2(n, a, b, c, *r))
+            for n in range(n_max + 1)]
+
+
+def product_term1_coeff(n: int, a: float, b: float, c: float) -> float:
+    """Power-series coefficient (degree n) of the first 2F1-product term
+    in the theta-constant quadratic identity.
+
+    Equals c for n = 0 and a - b + 1 for n = 1.
+    """
+    return _term1(n, a, b, c, *_risings(n, a, b, c))
+
+
+def product_term2_coeff(n: int, a: float, b: float, c: float) -> float:
+    """Power-series coefficient (degree n, n >= 2) of the second
+    2F1-product term; cancels ``product_term1_coeff`` for n >= 2."""
+    return _term2(n, a, b, c, *_risings(n, a, b, c))

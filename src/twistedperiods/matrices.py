@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypergeom import INTEGRALITY_GUARD, is_near_integer
+from .hypergeom import INTEGRALITY_GUARD
 from .series import ThetaConstants
 
 TWO_PI_I = 2j * math.pi
@@ -90,18 +90,22 @@ def admissible(p: HgParams,
     value counts as integral within ``guard`` of an integer; a non-finite
     value is a violation of its own.
     """
+    a, b, g = p.alpha, p.beta, p.gamma
+    c1, c2, c3, c4 = 2.0 * a, 2.0 * g - 2.0 * a, -2.0 * b, 2.0 * b - 2.0 * g
+    half = "in (1/2)Z"
     violations = []
-    for scale, condition, values in (
-            (1.0, "integral", (("c0", p.c0), ("c1", p.c1), ("c2", p.c2),
-                               ("c3", p.c3), ("c4", p.c4))),
-            (2.0, "in (1/2)Z", (("alpha", p.alpha), ("beta", p.beta),
-                                ("gamma-alpha", p.gamma - p.alpha),
-                                ("gamma-beta", p.gamma - p.beta)))):
-        for name, value in values:
-            if not math.isfinite(scale * value):
-                violations.append(f"{name} not finite ({name} = {value})")
-            elif is_near_integer(scale * value, guard):
-                violations.append(f"{name} {condition} ({name} = {value})")
+    # (name, condition, value, scaled value that must avoid the integers)
+    for name, condition, value, scaled in (
+            ("c0", "integral", g, g), ("c1", "integral", c1, c1),
+            ("c2", "integral", c2, c2), ("c3", "integral", c3, c3),
+            ("c4", "integral", c4, c4), ("alpha", half, a, 2.0 * a),
+            ("beta", half, b, 2.0 * b),
+            ("gamma-alpha", half, g - a, 2.0 * (g - a)),
+            ("gamma-beta", half, g - b, 2.0 * (g - b))):
+        if not math.isfinite(scaled):
+            violations.append(f"{name} not finite ({name} = {value})")
+        elif abs(math.remainder(scaled, 1.0)) <= guard:  # exact x - round(x)
+            violations.append(f"{name} {condition} ({name} = {value})")
     return (not violations, violations)
 
 
@@ -227,14 +231,27 @@ def block_C(c: np.ndarray) -> SignPair:
     return SignPair(minus=c[:2, :2], plus=c[2:, 2:])
 
 
+def _check_condition(cond: float) -> None:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise ConditioningError(
+            f"condition estimate {cond:.3e} exceeds limit {COND_LIMIT:.0e}"
+        )
+
+
 def guarded_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solution x of ``a x = b`` by LU with partial pivoting.
 
     Rejects matrices whose condition number exceeds ``COND_LIMIT``.
     """
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(
-            f"condition estimate {cond:.3e} exceeds limit {COND_LIMIT:.0e}"
-        )
+    _check_condition(np.linalg.cond(a))
     return np.linalg.solve(a, b)
+
+
+def diagonal_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution x of ``a x = b`` for a diagonal ``a``, guarded like
+    ``guarded_solve`` by max|d| / min|d|, its exact 2-norm condition number."""
+    d = np.diagonal(a)
+    size = np.abs(d)
+    smallest = size.min()
+    _check_condition(size.max() / smallest if smallest > 0.0 else math.inf)
+    return b / d[:, None]

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .hypergeom import (HypergeomError, gauss_2f1, product_term1_coeff,
-                        product_term2_coeff)
+from .hypergeom import HypergeomError, gauss_2f1, product_coeffs
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        admissible, basis_change, block_C, block_H_prime,
-                       cohomology_C, guarded_solve, homology_H,
-                       require_admissible, theta_bracket)
+                       cohomology_C, diagonal_solve, guarded_solve,
+                       homology_H, require_admissible, theta_bracket)
 from .periods import SHIFT_RULES, PeriodError, block_periods, period_matrix
 from .quadrature import QuadratureError
 from .series import SeriesError, TauPoint, ThetaConstants, q_terms
@@ -247,9 +246,11 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
     C = P+ . H^-T . P-^T and of its two eigenspace blocks.
 
     C, P+ and P- are built once; the blocks are their diagonal slices,
-    paired with ``block_H_prime``.  Returns (full-tpr, block-tpr-minus,
-    block-tpr-plus).  A failed build errors all three checks; a badly
-    conditioned H or H' errors only its own.
+    paired with the diagonal ``block_H_prime`` d, in the simple form
+    C(+-1) = P'+ . diag(1/d) . P'-^T (``diagonal_solve``); H is solved by
+    LU.  Returns (full-tpr, block-tpr-minus, block-tpr-plus).  A failed
+    build errors all three checks; a badly conditioned H or H' errors only
+    its own.
 
     full-tpr is not a certificate above Im tau of about 3: over 40 seeded
     draws at Re tau = 0.1 it failed 0 at Im tau = 3, 7 at 4, 33 at 10 and
@@ -264,15 +265,15 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
         pm = period_matrix("-", p, tau)
         blocks = (block_C(c), block_periods(pp), block_periods(pm),
                   block_H_prime(p))
-        relations = [(c, pp, pm, homology_H(p))] + [
-            tuple(pair.for_sign(sign) for pair in blocks) for sign in (-1, 1)]
+        relations = [(c, pp, pm, homology_H(p), guarded_solve)] + [
+            (*(pair.for_sign(sign) for pair in blocks), diagonal_solve)
+            for sign in (-1, 1)]
     except _RECOVERABLE as exc:
         return tuple(_errored(name, params, tols.matrix, exc)
                      for name in names)
 
-    def residual(c, pp, pm, h):
-        return (np.linalg.norm(c - pp @ guarded_solve(h.T, pm.T))
-                / np.linalg.norm(c))
+    def residual(c, pp, pm, h, solve):
+        return np.linalg.norm(c - pp @ solve(h.T, pm.T)) / np.linalg.norm(c)
 
     return tuple(
         _run_check(name, params, tols.matrix,
@@ -326,12 +327,14 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
     tols = resolve_tolerances(tol)
     p = HgParams(a + 0.5, b - 0.5, c)
     params = _params_dict(p, tau, a=a, b=b, c=c)
+    try:
+        require_admissible(p)
+    except AdmissibilityError as exc:
+        return tuple(_errored(name, params, tols.entry22, exc) for name in (
+            "entry22-theta", "entry22-2f1", "entry22-cross"))
 
     def make(name, fn):
-        def residual():
-            require_admissible(p)
-            return fn(tau.lam)
-        return _run_check(name, params, tols.entry22, residual)
+        return _run_check(name, params, tols.entry22, lambda: fn(tau.lam))
 
     # Each form is evaluated once, by the first check that needs it.  A
     # form that raises is not kept, so every check using it errors.
@@ -351,17 +354,17 @@ def verify_whipple(a: float, b: float, c: float, n_max: int = 12,
     """Cancellation of the product-series coefficients for n >= 2.
 
     The degree-0 and degree-1 anchors (c and a - b + 1) are folded into the
-    residual, so a wrong low-order coefficient also fails the check.
+    residual, so a wrong low-order coefficient also fails the check.  One
+    ``product_coeffs`` call gives every degree's pair of coefficients.
     """
     tols = resolve_tolerances(tol)
     params = _params_dict(None, None, a=a, b=b, c=c, n_max=n_max)
 
     def residual():
-        worst = abs(product_term1_coeff(0, a, b, c) - c)
-        worst = max(worst, abs(product_term1_coeff(1, a, b, c) - (a - b + 1)))
-        for n in range(2, n_max + 1):
-            c1 = product_term1_coeff(n, a, b, c)
-            c2 = product_term2_coeff(n, a, b, c)
+        coeffs = product_coeffs(max(n_max, 1), a, b, c)
+        worst = abs(coeffs[0][0] - c)
+        worst = max(worst, abs(coeffs[1][0] - (a - b + 1)))
+        for c1, c2 in coeffs[2:]:
             worst = max(worst, abs(c1 + c2) / (1.0 + abs(c1)))
         return worst
 

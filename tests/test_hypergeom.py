@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from twistedperiods.hypergeom import (HypergeomError, beta_real, gamma_real,
-                                      gauss_2f1, hyper_4f3_terminating,
-                                      pochhammer, product_term1_coeff,
+from twistedperiods.hypergeom import (INTEGRALITY_GUARD, HypergeomError,
+                                      beta_real, gamma_real, gauss_2f1,
+                                      hyper_4f3_terminating, pochhammer,
+                                      product_coeffs, product_term1_coeff,
                                       product_term2_coeff,
                                       whipple_transform_rhs)
 
@@ -16,6 +17,57 @@ from twistedperiods.hypergeom import (HypergeomError, beta_real, gamma_real,
 GAMMA_03 = 2.9915689876875906283
 GAMMA_M17 = 2.5139235190652022087
 F21_HALF = 1.0543792385836535546  # 2F1(0.3, 0.21, 0.77; 0.5)
+
+
+def _scanning_4f3(n, uppers, lowers):
+    """``hyper_4f3_terminating`` with its pole test as a scan over every
+    term: the reference for the nearest-integer test."""
+    a, b, c = (float(v) for v in uppers)
+    d, e, f = (float(v) for v in lowers)
+    for low in (d, e, f):
+        for k in range(n):
+            if abs(low + k) <= INTEGRALITY_GUARD:
+                raise HypergeomError(
+                    f"lower parameter {low} hits a pole at term k = {k + 1}")
+    total = 1.0
+    term = 1.0
+    for k in range(n):
+        term *= (-n + k) * (a + k) * (b + k) * (c + k)
+        term /= (d + k) * (e + k) * (f + k) * (k + 1.0)
+        total += term
+    return total
+
+
+def _degree_term1(n, a, b, c):
+    """Degree-n term-1 coefficient from per-degree Pochhammer products."""
+    denom = pochhammer(-c, n) * math.factorial(n)
+    if denom == 0.0:
+        raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
+    pref = (c * pochhammer(-a - 1.0, n) * pochhammer(-b + 1.0, n) / denom)
+    return pref * _scanning_4f3(
+        n, (b, a, 1.0 - n + c), (2.0 - n + a, c, -float(n) + b))
+
+
+def _degree_term2(n, a, b, c):
+    """Degree-n term-2 coefficient from per-degree Pochhammer products."""
+    if n < 2:
+        return 0.0
+    denom = (c * (1.0 + c) * (1.0 - c)
+             * pochhammer(2.0 - c, n - 2) * math.factorial(n - 2))
+    if denom == 0.0:
+        raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
+    pref = (a * (a + 1.0) * (c - b) * (c - b + 1.0)
+            * pochhammer(-a + 1.0, n - 2) * pochhammer(-b + 1.0, n - 2)
+            / denom)
+    return pref * _scanning_4f3(
+        n - 2, (b, a + 2.0, 1.0 - n + c), (2.0 - n + a, 2.0 + c, 2.0 - n + b))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypergeomError as exc:
+        return str(exc)
 
 
 class TestGammaReal:
@@ -125,6 +177,40 @@ class TestGauss2F1:
         with pytest.raises(HypergeomError):
             gauss_2f1(0.3, 0.2, -1.0, 0.5)
 
+    def test_float_counter_matches_an_integer_counter_bitwise(self):
+        def int_counter_series(a, b, c, z):
+            total = term = 1.0 + 0.0j
+            for n in range(2000):
+                term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+                total += term
+                if abs(term) <= 1e-16 * abs(total):
+                    nxt = (term * (a + n + 1) * (b + n + 1)
+                           / ((c + n + 1) * (n + 2.0)) * z)
+                    if abs(nxt) <= 1e-16 * abs(total):
+                        return total
+
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            a, b = rng.uniform(-3.0, 3.0, 2)
+            c = rng.uniform(-2.9, 3.0)
+            if abs(c - round(c)) < 1e-3:
+                continue
+            z = complex(*rng.uniform(-0.67, 0.67, 2))
+            assert gauss_2f1(a, b, c, z) == int_counter_series(a, b, c, z)
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "z"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_raises_at_once(self, name, value):
+        args = {"a": 0.3, "b": 0.2, "c": 0.7, "z": 0.5}
+        args[name] = value
+        with pytest.raises(HypergeomError,
+                           match=f"non-finite 2F1 argument {name} ="):
+            gauss_2f1(**args)
+
+    def test_complex_non_finite_z(self):
+        with pytest.raises(HypergeomError, match="argument z"):
+            gauss_2f1(0.3, 0.2, 0.7, complex(0.1, math.nan))
+
     def test_derivative_contiguous_relation(self):
         a, b, c, z = 0.4, -0.7, 1.3, 0.3
         h = 1e-6
@@ -145,6 +231,34 @@ class TestTerminating4F3:
     def test_lower_pole_raises(self):
         with pytest.raises(HypergeomError):
             hyper_4f3_terminating(3, (0.3, 0.4, 0.5), (-1.0, 1.2, 1.3))
+
+    @pytest.mark.parametrize("low, n, message", [
+        (-1.0, 3, "lower parameter -1.0 hits a pole at term k = 2"),
+        (0.0, 1, "lower parameter 0.0 hits a pole at term k = 1"),
+        (-3.0 + 5e-10, 4, f"lower parameter {-3.0 + 5e-10} hits a pole "
+                          "at term k = 4"),
+    ])
+    def test_pole_inside_the_range_keeps_its_message(self, low, n, message):
+        for lowers in ((low, 1.2, 1.3), (1.2, 1.3, low)):
+            with pytest.raises(HypergeomError) as err:
+                hyper_4f3_terminating(n, (0.3, 0.4, 0.5), lowers)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("low, n", [(-3.0, 3), (-5.0, 2), (1.0, 4),
+                                        (-2.0 + 2e-9, 4)])
+    def test_pole_past_the_range_does_not_raise(self, low, n):
+        assert math.isfinite(
+            hyper_4f3_terminating(n, (0.3, 0.4, 0.5), (low, 1.2, 1.3)))
+
+    @pytest.mark.parametrize("low", [
+        -2.0, -2.0 + 9e-10, -2.0 - 1.1e-9, -2.5, -7.0, 0.0, -0.0, 1e-10,
+        -1e17, 1e308, -1e308, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("n", [0, 1, 3, 8])
+    def test_nearest_integer_test_matches_a_full_scan(self, low, n):
+        for lowers in ((low, 1.2, 1.3), (1.2, low, -2.0), (low, low, 1.3)):
+            new = _outcome(hyper_4f3_terminating, n, (0.3, 0.4, 0.5), lowers)
+            old = _outcome(_scanning_4f3, n, (0.3, 0.4, 0.5), lowers)
+            assert new == old or (math.isnan(new) and math.isnan(old))
 
     def test_whipple_balance(self):
         # balanced transformation: a + b + c - n + 1 = d + e + f
@@ -171,6 +285,45 @@ class TestProductCoefficients:
                 c, abs=1e-12)
             assert product_term1_coeff(1, a, b, c) == pytest.approx(
                 a - b + 1.0, abs=1e-12)
+
+    def test_table_matches_per_degree_products_bitwise(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            a, b, c = (float(x) for x in rng.uniform(-2.0, 2.0, 3))
+            table = product_coeffs(12, a, b, c)
+            assert len(table) == 13
+            for n, pair in enumerate(table):
+                expect = (_degree_term1(n, a, b, c), _degree_term2(n, a, b, c))
+                assert pair == expect
+                assert (product_term1_coeff(n, a, b, c),
+                        product_term2_coeff(n, a, b, c)) == expect
+
+    @pytest.mark.parametrize("a, b, c", [
+        (0.3, 0.2, 1.0), (0.3, 0.2, -1.0), (0.3, 0.2, 3.0), (-1.0, 0.3, 0.6),
+        (2.0, 0.3, 0.6), (0.3, 2.0, 0.6), (0.3, 0.2, -3.0 + 5e-10),
+        (0.3, 0.2, 0.0)])
+    def test_each_degree_keeps_its_error(self, a, b, c):
+        # the per-degree wrappers raise (or not) exactly as the per-degree
+        # products do; the table raises at the first failing degree, term 1
+        # before term 2
+        expected = []
+        for n in range(9):
+            for mine, ref in ((product_term1_coeff, _degree_term1),
+                              (product_term2_coeff, _degree_term2)):
+                outcome = _outcome(ref, n, a, b, c)
+                assert _outcome(mine, n, a, b, c) == outcome
+                expected.append(outcome)
+        first_error = next((o for o in expected if isinstance(o, str)), None)
+        table = _outcome(product_coeffs, 8, a, b, c)
+        if first_error is None:
+            assert [x for pair in table for x in pair] == expected
+        else:
+            assert table == first_error
+
+    def test_negative_degree(self):
+        with pytest.raises(HypergeomError, match="n >= 0"):
+            product_term1_coeff(-1, 0.2, 0.3, 0.6)
+        assert product_term2_coeff(-1, 0.2, 0.3, 0.6) == 0.0
 
     def test_term2_vanishes_below_degree_two(self):
         assert product_term2_coeff(0, 0.2, 0.3, 0.6) == 0.0

@@ -13,17 +13,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistedperiods
+from twistedperiods import matrices
 from twistedperiods.matrices import (AdmissibilityError, ConditioningError,
                                      HgParams, admissible, basis_change,
                                      block_C, block_H_prime, cohomology_C,
-                                     guarded_solve, homology_H,
-                                     require_admissible, unit_phase)
+                                     diagonal_solve, guarded_solve,
+                                     homology_H, require_admissible,
+                                     unit_phase)
 from twistedperiods.periods import SHIFT_RULES
 from twistedperiods.series import TauPoint, theta_constants
 from twistedperiods.verify import sample_admissible
 
 P_REF = HgParams(0.30, 0.21, 0.77)
 TC_I = theta_constants(TauPoint(1j))
+
+
+def _nested_admissible(p, guard):
+    """The admissibility test as a nested loop over scaled exponent
+    groups: the reference for the flat loop of ``admissible``."""
+    violations = []
+    for scale, condition, values in (
+            (1.0, "integral", (("c0", p.c0), ("c1", p.c1), ("c2", p.c2),
+                               ("c3", p.c3), ("c4", p.c4))),
+            (2.0, "in (1/2)Z", (("alpha", p.alpha), ("beta", p.beta),
+                                ("gamma-alpha", p.gamma - p.alpha),
+                                ("gamma-beta", p.gamma - p.beta)))):
+        for name, value in values:
+            x = scale * value
+            if not math.isfinite(x):
+                violations.append(f"{name} not finite ({name} = {value})")
+            elif abs(x - round(x)) <= guard:
+                violations.append(f"{name} {condition} ({name} = {value})")
+    return (not violations, violations)
 
 
 class TestUnitPhase:
@@ -90,6 +111,28 @@ class TestAdmissible:
         st.floats(-2.0, 2.0),
         st.builds(lambda k, d: k / 2.0 + d, st.integers(-4, 4),
                   st.floats(-2e-3, 2e-3)))
+
+    # any double (inf, nan and overflow included), or a value within 2e-3
+    # of a quarter-integer
+    _any_coordinate = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.builds(lambda k, d: k / 4.0 + d, st.integers(-12, 12),
+                  st.floats(-2e-3, 2e-3)))
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.builds(HgParams, _any_coordinate, _any_coordinate,
+                     _any_coordinate),
+           st.sampled_from([1e-9, 1e-3, 0.1]))
+    def test_flat_loop_matches_nested_groups(self, p, guard):
+        assert admissible(p, guard) == _nested_admissible(p, guard)
+
+    @pytest.mark.parametrize("value", [1e308, -1e308, 0.25, 0.5, -0.75,
+                                       1.0 + 1e-12, math.nan, math.inf])
+    @pytest.mark.parametrize("guard", [1e-9, 1e-3, 0.1])
+    def test_flat_loop_at_edge_values(self, value, guard):
+        for p in (HgParams(value, 0.21, 0.77), HgParams(0.3, value, 0.77),
+                  HgParams(0.3, 0.21, value)):
+            assert admissible(p, guard) == _nested_admissible(p, guard)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.builds(HgParams, _coordinate, _coordinate, _coordinate),
@@ -249,6 +292,35 @@ class TestLuInverse:
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
         with pytest.raises(ConditioningError):
             guarded_solve(a, np.eye(2))
+
+    def test_diagonal_solve_matches_lu(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            d = rng.normal(size=2) + 1j * rng.normal(size=2)
+            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            x = diagonal_solve(np.diag(d), b)
+            assert np.allclose(x, np.linalg.solve(np.diag(d), b),
+                               rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("ratio", [1e11, 1e13])
+    def test_diagonal_condition_is_exact(self, ratio):
+        # max|d| / min|d| is the 2-norm condition number, and both solves
+        # share COND_LIMIT
+        a = np.diag([1.0, ratio * 1j])
+        assert np.linalg.cond(a) == pytest.approx(ratio, rel=1e-12)
+        if ratio < matrices.COND_LIMIT:
+            diagonal_solve(a, np.eye(2))
+            guarded_solve(a, np.eye(2))
+        else:
+            for solve in (diagonal_solve, guarded_solve):
+                with pytest.raises(ConditioningError,
+                                   match="exceeds limit 1e\\+12"):
+                    solve(a, np.eye(2))
+
+    @pytest.mark.parametrize("entry", [0.0, math.nan, math.inf])
+    def test_diagonal_solve_rejects_a_degenerate_diagonal(self, entry):
+        with pytest.raises(ConditioningError):
+            diagonal_solve(np.diag([1.0, entry]).astype(complex), np.eye(2))
 
     def test_package_imports_without_scipy(self):
         # numpy is the only runtime dependency

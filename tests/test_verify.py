@@ -102,9 +102,11 @@ class TestFullTpr:
         assert "c0 integral" in result.error
 
     def test_conditioning_recorded_per_check(self, monkeypatch):
+        # the LU solve of H and the diagonal solves of H' share one limit
         monkeypatch.setattr(matrices, "COND_LIMIT", 1.0)
         for r in verify_tpr(P_REF, TAU_I):
             assert not r.passed and "condition estimate" in r.error
+            assert "exceeds limit 1e+00" in r.error
 
     def test_one_build_per_draw(self, monkeypatch):
         # full and block relations share one C, one P+ and one P-
@@ -145,6 +147,26 @@ class TestBlockTpr:
             minus, plus = verify_tpr(sample_admissible(rng), tau)[1:]
             assert minus.passed and plus.passed
 
+    @pytest.mark.parametrize("tau_val", [*SWEEP_TAUS, 0.1 + 10j])
+    def test_simple_form_matches_the_lu_route(self, tau_val):
+        # C(+-1) = P'+ . diag(1/d) . P'-^T against an LU solve with H'^T
+        rng = np.random.default_rng(61)
+        tau = TauPoint(tau_val)
+        for _ in range(20):
+            p = sample_admissible(rng)
+            c = matrices.cohomology_C(p, tau.constants)
+            blocks = (matrices.block_C(c),
+                      verify.block_periods(verify.period_matrix("+", p, tau)),
+                      verify.block_periods(verify.period_matrix("-", p, tau)),
+                      matrices.block_H_prime(p))
+            results = verify_tpr(p, tau)[1:]
+            for sign, result in zip((-1, 1), results):
+                c_b, pp_b, pm_b, h_b = (b.for_sign(sign) for b in blocks)
+                lu = (np.linalg.norm(
+                    c_b - pp_b @ matrices.guarded_solve(h_b.T, pm_b.T))
+                    / np.linalg.norm(c_b))
+                assert abs(result.residual - lu) <= 1e-13
+
     def test_orthogonality(self):
         result = verify_orthogonality(P_REF)
         assert result.passed and result.residual <= 1e-12
@@ -162,6 +184,20 @@ class TestEntry22:
     def test_inadmissible_recorded(self):
         results = verify_entry22(0.2, 0.3, 1.0, TAU_I)
         assert all(r.error is not None for r in results)
+        assert {r.error for r in results} == {
+            "inadmissible parameters: c0 integral (c0 = 1.0)"}
+
+    def test_admissibility_checked_once_per_call(self, monkeypatch):
+        calls = Counter()
+        original = verify.require_admissible
+
+        def counting(p):
+            calls["require"] += 1
+            return original(p)
+
+        monkeypatch.setattr(verify, "require_admissible", counting)
+        assert all(r.passed for r in verify_entry22(0.2, 0.3, 0.6, TAU_I))
+        assert calls["require"] == 1
 
     def test_each_form_evaluated_once(self, monkeypatch):
         calls = Counter()
@@ -382,6 +418,26 @@ class TestCli:
                      "--json", "stdout", "--quiet"]) == 0
         d = json.loads(capsys.readouterr().out)
         assert d["seed"] == 42
+
+    def test_json_to_an_unwritable_path_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        assert main(["identities", "--json", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "report.json" in err
+        assert not path.exists()
+
+    def test_2f1_non_finite_z_exit_code(self, capsys):
+        assert main(["2f1", "--alpha", "0.3", "--beta", "0.2", "--gamma",
+                     "0.7", "--z=nan"]) == 2
+        assert "non-finite 2F1 argument z" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--gamma"])
+    def test_2f1_non_finite_parameter_exit_code(self, flag, capsys):
+        args = {"--alpha": "0.3", "--beta": "0.2", "--gamma": "0.7"}
+        args[flag] = "-inf"
+        argv = ["2f1", "--z", "0.5"] + [f"{k}={v}" for k, v in args.items()]
+        assert main(argv) == 2
+        assert "non-finite 2F1 argument" in capsys.readouterr().err
 
     def test_bad_tolerance_exit_code(self, capsys):
         assert main(["sweep", "--seed", "1", "--count", "1",
