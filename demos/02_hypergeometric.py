@@ -7,8 +7,7 @@ import math
 
 import numpy as np
 
-from twistedperiods import (gauss_2f1, hyper_4f3_terminating,
-                            product_term1_coeff, product_term2_coeff,
+from twistedperiods import (gauss_2f1, hyper_4f3_terminating, product_coeffs,
                             whipple_transform_rhs)
 
 print("Gauss 2F1 spot values")
@@ -29,11 +28,9 @@ print(f"  transformed side = {rhs:.15f}")
 print("\nProduct-coefficient cancellation: the two series contributions to")
 print("the quadratic 2F1-product identity cancel degree by degree (n >= 2)")
 a, b, c = 0.2, 0.3, 0.6
-print(f"  degree 0 coefficient = {product_term1_coeff(0, a, b, c):+.12f}"
-      f"   (c = {c})")
-print(f"  degree 1 coefficient = {product_term1_coeff(1, a, b, c):+.12f}"
+coeffs = product_coeffs(7, a, b, c)
+print(f"  degree 0 coefficient = {coeffs[0][0]:+.12f}   (c = {c})")
+print(f"  degree 1 coefficient = {coeffs[1][0]:+.12f}"
       f"   (a - b + 1 = {a - b + 1.0})")
-for n in range(2, 8):
-    c1 = product_term1_coeff(n, a, b, c)
-    c2 = product_term2_coeff(n, a, b, c)
+for n, (c1, c2) in enumerate(coeffs[2:], start=2):
     print(f"  n = {n}: term1 = {c1:+.6e}, term1 + term2 = {c1 + c2:+.2e}")

@@ -11,8 +11,8 @@ ties the layers together into named identity checks and seeded sweeps;
 __version__ = "0.1.0"
 
 from .hypergeom import (HypergeomError, gamma_real, gauss_2f1,
-                        hyper_4f3_terminating, pochhammer, product_term1_coeff,
-                        product_term2_coeff, whipple_transform_rhs)
+                        hyper_4f3_terminating, pochhammer, product_coeffs,
+                        whipple_transform_rhs)
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        SignPair, admissible, basis_change, block_C,
                        block_H_prime, cohomology_C, guarded_solve, homology_H,
@@ -38,7 +38,7 @@ __all__ = [
     "cohomology_C", "eisenstein_g2", "euler_pairing", "euler_pairing_closed",
     "gamma_real", "gauss_2f1", "guarded_solve", "homology_H",
     "hyper_4f3_terminating", "lambda_tau", "period_matrix", "pochhammer",
-    "product_term1_coeff", "product_term2_coeff", "require_admissible",
+    "product_coeffs", "require_admissible",
     "resolve_tolerances", "run_sweep", "sample_admissible", "tanh_sinh",
     "theta", "theta_constants", "theta_taylor", "unit_phase",
     "verify_entry22", "verify_orthogonality", "verify_series_identities",

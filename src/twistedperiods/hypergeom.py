@@ -8,7 +8,9 @@ series argument z.  The 2F1 is served by its defining power series within
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import sys
 
 # Shared "near-integer" guard: a real x counts as integral when it is within
@@ -17,11 +19,26 @@ INTEGRALITY_GUARD = 1e-9
 
 
 class HypergeomError(Exception):
-    """Raised for pole hits, radius violations, and non-convergence."""
+    """Raised for pole hits, radius violations, non-convergence, bad input."""
 
 
-def is_near_nonpositive_integer(x: float, guard: float = INTEGRALITY_GUARD) -> bool:
-    return x <= guard and abs(x - round(x)) <= guard
+def is_near_nonpositive_integer(x: float) -> bool:
+    return x <= INTEGRALITY_GUARD and abs(x - round(x)) <= INTEGRALITY_GUARD
+
+
+def _count(n, what: str) -> int:
+    """``n`` as an int if it is a non-negative integer (3.0 counts)."""
+    if not (n >= 0 and n % 1 == 0):
+        raise HypergeomError(f"{what} must be a non-negative integer, not {n}")
+    return int(n)
+
+
+def _require_finite(what: str, names: str, values) -> None:
+    """A HypergeomError naming the first non-finite value.  Hot callers
+    first test the values' sum, which any non-finite value makes non-finite."""
+    for name, value in zip(names, values):
+        if not cmath.isfinite(value):
+            raise HypergeomError(f"non-finite {what} {name} = {value}")
 
 
 # Stopping rule and domain of the 2F1 power series: stop once two successive
@@ -61,19 +78,10 @@ def beta_real(a: float, c: float) -> float:
     return gamma_real(a) * gamma_real(c - a) / gamma_real(c)
 
 
-def _rising(x: float, n: int) -> list[float]:
-    """``pochhammer(x, k)`` for k = 0..n: the prefixes of one running product."""
-    out = [1.0]
-    for k in range(n):
-        out.append(out[-1] * (x + k))
-    return out
-
-
 def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x (x+1) ... (x+n-1); the empty product is 1."""
-    if n < 0:
-        raise HypergeomError("pochhammer needs n >= 0")
-    return _rising(x, n)[n]
+    """Rising factorial x (x+1) ... (x+n-1), a running product from 1.0."""
+    return math.prod((x + k for k in range(_count(n, "pochhammer's n"))),
+                     start=1.0)
 
 
 def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
@@ -83,9 +91,8 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     non-positive integer.
     """
     z = complex(z)
-    for name, value in (("a", a), ("b", b), ("c", c), ("z", z)):
-        if not cmath.isfinite(value):
-            raise HypergeomError(f"non-finite 2F1 argument {name} = {value}")
+    if not cmath.isfinite(a + b + c + z):
+        _require_finite("2F1 argument", "abcz", (a, b, c, z))
     if abs(z) > RADIUS_GUARD:
         raise HypergeomError(
             f"|z| = {abs(z):.4f} exceeds the series radius guard {RADIUS_GUARD}"
@@ -113,17 +120,17 @@ def hyper_4f3_terminating(n: int, uppers, lowers) -> float:
     """Terminating 4F3(-n, a, b, c; d, e, f; 1) as an exact finite sum.
 
     ``uppers`` = (a, b, c) and ``lowers`` = (d, e, f).  Terms are accumulated
-    left to right; a lower parameter hitting a non-positive integer inside
-    the summation range raises.
+    left to right; a non-finite parameter, or a lower parameter hitting a
+    non-positive integer inside the summation range, raises.
     """
-    if n < 0 or n != int(n):
-        raise HypergeomError("termination index n must be a non-negative integer")
-    n = int(n)
+    n = _count(n, "termination index n")
     a, b, c = map(float, uppers)
     d, e, f = map(float, lowers)
+    if not math.isfinite(a + b + c + d + e + f):
+        _require_finite("4F3 parameter", "abcdef", (a, b, c, d, e, f))
     for low in (d, e, f):
         # only the nearest integer to -low can lie within the guard
-        k = -round(low) if math.isfinite(low) else -1
+        k = -round(low)
         if 0 <= k < n and abs(low + k) <= INTEGRALITY_GUARD:
             raise HypergeomError(
                 f"lower parameter {low} hits a pole at term k = {k + 1}"
@@ -148,6 +155,7 @@ def whipple_transform_rhs(n: int, a: float, b: float, c: float,
     Requires a + b + c - n + 1 = d + e + f.  The left-hand side is
     ``hyper_4f3_terminating(n, (a, b, c), (d, e, f))``.
     """
+    _require_finite("4F3 parameter", "abcdef", (a, b, c, d, e, f))
     factor = (pochhammer(e - a, n) * pochhammer(f - a, n)
               / (pochhammer(e, n) * pochhammer(f, n)))
     return factor * hyper_4f3_terminating(
@@ -155,62 +163,39 @@ def whipple_transform_rhs(n: int, a: float, b: float, c: float,
     )
 
 
-def _risings(n: int, a: float, b: float, c: float) -> list[list[float]]:
-    """Prefixes 0..n of the rising factorials of -c, -a-1, 1-b, 2-c, 1-a."""
-    return [_rising(x, n) for x in (-c, -a - 1.0, -b + 1.0, 2.0 - c, -a + 1.0)]
-
-
-def _term1(n, a, b, c, neg_c, neg_a_1, one_b, *_) -> float:
-    if n < 0:
-        raise HypergeomError("pochhammer needs n >= 0")
-    denom = neg_c[n] * math.factorial(n)
-    if denom == 0.0:
-        raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
-    pref = (c * neg_a_1[n] * one_b[n] / denom)
-    return pref * hyper_4f3_terminating(
-        n, (b, a, 1.0 - n + c), (2.0 - n + a, c, -float(n) + b)
-    )
-
-
-def _term2(n, a, b, c, _, __, one_b, two_c, one_a) -> float:
-    if n < 2:
-        return 0.0
-    denom = (c * (1.0 + c) * (1.0 - c)
-             * two_c[n - 2] * math.factorial(n - 2))
-    if denom == 0.0:
-        raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
-    pref = (a * (a + 1.0) * (c - b) * (c - b + 1.0)
-            * one_a[n - 2] * one_b[n - 2]
-            / denom)
-    # Lower parameter 2 - n + b (not -n + b): verified against a direct
-    # Cauchy-product expansion of the two 2F1 factors.
-    return pref * hyper_4f3_terminating(
-        n - 2, (b, a + 2.0, 1.0 - n + c), (2.0 - n + a, 2.0 + c, 2.0 - n + b)
-    )
-
-
 def product_coeffs(n_max: int, a: float, b: float, c: float
                    ) -> list[tuple[float, float]]:
-    """The (term-1, term-2) coefficient pairs of degrees n = 0..n_max, in
-    order and term 1 first, so the first failure raises.  Each Pochhammer
-    symbol is a prefix of one running product per base, so every pair
-    equals ``product_term1_coeff`` and ``product_term2_coeff`` bit for bit.
+    """(term 1, term 2) power-series coefficients, degrees n = 0..n_max,
+    of the two 2F1-product terms in the theta-constant quadratic identity.
+
+    Term 1 is c at n = 0 and a - b + 1 at n = 1; term 2 is 0 below n = 2
+    and cancels term 1 above.  Every Pochhammer symbol is a prefix of one
+    running product per base; degrees run in order, term 1 first, so the
+    first failing coefficient raises.
     """
-    r = _risings(n_max, a, b, c)
-    return [(_term1(n, a, b, c, *r), _term2(n, a, b, c, *r))
-            for n in range(n_max + 1)]
+    n_max = _count(n_max, "n_max")
+    _require_finite("Whipple parameter", "abc", (a, b, c))
+    neg_c, neg_a_1, one_b, two_c, one_a = (
+        list(itertools.accumulate((x + k for k in range(n_max)),
+                                  operator.mul, initial=1.0))
+        for x in (-c, -a - 1.0, -b + 1.0, 2.0 - c, -a + 1.0))
 
+    def term(num, denom, k, uppers, lowers):
+        if denom == 0.0:
+            raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
+        return num / denom * hyper_4f3_terminating(k, uppers, lowers)
 
-def product_term1_coeff(n: int, a: float, b: float, c: float) -> float:
-    """Power-series coefficient (degree n) of the first 2F1-product term
-    in the theta-constant quadratic identity.
-
-    Equals c for n = 0 and a - b + 1 for n = 1.
-    """
-    return _term1(n, a, b, c, *_risings(n, a, b, c))
-
-
-def product_term2_coeff(n: int, a: float, b: float, c: float) -> float:
-    """Power-series coefficient (degree n, n >= 2) of the second
-    2F1-product term; cancels ``product_term1_coeff`` for n >= 2."""
-    return _term2(n, a, b, c, *_risings(n, a, b, c))
+    pairs = []
+    for n in range(n_max + 1):
+        term1 = term(c * neg_a_1[n] * one_b[n], neg_c[n] * math.factorial(n),
+                     n, (b, a, 1.0 - n + c), (2.0 - n + a, c, -float(n) + b))
+        # Lower parameter 2 - n + b (not -n + b): verified against a direct
+        # Cauchy-product expansion of the two 2F1 factors.
+        term2 = 0.0 if n < 2 else term(
+            a * (a + 1.0) * (c - b) * (c - b + 1.0)
+            * one_a[n - 2] * one_b[n - 2],
+            c * (1.0 + c) * (1.0 - c) * two_c[n - 2] * math.factorial(n - 2),
+            n - 2, (b, a + 2.0, 1.0 - n + c),
+            (2.0 - n + a, 2.0 + c, 2.0 - n + b))
+        pairs.append((term1, term2))
+    return pairs

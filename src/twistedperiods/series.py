@@ -54,7 +54,8 @@ class SeriesError(Exception):
 class TauPoint:
     """A point in the upper half-plane with its cached nomes and kernel values.
 
-    ``q = exp(2*pi*i*tau)`` and ``q_half = exp(pi*i*tau)``.  The theta
+    ``q = exp(2*pi*i*tau)`` and ``q_half = exp(pi*i*tau)``, both taken at
+    ``tau_mod8``, tau with its real part reduced mod 8 (exactly).  The theta
     constants and G2 at tau, 2 tau and tau/2 are computed on first use and
     shared by all points at one tau in a process (two caches of
     KERNEL_CACHE_SIZE entries); ``lambda(tau)`` is kept on the point.  They
@@ -65,6 +66,7 @@ class TauPoint:
     tau: complex
     q: complex = field(init=False, repr=False)
     q_half: complex = field(init=False, repr=False)
+    tau_mod8: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -81,6 +83,11 @@ class TauPoint:
                 "residuals and theta constants would leave double range"
             )
         object.__setattr__(self, "tau", tau)
+        # Every exponential the kernels take (exp(i pi mu^2 tau) for integer
+        # and half-integer mu, q, q_half) has period 8 in tau, so each is
+        # taken at tau_mod8: fmod is exact, and it is tau for |Re tau| < 8.
+        tau = complex(math.fmod(tau.real, 8.0), tau.imag)
+        object.__setattr__(self, "tau_mod8", tau)
         object.__setattr__(self, "q", cmath.exp(TWO_PI_I * tau))
         object.__setattr__(self, "q_half", cmath.exp(TWO_PI_I * tau / 2.0))
 
@@ -106,7 +113,7 @@ class TauPoint:
     def g2_double(self) -> complex:
         """G2(2 tau), from its nome alone: 2 tau may lie above the Im
         ceiling, where G2 needs no theta constant."""
-        return _g2(cmath.exp(TWO_PI_I * (self.tau * 2.0)))
+        return _g2(cmath.exp(TWO_PI_I * (self.tau_mod8 * 2.0)))
 
     @property
     def g2_half(self) -> complex:
@@ -215,7 +222,7 @@ def _theta_terms(j: int, tau: TauPoint, im_u: float, order: int = 0):
         )
     # j = 3, 4 start from the constant term, mu = 0
     mu = 0.5 + np.arange(n) if j in (1, 2) else np.arange(n + 1.0)
-    pref = np.exp(1j * math.pi * mu * mu * tau.tau) * 2.0
+    pref = np.exp(1j * math.pi * mu * mu * tau.tau_mod8) * 2.0
     # signs (-1)^(mu - 1/2) for j = 1 and (-1)^mu for j = 4
     if j in (1, 4):
         pref[1::2] *= -1.0

@@ -32,6 +32,8 @@ SWEEP_TAUS = (1j, 1.3j, 2j, 0.3 + 1.2j)
 # that shifted and negated parameter variants stay clearly admissible.
 SAMPLER_MARGIN = 1e-3
 
+WHIPPLE_N_MAX = 12
+
 # name -> plain-math statement of the identity the check tests
 CHECK_REGISTRY: dict[str, str] = {
     "full-tpr": "4x4 quadratic relation C = P+ . H^-T . P-^T, "
@@ -202,8 +204,8 @@ def resolve_tolerances(spec) -> Tolerances:
             ) from None
         return resolve_tolerances(value)
     value = float(spec)
-    if not (value > 0.0):
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, not {value}")
     return Tolerances(matrix=value, series=value, entry22=value,
                       orthogonality=value, whipple=value)
 
@@ -238,6 +240,12 @@ def _run_check(name: str, params: dict, tolerance: float, fn) -> CheckResult:
                         f"non-finite residual {residual}")
     return CheckResult(name=name, params=params, residual=residual,
                        tolerance=tolerance, passed=residual <= tolerance)
+
+
+def _worst(*residuals: float) -> float:
+    """The largest of some non-negative residuals, or nan if any is nan:
+    ``max(0.0, nan)`` is 0.0, so ``max`` alone would let a nan pass."""
+    return math.nan if math.isnan(sum(residuals)) else max(residuals)
 
 
 def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
@@ -289,11 +297,10 @@ def verify_orthogonality(p: HgParams, tol=PROFILES["default"]) -> CheckResult:
         h = homology_H(p)
         rows = basis_change(p)
         dual = basis_change(p.negated())
-        worst = 0.0
-        for sign in (-1, 1):
-            cross = rows.for_sign(sign) @ h @ dual.for_sign(-sign).T
-            worst = max(worst, float(np.max(np.abs(cross))))
-        return worst
+        return _worst(*(
+            float(np.max(np.abs(rows.for_sign(sign) @ h
+                                @ dual.for_sign(-sign).T)))
+            for sign in (-1, 1)))
 
     return _run_check("orthogonality", _params_dict(p, None),
                       tols.orthogonality, residual)
@@ -349,24 +356,23 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
     )
 
 
-def verify_whipple(a: float, b: float, c: float, n_max: int = 12,
+def verify_whipple(a: float, b: float, c: float,
                    tol=PROFILES["default"]) -> CheckResult:
-    """Cancellation of the product-series coefficients for n >= 2.
+    """Cancellation of the product-series coefficients for
+    2 <= n <= WHIPPLE_N_MAX (echoed as ``n_max``), from one
+    ``product_coeffs`` table.
 
     The degree-0 and degree-1 anchors (c and a - b + 1) are folded into the
-    residual, so a wrong low-order coefficient also fails the check.  One
-    ``product_coeffs`` call gives every degree's pair of coefficients.
+    residual, so a wrong low-order coefficient also fails the check.
     """
     tols = resolve_tolerances(tol)
-    params = _params_dict(None, None, a=a, b=b, c=c, n_max=n_max)
+    params = _params_dict(None, None, a=a, b=b, c=c, n_max=WHIPPLE_N_MAX)
 
     def residual():
-        coeffs = product_coeffs(max(n_max, 1), a, b, c)
-        worst = abs(coeffs[0][0] - c)
-        worst = max(worst, abs(coeffs[1][0] - (a - b + 1)))
-        for c1, c2 in coeffs[2:]:
-            worst = max(worst, abs(c1 + c2) / (1.0 + abs(c1)))
-        return worst
+        coeffs = product_coeffs(WHIPPLE_N_MAX, a, b, c)
+        return _worst(abs(coeffs[0][0] - c), abs(coeffs[1][0] - (a - b + 1)),
+                      *(abs(c1 + c2) / (1.0 + abs(c1))
+                        for c1, c2 in coeffs[2:]))
 
     return _run_check("whipple-cancellation", params, tols.whipple, residual)
 
@@ -418,21 +424,21 @@ def verify_series_identities(tau: TauPoint,
     def add(name, fn):
         results.append(_run_check(name, params, tols.series, fn))
 
-    add("theta1-log-derivative", lambda: max(
+    add("theta1-log-derivative", lambda: _worst(
         _rel(r1, pi2 * (-1.0 + 24.0 * (qn / (1 - qn)**2).sum())),
         _rel(r1, r2 + r3 + r4),
     ))
-    add("theta2-ratio-g2", lambda: max(
+    add("theta2-ratio-g2", lambda: _worst(
         _rel(r2, -4.0 * g2_2t + g2t),
         _rel(r2, pi2 * (-1.0 + 8.0 * ((-1.0) ** n * n * qn / (1 - qn)).sum())),
     ))
     # expanding q^(n-1/2)/(1+q^(n-1/2))^2 termwise gives the alternating
     # sum with a leading plus sign
-    add("theta3-ratio-g2", lambda: max(
+    add("theta3-ratio-g2", lambda: _worst(
         _rel(r3, 4.0 * g2_2t - 5.0 * g2t + g2_ht),
         _rel(r3, 8.0 * pi2 * ((-1.0) ** m * m * qhm / (1 - qm)).sum()),
     ))
-    add("theta4-ratio-g2", lambda: max(
+    add("theta4-ratio-g2", lambda: _worst(
         _rel(r4, g2t - g2_ht),
         _rel(r4, 8.0 * pi2 * (m * qhm / (1 - qm)).sum()),
     ))
@@ -472,11 +478,11 @@ def verify_series_identities(tau: TauPoint,
         ),
     }
     for name, (series_c, qsum_c, lam_c) in ratios.items():
-        add(name, lambda sc=series_c, qc=qsum_c, lc=lam_c: max(
+        add(name, lambda sc=series_c, qc=qsum_c, lc=lam_c: _worst(
             _rel(sc, qc), _rel(sc, lc)))
 
     lead = 1.0 / (math.pi * tc.th3_0**2)
-    add("phi2-laurent", lambda: max(
+    add("phi2-laurent", lambda: _worst(
         _rel(phi2_m2, lead), _rel(phi2_0, lead * (r4 - r1 / 3.0))))
 
     def entry22_g2_residual():
@@ -493,18 +499,17 @@ def verify_series_identities(tau: TauPoint,
     return results
 
 
-def sample_admissible(rng: np.random.Generator,
-                      margin: float = SAMPLER_MARGIN) -> HgParams:
+def sample_admissible(rng: np.random.Generator) -> HgParams:
     """Draw one parameter triple uniformly from (-2, 2)^3, rejecting any
-    draw whose shifted or negated variants come within ``margin`` of an
-    admissibility boundary."""
+    draw whose shifted or negated variants come within SAMPLER_MARGIN of
+    an admissibility boundary."""
     while True:
         alpha, beta, gamma = rng.uniform(-2.0, 2.0, size=3)
         p = HgParams(float(alpha), float(beta), float(gamma))
         variants = [p, p.negated()]
         variants += [p.shifted(*s) for s in SHIFT_RULES.values()]
         variants += [p.negated().shifted(*s) for s in SHIFT_RULES.values()]
-        if all(admissible(v, margin)[0] for v in variants):
+        if all(admissible(v, SAMPLER_MARGIN)[0] for v in variants):
             return p
 
 

@@ -7,9 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from twistedperiods.hypergeom import (gamma_real, gauss_2f1,
-                                      product_term1_coeff,
-                                      product_term2_coeff)
+from twistedperiods.hypergeom import gamma_real, gauss_2f1, product_coeffs
 from twistedperiods.matrices import HgParams
 from twistedperiods.periods import wirtinger_quadrature
 from twistedperiods.series import (TauPoint, lambda_tau, theta,
@@ -90,13 +88,12 @@ class TestAcceptance:
             if any(abs(g - round(g)) < 0.05 for g in guards):
                 continue
             draws += 1
+            coeffs = product_coeffs(12, a, b, c)
             worst_anchor = max(
                 worst_anchor,
-                abs(product_term1_coeff(0, a, b, c) - c),
-                abs(product_term1_coeff(1, a, b, c) - (a - b + 1.0)))
-            for n in range(2, 13):
-                c1 = product_term1_coeff(n, a, b, c)
-                c2 = product_term2_coeff(n, a, b, c)
+                abs(coeffs[0][0] - c),
+                abs(coeffs[1][0] - (a - b + 1.0)))
+            for c1, c2 in coeffs[2:]:
                 worst_cancel = max(worst_cancel,
                                    abs(c1 + c2) / (1.0 + abs(c1)))
         ok = worst_cancel <= 1e-10 and worst_anchor <= 1e-12

@@ -9,9 +9,7 @@ import pytest
 from twistedperiods.hypergeom import (INTEGRALITY_GUARD, HypergeomError,
                                       beta_real, gamma_real, gauss_2f1,
                                       hyper_4f3_terminating, pochhammer,
-                                      product_coeffs, product_term1_coeff,
-                                      product_term2_coeff,
-                                      whipple_transform_rhs)
+                                      product_coeffs, whipple_transform_rhs)
 
 # 30-digit oracle values
 GAMMA_03 = 2.9915689876875906283
@@ -21,9 +19,13 @@ F21_HALF = 1.0543792385836535546  # 2F1(0.3, 0.21, 0.77; 0.5)
 
 def _scanning_4f3(n, uppers, lowers):
     """``hyper_4f3_terminating`` with its pole test as a scan over every
-    term: the reference for the nearest-integer test."""
+    term: the reference for the nearest-integer test.  A non-finite
+    parameter raises first, as in the library."""
     a, b, c = (float(v) for v in uppers)
     d, e, f = (float(v) for v in lowers)
+    for name, value in zip("abcdef", (a, b, c, d, e, f)):
+        if not math.isfinite(value):
+            raise HypergeomError(f"non-finite 4F3 parameter {name} = {value}")
     for low in (d, e, f):
         for k in range(n):
             if abs(low + k) <= INTEGRALITY_GUARD:
@@ -147,6 +149,20 @@ class TestPochhammer:
         with pytest.raises(HypergeomError):
             pochhammer(1.0, -1)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    def test_non_integer_n_raises_typed_error(self, n):
+        with pytest.raises(HypergeomError, match="non-negative integer"):
+            pochhammer(0.3, n)
+
+    def test_one_running_product_from_one(self):
+        rng = np.random.default_rng(43)
+        for x in rng.uniform(-3.0, 3.0, 8):
+            product = 1.0
+            for n in range(6):
+                assert pochhammer(x, n) == product
+                product *= x + n
+        assert pochhammer(0.3, 3.0) == pochhammer(0.3, 3)
+
 
 class TestGauss2F1:
     def test_at_zero(self):
@@ -228,6 +244,20 @@ class TestTerminating4F3:
         with pytest.raises(HypergeomError):
             hyper_4f3_terminating(-1, (0.3, 0.4, 0.5), (1.1, 1.2, 1.3))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(6))
+    def test_non_finite_parameter_names_it(self, position, value):
+        params = [0.3, 0.4, 0.5, 1.1, 1.2, 1.3]
+        params[position] = value
+        name = "abcdef"[position]
+        with pytest.raises(HypergeomError, match=(
+                f"non-finite 4F3 parameter {name} = {value}")):
+            hyper_4f3_terminating(3, params[:3], params[3:])
+
+    def test_whipple_transform_non_finite_raises(self):
+        with pytest.raises(HypergeomError, match="parameter c = inf"):
+            whipple_transform_rhs(3, 0.3, 0.4, math.inf, 1.1, 1.2, 1.3)
+
     def test_lower_pole_raises(self):
         with pytest.raises(HypergeomError):
             hyper_4f3_terminating(3, (0.3, 0.4, 0.5), (-1.0, 1.2, 1.3))
@@ -281,10 +311,9 @@ class TestProductCoefficients:
         rng = np.random.default_rng(9)
         for _ in range(10):
             a, b, c = rng.uniform(0.1, 0.9, 3) + np.array([0.0, 0.0, 1.0])
-            assert product_term1_coeff(0, a, b, c) == pytest.approx(
-                c, abs=1e-12)
-            assert product_term1_coeff(1, a, b, c) == pytest.approx(
-                a - b + 1.0, abs=1e-12)
+            (t0, _), (t1, _) = product_coeffs(1, a, b, c)
+            assert t0 == pytest.approx(c, abs=1e-12)
+            assert t1 == pytest.approx(a - b + 1.0, abs=1e-12)
 
     def test_table_matches_per_degree_products_bitwise(self):
         rng = np.random.default_rng(41)
@@ -295,24 +324,18 @@ class TestProductCoefficients:
             for n, pair in enumerate(table):
                 expect = (_degree_term1(n, a, b, c), _degree_term2(n, a, b, c))
                 assert pair == expect
-                assert (product_term1_coeff(n, a, b, c),
-                        product_term2_coeff(n, a, b, c)) == expect
 
     @pytest.mark.parametrize("a, b, c", [
         (0.3, 0.2, 1.0), (0.3, 0.2, -1.0), (0.3, 0.2, 3.0), (-1.0, 0.3, 0.6),
         (2.0, 0.3, 0.6), (0.3, 2.0, 0.6), (0.3, 0.2, -3.0 + 5e-10),
         (0.3, 0.2, 0.0)])
     def test_each_degree_keeps_its_error(self, a, b, c):
-        # the per-degree wrappers raise (or not) exactly as the per-degree
-        # products do; the table raises at the first failing degree, term 1
-        # before term 2
+        # the table raises at the first degree whose per-degree product
+        # raises, term 1 before term 2, with that product's message
         expected = []
         for n in range(9):
-            for mine, ref in ((product_term1_coeff, _degree_term1),
-                              (product_term2_coeff, _degree_term2)):
-                outcome = _outcome(ref, n, a, b, c)
-                assert _outcome(mine, n, a, b, c) == outcome
-                expected.append(outcome)
+            for ref in (_degree_term1, _degree_term2):
+                expected.append(_outcome(ref, n, a, b, c))
         first_error = next((o for o in expected if isinstance(o, str)), None)
         table = _outcome(product_coeffs, 8, a, b, c)
         if first_error is None:
@@ -320,14 +343,23 @@ class TestProductCoefficients:
         else:
             assert table == first_error
 
-    def test_negative_degree(self):
-        with pytest.raises(HypergeomError, match="n >= 0"):
-            product_term1_coeff(-1, 0.2, 0.3, 0.6)
-        assert product_term2_coeff(-1, 0.2, 0.3, 0.6) == 0.0
+    @pytest.mark.parametrize("n_max", [-1, 2.5, math.nan, math.inf])
+    def test_rejects_a_bad_degree(self, n_max):
+        with pytest.raises(HypergeomError, match="n_max must be"):
+            product_coeffs(n_max, 0.2, 0.3, 0.6)
 
-    def test_term2_vanishes_below_degree_two(self):
-        assert product_term2_coeff(0, 0.2, 0.3, 0.6) == 0.0
-        assert product_term2_coeff(1, 0.2, 0.3, 0.6) == 0.0
+    def test_integral_float_degree(self):
+        assert product_coeffs(3.0, 0.2, 0.3, 0.6) == product_coeffs(
+            3, 0.2, 0.3, 0.6)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_non_finite_parameter_names_it(self, name, value):
+        args = {"a": 0.2, "b": 0.3, "c": 0.6}
+        args[name] = value
+        with pytest.raises(HypergeomError, match=(
+                f"non-finite Whipple parameter {name} = {value}")):
+            product_coeffs(12, **args)
 
     def test_cancellation(self):
         rng = np.random.default_rng(17)
@@ -340,7 +372,5 @@ class TestProductCoefficients:
             if any(abs(g - round(g)) < 0.05 for g in guards):
                 continue
             draws += 1
-            for n in range(2, 13):
-                c1 = product_term1_coeff(n, a, b, c)
-                c2 = product_term2_coeff(n, a, b, c)
+            for c1, c2 in product_coeffs(12, a, b, c)[2:]:
                 assert abs(c1 + c2) / (1.0 + abs(c1)) < 1e-10

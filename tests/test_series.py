@@ -425,6 +425,36 @@ class TestLambdaAndG2:
         assert complex(eisenstein_g2(TAU_I)).real == pytest.approx(
             G2_I, rel=1e-13)
 
+    @pytest.mark.parametrize("tau_re", [200.3, 2e6 + 0.3, 2e9 + 0.3,
+                                        -2e9 - 0.3, 123456.75])
+    def test_large_real_part_matches_mpmath(self, tau_re):
+        # every series has period 8 in tau and is summed at Re tau mod 8;
+        # summed at tau itself, lambda was off by 4.2e-7 at 2e9 + 0.3
+        mpmath = pytest.importorskip("mpmath")
+        tau = TauPoint(complex(tau_re, 1.1))
+        with mpmath.workdps(60):
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.tau))
+
+            def g2(x):
+                return complex(-mpmath.pi**2 / 3 * mpmath.jtheta(1, 0, x, 3)
+                               / mpmath.jtheta(1, 0, x, 1))
+
+            expect = {
+                "lam": complex((mpmath.jtheta(2, 0, nome)
+                                / mpmath.jtheta(3, 0, nome)) ** 4),
+                "g2": g2(nome), "g2_double": g2(nome**2),
+                "g2_half": g2(mpmath.sqrt(nome)),
+                "theta": [complex(mpmath.jtheta(j, mpmath.pi * 0.3, nome))
+                          for j in (1, 2, 3, 4)],
+            }
+        assert tau.lam == pytest.approx(expect["lam"], rel=1e-14)
+        for name in ("g2", "g2_double", "g2_half"):
+            assert getattr(tau, name) == pytest.approx(expect[name], rel=1e-14)
+        assert [theta(j, 0.3, tau) for j in (1, 2, 3, 4)] == pytest.approx(
+            expect["theta"], rel=1e-14)
+        results = verify_series_identities(tau)
+        assert len(results) == 15 and all(r.passed for r in results)
+
     def test_g2_limit(self):
         assert complex(eisenstein_g2(TauPoint(8j))).real == pytest.approx(
             math.pi**2 / 3.0, rel=1e-8)

@@ -62,6 +62,26 @@ class TestCheckResult:
         for name, description in CHECK_REGISTRY.items():
             assert name and description
 
+    def test_readme_table_lists_the_registry_in_order(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Check registry", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        names = [line.split("`")[1] for line in section.splitlines()
+                 if line.startswith("| `")]
+        assert names == list(CHECK_REGISTRY)
+
+
+class TestWorst:
+    @pytest.mark.parametrize("position", range(3))
+    def test_nan_in_any_position(self, position):
+        residuals = [1e-16, 3e-16, 2e-16]
+        residuals[position] = math.nan
+        assert math.isnan(verify._worst(*residuals))
+
+    def test_largest_residual(self):
+        assert verify._worst(1e-16, 3e-16, 2e-16) == 3e-16
+        assert verify._worst(0.0, math.inf) == math.inf
+
 
 class TestTolerances:
     def test_profiles(self):
@@ -78,6 +98,13 @@ class TestTolerances:
             resolve_tolerances("nonsense")
         with pytest.raises(ValueError):
             resolve_tolerances(-1.0)
+
+    @pytest.mark.parametrize("spec", [math.inf, math.nan, "inf", "1e400",
+                                      "nan"])
+    def test_non_finite_tolerance_rejected(self, spec):
+        # a tolerance of inf would pass every check with a finite residual
+        with pytest.raises(ValueError, match="finite and positive"):
+            resolve_tolerances(spec)
 
 
 class TestFullTpr:
@@ -250,12 +277,21 @@ class TestWhipple:
         for _ in range(5):
             a, b = rng.uniform(0.1, 0.9, 2)
             c = rng.uniform(1.1, 1.9)
-            result = verify_whipple(a, b, c, n_max=12)
+            result = verify_whipple(a, b, c)
             assert result.passed
+            assert result.params["n_max"] == 12
 
     def test_pole_recorded(self):
-        result = verify_whipple(0.3, 0.2, 1.0, n_max=6)
+        result = verify_whipple(0.3, 0.2, 1.0)
         assert result.error is not None
+
+    @pytest.mark.parametrize("a, b, c", [
+        (math.nan, 0.2, 0.6), (math.inf, 0.2, 0.6), (0.3, math.nan, 0.6),
+        (0.3, -math.inf, 0.6)])
+    def test_non_finite_input_is_an_errored_check(self, a, b, c):
+        result = verify_whipple(a, b, c)
+        assert not result.passed and result.residual is None
+        assert "non-finite" in result.error
 
 
 class TestSeriesIdentities:
@@ -445,6 +481,21 @@ class TestCli:
 
     def test_bad_tau_exit_code(self, capsys):
         assert main(["lambda", "--tau-im", "0.01"]) == 2
+
+    @pytest.mark.parametrize("tol", ["inf", "1e400"])
+    def test_infinite_tolerance_exit_code(self, capsys, tol):
+        assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
+                     "--gamma", "0.77", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "finite and positive" in captured.err
+        assert "pass" not in captured.out
+
+    def test_lambda_at_a_huge_real_part(self, capsys):
+        # 1e300 is a multiple of 8, a period of lambda, so lambda = lambda(i)
+        assert main(["lambda", "--tau-re", "1e300"]) == 0
+        out = capsys.readouterr().out
+        re, im = (float(x.rstrip("j")) for x in out.split("=")[1].split())
+        assert abs(re - 0.5) <= 1e-15 and im == 0.0
 
     def test_entry22_theta_passes_past_the_2f1_radius(self, capsys):
         assert main(["tpr", "entry22", "--a", "0.2", "--b", "0.3",
