@@ -17,6 +17,10 @@ import sys
 # this distance of an integer.
 INTEGRALITY_GUARD = 1e-9
 
+# Largest degree, termination index or Pochhammer length accepted: n! leaves
+# double range above it (the library's own callers stop at degree 12).
+MAX_DEGREE = 170
+
 
 class HypergeomError(Exception):
     """Raised for pole hits, radius violations, non-convergence, bad input."""
@@ -27,9 +31,12 @@ def is_near_nonpositive_integer(x: float) -> bool:
 
 
 def _count(n, what: str) -> int:
-    """``n`` as an int if it is a non-negative integer (3.0 counts)."""
+    """``n`` as an int if it is an integer in 0..MAX_DEGREE (3.0 counts)."""
     if not (n >= 0 and n % 1 == 0):
         raise HypergeomError(f"{what} must be a non-negative integer, not {n}")
+    if n > MAX_DEGREE:
+        raise HypergeomError(
+            f"{what} = {n} exceeds the maximum degree {MAX_DEGREE}")
     return int(n)
 
 
@@ -79,9 +86,13 @@ def beta_real(a: float, c: float) -> float:
 
 
 def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x (x+1) ... (x+n-1), a running product from 1.0."""
-    return math.prod((x + k for k in range(_count(n, "pochhammer's n"))),
-                     start=1.0)
+    """Rising factorial x (x+1) ... (x+n-1), a running product from 1.0;
+    raises where a finite x overflows it."""
+    value = math.prod((x + k for k in range(_count(n, "pochhammer's n"))),
+                      start=1.0)
+    if math.isinf(value) and math.isfinite(x):
+        raise HypergeomError(f"({x})_{n} overflows double precision")
+    return value
 
 
 def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
@@ -153,11 +164,18 @@ def whipple_transform_rhs(n: int, a: float, b: float, c: float,
     """Right-hand side of the balanced 4F3 transformation at unit argument.
 
     Requires a + b + c - n + 1 = d + e + f.  The left-hand side is
-    ``hyper_4f3_terminating(n, (a, b, c), (d, e, f))``.
+    ``hyper_4f3_terminating(n, (a, b, c), (d, e, f))``.  Raises where
+    (e)_n or (f)_n vanishes.
     """
     _require_finite("4F3 parameter", "abcdef", (a, b, c, d, e, f))
-    factor = (pochhammer(e - a, n) * pochhammer(f - a, n)
-              / (pochhammer(e, n) * pochhammer(f, n)))
+    numer = pochhammer(e - a, n) * pochhammer(f - a, n)
+    denoms = pochhammer(e, n), pochhammer(f, n)
+    for name, value, denom in zip("ef", (e, f), denoms):
+        if denom == 0.0:
+            raise HypergeomError(
+                f"Pochhammer denominator ({name})_{n} vanishes at "
+                f"{name} = {value}")
+    factor = numer / (denoms[0] * denoms[1])
     return factor * hyper_4f3_terminating(
         n, (a, d - b, d - c), (d, a - e - n + 1.0, a - f - n + 1.0)
     )

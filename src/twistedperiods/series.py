@@ -41,8 +41,9 @@ IM_TAU_FLOOR = 0.1
 IM_TAU_CEILING = 50.0
 
 # Entries of each per-process kernel cache (theta constants by tau, G2 by
-# nome), least recently used evicted first: room for the 4 and 12 entries
-# of a sweep's 4 taus, while a run with a fresh tau per unit keeps few.
+# nome, and verify's identity-suite residuals by tau), least recently used
+# evicted first: room for the 4, 12 and 4 entries of a sweep's 4 taus,
+# while a run with a fresh tau per unit keeps few.
 KERNEL_CACHE_SIZE = 32
 
 

@@ -24,7 +24,8 @@ from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        homology_H, require_admissible, theta_bracket)
 from .periods import SHIFT_RULES, PeriodError, block_periods, period_matrix
 from .quadrature import QuadratureError
-from .series import SeriesError, TauPoint, ThetaConstants, q_terms
+from .series import (KERNEL_CACHE_SIZE, SeriesError, TauPoint,
+                     ThetaConstants, q_terms)
 
 SWEEP_TAUS = (1j, 1.3j, 2j, 0.3 + 1.2j)
 
@@ -87,6 +88,9 @@ CHECK_REGISTRY: dict[str, str] = {
     "entry22-g2-form": "theta-derivative form of the (2,2) entry equals "
                        "its G2-combination rewrite",
 }
+
+# the registry lists the identity suite's 15 checks last, in suite order
+_SERIES_CHECKS = tuple(CHECK_REGISTRY)[8:]
 
 _RECOVERABLE = (AdmissibilityError, ConditioningError, HypergeomError,
                 PeriodError, QuadratureError, SeriesError)
@@ -235,6 +239,12 @@ def _run_check(name: str, params: dict, tolerance: float, fn) -> CheckResult:
         residual = float(fn())
     except _RECOVERABLE as exc:
         return _errored(name, params, tolerance, exc)
+    return _verdict(name, params, tolerance, residual)
+
+
+def _verdict(name: str, params: dict, tolerance: float,
+             residual: float) -> CheckResult:
+    """A check of a computed residual; a non-finite one errors it."""
     if not math.isfinite(residual):
         return _errored(name, params, tolerance,
                         f"non-finite residual {residual}")
@@ -395,18 +405,18 @@ def _rel(x: complex, y: complex) -> float:
     return abs(x - y) / (1.0 + abs(x))
 
 
-def verify_series_identities(tau: TauPoint,
-                             tol=PROFILES["default"]) -> list[CheckResult]:
-    """The q-series identity suite at a single tau.
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _series_residuals(tau: TauPoint) -> tuple[float, ...]:
+    """The identity suite's 15 residuals at tau, in ``_SERIES_CHECKS``
+    order, computed once per tau and process: a least-recently-used cache
+    of KERNEL_CACHE_SIZE entries, like the theta constants and G2.
 
-    Covers the theta-derivative constants (q-series, G2-combination, and
-    direct routes), the three lambda-quartic identities, the three G2
-    combinations, the u^1 Laurent coefficients of the three odd elliptic
-    functions, the Laurent expansion of the second cocycle, and the
-    G2-combination rewrite of the (2,2) entry at a fixed (a, b, c).
+    The residuals depend on tau alone, so only they are cached, never a
+    check's params or tolerance.  Every kernel is read before the first
+    residual, so a kernel error raises from here and is not cached; the
+    residuals themselves are plain arithmetic, and one that is not finite
+    errors its check in the caller.
     """
-    tols = resolve_tolerances(tol)
-    params = _params_dict(None, tau)
     pi2 = math.pi**2
     # Lambert-series terms in q^n and in q_half^m, with q^m = q_half^(2m)
     n, qn = q_terms(tau.q)
@@ -419,84 +429,81 @@ def verify_series_identities(tau: TauPoint,
     g2_2t = tau.g2_double
     g2_ht = tau.g2_half
     r1, r2, r3, r4 = tc.log_ratios
-    results: list[CheckResult] = []
-
-    def add(name, fn):
-        results.append(_run_check(name, params, tols.series, fn))
-
-    add("theta1-log-derivative", lambda: _worst(
-        _rel(r1, pi2 * (-1.0 + 24.0 * (qn / (1 - qn)**2).sum())),
-        _rel(r1, r2 + r3 + r4),
-    ))
-    add("theta2-ratio-g2", lambda: _worst(
-        _rel(r2, -4.0 * g2_2t + g2t),
-        _rel(r2, pi2 * (-1.0 + 8.0 * ((-1.0) ** n * n * qn / (1 - qn)).sum())),
-    ))
-    # expanding q^(n-1/2)/(1+q^(n-1/2))^2 termwise gives the alternating
-    # sum with a leading plus sign
-    add("theta3-ratio-g2", lambda: _worst(
-        _rel(r3, 4.0 * g2_2t - 5.0 * g2t + g2_ht),
-        _rel(r3, 8.0 * pi2 * ((-1.0) ** m * m * qhm / (1 - qm)).sum()),
-    ))
-    add("theta4-ratio-g2", lambda: _worst(
-        _rel(r4, g2t - g2_ht),
-        _rel(r4, 8.0 * pi2 * (m * qhm / (1 - qm)).sum()),
-    ))
-
     # the odd slices [::2] hold the powers q_half^(2n-1)
     sum_cs = 1.0 + 24.0 * (n * qn / (1 + qn)).sum()
     sum_ds = 1.0 - 24.0 * (m * qhm / (1 + qhm))[::2].sum()
     sum_ns = 1.0 + 24.0 * (m * qhm / (1 - qhm))[::2].sum()
-    add("lambda-quartic-cs", lambda: _rel(sum_cs, (1.0 - lam / 2.0) * t34))
-    add("lambda-quartic-ds", lambda: _rel(sum_ds, (1.0 - 2.0 * lam) * t34))
-    add("lambda-quartic-ns", lambda: _rel(sum_ns, (1.0 + lam) * t34))
-
-    add("g2-combination-cs", lambda: _rel(
-        2.0 * g2_2t - g2t, (pi2 / 3.0) * (1.0 - lam / 2.0) * t34))
-    add("g2-combination-ds", lambda: _rel(
-        4.0 * g2_2t + g2_ht - 4.0 * g2t, (pi2 / 3.0) * (1.0 - 2.0 * lam) * t34))
-    add("g2-combination-ns", lambda: _rel(
-        2.0 * g2t - g2_ht, (pi2 / 3.0) * (1.0 + lam) * t34))
-
     t21, t31, t41, phi2_m2, phi2_0 = _laurent_coefficients(tc)
     two_k_sq = (math.pi * tc.th3_0**2) ** 2
-    ratios = {
-        "laurent-coeff-cs": (
-            math.pi * tc.th3_0 * tc.th4_0 * t21,
-            -(pi2 / 3.0) * sum_cs,
-            (-1.0 / 3.0 + lam / 6.0) * two_k_sq,
-        ),
-        "laurent-coeff-ds": (
-            math.pi * tc.th2_0 * tc.th4_0 * t31,
-            (pi2 / 6.0) * sum_ds,
-            (1.0 / 6.0 - lam / 3.0) * two_k_sq,
-        ),
-        "laurent-coeff-ns": (
-            math.pi * tc.th2_0 * tc.th3_0 * t41,
-            (pi2 / 6.0) * sum_ns,
-            (1.0 / 6.0 + lam / 6.0) * two_k_sq,
-        ),
-    }
-    for name, (series_c, qsum_c, lam_c) in ratios.items():
-        add(name, lambda sc=series_c, qc=qsum_c, lc=lam_c: _worst(
-            _rel(sc, qc), _rel(sc, lc)))
-
+    # (series, q-sum, lambda) forms of each u^1 Laurent coefficient
+    laurent = (
+        (math.pi * tc.th3_0 * tc.th4_0 * t21, -(pi2 / 3.0) * sum_cs,
+         (-1.0 / 3.0 + lam / 6.0) * two_k_sq),
+        (math.pi * tc.th2_0 * tc.th4_0 * t31, (pi2 / 6.0) * sum_ds,
+         (1.0 / 6.0 - lam / 3.0) * two_k_sq),
+        (math.pi * tc.th2_0 * tc.th3_0 * t41, (pi2 / 6.0) * sum_ns,
+         (1.0 / 6.0 + lam / 6.0) * two_k_sq),
+    )
     lead = 1.0 / (math.pi * tc.th3_0**2)
-    add("phi2-laurent", lambda: _worst(
-        _rel(phi2_m2, lead), _rel(phi2_0, lead * (r4 - r1 / 3.0))))
+    a, b, c = 0.2, 0.3, 0.6
+    g2_rewrite = (
+        2.0 * (a - b + c + 1) * (2.0 * g2_2t - g2t)
+        - 2.0 * (a - b + 1) * (4.0 * g2_2t + g2_ht - 4.0 * g2t)
+        + c * (2.0 * g2t - g2_ht)
+    ) / (pi2 * t34)
+    return tuple(map(float, (
+        # theta1-log-derivative
+        _worst(_rel(r1, pi2 * (-1.0 + 24.0 * (qn / (1 - qn)**2).sum())),
+               _rel(r1, r2 + r3 + r4)),
+        # theta2-ratio-g2
+        _worst(_rel(r2, -4.0 * g2_2t + g2t),
+               _rel(r2, pi2 * (-1.0 + 8.0 * (
+                   (-1.0) ** n * n * qn / (1 - qn)).sum()))),
+        # theta3-ratio-g2: expanding q^(n-1/2)/(1+q^(n-1/2))^2 termwise
+        # gives the alternating sum with a leading plus sign
+        _worst(_rel(r3, 4.0 * g2_2t - 5.0 * g2t + g2_ht),
+               _rel(r3, 8.0 * pi2 * ((-1.0) ** m * m * qhm / (1 - qm)).sum())),
+        # theta4-ratio-g2
+        _worst(_rel(r4, g2t - g2_ht),
+               _rel(r4, 8.0 * pi2 * (m * qhm / (1 - qm)).sum())),
+        # lambda-quartic-cs, -ds, -ns
+        _rel(sum_cs, (1.0 - lam / 2.0) * t34),
+        _rel(sum_ds, (1.0 - 2.0 * lam) * t34),
+        _rel(sum_ns, (1.0 + lam) * t34),
+        # g2-combination-cs, -ds, -ns
+        _rel(2.0 * g2_2t - g2t, (pi2 / 3.0) * (1.0 - lam / 2.0) * t34),
+        _rel(4.0 * g2_2t + g2_ht - 4.0 * g2t,
+             (pi2 / 3.0) * (1.0 - 2.0 * lam) * t34),
+        _rel(2.0 * g2t - g2_ht, (pi2 / 3.0) * (1.0 + lam) * t34),
+        # laurent-coeff-cs, -ds, -ns
+        *(_worst(_rel(sc, qc), _rel(sc, lc)) for sc, qc, lc in laurent),
+        # phi2-laurent
+        _worst(_rel(phi2_m2, lead), _rel(phi2_0, lead * (r4 - r1 / 3.0))),
+        # entry22-g2-form
+        _rel(_entry22_theta_form(HgParams(a + 0.5, b - 0.5, c), tau),
+             g2_rewrite),
+    )))
 
-    def entry22_g2_residual():
-        a, b, c = 0.2, 0.3, 0.6
-        rewrite = (
-            2.0 * (a - b + c + 1) * (2.0 * g2_2t - g2t)
-            - 2.0 * (a - b + 1) * (4.0 * g2_2t + g2_ht - 4.0 * g2t)
-            + c * (2.0 * g2t - g2_ht)
-        ) / (pi2 * t34)
-        theta_form = _entry22_theta_form(HgParams(a + 0.5, b - 0.5, c), tau)
-        return _rel(theta_form, rewrite)
 
-    add("entry22-g2-form", entry22_g2_residual)
-    return results
+def verify_series_identities(tau: TauPoint,
+                             tol=PROFILES["default"]) -> list[CheckResult]:
+    """The q-series identity suite at a single tau.
+
+    Covers the theta-derivative constants (q-series, G2-combination, and
+    direct routes), the three lambda-quartic identities, the three G2
+    combinations, the u^1 Laurent coefficients of the three odd elliptic
+    functions, the Laurent expansion of the second cocycle, and the
+    G2-combination rewrite of the (2,2) entry at a fixed (a, b, c).
+
+    The residuals depend on tau alone and are computed once per tau and
+    process (``_series_residuals``); each call builds its own results
+    from them, with its own tolerance and params, so a point at
+    Re tau = -0.0 still echoes ``tau_re`` -0.0.
+    """
+    tols = resolve_tolerances(tol)
+    params = _params_dict(None, tau)
+    return [_verdict(name, params, tols.series, residual)
+            for name, residual in zip(_SERIES_CHECKS, _series_residuals(tau))]
 
 
 def sample_admissible(rng: np.random.Generator) -> HgParams:

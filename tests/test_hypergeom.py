@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from twistedperiods.hypergeom import (INTEGRALITY_GUARD, HypergeomError,
-                                      beta_real, gamma_real, gauss_2f1,
+from twistedperiods.hypergeom import (INTEGRALITY_GUARD, MAX_DEGREE,
+                                      HypergeomError, beta_real, gamma_real, gauss_2f1,
                                       hyper_4f3_terminating, pochhammer,
                                       product_coeffs, whipple_transform_rhs)
 
@@ -164,6 +164,34 @@ class TestPochhammer:
         assert pochhammer(0.3, 3.0) == pochhammer(0.3, 3)
 
 
+class TestMaxDegree:
+    """Every degree, termination index and Pochhammer length is checked
+    against one cap before a loop starts."""
+
+    CALLS = {
+        "pochhammer": lambda n: pochhammer(0.5, n),
+        "4f3": lambda n: hyper_4f3_terminating(n, (0.3, 0.4, 0.5),
+                                               (1.1, 1.2, 1.3)),
+        "product_coeffs": lambda n: product_coeffs(n, 0.2, 0.3, 0.6),
+    }
+
+    @pytest.mark.parametrize("n", [MAX_DEGREE + 1, 10**6, 1e12])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_above_the_cap_raises(self, call, n):
+        with pytest.raises(HypergeomError, match=(
+                f"= {n} exceeds the maximum degree {MAX_DEGREE}")):
+            self.CALLS[call](n)
+
+    def test_the_cap_is_accepted(self):
+        assert math.isfinite(pochhammer(0.5, MAX_DEGREE))
+        assert math.isfinite(self.CALLS["4f3"](MAX_DEGREE))
+        assert len(product_coeffs(MAX_DEGREE, 0.2, 0.3, 0.6)) == MAX_DEGREE + 1
+
+    def test_pochhammer_overflow_raises(self):
+        with pytest.raises(HypergeomError, match="overflows double precision"):
+            pochhammer(10.0, MAX_DEGREE)
+
+
 class TestGauss2F1:
     def test_at_zero(self):
         assert complex(gauss_2f1(0.3, 1.2, 0.7, 0.0)) == 1.0
@@ -257,6 +285,16 @@ class TestTerminating4F3:
     def test_whipple_transform_non_finite_raises(self):
         with pytest.raises(HypergeomError, match="parameter c = inf"):
             whipple_transform_rhs(3, 0.3, 0.4, math.inf, 1.1, 1.2, 1.3)
+
+    @pytest.mark.parametrize("e, f, message", [
+        (-1.0, 1.3, r"\(e\)_3 vanishes at e = -1.0"),
+        (1.3, -2.0, r"\(f\)_3 vanishes at f = -2.0"),
+        (0.0, 0.0, r"\(e\)_3 vanishes at e = 0.0"),
+    ])
+    def test_whipple_transform_vanishing_denominator_names_it(self, e, f,
+                                                              message):
+        with pytest.raises(HypergeomError, match=message):
+            whipple_transform_rhs(3, 0.3, 0.4, 0.5, 1.1, e, f)
 
     def test_lower_pole_raises(self):
         with pytest.raises(HypergeomError):

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twistedperiods import series
+from twistedperiods import series, verify
 from twistedperiods.matrices import HgParams
 from twistedperiods.series import (SeriesError, TauPoint, eisenstein_g2,
                                    lambda_tau, theta, theta_constants,
@@ -62,9 +62,9 @@ class TestTauPoint:
 
 
 def _count_constants_builds(monkeypatch) -> Counter:
-    """Empty the theta-constant cache and count, by theta index, the
-    Taylor series built from now on, whichever module calls
-    ``theta_taylor``: each build takes one term table at real u."""
+    """Empty the theta-constant and identity-suite caches and count, by
+    theta index, the Taylor series built from now on, whichever module
+    calls ``theta_taylor``: each build takes one term table at real u."""
     built = Counter()
     original = series._theta_terms
 
@@ -74,6 +74,7 @@ def _count_constants_builds(monkeypatch) -> Counter:
 
     monkeypatch.setattr(series, "_theta_terms", counting)
     series._theta_constants_at.cache_clear()
+    verify._series_residuals.cache_clear()
     return built
 
 
@@ -81,6 +82,7 @@ def _kernel_bytes(tau_val) -> bytes:
     """Every kernel value of a TauPoint at ``tau_val``, computed afresh."""
     series._theta_constants_at.cache_clear()
     series._g2.cache_clear()
+    verify._series_residuals.cache_clear()
     tau = TauPoint(tau_val)
     tc = tau.constants
     return np.array([tc.th2_0, tc.th3_0, tc.th4_0, tc.th1p_0, tc.th1ppp_0,
@@ -127,12 +129,15 @@ class TestKernelContext:
                 complex(-0.0, t))
 
     def test_caches_stay_at_their_bound(self):
-        for cache in (series._theta_constants_at, series._g2):
+        caches = (series._theta_constants_at, series._g2,
+                  verify._series_residuals)
+        for cache in caches:
             cache.cache_clear()
         for k in range(series.KERNEL_CACHE_SIZE + 1):
             tau = TauPoint(complex(0.1 * k, 1.0 + k / 64.0))
             tau.constants, tau.g2  # fill
-        for cache in (series._theta_constants_at, series._g2):
+            verify_series_identities(tau)
+        for cache in caches:
             info = cache.cache_info()
             assert info.currsize == info.maxsize == series.KERNEL_CACHE_SIZE
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import twistedperiods
-from twistedperiods import matrices, verify
+from twistedperiods import matrices, series, verify
 from twistedperiods.cli import main
 from twistedperiods.hypergeom import HypergeomError
 from twistedperiods.matrices import HgParams
@@ -305,6 +305,86 @@ class TestSeriesIdentities:
     def test_phi2_leading_coefficient(self):
         results = {r.name: r for r in verify_series_identities(TAU_I)}
         assert results["phi2-laurent"].residual <= 1e-11
+
+
+def _clear_kernel_caches():
+    for cache in (series._theta_constants_at, series._g2,
+                  verify._series_residuals):
+        cache.cache_clear()
+
+
+class TestSeriesIdentityCache:
+    """The suite's residuals are computed once per tau and process; every
+    call builds its own results with its own tolerance and params."""
+
+    def test_second_call_builds_no_series(self, monkeypatch):
+        _clear_kernel_caches()
+        built = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(series, "_theta_terms",
+                            counting("theta", series._theta_terms))
+        for module in (series, verify):
+            monkeypatch.setattr(module, "q_terms",
+                                counting("lambert", module.q_terms))
+        first = verify_series_identities(TauPoint(0.3 + 1.2j))
+        assert built["theta"] == 4 and built["lambert"] > 0
+        built.clear()
+        second = verify_series_identities(TauPoint(0.3 + 1.2j))
+        assert built == {}
+        assert second == first
+
+    @pytest.mark.parametrize("tol", ["default", "loose", 1e-13])
+    def test_cached_results_equal_a_cold_computation(self, tol):
+        tau = TauPoint(0.4 + 1.1j)
+        _clear_kernel_caches()
+        cold = verify_series_identities(tau, tol)
+        for warm_tol in ("default", "loose", 1e-13):
+            verify_series_identities(tau, warm_tol)
+        hits = verify._series_residuals.cache_info().hits
+        warm = verify_series_identities(TauPoint(0.4 + 1.1j), tol)
+        assert verify._series_residuals.cache_info().hits == hits + 1
+        assert warm == cold
+        assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+
+    @pytest.mark.parametrize("im", [0.1, 0.15, 1.0, 7.3, 50.0])
+    def test_signed_zero_real_part(self, im):
+        def residual_bytes(results):
+            return np.array([r.residual for r in results]).tobytes()
+
+        def suite(re):
+            return verify_series_identities(TauPoint(complex(re, im)))
+
+        _clear_kernel_caches()
+        plus = suite(0.0)
+        _clear_kernel_caches()
+        minus = suite(-0.0)
+        assert residual_bytes(plus) == residual_bytes(minus)
+        # warm: each sign reads the entry the other filled, and echoes its
+        # own sign
+        warm_plus = suite(0.0)
+        _clear_kernel_caches()
+        suite(0.0)
+        warm_minus = suite(-0.0)
+        for results, sign in ((plus, 1.0), (minus, -1.0), (warm_plus, 1.0),
+                              (warm_minus, -1.0)):
+            for r in results:
+                assert math.copysign(1.0, r.params["tau_re"]) == sign
+        assert [r.to_dict() for r in warm_plus] == [
+            r.to_dict() for r in plus]
+        assert [r.to_dict() for r in warm_minus] == [
+            r.to_dict() for r in minus]
+
+    def test_sweep_json_cold_and_warm(self):
+        for seed in range(10):
+            _clear_kernel_caches()
+            cold = run_sweep(seed, 8).to_json()
+            assert run_sweep(seed, 8).to_json() == cold
 
 
 class TestSweep:
