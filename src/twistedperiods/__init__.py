@@ -11,8 +11,7 @@ ties the layers together into named identity checks and seeded sweeps;
 __version__ = "0.1.0"
 
 from .hypergeom import (HypergeomError, gamma_real, gauss_2f1,
-                        hyper_4f3_terminating, pochhammer, product_coeffs,
-                        whipple_transform_rhs)
+                        hyper_4f3_terminating, product_coeffs)
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        SignPair, admissible, basis_change, block_C,
                        block_H_prime, cohomology_C, guarded_solve, homology_H,
@@ -37,11 +36,11 @@ __all__ = [
     "admissible", "basis_change", "block_C", "block_H_prime", "block_periods",
     "cohomology_C", "eisenstein_g2", "euler_pairing", "euler_pairing_closed",
     "gamma_real", "gauss_2f1", "guarded_solve", "homology_H",
-    "hyper_4f3_terminating", "lambda_tau", "period_matrix", "pochhammer",
+    "hyper_4f3_terminating", "lambda_tau", "period_matrix",
     "product_coeffs", "require_admissible",
     "resolve_tolerances", "run_sweep", "sample_admissible", "tanh_sinh",
     "theta", "theta_constants", "theta_taylor", "unit_phase",
     "verify_entry22", "verify_orthogonality", "verify_series_identities",
     "verify_tpr", "verify_whipple",
-    "whipple_transform_rhs", "wirtinger_quadrature",
+    "wirtinger_quadrature",
 ]

@@ -1,4 +1,4 @@
-"""Gamma, Pochhammer, Gauss 2F1 inside the unit disk, and terminating 4F3.
+"""Gamma, Gauss 2F1 in the unit disk, terminating 4F3, Whipple coefficients.
 
 Parameters are restricted to real values; complexity enters only through the
 series argument z.  The 2F1 is served by its defining power series within
@@ -17,8 +17,8 @@ import sys
 # this distance of an integer.
 INTEGRALITY_GUARD = 1e-9
 
-# Largest degree, termination index or Pochhammer length accepted: n! leaves
-# double range above it (the library's own callers stop at degree 12).
+# Largest degree or termination index accepted: n! leaves double range
+# above it (the library's own callers stop at degree 12).
 MAX_DEGREE = 170
 
 
@@ -85,16 +85,6 @@ def beta_real(a: float, c: float) -> float:
     return gamma_real(a) * gamma_real(c - a) / gamma_real(c)
 
 
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x (x+1) ... (x+n-1), a running product from 1.0;
-    raises where a finite x overflows it."""
-    value = math.prod((x + k for k in range(_count(n, "pochhammer's n"))),
-                      start=1.0)
-    if math.isinf(value) and math.isfinite(x):
-        raise HypergeomError(f"({x})_{n} overflows double precision")
-    return value
-
-
 def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     """Gauss hypergeometric series sum (a)_n (b)_n / ((c)_n n!) z^n.
 
@@ -159,28 +149,6 @@ def hyper_4f3_terminating(n: int, uppers, lowers) -> float:
     return total
 
 
-def whipple_transform_rhs(n: int, a: float, b: float, c: float,
-                          d: float, e: float, f: float) -> float:
-    """Right-hand side of the balanced 4F3 transformation at unit argument.
-
-    Requires a + b + c - n + 1 = d + e + f.  The left-hand side is
-    ``hyper_4f3_terminating(n, (a, b, c), (d, e, f))``.  Raises where
-    (e)_n or (f)_n vanishes.
-    """
-    _require_finite("4F3 parameter", "abcdef", (a, b, c, d, e, f))
-    numer = pochhammer(e - a, n) * pochhammer(f - a, n)
-    denoms = pochhammer(e, n), pochhammer(f, n)
-    for name, value, denom in zip("ef", (e, f), denoms):
-        if denom == 0.0:
-            raise HypergeomError(
-                f"Pochhammer denominator ({name})_{n} vanishes at "
-                f"{name} = {value}")
-    factor = numer / (denoms[0] * denoms[1])
-    return factor * hyper_4f3_terminating(
-        n, (a, d - b, d - c), (d, a - e - n + 1.0, a - f - n + 1.0)
-    )
-
-
 def product_coeffs(n_max: int, a: float, b: float, c: float
                    ) -> list[tuple[float, float]]:
     """(term 1, term 2) power-series coefficients, degrees n = 0..n_max,
@@ -189,7 +157,8 @@ def product_coeffs(n_max: int, a: float, b: float, c: float
     Term 1 is c at n = 0 and a - b + 1 at n = 1; term 2 is 0 below n = 2
     and cancels term 1 above.  Every Pochhammer symbol is a prefix of one
     running product per base; degrees run in order, term 1 first, so the
-    first failing coefficient raises.
+    first failing coefficient raises; a non-finite one (the products
+    overflow from about degree 100 on) raises naming its degree.
     """
     n_max = _count(n_max, "n_max")
     _require_finite("Whipple parameter", "abc", (a, b, c))
@@ -215,5 +184,9 @@ def product_coeffs(n_max: int, a: float, b: float, c: float
             c * (1.0 + c) * (1.0 - c) * two_c[n - 2] * math.factorial(n - 2),
             n - 2, (b, a + 2.0, 1.0 - n + c),
             (2.0 - n + a, 2.0 + c, 2.0 - n + b))
+        if not (math.isfinite(term1) and math.isfinite(term2)):
+            raise HypergeomError(
+                f"Whipple coefficients ({term1}, {term2}) at degree {n} "
+                "are not finite")
         pairs.append((term1, term2))
     return pairs

@@ -120,7 +120,8 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     theta4(u)^(2b-2g+1).  Requires purely imaginary tau (|Re tau| up to
     1e-12 is taken as 0), where every factor is a positive real on
     (0, 1/2) and principal real powers apply, and endpoint exponents > -1
-    (a > 0 and g - a > 0), where the integral converges.  The closed form
+    (a > 0 and g - a > 0), where the integral converges; both go to
+    ``tanh_sinh``, which subtracts an end power near -1.  The closed form
     ``period_matrix("+", p, tau)[2, 0]`` (cocycle 3 over cycle 1) equals
     pi theta2(0)^2 times this value, the Jacobian of the coordinate change
     from the rational model.
@@ -159,7 +160,8 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
             * t4 ** (2 * b - 2 * g + 1)
         )
 
-    return float(np.real(tanh_sinh(integrand, 0.0, 0.5)))
+    return float(np.real(tanh_sinh(integrand, 0.0, 0.5,
+                                   (2 * a - 1, 2 * g - 2 * a - 1))))
 
 
 # Euler-integral pairings on the projective line.  Each side is z^z_power
@@ -185,9 +187,9 @@ def euler_pairing(p_side: str, a: float, b: float, c: float,
     """Euler-integral pairing by tanh-sinh quadrature.
 
     ``p_side`` is one of '1+', '2+', '1-', '2-'.  Requires real z in (0,1)
-    and both endpoint exponents > -1 (which rules out, e.g., the '1-' side
-    whenever the '1+' side converges; use ``euler_pairing_closed`` for the
-    regularized value there).
+    and both endpoint exponents > -1, which go to ``tanh_sinh`` (this
+    rules out, e.g., the '1-' side whenever the '1+' side converges; use
+    ``euler_pairing_closed`` for the regularized value there).
     """
     z = complex(z)
     if abs(z.imag) > 1e-14 or not (0.0 < z.real < 1.0):
@@ -203,7 +205,7 @@ def euler_pairing(p_side: str, a: float, b: float, c: float,
     def integrand(t, dl, dr):
         return dl**e0 * dr**e1 * (1.0 - zr + zr * dr) ** ez
 
-    val = tanh_sinh(integrand, 0.0, 1.0)
+    val = tanh_sinh(integrand, 0.0, 1.0, (e0, e1))
     return complex(zr**zpow * val)
 
 

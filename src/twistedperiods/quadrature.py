@@ -3,8 +3,10 @@
 The variable change x = a + (b-a) * sigma(t), sigma(t) = (1 + tanh((pi/2)
 sinh t)) / 2 maps the real line onto (a, b) and turns endpoint algebraic
 singularities with exponents > -1 into integrands that decay doubly
-exponentially in t.  Levels halve the step size, reusing previous nodes;
-node order is fixed so results are bit-reproducible.
+exponentially in t (Takahasi & Mori, Publ. RIMS 9, 1974).  Levels halve
+the step size, reusing previous nodes; node order is fixed so results are
+bit-reproducible.  An endpoint power too close to -1 for the nodes is
+subtracted and integrated in closed form (Davis & Rabinowitz, 1984).
 
 Integrands receive (x, dl, dr) where dl = x - a and dr = b - x are computed
 directly from the transform, so endpoint distances keep full relative
@@ -13,6 +15,7 @@ accuracy even when they underflow the spacing of x itself.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -20,7 +23,9 @@ import numpy as np
 
 _T_MAX = 6.0
 _REL_STOP = 1e-11
-_FAIL_DIFF = 1e-9
+# An end whose part below the last node exceeds this share of the integral
+# is subtracted; at any other end that part may not exceed it.
+_ROUNDING = 2.0**-53
 # Maximum doubling levels, and the absolute floor below which a
 # successive-level difference counts as converged.
 _LEVELS = 10
@@ -28,7 +33,8 @@ _ABS_FLOOR = 1e-15
 
 
 class QuadratureError(Exception):
-    """Raised when level doubling fails to converge."""
+    """Raised when level doubling fails to converge, the integrand is not
+    finite, or an end loses more than rounding below its last node."""
 
 
 @functools.cache
@@ -63,56 +69,74 @@ def _level_nodes(level: int):
     return nodes
 
 
-def tanh_sinh(f, a: float, b: float) -> complex:
+def tanh_sinh(f, a: float, b: float,
+              exponents: tuple[float, float] = (0.0, 0.0)) -> complex:
     """Integrate ``f`` over the open interval (a, b).
 
     ``f(x, dl, dr)`` must accept ndarrays and return the integrand values;
-    dl and dr are the exact distances to the endpoints.  Convergence is
-    declared when two successive levels differ by less than 1e-11 relative
-    (or 1e-15 absolute); failure to get below 1e-9 within _LEVELS levels
-    raises.
+    dl and dr are the exact distances to the endpoints, near which f
+    behaves like c d^e with the ``exponents`` e > -1 (at a, at b).
+    Convergence is declared when two successive levels differ by less
+    than 1e-11 relative (or 1e-15 absolute); otherwise, or at the first
+    level with a non-finite value, QuadratureError is raised.
 
-    The nodes stop delta = 3e-276 from each end, dropping a fraction of
-    about delta^(e+1) of an endpoint power d^e.  So each end reads e off
-    its two outermost level-0 values (3e-276 and 4e-102 from it, where the
-    other factors of f are constant) and, after the convergence test, adds
-    ``f(delta) delta / (e+1)`` less the half of the extreme node's weight
-    that the sum spent beyond it; an end with a zero value adds nothing.
+    The nodes stop d0 = 6e-276 (b - a) from each end, below which lies a
+    fraction of about d0^(e+1) of the power's part.  Where that exceeds
+    2^-53 (e below about -0.942), c = f(d0) / d0^e is read off the
+    outermost level-0 value, c d^e is subtracted at every level and
+    c (b-a)^(e+1) / (e+1) added back.  Elsewhere the part below the last
+    node, about |f(d0)| d0, must stay within 2^-53 of the result (or
+    1e-15), or the call raises.
     """
     scale = b - a
-    if scale <= 0:
-        raise ValueError("need a < b")
+    if scale <= 0 or not (exponents[0] > -1.0 and exponents[1] > -1.0):
+        raise ValueError(f"need a < b and endpoint exponents > -1, not "
+                         f"({a}, {b}) and {exponents}")
+    d0 = scale * float(_level_nodes(0)[0][0])
+    powers = []  # (c, e, end) of each subtracted c d^e; end 0 is a, 1 is b
+    closed = below = 0.0
 
-    def level_sum(level: int) -> tuple[complex, np.ndarray]:
+    def level_sum(level: int) -> complex:
+        nonlocal closed, below
         sigma, comp, w = _level_nodes(level)
         dl = scale * sigma
         dr = scale * comp
-        x = a + dl
-        vals = np.asarray(f(x, dl, dr))
-        return complex(np.sum(vals * w) * scale), vals
+        vals = np.asarray(f(a + dl, dl, dr))
+        if level == 0:
+            for end, e in enumerate(exponents):
+                value = vals[-end].item()  # vals[0] at a, vals[-1] at b
+                if d0 ** (e + 1.0) > _ROUNDING:
+                    c = value / d0**e
+                    powers.append((c, e, end))
+                    closed += c * scale ** (e + 1.0) / (e + 1.0)
+                else:
+                    below += abs(value) * d0
+        rest = vals
+        for c, e, end in powers:
+            rest = rest - c * (dr if end else dl) ** e
+        total = complex(np.sum(rest * w) * scale)
+        if not cmath.isfinite(total):  # the weights are all positive
+            bad = vals[~np.isfinite(vals)].tolist() or [total]
+            raise QuadratureError(
+                f"non-finite value {bad[0]} at level {level}")
+        return total
 
-    prev, vals = level_sum(0)
-    total = prev
-    diff = math.inf
-    for level in range(1, _LEVELS + 1):
-        total = prev / 2.0 + level_sum(level)[0]
-        diff = abs(total - prev)
-        if diff <= max(_REL_STOP * abs(total), _ABS_FLOOR):
-            break
-        prev = total
-    else:
-        if diff > max(_FAIL_DIFF * abs(total), _ABS_FLOOR):
+    with np.errstate(all="ignore"):
+        prev = level_sum(0)
+        for level in range(1, _LEVELS + 1):
+            total = prev / 2.0 + level_sum(level)
+            diff = abs(total - prev)
+            if diff <= max(_REL_STOP * abs(total + closed), _ABS_FLOOR):
+                break
+            prev = total
+        else:
             raise QuadratureError(
                 f"tanh-sinh failed to converge in {_LEVELS} levels "
                 f"(last successive difference {diff:.3e})"
             )
-    sigma, _, w = _level_nodes(0)  # mirror-symmetric: d0, d1 from each end
-    d0, d1 = scale * float(sigma[0]), scale * float(sigma[1])
-    half_weight = scale * float(w[0]) * 0.5 ** (level + 1)
-    ends = vals.tolist()
-    for f0, f1 in ((ends[0], ends[1]), (ends[-1], ends[-2])):
-        if f0 != 0 and f1 != 0:
-            e = (math.log(abs(f1)) - math.log(abs(f0))) / math.log(d1 / d0)
-            if e > -1.0:
-                total += f0 * (d0 / (e + 1.0) - half_weight)
+    total += closed
+    if below > max(_ROUNDING * abs(total), _ABS_FLOOR):
+        raise QuadratureError(
+            f"about {below:.1e} of the integral lies below the last nodes: "
+            "pass the endpoint exponents")
     return total

@@ -54,12 +54,27 @@ def test_timed_units_are_correct(name):
     assert score.wrong == 0 and score.roundtrip_failures == 0
 
 
-def test_quadrature_near_minus_one_endpoint_exponent():
-    # seed 13, unit 31414: the Wirtinger integrand's endpoint exponent
-    # 2g - 2a - 1 is -0.99898, so the piece below the last tanh-sinh node
-    # is 2.8e-6 of the integral (the unit's Euler pairing, with exponent
-    # -0.99949, raises QuadratureError: a counted failure, not a wrong value)
-    p, tau_im, _ = workloads.Quadrature(13).inputs(workloads.TIMED, 31414)
+def _assert_quadrature_unit_agrees(seed, unit):
+    """Both integrals of one timed quadrature unit lie within QUAD_TOL of
+    their oracles."""
+    p, tau_im, z = workloads.Quadrature(seed).inputs(workloads.TIMED, unit)
     value = tp.wirtinger_quadrature(p, tp.TauPoint(complex(0.0, tau_im)))
     ref = oracle.wirtinger_integral(p.alpha, p.beta, p.gamma, tau_im)
     assert abs(value - ref) <= workloads.QUAD_TOL * abs(ref)
+    value = tp.euler_pairing("1+", p.alpha, p.beta, p.gamma, z).real
+    ref = oracle.euler_plus(p.alpha, p.beta, p.gamma, z)
+    assert abs(value - ref) <= workloads.QUAD_TOL * abs(ref)
+
+
+def test_quadrature_near_minus_one_endpoint_exponent():
+    # seed 13, unit 31414: the Wirtinger integrand's endpoint exponent
+    # 2g - 2a - 1 is -0.99898, so the piece below the last tanh-sinh node
+    # is 2.8e-6 of the integral, and the Euler pairing's is -0.99949; both
+    # ends are subtracted and integrated in closed form
+    _assert_quadrature_unit_agrees(13, 31414)
+
+
+def test_quadrature_subtracts_both_integrals_of_a_unit():
+    # seed 1, unit 9: endpoint exponents -0.9949 (Wirtinger) and -0.9975
+    # (Euler pairing), where level doubling alone does not converge
+    _assert_quadrature_unit_agrees(1, 9)

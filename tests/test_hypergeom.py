@@ -1,5 +1,4 @@
-"""Gamma, Pochhammer, 2F1, terminating 4F3, and the product-coefficient
-cancellation."""
+"""Gamma, 2F1, terminating 4F3, and the product-coefficient cancellation."""
 
 import math
 
@@ -8,13 +7,18 @@ import pytest
 
 from twistedperiods.hypergeom import (INTEGRALITY_GUARD, MAX_DEGREE,
                                       HypergeomError, beta_real, gamma_real, gauss_2f1,
-                                      hyper_4f3_terminating, pochhammer,
-                                      product_coeffs, whipple_transform_rhs)
+                                      hyper_4f3_terminating, product_coeffs)
 
 # 30-digit oracle values
 GAMMA_03 = 2.9915689876875906283
 GAMMA_M17 = 2.5139235190652022087
 F21_HALF = 1.0543792385836535546  # 2F1(0.3, 0.21, 0.77; 0.5)
+
+
+def _rising(x, n):
+    """Rising factorial x (x+1) ... (x+n-1), a running product from 1.0,
+    as each of the library's Pochhammer tables builds it."""
+    return math.prod((x + k for k in range(n)), start=1.0)
 
 
 def _scanning_4f3(n, uppers, lowers):
@@ -42,10 +46,10 @@ def _scanning_4f3(n, uppers, lowers):
 
 def _degree_term1(n, a, b, c):
     """Degree-n term-1 coefficient from per-degree Pochhammer products."""
-    denom = pochhammer(-c, n) * math.factorial(n)
+    denom = _rising(-c, n) * math.factorial(n)
     if denom == 0.0:
         raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
-    pref = (c * pochhammer(-a - 1.0, n) * pochhammer(-b + 1.0, n) / denom)
+    pref = (c * _rising(-a - 1.0, n) * _rising(-b + 1.0, n) / denom)
     return pref * _scanning_4f3(
         n, (b, a, 1.0 - n + c), (2.0 - n + a, c, -float(n) + b))
 
@@ -55,11 +59,11 @@ def _degree_term2(n, a, b, c):
     if n < 2:
         return 0.0
     denom = (c * (1.0 + c) * (1.0 - c)
-             * pochhammer(2.0 - c, n - 2) * math.factorial(n - 2))
+             * _rising(2.0 - c, n - 2) * math.factorial(n - 2))
     if denom == 0.0:
         raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
     pref = (a * (a + 1.0) * (c - b) * (c - b + 1.0)
-            * pochhammer(-a + 1.0, n - 2) * pochhammer(-b + 1.0, n - 2)
+            * _rising(-a + 1.0, n - 2) * _rising(-b + 1.0, n - 2)
             / denom)
     return pref * _scanning_4f3(
         n - 2, (b, a + 2.0, 1.0 - n + c), (2.0 - n + a, 2.0 + c, 2.0 - n + b))
@@ -133,43 +137,11 @@ class TestBetaReal:
             beta_real(0.3, 0.3)
 
 
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.7, 0) == 1.0
-
-    def test_factorial(self):
-        for n in range(8):
-            assert pochhammer(1.0, n) == math.factorial(n)
-
-    def test_terminating_pattern(self):
-        for n in range(1, 7):
-            assert pochhammer(-float(n), n) == (-1) ** n * math.factorial(n)
-
-    def test_negative_n_raises(self):
-        with pytest.raises(HypergeomError):
-            pochhammer(1.0, -1)
-
-    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
-    def test_non_integer_n_raises_typed_error(self, n):
-        with pytest.raises(HypergeomError, match="non-negative integer"):
-            pochhammer(0.3, n)
-
-    def test_one_running_product_from_one(self):
-        rng = np.random.default_rng(43)
-        for x in rng.uniform(-3.0, 3.0, 8):
-            product = 1.0
-            for n in range(6):
-                assert pochhammer(x, n) == product
-                product *= x + n
-        assert pochhammer(0.3, 3.0) == pochhammer(0.3, 3)
-
-
 class TestMaxDegree:
-    """Every degree, termination index and Pochhammer length is checked
-    against one cap before a loop starts."""
+    """Every degree and termination index is checked against one cap
+    before a loop starts."""
 
     CALLS = {
-        "pochhammer": lambda n: pochhammer(0.5, n),
         "4f3": lambda n: hyper_4f3_terminating(n, (0.3, 0.4, 0.5),
                                                (1.1, 1.2, 1.3)),
         "product_coeffs": lambda n: product_coeffs(n, 0.2, 0.3, 0.6),
@@ -183,13 +155,10 @@ class TestMaxDegree:
             self.CALLS[call](n)
 
     def test_the_cap_is_accepted(self):
-        assert math.isfinite(pochhammer(0.5, MAX_DEGREE))
         assert math.isfinite(self.CALLS["4f3"](MAX_DEGREE))
-        assert len(product_coeffs(MAX_DEGREE, 0.2, 0.3, 0.6)) == MAX_DEGREE + 1
-
-    def test_pochhammer_overflow_raises(self):
-        with pytest.raises(HypergeomError, match="overflows double precision"):
-            pochhammer(10.0, MAX_DEGREE)
+        # the table passes the cap and stops at its first overflow
+        with pytest.raises(HypergeomError, match="at degree 100 are not"):
+            product_coeffs(MAX_DEGREE, 0.2, 0.3, 0.6)
 
 
 class TestGauss2F1:
@@ -282,19 +251,10 @@ class TestTerminating4F3:
                 f"non-finite 4F3 parameter {name} = {value}")):
             hyper_4f3_terminating(3, params[:3], params[3:])
 
-    def test_whipple_transform_non_finite_raises(self):
-        with pytest.raises(HypergeomError, match="parameter c = inf"):
-            whipple_transform_rhs(3, 0.3, 0.4, math.inf, 1.1, 1.2, 1.3)
-
-    @pytest.mark.parametrize("e, f, message", [
-        (-1.0, 1.3, r"\(e\)_3 vanishes at e = -1.0"),
-        (1.3, -2.0, r"\(f\)_3 vanishes at f = -2.0"),
-        (0.0, 0.0, r"\(e\)_3 vanishes at e = 0.0"),
-    ])
-    def test_whipple_transform_vanishing_denominator_names_it(self, e, f,
-                                                              message):
-        with pytest.raises(HypergeomError, match=message):
-            whipple_transform_rhs(3, 0.3, 0.4, 0.5, 1.1, e, f)
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    def test_non_integer_n_raises_typed_error(self, n):
+        with pytest.raises(HypergeomError, match="non-negative integer"):
+            hyper_4f3_terminating(n, (0.3, 0.4, 0.5), (1.1, 1.2, 1.3))
 
     def test_lower_pole_raises(self):
         with pytest.raises(HypergeomError):
@@ -329,7 +289,9 @@ class TestTerminating4F3:
             assert new == old or (math.isnan(new) and math.isnan(old))
 
     def test_whipple_balance(self):
-        # balanced transformation: a + b + c - n + 1 = d + e + f
+        # Whipple's balanced transformation, a + b + c - n + 1 = d + e + f:
+        # 4F3(-n, a, b, c; d, e, f) = (e-a)_n (f-a)_n / ((e)_n (f)_n)
+        #   4F3(-n, a, d-b, d-c; d, a-e-n+1, a-f-n+1)
         rng = np.random.default_rng(7)
         for _ in range(15):
             n = int(rng.integers(1, 9))
@@ -340,7 +302,11 @@ class TestTerminating4F3:
                 f -= 2.0
                 d += 2.0
             lhs = hyper_4f3_terminating(n, (a, b, c), (d, e, f))
-            rhs = whipple_transform_rhs(n, a, b, c, d, e, f)
+            rhs = (_rising(e - a, n) * _rising(f - a, n)
+                   / (_rising(e, n) * _rising(f, n))
+                   * hyper_4f3_terminating(n, (a, d - b, d - c),
+                                           (d, a - e - n + 1.0,
+                                            a - f - n + 1.0)))
             assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -398,6 +364,16 @@ class TestProductCoefficients:
         with pytest.raises(HypergeomError, match=(
                 f"non-finite Whipple parameter {name} = {value}")):
             product_coeffs(12, **args)
+
+    def test_first_non_finite_degree_raises(self):
+        # the running products overflow and divide inf by inf at degree
+        # 100, below MAX_DEGREE; degree 99 and below stay finite
+        table = product_coeffs(99, 0.2, 0.3, 0.6)
+        assert all(math.isfinite(x) for pair in table for x in pair)
+        with pytest.raises(HypergeomError, match=(
+                r"Whipple coefficients \(nan, 0.0\) at degree 100 are not "
+                "finite")):
+            product_coeffs(170, 0.2, 0.3, 0.6)
 
     def test_cancellation(self):
         rng = np.random.default_rng(17)

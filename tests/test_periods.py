@@ -53,18 +53,65 @@ class TestTanhSinh:
     @pytest.mark.parametrize("eps, e", [(1e-6, -0.99), (1e-9, -0.999)])
     def test_endpoint_tail_of_a_power_near_minus_one(self, eps, e):
         # int_0^1 (1 + eps t^e) dt = 1 + eps / (e + 1); below the last
-        # node, at about 7e-276, lies the fraction 7e-276^(e + 1) (0.002
-        # and 0.53) of the power's part, which the tails restore
+        # node, at about 6e-276, lies the fraction 6e-276^(e + 1) (0.002
+        # and 0.53) of the power's part, so the end with exponent e is
+        # subtracted and integrated in closed form
         def f(x, dl, dr):
             return 1.0 + eps * dl**e
         exact = 1.0 + eps / (e + 1.0)
-        assert tanh_sinh(f, 0.0, 1.0).real == pytest.approx(exact, rel=1e-12)
-        mirrored = tanh_sinh(lambda x, dl, dr: f(x, dr, dl), 0.0, 1.0)
+        assert tanh_sinh(f, 0.0, 1.0, (e, 0.0)).real == pytest.approx(
+            exact, rel=1e-12)
+        mirrored = tanh_sinh(lambda x, dl, dr: f(x, dr, dl), 0.0, 1.0,
+                             (0.0, e))
         assert mirrored.real == pytest.approx(exact, rel=1e-12)
 
+    def test_unknown_exponent_near_minus_one_raises(self):
+        # without exponents nothing is subtracted, and the part of
+        # 1e-6 t^-0.97 below the last node, about 1.8e-13, is above
+        # rounding: the call raises instead of estimating it
+        with pytest.raises(QuadratureError,
+                           match="pass the endpoint exponents"):
+            tanh_sinh(lambda x, dl, dr: 1.0 + 1e-6 * dl**-0.97, 0.0, 1.0)
+
+    @pytest.mark.parametrize("exponents", [(-0.5, -0.25), (-0.94, 0.3)])
+    def test_exponents_above_the_threshold_change_nothing(self, exponents):
+        # an end whose part below the last node is below rounding is
+        # summed as it is, bit for bit
+        e0, e1 = exponents
+
+        def f(x, dl, dr):
+            return dl**e0 * dr**e1 * np.cos(x)
+        assert (tanh_sinh(f, 0.0, 1.0, exponents)
+                == tanh_sinh(f, 0.0, 1.0))
+
+    @pytest.mark.parametrize("exponents", [(-1.0, 0.0), (0.0, -1.5),
+                                           (math.nan, 0.0)])
+    def test_exponents_must_exceed_minus_one(self, exponents):
+        with pytest.raises(ValueError, match="endpoint exponents > -1"):
+            tanh_sinh(lambda x, dl, dr: x, 0.0, 1.0, exponents)
+
+    def test_non_finite_integrand_raises_at_its_first_level(self):
+        # the log of a negative number at level 2, an overflow to inf at
+        # level 0: each raises where it first appears, and no
+        # RuntimeWarning escapes (the pytest configuration makes one an
+        # error)
+        levels = []
+
+        def late_nan(x, dl, dr):
+            levels.append(len(levels))
+            return np.log(np.full_like(x, 1.0 - 0.75 * levels[-1]))
+        with pytest.raises(QuadratureError,
+                           match="non-finite value nan at level 2"):
+            tanh_sinh(late_nan, 0.0, 1.0)
+        assert levels == [0, 1, 2]
+        with pytest.raises(QuadratureError,
+                           match="non-finite value inf at level 0"):
+            tanh_sinh(lambda x, dl, dr: 1e300 * dl**-0.99, 0.0, 1.0,
+                      (-0.99, 0.0))
+
     def test_no_tail_where_the_end_value_is_zero(self):
-        # f vanishes at the outermost nodes, so no exponent can be read
-        # there; the sum alone is the integral of 1 over (1e-100, 1)
+        # f vanishes at the outermost nodes, so nothing lies below them;
+        # the sum alone is the integral of 1 over (1e-100, 1)
         def f(x, dl, dr):
             return np.where(dl < 1e-100, 0.0, 1.0)
         assert tanh_sinh(f, 0.0, 1.0).real == pytest.approx(1.0, rel=1e-12)
@@ -332,7 +379,8 @@ def _four_theta_wirtinger(p, tau):
         return (t1 ** (2 * a - 1) * t2 ** (2 * g - 2 * a - 1)
                 * t3 ** (-2 * b + 1) * t4 ** (2 * b - 2 * g + 1))
 
-    return float(np.real(tanh_sinh(integrand, 0.0, 0.5)))
+    return float(np.real(tanh_sinh(integrand, 0.0, 0.5,
+                                   (2 * a - 1, 2 * g - 2 * a - 1))))
 
 
 def _outcome(fn, p, tau):
@@ -346,6 +394,7 @@ def _outcome(fn, p, tau):
 def _wirtinger_cases():
     # draws as in the quadrature benchmark, then endpoint exponents near
     # -1 (a or g - a below 0.02), Re tau = 1e-13, and a failing integral
+    # (its integrand overflows at the last node)
     rng = np.random.default_rng(2024)
     cases = []
     while len(cases) < 35:
@@ -358,6 +407,7 @@ def _wirtinger_cases():
         (HgParams(0.019, -1.2, 0.031), 0.23j),
         (P_REF, complex(1e-13, 0.8)),
         (HgParams(0.011, -0.37, 0.019), 2j),
+        (HgParams(0.0001, -0.13, 0.0025), 50j),
     ]
 
 
@@ -421,8 +471,23 @@ class TestWirtingerQuadrature:
 
     def test_reference_cases_include_a_failure(self):
         p, tau_val = WIRTINGER_CASES[-1]
-        with pytest.raises(QuadratureError, match="failed to converge"):
+        with pytest.raises(QuadratureError,
+                           match="non-finite value inf at level 0"):
             wirtinger_quadrature(p, TauPoint(tau_val))
+
+    @pytest.mark.parametrize("p, tau_val, rel", [
+        # endpoint exponent 2a - 1 = -0.974, subtracted
+        (HgParams(0.013, 0.3, 0.6), 1j, 1e-13),
+        # both exponents below -0.96; failed to converge before
+        # subtraction
+        (HgParams(0.011, -0.37, 0.019), 2j, 1e-14),
+    ])
+    def test_exponent_near_minus_one_matches_closed_form(self, p, tau_val,
+                                                         rel):
+        tau = TauPoint(tau_val)
+        closed = period(3, 1, p, tau) / (math.pi * tau.constants.th2_0**2)
+        assert wirtinger_quadrature(p, tau) == pytest.approx(closed.real,
+                                                             rel=rel)
 
     def test_preconditions(self):
         with pytest.raises(PeriodError):
@@ -447,6 +512,15 @@ class TestEulerPairings:
             quad = euler_pairing(side, a, b, c, z)
             closed = euler_pairing_closed(side, a, b, c, z)
             assert quad == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("a, b, c, z", [
+        (0.002, 0.3, 0.7, 0.5),    # e0 = a - 1 = -0.998
+        (0.4, 0.3, 0.401, 0.9),    # e1 = c - a - 1 = -0.999
+    ])
+    def test_p1_plus_exponent_near_minus_one(self, a, b, c, z):
+        quad = euler_pairing("1+", a, b, c, z)
+        assert quad == pytest.approx(euler_pairing_closed("1+", a, b, c, z),
+                                     rel=1e-14)
 
     def test_p1_minus_diverges_where_p1_plus_converges(self):
         # the literal integral has endpoint exponent -a - 2 < -1
