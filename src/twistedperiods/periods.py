@@ -30,7 +30,8 @@ import numpy as np
 from .hypergeom import beta_real, gauss_2f1
 from .matrices import HgParams, SignPair, require_admissible, unit_phase
 from .quadrature import tanh_sinh
-from .series import TauPoint, _theta_terms, trig_sums
+from .series import (TauPoint, _theta_terms, lambda_tau, theta_constants,
+                     trig_sums)
 
 # Parameter shifts reducing each cocycle's periods to the third cocycle's
 # closed form: index -> (d_alpha, d_beta, d_gamma).
@@ -92,12 +93,13 @@ def period_matrix(sign: str, p: HgParams, tau: TauPoint) -> np.ndarray:
     q = p if sign == "+" else p.negated()
     require_admissible(q)
     a, b, g = q.alpha, q.beta, q.gamma
-    tc = tau.constants
+    tc = theta_constants(tau)
+    lam = lambda_tau(tau)
     p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
           * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
     p3 = (_cpow(tc.th2_0, 4 - 2 * g) * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
           * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
-    return np.array([_period_row(i, q, tau.lam, p1, p3) for i in (1, 2, 3, 4)],
+    return np.array([_period_row(i, q, lam, p1, p3) for i in (1, 2, 3, 4)],
                     dtype=complex)
 
 

@@ -15,7 +15,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,10 +40,10 @@ _LOG_MAX = math.log(sys.float_info.max)
 IM_TAU_FLOOR = 0.1
 IM_TAU_CEILING = 50.0
 
-# Entries of each per-process kernel cache (theta constants by tau, G2 by
-# nome, and verify's identity-suite residuals by tau), least recently used
-# evicted first: room for the 4, 12 and 4 entries of a sweep's 4 taus,
-# while a run with a fresh tau per unit keeps few.
+# Entries of each per-process kernel cache (``theta_constants`` here and
+# verify's identity-suite residuals, both by tau), least recently used
+# evicted first: room for a sweep's 4 taus, while a run with a fresh tau per
+# unit keeps few.
 KERNEL_CACHE_SIZE = 32
 
 
@@ -53,15 +53,13 @@ class SeriesError(Exception):
 
 @dataclass(frozen=True)
 class TauPoint:
-    """A point in the upper half-plane with its cached nomes and kernel values.
+    """A point in the upper half-plane and its nomes.
 
     ``q = exp(2*pi*i*tau)`` and ``q_half = exp(pi*i*tau)``, both taken at
-    ``tau_mod8``, tau with its real part reduced mod 8 (exactly).  The theta
-    constants and G2 at tau, 2 tau and tau/2 are computed on first use and
-    shared by all points at one tau in a process (two caches of
-    KERNEL_CACHE_SIZE entries); ``lambda(tau)`` is kept on the point.  They
-    are not dataclass fields: equality, hashing and repr depend on tau
-    alone.
+    ``tau_mod8``, tau with its real part reduced mod 8 (exactly).  The
+    point keeps no kernel value: ``theta_constants``, ``lambda_tau`` and
+    ``eisenstein_g2`` compute them from it.  Equality, hashing and repr
+    depend on tau alone.
     """
 
     tau: complex
@@ -91,65 +89,6 @@ class TauPoint:
         object.__setattr__(self, "tau_mod8", tau)
         object.__setattr__(self, "q", cmath.exp(TWO_PI_I * tau))
         object.__setattr__(self, "q_half", cmath.exp(TWO_PI_I * tau / 2.0))
-
-    @property
-    def constants(self) -> ThetaConstants:
-        """All theta constants at u = 0 needed by the intersection matrices,
-        built once per tau and process (``_theta_constants_at``)."""
-        return _theta_constants_at(self)
-
-    @cached_property
-    def lam(self) -> complex:
-        """Modular lambda: ``theta2(0)^4 / theta3(0)^4``."""
-        tc = self.constants
-        return (tc.th2_0 / tc.th3_0) ** 4
-
-    @property
-    def g2(self) -> complex:
-        """Weight-two Eisenstein series
-        ``pi^2/3 - 8 pi^2 sum n q^n/(1-q^n)``."""
-        return _g2(self.q)
-
-    @property
-    def g2_double(self) -> complex:
-        """G2(2 tau), from its nome alone: 2 tau may lie above the Im
-        ceiling, where G2 needs no theta constant."""
-        return _g2(cmath.exp(TWO_PI_I * (self.tau_mod8 * 2.0)))
-
-    @property
-    def g2_half(self) -> complex:
-        """G2(tau/2), from ``q_half``: tau/2 may lie below the Im floor."""
-        return _g2(self.q_half)
-
-
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _theta_constants_at(tau: TauPoint) -> ThetaConstants:
-    """The theta constants, by termwise differentiation of the series.
-
-    Points at Re tau = +0.0 and -0.0 are equal and share one entry; their
-    sums agree to the bit.
-    """
-    s1 = theta_taylor(1, 3, tau)
-    s2 = theta_taylor(2, 2, tau)
-    s3 = theta_taylor(3, 2, tau)
-    s4 = theta_taylor(4, 2, tau)
-    return ThetaConstants(
-        th2_0=complex(s2[0]),
-        th3_0=complex(s3[0]),
-        th4_0=complex(s4[0]),
-        th1p_0=complex(s1[1]),
-        th1ppp_0=6.0 * complex(s1[3]),
-        th2pp_0=2.0 * complex(s2[2]),
-        th3pp_0=2.0 * complex(s3[2]),
-        th4pp_0=2.0 * complex(s4[2]),
-    )
-
-
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _g2(q: complex) -> complex:
-    n, qn = q_terms(q)
-    lambert = complex((n * qn / (1.0 - qn)).sum())
-    return math.pi**2 / 3.0 - 8.0 * math.pi**2 * lambert
 
 
 def _as_array(u):
@@ -330,17 +269,45 @@ def theta_taylor(j: int, order: int, tau: TauPoint) -> np.ndarray:
     return coeffs
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def theta_constants(tau: TauPoint) -> ThetaConstants:
-    """All theta constants at u = 0 (``tau.constants``)."""
-    return tau.constants
+    """All theta constants at u = 0, by termwise differentiation
+    (``theta_taylor``), once per tau and process: a least-recently-used
+    cache of KERNEL_CACHE_SIZE entries keyed by the point.  Points at
+    Re tau = +0.0 and -0.0 are equal and share one entry; their sums agree
+    to the bit.
+    """
+    s1 = theta_taylor(1, 3, tau)
+    s2 = theta_taylor(2, 2, tau)
+    s3 = theta_taylor(3, 2, tau)
+    s4 = theta_taylor(4, 2, tau)
+    return ThetaConstants(
+        th2_0=complex(s2[0]),
+        th3_0=complex(s3[0]),
+        th4_0=complex(s4[0]),
+        th1p_0=complex(s1[1]),
+        th1ppp_0=6.0 * complex(s1[3]),
+        th2pp_0=2.0 * complex(s2[2]),
+        th3pp_0=2.0 * complex(s3[2]),
+        th4pp_0=2.0 * complex(s4[2]),
+    )
 
 
 def lambda_tau(tau: TauPoint) -> complex:
-    """Modular lambda: ``theta2(0)^4 / theta3(0)^4`` (``tau.lam``)."""
-    return tau.lam
+    """Modular lambda: ``theta2(0)^4 / theta3(0)^4``."""
+    tc = theta_constants(tau)
+    return (tc.th2_0 / tc.th3_0) ** 4
+
+
+def g2_lambert(n: np.ndarray, xn: np.ndarray) -> complex:
+    """Weight-two Eisenstein series ``pi^2/3 - 8 pi^2 sum n x^n/(1-x^n)``
+    at the nome ``x`` of its argument, from the ``q_terms(x)`` table
+    ``(n, xn)``."""
+    lambert = complex((n * xn / (1.0 - xn)).sum())
+    return math.pi**2 / 3.0 - 8.0 * math.pi**2 * lambert
 
 
 def eisenstein_g2(tau: TauPoint) -> complex:
     """Weight-two Eisenstein series ``pi^2/3 - 8 pi^2 sum n q^n/(1-q^n)``
-    (``tau.g2``)."""
-    return tau.g2
+    (``g2_lambert`` at ``tau.q``), uncached."""
+    return g2_lambert(*q_terms(tau.q))

@@ -296,7 +296,7 @@ def _per_row_period_matrix(sign, p, tau):
         return cmath.exp(s * cmath.log(z))
 
     q = p if sign == "+" else p.negated()
-    tc, lam, e = tau.constants, tau.lam, unit_phase
+    tc, lam, e = theta_constants(tau), lambda_tau(tau), unit_phase
     rows = []
     for i in (1, 2, 3, 4):
         d_gamma = SHIFT_RULES[i][2]
@@ -485,7 +485,8 @@ class TestWirtingerQuadrature:
     def test_exponent_near_minus_one_matches_closed_form(self, p, tau_val,
                                                          rel):
         tau = TauPoint(tau_val)
-        closed = period(3, 1, p, tau) / (math.pi * tau.constants.th2_0**2)
+        closed = period(3, 1, p, tau) / (
+            math.pi * theta_constants(tau).th2_0**2)
         assert wirtinger_quadrature(p, tau) == pytest.approx(closed.real,
                                                              rel=rel)
 

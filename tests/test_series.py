@@ -2,6 +2,7 @@
 ratios, Taylor and Laurent coefficients.  Reference values were frozen from
 a 30-digit independent implementation."""
 
+import cmath
 import math
 import warnings
 from collections import Counter
@@ -12,8 +13,8 @@ import pytest
 from twistedperiods import series, verify
 from twistedperiods.matrices import HgParams
 from twistedperiods.series import (SeriesError, TauPoint, eisenstein_g2,
-                                   lambda_tau, theta, theta_constants,
-                                   theta_taylor)
+                                   g2_lambert, lambda_tau, q_terms, theta,
+                                   theta_constants, theta_taylor)
 from twistedperiods.verify import (_laurent_coefficients, verify_entry22,
                                    verify_series_identities, verify_tpr)
 
@@ -30,6 +31,17 @@ G2_I = 3.1415926535897932385
 SN_03_I = 0.853879790491613553
 CN_03_I = 0.52047027137964195637
 DN_03_I = 0.79714782298830815567
+
+
+def _g2_at(x):
+    """G2 from the Lambert series in the nome x: the identity suite's
+    route to G2(2 tau) and G2(tau/2)."""
+    return g2_lambert(*q_terms(x))
+
+
+def _g2_double(tau):
+    """G2(2 tau), at the nome of 2 tau reduced mod 8."""
+    return _g2_at(cmath.exp(4j * math.pi * tau.tau_mod8))
 
 
 class TestTauPoint:
@@ -54,7 +66,7 @@ class TestTauPoint:
         results = [*verify_series_identities(tau),
                    *verify_entry22(0.2, 0.3, 0.6, tau)]
         assert all(r.passed for r in results)
-        assert tau.g2_double == pytest.approx(math.pi**2 / 3.0, rel=1e-15)
+        assert _g2_double(tau) == pytest.approx(math.pi**2 / 3.0, rel=1e-15)
 
     def test_rejects_non_finite(self):
         with pytest.raises(SeriesError):
@@ -73,26 +85,29 @@ def _count_constants_builds(monkeypatch) -> Counter:
         return original(j, tau, im_u, order)
 
     monkeypatch.setattr(series, "_theta_terms", counting)
-    series._theta_constants_at.cache_clear()
+    series.theta_constants.cache_clear()
     verify._series_residuals.cache_clear()
     return built
 
 
 def _kernel_bytes(tau_val) -> bytes:
-    """Every kernel value of a TauPoint at ``tau_val``, computed afresh."""
-    series._theta_constants_at.cache_clear()
-    series._g2.cache_clear()
+    """Every kernel value at ``tau_val``, computed afresh: the theta
+    constants, lambda, G2 at tau and tau/2, and the identity suite's
+    residuals, which also read G2(2 tau)."""
+    series.theta_constants.cache_clear()
     verify._series_residuals.cache_clear()
     tau = TauPoint(tau_val)
-    tc = tau.constants
+    tc = theta_constants(tau)
     return np.array([tc.th2_0, tc.th3_0, tc.th4_0, tc.th1p_0, tc.th1ppp_0,
-                     tc.th2pp_0, tc.th3pp_0, tc.th4pp_0, tau.lam, tau.g2,
-                     tau.g2_double, tau.g2_half]).tobytes()
+                     tc.th2pp_0, tc.th3pp_0, tc.th4pp_0, lambda_tau(tau),
+                     eisenstein_g2(tau), _g2_at(tau.q_half),
+                     *verify._series_residuals(tau)]).tobytes()
 
 
 class TestKernelContext:
-    """Each tau's theta constants and G2 values are computed once per
-    process; lambda once per TauPoint."""
+    """Each tau's theta constants are computed once per process; lambda
+    and G2 are plain functions of the point, and the point keeps none of
+    them."""
 
     def test_taylor_series_built_once_per_theta_index(self, monkeypatch):
         built = _count_constants_builds(monkeypatch)
@@ -112,14 +127,11 @@ class TestKernelContext:
 
     def test_points_at_one_tau_share_one_build(self, monkeypatch):
         built = _count_constants_builds(monkeypatch)
-        series._g2.cache_clear()
         first, second = TauPoint(0.3 + 1.2j), TauPoint(0.3 + 1.2j)
-        first.g2, first.g2_double, first.g2_half  # fill
-        assert second.constants is first.constants
-        assert (second.g2, second.g2_double, second.g2_half) == (
-            first.g2, first.g2_double, first.g2_half)
+        assert theta_constants(second) is theta_constants(first)
+        assert lambda_tau(second) == lambda_tau(first)
+        assert eisenstein_g2(second) == eisenstein_g2(first)
         assert built == {1: 1, 2: 1, 3: 1, 4: 1}
-        assert series._g2.cache_info().misses == 3
 
     def test_signed_zero_real_part_shares_bitwise_equal_values(self):
         # TauPoint(+0.0 + it) == TauPoint(-0.0 + it), so both read one
@@ -129,31 +141,31 @@ class TestKernelContext:
                 complex(-0.0, t))
 
     def test_caches_stay_at_their_bound(self):
-        caches = (series._theta_constants_at, series._g2,
-                  verify._series_residuals)
+        caches = (series.theta_constants, verify._series_residuals)
         for cache in caches:
             cache.cache_clear()
         for k in range(series.KERNEL_CACHE_SIZE + 1):
-            tau = TauPoint(complex(0.1 * k, 1.0 + k / 64.0))
-            tau.constants, tau.g2  # fill
-            verify_series_identities(tau)
+            verify_series_identities(TauPoint(complex(0.1 * k, 1.0 + k / 64)))
         for cache in caches:
             info = cache.cache_info()
             assert info.currsize == info.maxsize == series.KERNEL_CACHE_SIZE
 
     def test_public_functions_read_the_point(self):
         tau = TauPoint(1.3j)
-        assert theta_constants(tau) is tau.constants
-        assert lambda_tau(tau) == tau.lam
-        assert eisenstein_g2(tau) == tau.g2
-        assert tau.g2_double == eisenstein_g2(TauPoint(2.6j))
-        assert tau.g2_half == eisenstein_g2(TauPoint(0.65j))
+        tc = theta_constants(tau)
+        assert theta_constants(TauPoint(1.3j)) is tc
+        assert lambda_tau(tau) == (tc.th2_0 / tc.th3_0) ** 4
+        assert eisenstein_g2(tau) == _g2_at(tau.q)
+        assert _g2_double(tau) == eisenstein_g2(TauPoint(2.6j))
+        assert _g2_at(tau.q_half) == eisenstein_g2(TauPoint(0.65j))
 
     def test_identity_unchanged_by_filled_cache(self):
         tau = TauPoint(0.3 + 1.2j)
         before = (repr(tau), hash(tau))
-        tau.constants, tau.lam, tau.g2, tau.g2_double, tau.g2_half  # fill
+        theta_constants(tau), lambda_tau(tau), eisenstein_g2(tau)  # fill
+        verify_series_identities(tau)
         assert (repr(tau), hash(tau)) == before
+        assert set(vars(tau)) == {"tau", "q", "q_half", "tau_mod8"}
         fresh = TauPoint(0.3 + 1.2j)
         assert tau == fresh and hash(tau) == hash(fresh)
         assert len({tau, fresh}) == 1
@@ -161,11 +173,12 @@ class TestKernelContext:
     def test_scaled_point_has_its_own_values(self):
         tau = TauPoint(2j)
         half = TauPoint(0.5 * tau.tau)
-        assert half.constants is not tau.constants
-        assert half.lam == TauPoint(1j).lam
-        assert complex(half.lam).real == pytest.approx(0.5, abs=1e-12)
-        assert half.g2 == tau.g2_half
-        assert complex(half.g2).real == pytest.approx(G2_I, rel=1e-13)
+        assert theta_constants(half) is not theta_constants(tau)
+        assert lambda_tau(half) == lambda_tau(TauPoint(1j))
+        assert complex(lambda_tau(half)).real == pytest.approx(0.5, abs=1e-12)
+        assert eisenstein_g2(half) == _g2_at(tau.q_half)
+        assert complex(eisenstein_g2(half)).real == pytest.approx(
+            G2_I, rel=1e-13)
 
     def test_g2_half_below_floor_matches_mpmath(self):
         # tau/2 falls below the Im floor; G2(tau/2) is summed in q_half,
@@ -177,7 +190,7 @@ class TestKernelContext:
             nome = mpmath.exp(0.5j * mpmath.pi * mpmath.mpc(tau.tau))
             ref = complex(-mpmath.pi**2 / 3 * mpmath.jtheta(1, 0, nome, 3)
                           / mpmath.jtheta(1, 0, nome, 1))
-        assert tau.g2_half == pytest.approx(ref, rel=1e-14)
+        assert _g2_at(tau.q_half) == pytest.approx(ref, rel=1e-14)
         results = verify_series_identities(tau)
         assert len(results) == 15 and all(r.passed for r in results)
 
@@ -452,9 +465,11 @@ class TestLambdaAndG2:
                 "theta": [complex(mpmath.jtheta(j, mpmath.pi * 0.3, nome))
                           for j in (1, 2, 3, 4)],
             }
-        assert tau.lam == pytest.approx(expect["lam"], rel=1e-14)
-        for name in ("g2", "g2_double", "g2_half"):
-            assert getattr(tau, name) == pytest.approx(expect[name], rel=1e-14)
+        assert lambda_tau(tau) == pytest.approx(expect["lam"], rel=1e-14)
+        g2 = {"g2": eisenstein_g2(tau), "g2_double": _g2_double(tau),
+              "g2_half": _g2_at(tau.q_half)}
+        for name, value in g2.items():
+            assert value == pytest.approx(expect[name], rel=1e-14)
         assert [theta(j, 0.3, tau) for j in (1, 2, 3, 4)] == pytest.approx(
             expect["theta"], rel=1e-14)
         results = verify_series_identities(tau)
@@ -550,7 +565,7 @@ class TestThetaTaylor:
                 s = theta_taylor(j, 7, tau)
                 for k in range(1 if j == 1 else 0, 8, 2):
                     assert abs(s[k] - ref(j, k)) <= 1e-13 * abs_sum(j, k)
-            tc = tau.constants
+            tc = theta_constants(tau)
             for value, j, k in ((tc.th2_0, 2, 0), (tc.th3_0, 3, 0),
                                 (tc.th4_0, 4, 0), (tc.th1p_0, 1, 1),
                                 (tc.th1ppp_0 / 6.0, 1, 3),
@@ -593,7 +608,7 @@ class TestThetaTaylor:
                 pref * q4[0] ** 2, pref * (2 * q4[0] * q4[2] + q4[1] ** 2)]
         # each to 1e-12 of the absolute values of its two parts, since some
         # cancel to zero (ds at tau = i, where lambda = 1/2)
-        tc = tau.constants
+        tc = theta_constants(tau)
         r1, r2, r3, r4 = tc.log_ratios
         m2 = math.pi * abs(tc.th2_0 * tc.th4_0 / tc.th1p_0) ** 2
         scales = [abs(th / tc.th1p_0) * (abs(r) / 2.0 + abs(r1) / 6.0)

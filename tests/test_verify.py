@@ -16,7 +16,7 @@ from twistedperiods import matrices, series, verify
 from twistedperiods.cli import main
 from twistedperiods.hypergeom import HypergeomError
 from twistedperiods.matrices import HgParams
-from twistedperiods.series import TauPoint
+from twistedperiods.series import TauPoint, lambda_tau, theta_constants
 from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
                                    SWEEP_TAUS, Tolerances, VerificationReport,
                                    resolve_tolerances, run_sweep,
@@ -28,11 +28,21 @@ from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
 P_REF = HgParams(0.30, 0.21, 0.77)
 TAU_I = TauPoint(1j)
 
+# near the Im tau ceiling, where full-tpr's norms overflow
+P_OVERFLOW = HgParams(1.4832439376605402, -1.4843901826391568,
+                      -2.831776254082926)
+TAU_OVERFLOW = 0.9009137718442823 + 46.501341186967004j
+
+# a committed run_sweep(0, 4) report in the first schema: one line, each
+# check echoing its params and tolerance
+REPORT_V1 = (Path(__file__).parent / "fixtures"
+             / "report_v1_sweep_seed0_count4.json")
+
 
 def _written_out_entry22_theta_form(a, b, c, tau):
     """The (2,2) entry's theta form with its four coefficients written out
     in (a, b, c): the reference for ``theta_bracket``."""
-    tc = tau.constants
+    tc = theta_constants(tau)
     bracket = (
         -(2 * a + 1) * tc.th1ppp_0 / tc.th1p_0
         + (2 * a - 2 * c + 1) * tc.th2pp_0 / tc.th2_0
@@ -123,6 +133,13 @@ class TestFullTpr:
         for r in verify_tpr(P_REF, TauPoint(-0.4 + 0.2j)):
             assert not r.passed and "inside a disc" in r.error
 
+    def test_overflowing_norm_is_an_errored_check(self):
+        # the norms overflow inside the check, which errors; no
+        # RuntimeWarning escapes, and both block relations pass
+        full, minus, plus = verify_tpr(P_OVERFLOW, TauPoint(TAU_OVERFLOW))
+        assert full.error == "non-finite residual inf"
+        assert minus.passed and plus.passed
+
     def test_inadmissible_recorded_not_raised(self):
         result = verify_tpr(HgParams(0.30, 0.21, 1.0), TAU_I)[0]
         assert result.error is not None and not result.passed
@@ -181,7 +198,7 @@ class TestBlockTpr:
         tau = TauPoint(tau_val)
         for _ in range(20):
             p = sample_admissible(rng)
-            c = matrices.cohomology_C(p, tau.constants)
+            c = matrices.cohomology_C(p, theta_constants(tau))
             blocks = (matrices.block_C(c),
                       verify.block_periods(verify.period_matrix("+", p, tau)),
                       verify.block_periods(verify.period_matrix("-", p, tau)),
@@ -264,7 +281,7 @@ class TestEntry22:
     @pytest.mark.parametrize("tau_val", [0.1j, 0.3j, 0.25 + 0.15j, 0.5 + 0.3j])
     def test_theta_form_past_the_2f1_radius(self, tau_val):
         tau = TauPoint(tau_val)
-        assert abs(tau.lam) > 0.95
+        assert abs(lambda_tau(tau)) > 0.95
         theta, f21, cross = verify_entry22(0.2, 0.3, 0.6, tau)
         assert theta.passed and theta.residual <= 1e-13
         assert f21.error == cross.error
@@ -308,8 +325,7 @@ class TestSeriesIdentities:
 
 
 def _clear_kernel_caches():
-    for cache in (series._theta_constants_at, series._g2,
-                  verify._series_residuals):
+    for cache in (series.theta_constants, verify._series_residuals):
         cache.cache_clear()
 
 
@@ -385,6 +401,49 @@ class TestSeriesIdentityCache:
             _clear_kernel_caches()
             cold = run_sweep(seed, 8).to_json()
             assert run_sweep(seed, 8).to_json() == cold
+
+
+GRID_DRAWS = [tuple(map(float, draw)) for draw in
+              np.random.default_rng(0).uniform(-3.0, 3.0, size=(20, 3))]
+
+
+@pytest.mark.parametrize("tau_re", [-0.9, 0.0, 0.45, 0.9])
+@pytest.mark.parametrize("tau_im", [0.1, 1.0, 10.0, 46.5, 50.0])
+def test_verifiers_return_results_without_warnings(tau_re, tau_im):
+    # any input, admissible or not, gives CheckResults; the pytest filter
+    # turns an escaping RuntimeWarning into a failure
+    tau = TauPoint(complex(tau_re, tau_im))
+    results = verify_series_identities(tau)
+    for alpha, beta, gamma in GRID_DRAWS:
+        p = HgParams(alpha, beta, gamma)
+        results += [*verify_tpr(p, tau), verify_orthogonality(p),
+                    *verify_entry22(alpha, beta, gamma, tau),
+                    verify_whipple(alpha, beta, gamma)]
+    assert all(isinstance(r, CheckResult) for r in results)
+
+
+class TestReportV1:
+    def test_fixture_round_trips_byte_for_byte(self):
+        text = REPORT_V1.read_text()
+        assert VerificationReport.from_json(text).to_json() == text
+
+    def test_current_sweep_matches_the_fixture(self):
+        # residuals to 1e-3 of their tolerance, so that another BLAS build
+        # passes too; everything else exactly
+        fixture = VerificationReport.from_json(REPORT_V1.read_text())
+        report = run_sweep(0, 4)
+        assert report.seed == fixture.seed
+        assert report.summary == fixture.summary
+        assert len(report.checks) == len(fixture.checks)
+        for now, then in zip(report.checks, fixture.checks):
+            assert (now.name, now.params, now.tolerance, now.passed,
+                    now.error) == (then.name, then.params, then.tolerance,
+                                   then.passed, then.error)
+            if then.residual is None:
+                assert now.residual is None
+            else:
+                assert abs(now.residual - then.residual) <= (
+                    1e-3 * then.tolerance)
 
 
 class TestSweep:
@@ -516,6 +575,16 @@ class TestCli:
                      "--gamma", "0.77", "--tau-re", "0.3",
                      "--tau-im", "1.2"]) == 0
 
+    @pytest.mark.parametrize("command,code", [("full", 2), ("blocks", 0)])
+    def test_tpr_overflow_writes_nothing_to_stderr(self, capsys, command,
+                                                   code):
+        p = P_OVERFLOW
+        assert main(["tpr", command, f"--alpha={p.alpha}",
+                     f"--beta={p.beta}", f"--gamma={p.gamma}",
+                     f"--tau-re={TAU_OVERFLOW.real}",
+                     f"--tau-im={TAU_OVERFLOW.imag}"]) == code
+        assert capsys.readouterr().err == ""
+
     def test_tpr_entry22_json(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         assert main(["tpr", "entry22", "--a", "0.2", "--b", "0.3",
@@ -625,11 +694,10 @@ class TestCli:
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
-        # the inf case meets inf * 0 in the residual's matmul
-        with np.errstate(invalid="ignore"):
-            assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
-                         "--gamma", "0.77", "--json", "stdout",
-                         "--quiet"]) == 2
+        # the inf case meets inf * 0 in the residual's matmul, which warns
+        # nothing
+        assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
+                     "--gamma", "0.77", "--json", "stdout", "--quiet"]) == 2
         [check] = json.loads(capsys.readouterr().out,
                              parse_constant=reject)["checks"]
         assert check["residual"] is None and not check["pass"]
