@@ -94,6 +94,8 @@ CHECK_REGISTRY: dict[str, str] = {
 # the registry lists the identity suite's 15 checks last, in suite order
 _SERIES_CHECKS = tuple(CHECK_REGISTRY)[8:]
 
+REPORT_COLUMNS = ("name", "params", "residual", "tolerance", "pass", "error")
+
 _RECOVERABLE = (AdmissibilityError, ConditioningError, HypergeomError,
                 PeriodError, QuadratureError, SeriesError)
 
@@ -121,19 +123,18 @@ class CheckResult:
             raise ValueError("an errored check cannot pass")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "error": self.error,
-        }
+        return dict(zip(REPORT_COLUMNS, (
+            self.name, self.params, self.residual, self.tolerance,
+            self.passed, self.error)))
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """A batch of check results with aggregate counts."""
+    """A batch of check results with aggregate counts.
+
+    Its JSON (schema 2) lists each params dict once, by identity, as
+    ``==`` would merge -0.0 with 0.0, and each check as a row of
+    ``REPORT_COLUMNS`` that indexes that list.  Schema 1 still loads."""
 
     tool_version: str
     seed: int
@@ -149,31 +150,44 @@ class VerificationReport:
             "errored": n_err,
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary,
-        }
-
     def to_json(self) -> str:
         """One-line JSON, sorted keys; ``indent`` would bypass C encoding."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        table: dict[int, tuple] = {}  # id(params) -> (index, params)
+        rows = []
+        for c in self.checks:
+            i, _ = table.setdefault(id(c.params), (len(table), c.params))
+            rows.append([c.name, i, c.residual, c.tolerance, c.passed, c.error])
+        return json.dumps({
+            "schema": 2, "tool_version": self.tool_version,
+            "seed": self.seed, "params": [p for _, p in table.values()],
+            "columns": REPORT_COLUMNS, "checks": rows,
+            "summary": self.summary}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
+        """The report ``text`` encodes; a malformed one raises ValueError."""
         d = json.loads(text)
-        checks = [
-            CheckResult(
-                name=c["name"], params=c["params"], residual=c["residual"],
-                tolerance=c["tolerance"], passed=c["pass"],
-                error=c["error"],
-            )
-            for c in d["checks"]
-        ]
-        return cls(tool_version=d["tool_version"], seed=d["seed"],
-                   checks=checks)
+        try:
+            schema, table = d.get("schema", 1), d.get("params")
+            if schema == 1:
+                table = [c["params"] for c in d["checks"]]
+                d["checks"] = [[i if key == "params" else c[key]
+                                for key in REPORT_COLUMNS]
+                               for i, c in enumerate(d["checks"])]
+            elif schema != 2:
+                raise ValueError(f"unknown report schema {schema!r}")
+            elif d["columns"] != list(REPORT_COLUMNS):
+                raise ValueError(f"unknown report columns {d['columns']!r}")
+            checks = []
+            for row in d["checks"]:
+                if len(row) != len(REPORT_COLUMNS):
+                    raise ValueError(f"check row {row!r} does not fit columns")
+                if type(row[1]) is not int or not 0 <= row[1] < len(table):
+                    raise ValueError(f"params index {row[1]!r} out of range")
+                checks.append(CheckResult(row[0], table[row[1]], *row[2:]))
+            return cls(d["tool_version"], d["seed"], checks)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed report: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -198,18 +212,13 @@ def resolve_tolerances(spec) -> Tolerances:
     """A profile name, a number (uniform override), or a Tolerances."""
     if isinstance(spec, Tolerances):
         return spec
-    if isinstance(spec, str):
-        if spec in PROFILES:
-            return PROFILES[spec]
-        try:
-            value = float(spec)
-        except ValueError:
-            raise ValueError(
-                f"unknown tolerance profile {spec!r}; "
-                f"expected one of {sorted(PROFILES)} or a number"
-            ) from None
-        return resolve_tolerances(value)
-    value = float(spec)
+    if isinstance(spec, str) and spec in PROFILES:
+        return PROFILES[spec]
+    try:
+        value = float(spec)
+    except ValueError:
+        raise ValueError(f"unknown tolerance profile {spec!r}; expected "
+                         f"one of {sorted(PROFILES)} or a number") from None
     if not 0.0 < value < math.inf:
         raise ValueError(f"tolerance must be finite and positive, not {value}")
     return Tolerances(matrix=value, series=value, entry22=value,
@@ -217,15 +226,11 @@ def resolve_tolerances(spec) -> Tolerances:
 
 
 def _params_dict(p: HgParams | None, tau: TauPoint | None, **extra) -> dict:
-    out = {
-        "alpha": p.alpha if p is not None else None,
-        "beta": p.beta if p is not None else None,
-        "gamma": p.gamma if p is not None else None,
-        "tau_re": tau.tau.real if tau is not None else None,
-        "tau_im": tau.tau.imag if tau is not None else None,
-    }
-    out.update(extra)
-    return out
+    alpha, beta, gamma = (None,) * 3 if p is None else (
+        p.alpha, p.beta, p.gamma)
+    re, im = (None, None) if tau is None else (tau.tau.real, tau.tau.imag)
+    return {"alpha": alpha, "beta": beta, "gamma": gamma, "tau_re": re,
+            "tau_im": im, **extra}
 
 
 def _errored(name: str, params: dict, tolerance: float,
@@ -260,6 +265,27 @@ def _worst(*residuals: float) -> float:
     return math.nan if math.isnan(sum(residuals)) else max(residuals)
 
 
+class _Draw:
+    """One draw's p and tau (either may be None) and what its checks share,
+    each built by the first check that asks: theta constants, lambda, H,
+    C, P+- and the basis changes of p and -p.  A build that raises keeps
+    nothing, so every check that asks errors with its text.  ``run_sweep``
+    builds one per draw, and each public tpr, orthogonality or entry22
+    call its own."""
+
+    def __init__(self, p: HgParams | None, tau: TauPoint | None):
+        self.p, self.tau = p, tau
+
+    tc = functools.cached_property(lambda self: theta_constants(self.tau))
+    lam = functools.cached_property(lambda self: lambda_tau(self.tau))
+    h = functools.cached_property(lambda self: homology_H(self.p))
+    c = functools.cached_property(lambda self: cohomology_C(self.p, self.tc))
+    periods = functools.cached_property(lambda self: tuple(
+        period_matrix(side, self.p, self.tau) for side in "+-"))
+    bases = functools.cached_property(lambda self: (
+        basis_change(self.p), basis_change(self.p.negated())))
+
+
 def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
                ) -> tuple[CheckResult, CheckResult, CheckResult]:
     """Relative Frobenius residuals of the full 4x4 relation
@@ -276,16 +302,18 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
     draws at Re tau = 0.1 it failed 0 at Im tau = 3, 7 at 4, 33 at 10 and
     40 at 50, while both block relations stayed at or below 1.1e-13.
     """
-    tols = resolve_tolerances(tol)
-    params = _params_dict(p, tau)
+    return _tpr_checks(_Draw(p, tau), resolve_tolerances(tol))
+
+
+def _tpr_checks(draw: _Draw, tols: Tolerances) -> tuple[CheckResult, ...]:
+    params = _params_dict(draw.p, draw.tau)
     names = ("full-tpr", "block-tpr-minus", "block-tpr-plus")
     try:
-        c = cohomology_C(p, theta_constants(tau))
-        pp = period_matrix("+", p, tau)
-        pm = period_matrix("-", p, tau)
+        c = draw.c
+        pp, pm = draw.periods
         blocks = (block_C(c), block_periods(pp), block_periods(pm),
-                  block_H_prime(p))
-        relations = [(c, pp, pm, homology_H(p), guarded_solve)] + [
+                  block_H_prime(draw.p))
+        relations = [(c, pp, pm, draw.h, guarded_solve)] + [
             (*(pair.for_sign(sign) for pair in blocks), diagonal_solve)
             for sign in (-1, 1)]
     except _RECOVERABLE as exc:
@@ -306,23 +334,22 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
 
 def verify_orthogonality(p: HgParams, tol=PROFILES["default"]) -> CheckResult:
     """Cross-eigenspace cycle pairings vanish entrywise (both signs)."""
-    tols = resolve_tolerances(tol)
+    return _orthogonality_check(_Draw(p, None), resolve_tolerances(tol))
 
+
+def _orthogonality_check(draw: _Draw, tols: Tolerances) -> CheckResult:
     def residual():
-        h = homology_H(p)
-        rows = basis_change(p)
-        dual = basis_change(p.negated())
+        rows, dual = draw.bases
         return _worst(*(
-            float(np.max(np.abs(rows.for_sign(sign) @ h
+            float(np.max(np.abs(rows.for_sign(sign) @ draw.h
                                 @ dual.for_sign(-sign).T)))
             for sign in (-1, 1)))
 
-    return _run_check("orthogonality", _params_dict(p, None),
+    return _run_check("orthogonality", _params_dict(draw.p, None),
                       tols.orthogonality, residual)
 
 
-def _entry22_theta_form(p: HgParams, tau: TauPoint) -> complex:
-    tc = theta_constants(tau)
+def _entry22_theta_form(p: HgParams, tc: ThetaConstants) -> complex:
     return theta_bracket(p, tc) / (2.0 * math.pi**2 * tc.th3_0**4)
 
 
@@ -346,25 +373,27 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
     entry22-theta sums no 2F1, so only the other two checks error where
     |lambda(tau)| exceeds the 2F1 radius guard.
     """
-    tols = resolve_tolerances(tol)
+    return _entry22_checks(_Draw(None, tau), a, b, c, resolve_tolerances(tol))
+
+
+def _entry22_checks(draw: _Draw, a: float, b: float, c: float,
+                    tols: Tolerances) -> tuple[CheckResult, ...]:
     p = HgParams(a + 0.5, b - 0.5, c)
-    params = _params_dict(p, tau, a=a, b=b, c=c)
+    params = _params_dict(p, draw.tau, a=a, b=b, c=c)
     try:
         require_admissible(p)
     except AdmissibilityError as exc:
         return tuple(_errored(name, params, tols.entry22, exc) for name in (
             "entry22-theta", "entry22-2f1", "entry22-cross"))
 
-    # lambda and each form are evaluated once, by the first check that
-    # needs them.  A value that raises is not kept, so every check using
-    # it errors.
-    lam = functools.cache(lambda: lambda_tau(tau))
-    theta_form = functools.cache(lambda: _entry22_theta_form(p, tau))
-    f21_form = functools.cache(lambda: _entry22_2f1_form(a, b, c, lam()))
+    # each value is evaluated once, by the first check that needs it; one
+    # that raises is not kept, so every check using it errors
+    target = functools.cache(lambda: (a - b + 1) * draw.lam + c)
+    theta_form = functools.cache(lambda: _entry22_theta_form(p, draw.tc))
+    f21_form = functools.cache(lambda: _entry22_2f1_form(a, b, c, draw.lam))
     return tuple(_run_check(name, params, tols.entry22, fn) for name, fn in (
-        ("entry22-theta",
-         lambda: abs(theta_form() - ((a - b + 1) * lam() + c))),
-        ("entry22-2f1", lambda: abs(f21_form() - ((a - b + 1) * lam() + c))),
+        ("entry22-theta", lambda: abs(theta_form() - target())),
+        ("entry22-2f1", lambda: abs(f21_form() - target())),
         ("entry22-cross", lambda: abs(theta_form() - f21_form())),
     ))
 
@@ -485,7 +514,7 @@ def _series_residuals(tau: TauPoint) -> tuple[float, ...]:
         # phi2-laurent
         _worst(_rel(phi2_m2, lead), _rel(phi2_0, lead * (r4 - r1 / 3.0))),
         # entry22-g2-form
-        _rel(_entry22_theta_form(HgParams(a + 0.5, b - 0.5, c), tau),
+        _rel(_entry22_theta_form(HgParams(a + 0.5, b - 0.5, c), tc),
              g2_rewrite),
     )))
 
@@ -532,6 +561,8 @@ def run_sweep(seed: int, count: int,
     tau cycles through the fixed list, one ``TauPoint`` per entry; its
     theta constants and suite residuals are cached, and residuals are
     deterministic given the seed because every summation order is fixed.
+    One ``_Draw`` per draw builds H, C and P+- once; the results are
+    those of the public ``verify_*`` called in order, bit for bit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -541,12 +572,11 @@ def run_sweep(seed: int, count: int,
     checks: list[CheckResult] = []
     for k in range(count):
         p = sample_admissible(rng)
-        tau = taus[k % len(taus)]
-        checks.extend(verify_tpr(p, tau, tols))
-        checks.append(verify_orthogonality(p, tols))
+        draw = _Draw(p, taus[k % len(taus)])
         a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
-        checks.extend(verify_entry22(a, b, c, tau, tols))
-        checks.append(verify_whipple(a, b, c, tol=tols))
-        checks.extend(verify_series_identities(tau, tols))
+        checks += [*_tpr_checks(draw, tols), _orthogonality_check(draw, tols),
+                   *_entry22_checks(draw, a, b, c, tols),
+                   verify_whipple(a, b, c, tols),
+                   *verify_series_identities(draw.tau, tols)]
     return VerificationReport(tool_version=__version__, seed=seed,
                               checks=checks)

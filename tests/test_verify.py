@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistedperiods
 from twistedperiods import matrices, series, verify
@@ -18,7 +20,8 @@ from twistedperiods.hypergeom import HypergeomError
 from twistedperiods.matrices import HgParams
 from twistedperiods.series import TauPoint, lambda_tau, theta_constants
 from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
-                                   SWEEP_TAUS, Tolerances, VerificationReport,
+                                   REPORT_COLUMNS, SWEEP_TAUS, Tolerances,
+                                   VerificationReport,
                                    resolve_tolerances, run_sweep,
                                    sample_admissible, verify_entry22,
                                    verify_orthogonality,
@@ -33,10 +36,25 @@ P_OVERFLOW = HgParams(1.4832439376605402, -1.4843901826391568,
                       -2.831776254082926)
 TAU_OVERFLOW = 0.9009137718442823 + 46.501341186967004j
 
-# a committed run_sweep(0, 4) report in the first schema: one line, each
-# check echoing its params and tolerance
+# committed run_sweep(0, 4) reports: schema 1, each check a dict echoing
+# its params, and schema 2, a params table and one row per check
 REPORT_V1 = (Path(__file__).parent / "fixtures"
              / "report_v1_sweep_seed0_count4.json")
+REPORT_V2 = (Path(__file__).parent / "fixtures"
+             / "report_v2_sweep_seed0_count4.json")
+
+
+def _json_checks(text: str) -> list[dict]:
+    """The checks of a JSON report as dicts, read through its ``columns``
+    with each params index resolved; NaN and Infinity tokens raise."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    d = json.loads(text, parse_constant=reject)
+    checks = [dict(zip(d["columns"], row)) for row in d["checks"]]
+    for check in checks:
+        check["params"] = d["params"][check["params"]]
+    return checks
 
 
 def _written_out_entry22_theta_form(a, b, c, tau):
@@ -275,7 +293,7 @@ class TestEntry22:
             a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
             old = _written_out_entry22_theta_form(a, b, c, tau)
             new = verify._entry22_theta_form(
-                HgParams(a + 0.5, b - 0.5, c), tau)
+                HgParams(a + 0.5, b - 0.5, c), theta_constants(tau))
             assert abs(new - old) <= 1e-14 * max(1.0, abs(old))
 
     @pytest.mark.parametrize("tau_val", [0.1j, 0.3j, 0.25 + 0.15j, 0.5 + 0.3j])
@@ -422,28 +440,167 @@ def test_verifiers_return_results_without_warnings(tau_re, tau_im):
     assert all(isinstance(r, CheckResult) for r in results)
 
 
+def _assert_matches_fixture(report, fixture):
+    # residuals to 1e-3 of their tolerance, so that another BLAS build
+    # passes too; everything else exactly
+    assert report.seed == fixture.seed
+    assert report.summary == fixture.summary
+    assert len(report.checks) == len(fixture.checks)
+    for now, then in zip(report.checks, fixture.checks):
+        assert (now.name, now.params, now.tolerance, now.passed,
+                now.error) == (then.name, then.params, then.tolerance,
+                               then.passed, then.error)
+        if then.residual is None:
+            assert now.residual is None
+        else:
+            assert abs(now.residual - then.residual) <= 1e-3 * then.tolerance
+
+
 class TestReportV1:
     def test_fixture_round_trips_byte_for_byte(self):
+        # v1 loads, and its v2 re-encoding round-trips byte for byte
         text = REPORT_V1.read_text()
-        assert VerificationReport.from_json(text).to_json() == text
+        assert '"schema"' not in text
+        v2 = VerificationReport.from_json(text).to_json()
+        assert json.loads(v2)["schema"] == 2
+        assert VerificationReport.from_json(v2).to_json() == v2
+
+    def test_indented_fixture_loads_equal(self):
+        text = REPORT_V1.read_text()
+        indented = json.dumps(json.loads(text), sort_keys=True, indent=2)
+        assert (VerificationReport.from_json(indented)
+                == VerificationReport.from_json(text))
 
     def test_current_sweep_matches_the_fixture(self):
-        # residuals to 1e-3 of their tolerance, so that another BLAS build
-        # passes too; everything else exactly
         fixture = VerificationReport.from_json(REPORT_V1.read_text())
-        report = run_sweep(0, 4)
-        assert report.seed == fixture.seed
-        assert report.summary == fixture.summary
-        assert len(report.checks) == len(fixture.checks)
-        for now, then in zip(report.checks, fixture.checks):
-            assert (now.name, now.params, now.tolerance, now.passed,
-                    now.error) == (then.name, then.params, then.tolerance,
-                                   then.passed, then.error)
-            if then.residual is None:
-                assert now.residual is None
-            else:
-                assert abs(now.residual - then.residual) <= (
-                    1e-3 * then.tolerance)
+        _assert_matches_fixture(run_sweep(0, 4), fixture)
+
+
+class TestReportV2:
+    def test_fixture_round_trips_byte_for_byte(self):
+        text = REPORT_V2.read_text()
+        assert VerificationReport.from_json(text).to_json() == text
+
+    def test_fixture_equals_the_v1_fixture(self):
+        assert (VerificationReport.from_json(REPORT_V2.read_text())
+                == VerificationReport.from_json(REPORT_V1.read_text()))
+
+    def test_current_sweep_matches_the_fixture(self):
+        fixture = VerificationReport.from_json(REPORT_V2.read_text())
+        _assert_matches_fixture(run_sweep(0, 4), fixture)
+
+    def test_each_params_set_written_once(self):
+        # 4 draws, each with one params dict per verify_* call
+        d = json.loads(REPORT_V2.read_text())
+        assert (len(d["params"]), len(d["checks"])) == (20, 92)
+        assert len(REPORT_V2.read_bytes()) < len(REPORT_V1.read_bytes()) / 2
+
+
+def _report_text(**changes) -> str:
+    """A valid two-check v2 report with some top-level keys replaced."""
+    report = VerificationReport("0", 0, [
+        CheckResult("full-tpr", {"alpha": 0.3}, 1e-15, 1e-8, True),
+        CheckResult("orthogonality", {"alpha": -0.0}, None, 1e-12, False,
+                    "boom")])
+    return json.dumps({**json.loads(report.to_json()), **changes})
+
+
+class TestReportErrors:
+    """A malformed report raises ValueError naming the problem, never a
+    bare KeyError or IndexError."""
+
+    def test_valid_base_report_loads(self):
+        assert len(VerificationReport.from_json(_report_text()).checks) == 2
+
+    @pytest.mark.parametrize("schema", [0, 3, "2", None])
+    def test_unknown_schema(self, schema):
+        with pytest.raises(ValueError, match="unknown report schema"):
+            VerificationReport.from_json(_report_text(schema=schema))
+
+    @pytest.mark.parametrize("row", [
+        ["full-tpr", 0, 1e-15, 1e-8, True],
+        ["full-tpr", 0, 1e-15, 1e-8, True, None, "extra"], []])
+    def test_row_length_differs_from_columns(self, row):
+        with pytest.raises(ValueError, match="does not fit columns"):
+            VerificationReport.from_json(_report_text(checks=[row]))
+
+    @pytest.mark.parametrize("index", [2, 99, -1, 1.0, True, None])
+    def test_params_index_out_of_range(self, index):
+        row = ["full-tpr", index, 1e-15, 1e-8, True, None]
+        with pytest.raises(ValueError, match="params index"):
+            VerificationReport.from_json(_report_text(checks=[row]))
+
+    def test_unknown_columns(self):
+        columns = [*REPORT_COLUMNS[:-1], "verdict"]
+        with pytest.raises(ValueError, match="unknown report columns"):
+            VerificationReport.from_json(_report_text(columns=columns))
+
+    @pytest.mark.parametrize("text", [
+        '{"schema": 2}', '{"checks": [{"name": "full-tpr"}]}', "[]",
+        '{"schema": 2, "columns": ["name", "params", "residual", '
+        '"tolerance", "pass", "error"], "params": [], "checks": 5}'])
+    def test_missing_or_mistyped_keys(self, text):
+        with pytest.raises(ValueError, match="malformed report"):
+            VerificationReport.from_json(text)
+
+
+_KEYS = st.sampled_from(["alpha", "tau_re", "n_max", "a", "x"])
+_FINITE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1, 1.0, 0, True, None]), st.integers())
+_ANY_VALUES = st.one_of(_FINITE_VALUES, st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _reports(draw, values):
+    """Reports over registered names whose checks share params dicts by
+    identity, with an equal copy of the first dict as a separate object."""
+    pool = draw(st.lists(st.dictionaries(_KEYS, values, max_size=4),
+                         min_size=1, max_size=4))
+    pool.append(dict(pool[0]))
+    checks = []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(sorted(CHECK_REGISTRY)))
+        params = pool[draw(st.integers(0, len(pool) - 1))]
+        tolerance = draw(st.sampled_from([1e-8, 1e-12, 0.5]))
+        if draw(st.booleans()):
+            residual = draw(st.floats(0.0, 1.0))
+            checks.append(CheckResult(name, params, residual, tolerance,
+                                      residual <= tolerance))
+        else:
+            checks.append(CheckResult(name, params, None, tolerance, False,
+                                      draw(st.text(max_size=5))))
+    return VerificationReport(draw(st.text(max_size=5)),
+                              draw(st.integers()), checks)
+
+
+def _leaves(report):
+    # by key: sort_keys reorders each dict on the way out
+    return [(k, c.params[k]) for c in report.checks for k in sorted(c.params)]
+
+
+class TestReportCodecProperties:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_reports(_FINITE_VALUES))
+    def test_finite_params_round_trip(self, report):
+        text = report.to_json()
+        back = VerificationReport.from_json(text)
+        assert back.to_json() == text
+        assert back == report
+        # == counts -0.0 == 0.0 and 1 == 1.0 == True; the parse must not
+        for (key, now), (_, then) in zip(_leaves(back), _leaves(report)):
+            assert type(now) is type(then), key
+            if isinstance(then, float):
+                assert math.copysign(1.0, now) == math.copysign(1.0, then)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_reports(_ANY_VALUES))
+    def test_non_finite_params_re_encode_byte_for_byte(self, report):
+        # nan and inf are kept out of the equality above only because
+        # nan != nan after a parse; they must still re-encode exactly
+        text = report.to_json()
+        assert VerificationReport.from_json(text).to_json() == text
 
 
 class TestSweep:
@@ -511,14 +668,52 @@ class TestSweep:
     def test_json_schema(self):
         report = run_sweep(seed=42, count=1)
         d = json.loads(report.to_json())
-        assert set(d) == {"tool_version", "seed", "checks", "summary"}
+        assert set(d) == {"schema", "tool_version", "seed", "params",
+                          "columns", "checks", "summary"}
+        assert d["schema"] == 2
+        assert d["columns"] == ["name", "params", "residual", "tolerance",
+                                "pass", "error"]
         assert set(d["summary"]) == {"pass", "fail", "errored"}
-        for check in d["checks"]:
-            assert set(check) == {"name", "params", "residual", "tolerance",
-                                  "pass", "error"}
-        check = d["checks"][0]
+        for row in d["checks"]:
+            assert len(row) == len(d["columns"])
+        # one params set per verify_* call of the draw, each written once
+        assert len(d["params"]) == 5
+        check = _json_checks(report.to_json())[0]
         assert {"alpha", "beta", "gamma", "tau_re", "tau_im"} <= set(
             check["params"])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_the_public_checks_in_order(self, seed):
+        # one code path: the same names, params (signed zeros and int/float
+        # included), verdicts, errors and residual bits as the public calls
+        def encoded(checks):
+            return [json.dumps(c.to_dict(), sort_keys=True) for c in checks]
+
+        rng = np.random.default_rng(seed)
+        taus = [TauPoint(t) for t in SWEEP_TAUS]
+        checks = []
+        for k in range(8):
+            p = sample_admissible(rng)
+            tau = taus[k % len(taus)]
+            a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
+            checks += [*verify_tpr(p, tau), verify_orthogonality(p),
+                       *verify_entry22(a, b, c, tau), verify_whipple(a, b, c),
+                       *verify_series_identities(tau)]
+        assert encoded(run_sweep(seed, 8).checks) == encoded(checks)
+
+    def test_one_homology_h_per_draw(self, monkeypatch):
+        # full-tpr and orthogonality read the same H
+        calls = Counter()
+        original = verify.homology_H
+
+        def counting(p):
+            calls[p] += 1
+            return original(p)
+
+        monkeypatch.setattr(verify, "homology_H", counting)
+        report = run_sweep(seed=3, count=3)
+        assert report.summary["pass"] == len(report.checks)
+        assert sorted(calls.values()) == [1, 1, 1]
 
 
 class TestCli:
@@ -650,7 +845,7 @@ class TestCli:
         assert main(["tpr", "entry22", "--a", "0.2", "--b", "0.3",
                      "--c", "0.6", "--tau-im", "0.3", "--json", "stdout",
                      "--quiet"]) == 2
-        theta, f21, cross = json.loads(capsys.readouterr().out)["checks"]
+        theta, f21, cross = _json_checks(capsys.readouterr().out)
         assert theta["pass"] and theta["error"] is None
         assert f21["error"] is not None and cross["error"] is not None
 
@@ -691,15 +886,11 @@ class TestCli:
         monkeypatch.setattr(verify, "guarded_solve",
                             lambda a, b: np.full(b.shape, value))
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
         # the inf case meets inf * 0 in the residual's matmul, which warns
-        # nothing
+        # nothing; the report holds no NaN or Infinity token
         assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
                      "--gamma", "0.77", "--json", "stdout", "--quiet"]) == 2
-        [check] = json.loads(capsys.readouterr().out,
-                             parse_constant=reject)["checks"]
+        [check] = _json_checks(capsys.readouterr().out)
         assert check["residual"] is None and not check["pass"]
         assert check["error"].startswith("non-finite residual")
 
@@ -707,8 +898,7 @@ class TestCli:
         assert main(["tpr", "full", "--alpha", "200.3", "--beta", "0.25",
                      "--gamma", "0.6", "--json", "stdout", "--quiet"]) == 2
         captured = capsys.readouterr()
-        d = json.loads(captured.out)
-        [check] = d["checks"]
+        [check] = _json_checks(captured.out)
         assert check["name"] == "full-tpr"
         assert "overflows" in check["error"]
         assert "Traceback" not in captured.err
