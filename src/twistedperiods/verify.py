@@ -122,11 +122,6 @@ class CheckResult:
         elif self.passed:
             raise ValueError("an errored check cannot pass")
 
-    def to_dict(self) -> dict:
-        return dict(zip(REPORT_COLUMNS, (
-            self.name, self.params, self.residual, self.tolerance,
-            self.passed, self.error)))
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -266,22 +261,24 @@ def _worst(*residuals: float) -> float:
 
 
 class _Draw:
-    """One draw's p and tau (either may be None) and what its checks share,
-    each built by the first check that asks: theta constants, lambda, H,
-    C, P+- and the basis changes of p and -p.  A build that raises keeps
-    nothing, so every check that asks errors with its text.  ``run_sweep``
-    builds one per draw, and each public tpr, orthogonality or entry22
-    call its own."""
+    """One draw's p and tau (None for orthogonality alone) and the builds
+    its tpr and orthogonality checks share, each made by the first check
+    that reads it: H, C, P+-, the blocks of C, P+- and H' (read in that
+    order) and the basis changes of p and -p.  A build that raises keeps
+    nothing, so every check that reads it errors with its text.
+    ``run_sweep`` builds one per draw, each public call its own."""
 
-    def __init__(self, p: HgParams | None, tau: TauPoint | None):
+    def __init__(self, p: HgParams, tau: TauPoint | None):
         self.p, self.tau = p, tau
 
-    tc = functools.cached_property(lambda self: theta_constants(self.tau))
-    lam = functools.cached_property(lambda self: lambda_tau(self.tau))
     h = functools.cached_property(lambda self: homology_H(self.p))
-    c = functools.cached_property(lambda self: cohomology_C(self.p, self.tc))
+    c = functools.cached_property(
+        lambda self: cohomology_C(self.p, theta_constants(self.tau)))
     periods = functools.cached_property(lambda self: tuple(
         period_matrix(side, self.p, self.tau) for side in "+-"))
+    blocks = functools.cached_property(lambda self: (
+        block_C(self.c), *map(block_periods, self.periods),
+        block_H_prime(self.p)))
     bases = functools.cached_property(lambda self: (
         basis_change(self.p), basis_change(self.p.negated())))
 
@@ -294,9 +291,10 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
     C, P+ and P- are built once; the blocks are their diagonal slices,
     paired with the diagonal ``block_H_prime`` d, in the simple form
     C(+-1) = P'+ . diag(1/d) . P'-^T (``diagonal_solve``); H is solved by
-    LU.  Returns (full-tpr, block-tpr-minus, block-tpr-plus).  A failed
-    build errors all three checks; a badly conditioned H or H' errors only
-    its own.
+    LU.  Returns (full-tpr, block-tpr-minus, block-tpr-plus).  A check
+    errors with the text of the first build it reads that fails (C or P+-:
+    all three; H: full-tpr; the blocks: both block checks), and a badly
+    conditioned H or H' errors only its own.
 
     full-tpr is not a certificate above Im tau of about 3: over 40 seeded
     draws at Re tau = 0.1 it failed 0 at Im tau = 3, 7 at 4, 33 at 10 and
@@ -307,20 +305,11 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
 
 def _tpr_checks(draw: _Draw, tols: Tolerances) -> tuple[CheckResult, ...]:
     params = _params_dict(draw.p, draw.tau)
-    names = ("full-tpr", "block-tpr-minus", "block-tpr-plus")
-    try:
-        c = draw.c
-        pp, pm = draw.periods
-        blocks = (block_C(c), block_periods(pp), block_periods(pm),
-                  block_H_prime(draw.p))
-        relations = [(c, pp, pm, draw.h, guarded_solve)] + [
-            (*(pair.for_sign(sign) for pair in blocks), diagonal_solve)
-            for sign in (-1, 1)]
-    except _RECOVERABLE as exc:
-        return tuple(_errored(name, params, tols.matrix, exc)
-                     for name in names)
 
-    def residual(c, pp, pm, h, solve):
+    def residual(sign: int) -> float:  # sign 0: the full relation
+        c, pp, pm, h = ((draw.c, *draw.periods, draw.h) if sign == 0 else
+                        (pair.for_sign(sign) for pair in draw.blocks))
+        solve = diagonal_solve if sign else guarded_solve
         # norms that overflow near the Im ceiling error the check, unwarned
         with np.errstate(all="ignore"):
             r = c - pp @ solve(h.T, pm.T)
@@ -328,8 +317,9 @@ def _tpr_checks(draw: _Draw, tols: Tolerances) -> tuple[CheckResult, ...]:
 
     return tuple(
         _run_check(name, params, tols.matrix,
-                   functools.partial(residual, *relation))
-        for name, relation in zip(names, relations))
+                   functools.partial(residual, sign))
+        for name, sign in (("full-tpr", 0), ("block-tpr-minus", -1),
+                           ("block-tpr-plus", 1)))
 
 
 def verify_orthogonality(p: HgParams, tol=PROFILES["default"]) -> CheckResult:
@@ -370,27 +360,25 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
     """Both routes to the reduced (2,2) entry against (a-b+1) lambda + c.
 
     Residuals are absolute: the target is order one over the sampled range.
-    entry22-theta sums no 2F1, so only the other two checks error where
-    |lambda(tau)| exceeds the 2F1 radius guard.
+    Each form is evaluated once, by the first check that needs it; one that
+    raises is not kept, so every check using it errors.  entry22-theta sums
+    no 2F1, so only the other two checks error where |lambda(tau)| exceeds
+    the 2F1 radius guard.
     """
-    return _entry22_checks(_Draw(None, tau), a, b, c, resolve_tolerances(tol))
-
-
-def _entry22_checks(draw: _Draw, a: float, b: float, c: float,
-                    tols: Tolerances) -> tuple[CheckResult, ...]:
+    tols = resolve_tolerances(tol)
     p = HgParams(a + 0.5, b - 0.5, c)
-    params = _params_dict(p, draw.tau, a=a, b=b, c=c)
+    params = _params_dict(p, tau, a=a, b=b, c=c)
     try:
         require_admissible(p)
     except AdmissibilityError as exc:
         return tuple(_errored(name, params, tols.entry22, exc) for name in (
             "entry22-theta", "entry22-2f1", "entry22-cross"))
 
-    # each value is evaluated once, by the first check that needs it; one
-    # that raises is not kept, so every check using it errors
-    target = functools.cache(lambda: (a - b + 1) * draw.lam + c)
-    theta_form = functools.cache(lambda: _entry22_theta_form(p, draw.tc))
-    f21_form = functools.cache(lambda: _entry22_2f1_form(a, b, c, draw.lam))
+    target = functools.cache(lambda: (a - b + 1) * lambda_tau(tau) + c)
+    theta_form = functools.cache(
+        lambda: _entry22_theta_form(p, theta_constants(tau)))
+    f21_form = functools.cache(
+        lambda: _entry22_2f1_form(a, b, c, lambda_tau(tau)))
     return tuple(_run_check(name, params, tols.entry22, fn) for name, fn in (
         ("entry22-theta", lambda: abs(theta_form() - target())),
         ("entry22-2f1", lambda: abs(f21_form() - target())),
@@ -561,8 +549,8 @@ def run_sweep(seed: int, count: int,
     tau cycles through the fixed list, one ``TauPoint`` per entry; its
     theta constants and suite residuals are cached, and residuals are
     deterministic given the seed because every summation order is fixed.
-    One ``_Draw`` per draw builds H, C and P+- once; the results are
-    those of the public ``verify_*`` called in order, bit for bit.
+    Each draw's tpr and orthogonality checks share one ``_Draw``; the
+    results are those of the public ``verify_*`` in order, bit for bit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -575,7 +563,7 @@ def run_sweep(seed: int, count: int,
         draw = _Draw(p, taus[k % len(taus)])
         a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
         checks += [*_tpr_checks(draw, tols), _orthogonality_check(draw, tols),
-                   *_entry22_checks(draw, a, b, c, tols),
+                   *verify_entry22(a, b, c, draw.tau, tols),
                    verify_whipple(a, b, c, tols),
                    *verify_series_identities(draw.tau, tols)]
     return VerificationReport(tool_version=__version__, seed=seed,

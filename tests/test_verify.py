@@ -57,6 +57,12 @@ def _json_checks(text: str) -> list[dict]:
     return checks
 
 
+def _report_json(checks) -> str:
+    """The checks' report JSON: names, params (signed zeros and int/float
+    kinds included), residual bits, tolerances, verdicts and errors."""
+    return VerificationReport("x", 0, list(checks)).to_json()
+
+
 def _written_out_entry22_theta_form(a, b, c, tau):
     """The (2,2) entry's theta form with its four coefficients written out
     in (a, b, c): the reference for ``theta_bracket``."""
@@ -91,11 +97,15 @@ class TestCheckResult:
             assert name and description
 
     def test_readme_table_lists_the_registry_in_order(self):
+        # every row of the table counts, so an unquoted name shows too
         readme = Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text().split("## Check registry", 1)[1]
-        section = section.split("\n## ", 1)[0]
-        names = [line.split("`")[1] for line in section.splitlines()
-                 if line.startswith("| `")]
+        rows = [line for line in section.split("\n## ", 1)[0].splitlines()
+                if line.startswith("|")]
+        assert rows[:2] == ["| check name | identity tested |",
+                            "| --- | --- |"]
+        names = [row.split(" | ", 1)[0].removeprefix("| ").strip("`")
+                 for row in rows[2:]]
         assert names == list(CHECK_REGISTRY)
 
 
@@ -170,6 +180,22 @@ class TestFullTpr:
             assert not r.passed and "condition estimate" in r.error
             assert "exceeds limit 1e+00" in r.error
 
+    def test_failed_h_errors_only_the_checks_that_read_it(self, monkeypatch):
+        # each check errors with the first build it reads that fails: H is
+        # read by full-tpr and orthogonality, never by the block relations
+        error = matrices.AdmissibilityError(["no H"])
+
+        def failing(p):
+            raise error
+
+        monkeypatch.setattr(verify, "homology_H", failing)
+        full, minus, plus = verify_tpr(P_REF, TAU_I)
+        assert full.error == str(error) and minus.passed and plus.passed
+        errored = [(c.name, c.error) for c in run_sweep(seed=3, count=1).checks
+                   if not c.passed]
+        assert errored == [("full-tpr", str(error)),
+                           ("orthogonality", str(error))]
+
     def test_one_build_per_draw(self, monkeypatch):
         # full and block relations share one C, one P+ and one P-
         calls = Counter()
@@ -198,6 +224,27 @@ class TestBlockTpr:
                                              "block-tpr-plus"]
         for r in results:
             assert not r.passed and "c0 integral" in r.error
+
+    def test_failed_blocks_spare_full_tpr(self, monkeypatch):
+        def failing(p):
+            raise matrices.ConditioningError("no H'")
+
+        monkeypatch.setattr(verify, "block_H_prime", failing)
+        full, minus, plus = verify_tpr(P_REF, TAU_I)
+        assert full.passed
+        assert minus.error == plus.error == "no H'"
+
+    def test_blocks_built_once_for_both_signs(self, monkeypatch):
+        calls = Counter()
+        original = verify.block_periods
+
+        def counting(m):
+            calls["block_periods"] += 1
+            return original(m)
+
+        monkeypatch.setattr(verify, "block_periods", counting)
+        assert all(r.passed for r in verify_tpr(P_REF, TAU_I))
+        assert calls["block_periods"] == 2
 
     @pytest.mark.parametrize("tau_val", [0.1 + 10j, 0.1 + 50j])
     def test_blocks_pass_where_full_tpr_stops(self, tau_val):
@@ -384,7 +431,7 @@ class TestSeriesIdentityCache:
         warm = verify_series_identities(TauPoint(0.4 + 1.1j), tol)
         assert verify._series_residuals.cache_info().hits == hits + 1
         assert warm == cold
-        assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+        assert _report_json(warm) == _report_json(cold)
 
     @pytest.mark.parametrize("im", [0.1, 0.15, 1.0, 7.3, 50.0])
     def test_signed_zero_real_part(self, im):
@@ -409,10 +456,8 @@ class TestSeriesIdentityCache:
                               (warm_minus, -1.0)):
             for r in results:
                 assert math.copysign(1.0, r.params["tau_re"]) == sign
-        assert [r.to_dict() for r in warm_plus] == [
-            r.to_dict() for r in plus]
-        assert [r.to_dict() for r in warm_minus] == [
-            r.to_dict() for r in minus]
+        assert _report_json(warm_plus) == _report_json(plus)
+        assert _report_json(warm_minus) == _report_json(minus)
 
     def test_sweep_json_cold_and_warm(self):
         for seed in range(10):
@@ -686,9 +731,6 @@ class TestSweep:
     def test_equals_the_public_checks_in_order(self, seed):
         # one code path: the same names, params (signed zeros and int/float
         # included), verdicts, errors and residual bits as the public calls
-        def encoded(checks):
-            return [json.dumps(c.to_dict(), sort_keys=True) for c in checks]
-
         rng = np.random.default_rng(seed)
         taus = [TauPoint(t) for t in SWEEP_TAUS]
         checks = []
@@ -699,7 +741,7 @@ class TestSweep:
             checks += [*verify_tpr(p, tau), verify_orthogonality(p),
                        *verify_entry22(a, b, c, tau), verify_whipple(a, b, c),
                        *verify_series_identities(tau)]
-        assert encoded(run_sweep(seed, 8).checks) == encoded(checks)
+        assert _report_json(run_sweep(seed, 8).checks) == _report_json(checks)
 
     def test_one_homology_h_per_draw(self, monkeypatch):
         # full-tpr and orthogonality read the same H
