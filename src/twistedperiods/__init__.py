@@ -24,7 +24,7 @@ from .series import (SeriesError, TauPoint, ThetaConstants, eisenstein_g2,
                      lambda_tau, theta, theta_constants, theta_taylor)
 from .verify import (CHECK_REGISTRY, CheckResult, PROFILES, Tolerances,
                      VerificationReport, resolve_tolerances, run_sweep,
-                     sample_admissible, verify_entry22, verify_orthogonality,
+                     sample_admissible, verify_entry22,
                      verify_series_identities, verify_tpr, verify_whipple)
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "product_coeffs", "require_admissible",
     "resolve_tolerances", "run_sweep", "sample_admissible", "tanh_sinh",
     "theta", "theta_constants", "theta_taylor", "unit_phase",
-    "verify_entry22", "verify_orthogonality", "verify_series_identities",
-    "verify_tpr", "verify_whipple",
+    "verify_entry22", "verify_series_identities", "verify_tpr",
+    "verify_whipple",
     "wirtinger_quadrature",
 ]

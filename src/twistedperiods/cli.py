@@ -14,8 +14,8 @@ from .hypergeom import HypergeomError, gauss_2f1
 from .matrices import AdmissibilityError, ConditioningError, HgParams
 from .series import SeriesError, TauPoint, lambda_tau, theta
 from .verify import (CheckResult, VerificationReport, resolve_tolerances,
-                     run_sweep, verify_entry22, verify_orthogonality,
-                     verify_series_identities, verify_tpr)
+                     run_sweep, verify_entry22, verify_series_identities,
+                     verify_tpr)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -155,8 +155,7 @@ def main(argv=None) -> int:
             if args.variant in ("full", "blocks"):
                 p = HgParams(args.alpha, args.beta, args.gamma)
                 full, *blocks = verify_tpr(p, tau, tols)
-                checks = ([full] if args.variant == "full"
-                          else [*blocks, verify_orthogonality(p, tols)])
+                checks = [full] if args.variant == "full" else blocks
             else:
                 checks = list(verify_entry22(args.a, args.b, args.c, tau, tols))
             return _emit_report(checks, seed=0, args=args)

@@ -254,8 +254,8 @@ def theta_taylor(j: int, order: int, tau: TauPoint) -> np.ndarray:
     """
     if j not in (1, 2, 3, 4):
         raise SeriesError(f"invalid theta index {j}")
-    if order > 12:
-        raise SeriesError(f"order {order} exceeds the supported maximum 12")
+    if not (isinstance(order, (int, np.integer)) and 0 <= order <= 12):
+        raise SeriesError(f"order {order!r} is not an integer in 0..12")
     freq, pref = _theta_terms(j, tau, 0.0, order)
     # the parity-matching orders k: odd for theta_1, even for the others
     k = slice(1 if j == 1 else 0, order + 1, 2)

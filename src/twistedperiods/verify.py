@@ -114,11 +114,17 @@ class CheckResult:
     def __post_init__(self):
         if self.name not in CHECK_REGISTRY:
             raise ValueError(f"unregistered check name {self.name!r}")
+        if type(self.passed) is not bool:
+            raise ValueError(f"pass flag {self.passed!r} is not a bool")
         if self.error is None:
-            if self.residual is None or self.residual < 0.0:
-                raise ValueError("residual must be a non-negative real")
+            if (type(self.residual) not in (float, int)
+                    or not 0.0 <= self.residual < math.inf):
+                raise ValueError(f"residual {self.residual!r} is not a "
+                                 "finite non-negative real")
             if self.passed != (self.residual <= self.tolerance):
                 raise ValueError("pass flag inconsistent with residual")
+        elif type(self.error) is not str:
+            raise ValueError(f"error {self.error!r} is not a str")
         elif self.passed:
             raise ValueError("an errored check cannot pass")
 
@@ -211,7 +217,7 @@ def resolve_tolerances(spec) -> Tolerances:
         return PROFILES[spec]
     try:
         value = float(spec)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValueError(f"unknown tolerance profile {spec!r}; expected "
                          f"one of {sorted(PROFILES)} or a number") from None
     if not 0.0 < value < math.inf:
@@ -260,83 +266,58 @@ def _worst(*residuals: float) -> float:
     return math.nan if math.isnan(sum(residuals)) else max(residuals)
 
 
-class _Draw:
-    """One draw's p and tau (None for orthogonality alone) and the builds
-    its tpr and orthogonality checks share, each made by the first check
-    that reads it: H, C, P+-, the blocks of C, P+- and H' (read in that
-    order) and the basis changes of p and -p.  A build that raises keeps
-    nothing, so every check that reads it errors with its text.
-    ``run_sweep`` builds one per draw, each public call its own."""
-
-    def __init__(self, p: HgParams, tau: TauPoint | None):
-        self.p, self.tau = p, tau
-
-    h = functools.cached_property(lambda self: homology_H(self.p))
-    c = functools.cached_property(
-        lambda self: cohomology_C(self.p, theta_constants(self.tau)))
-    periods = functools.cached_property(lambda self: tuple(
-        period_matrix(side, self.p, self.tau) for side in "+-"))
-    blocks = functools.cached_property(lambda self: (
-        block_C(self.c), *map(block_periods, self.periods),
-        block_H_prime(self.p)))
-    bases = functools.cached_property(lambda self: (
-        basis_change(self.p), basis_change(self.p.negated())))
-
-
 def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
-               ) -> tuple[CheckResult, CheckResult, CheckResult]:
+               ) -> tuple[CheckResult, ...]:
     """Relative Frobenius residuals of the full 4x4 relation
-    C = P+ . H^-T . P-^T and of its two eigenspace blocks.
+    C = P+ . H^-T . P-^T and of its two eigenspace blocks, and the
+    orthogonality of the eigenspaces that the blocks rest on.
 
-    C, P+ and P- are built once; the blocks are their diagonal slices,
-    paired with the diagonal ``block_H_prime`` d, in the simple form
-    C(+-1) = P'+ . diag(1/d) . P'-^T (``diagonal_solve``); H is solved by
-    LU.  Returns (full-tpr, block-tpr-minus, block-tpr-plus).  A check
+    Returns (full-tpr, block-tpr-minus, block-tpr-plus, orthogonality).
+    H, C, P+-, and the blocks of C, P+- and H' (read in that order) are
+    each built once, by the first check that reads it.  The blocks are
+    diagonal slices, paired with the diagonal ``block_H_prime`` d, in the
+    simple form C(+-1) = P'+ . diag(1/d) . P'-^T (``diagonal_solve``); H is
+    solved by LU.  orthogonality pairs the basis changes of p and -p
+    through the same H and reads no tau, so its params echo none.  A check
     errors with the text of the first build it reads that fails (C or P+-:
-    all three; H: full-tpr; the blocks: both block checks), and a badly
-    conditioned H or H' errors only its own.
+    the three relations; H: full-tpr and orthogonality; the blocks: both
+    block checks), and a badly conditioned H or H' errors only its own.
 
     full-tpr is not a certificate above Im tau of about 3: over 40 seeded
     draws at Re tau = 0.1 it failed 0 at Im tau = 3, 7 at 4, 33 at 10 and
     40 at 50, while both block relations stayed at or below 1.1e-13.
     """
-    return _tpr_checks(_Draw(p, tau), resolve_tolerances(tol))
+    tols = resolve_tolerances(tol)
+    params = _params_dict(p, tau)
+    h = functools.cache(lambda: homology_H(p))
+    c = functools.cache(lambda: cohomology_C(p, theta_constants(tau)))
+    periods = functools.cache(
+        lambda: tuple(period_matrix(side, p, tau) for side in "+-"))
+    blocks = functools.cache(lambda: (
+        block_C(c()), *map(block_periods, periods()), block_H_prime(p)))
 
-
-def _tpr_checks(draw: _Draw, tols: Tolerances) -> tuple[CheckResult, ...]:
-    params = _params_dict(draw.p, draw.tau)
-
-    def residual(sign: int) -> float:  # sign 0: the full relation
-        c, pp, pm, h = ((draw.c, *draw.periods, draw.h) if sign == 0 else
-                        (pair.for_sign(sign) for pair in draw.blocks))
+    def relation(sign: int) -> float:  # sign 0: the full relation
+        cm, pp, pm, hm = ((c(), *periods(), h()) if sign == 0 else
+                          (pair.for_sign(sign) for pair in blocks()))
         solve = diagonal_solve if sign else guarded_solve
         # norms that overflow near the Im ceiling error the check, unwarned
         with np.errstate(all="ignore"):
-            r = c - pp @ solve(h.T, pm.T)
-            return np.linalg.norm(r) / np.linalg.norm(c)
+            r = cm - pp @ solve(hm.T, pm.T)
+            return np.linalg.norm(r) / np.linalg.norm(cm)
 
-    return tuple(
-        _run_check(name, params, tols.matrix,
-                   functools.partial(residual, sign))
-        for name, sign in (("full-tpr", 0), ("block-tpr-minus", -1),
-                           ("block-tpr-plus", 1)))
-
-
-def verify_orthogonality(p: HgParams, tol=PROFILES["default"]) -> CheckResult:
-    """Cross-eigenspace cycle pairings vanish entrywise (both signs)."""
-    return _orthogonality_check(_Draw(p, None), resolve_tolerances(tol))
-
-
-def _orthogonality_check(draw: _Draw, tols: Tolerances) -> CheckResult:
-    def residual():
-        rows, dual = draw.bases
+    def orthogonality() -> float:
+        rows, dual = basis_change(p), basis_change(p.negated())
         return _worst(*(
-            float(np.max(np.abs(rows.for_sign(sign) @ draw.h
+            float(np.max(np.abs(rows.for_sign(sign) @ h()
                                 @ dual.for_sign(-sign).T)))
             for sign in (-1, 1)))
 
-    return _run_check("orthogonality", _params_dict(draw.p, None),
-                      tols.orthogonality, residual)
+    return (*(_run_check(name, params, tols.matrix,
+                         functools.partial(relation, sign))
+              for name, sign in (("full-tpr", 0), ("block-tpr-minus", -1),
+                                 ("block-tpr-plus", 1))),
+            _run_check("orthogonality", _params_dict(p, None),
+                       tols.orthogonality, orthogonality))
 
 
 def _entry22_theta_form(p: HgParams, tc: ThetaConstants) -> complex:
@@ -549,8 +530,7 @@ def run_sweep(seed: int, count: int,
     tau cycles through the fixed list, one ``TauPoint`` per entry; its
     theta constants and suite residuals are cached, and residuals are
     deterministic given the seed because every summation order is fixed.
-    Each draw's tpr and orthogonality checks share one ``_Draw``; the
-    results are those of the public ``verify_*`` in order, bit for bit.
+    Each draw runs the four public ``verify_*`` in registry order.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -560,11 +540,11 @@ def run_sweep(seed: int, count: int,
     checks: list[CheckResult] = []
     for k in range(count):
         p = sample_admissible(rng)
-        draw = _Draw(p, taus[k % len(taus)])
+        tau = taus[k % len(taus)]
         a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
-        checks += [*_tpr_checks(draw, tols), _orthogonality_check(draw, tols),
-                   *verify_entry22(a, b, c, draw.tau, tols),
+        checks += [*verify_tpr(p, tau, tols),
+                   *verify_entry22(a, b, c, tau, tols),
                    verify_whipple(a, b, c, tols),
-                   *verify_series_identities(draw.tau, tols)]
+                   *verify_series_identities(tau, tols)]
     return VerificationReport(tool_version=__version__, seed=seed,
                               checks=checks)

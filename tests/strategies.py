@@ -1,10 +1,13 @@
 """Hypothesis strategies over the admitted input domain, shared by the
 property tests."""
 
+import cmath
+import math
 import random
 
 from hypothesis import strategies as st
 
+from twistedperiods.hypergeom import RADIUS_GUARD
 from twistedperiods.matrices import HgParams
 from twistedperiods.series import IM_TAU_CEILING, IM_TAU_FLOOR, TauPoint
 
@@ -17,17 +20,20 @@ def uniform(lo: float, hi: float) -> st.SearchStrategy[float]:
         lambda seed: random.Random(seed).uniform(lo, hi))
 
 
-# a coordinate of p in (-3, 3), or an exact integer or half-integer, where
-# the admissibility conditions bite
-coordinates = st.one_of(
-    uniform(-3.0, 3.0),
-    st.integers(-2, 2),
-    st.integers(-5, 5).map(lambda k: k / 2.0),
-    st.floats(-3.0, 3.0, exclude_min=True, exclude_max=True))
+def coordinates(bound: int) -> st.SearchStrategy[float]:
+    """A coordinate in (-bound, bound), or an exact integer or
+    half-integer inside it, where the admissibility conditions and the
+    2F1 poles and terminating series lie."""
+    return st.one_of(
+        uniform(-bound, bound),
+        st.integers(1 - bound, bound - 1),
+        st.integers(1 - 2 * bound, 2 * bound - 1).map(lambda k: k / 2.0),
+        st.floats(-bound, bound, exclude_min=True, exclude_max=True))
+
 
 params = st.one_of(
     st.builds(HgParams, *[uniform(-3.0, 3.0)] * 3),
-    st.builds(HgParams, coordinates, coordinates, coordinates))
+    st.builds(HgParams, *[coordinates(3)] * 3))
 
 # tau over the whole admitted Im range with |Re tau| <= 1.5, so both the
 # discs |tau -+ 1/2| < 1/2 and the strips |Re tau| > 1 are drawn
@@ -38,3 +44,16 @@ taus = st.builds(
     st.one_of(uniform(IM_TAU_FLOOR, IM_TAU_CEILING),
               uniform(IM_TAU_FLOOR, 1.0),
               st.floats(IM_TAU_FLOOR, IM_TAU_CEILING))).map(TauPoint)
+
+# (a, b, c) of a 2F1, mixed as in ``params``
+f21_parameters = st.one_of(
+    st.tuples(*[uniform(-2.0, 2.0)] * 3),
+    st.tuples(*[coordinates(2)] * 3))
+
+# z in the disc |z| <= RADIUS_GUARD that the 2F1 series serves, its rim and
+# both ends of the real diameter included
+f21_arguments = st.builds(
+    cmath.rect,
+    st.one_of(uniform(0.0, RADIUS_GUARD),
+              st.sampled_from([0.0, RADIUS_GUARD])),
+    st.one_of(uniform(-math.pi, math.pi), st.sampled_from([0.0, math.pi])))

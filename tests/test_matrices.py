@@ -119,7 +119,7 @@ class TestAdmissible:
         st.builds(lambda k, d: k / 4.0 + d, st.integers(-12, 12),
                   st.floats(-2e-3, 2e-3)))
 
-    @settings(max_examples=500, derandomize=True, deadline=None)
+    @settings(max_examples=500)
     @given(st.builds(HgParams, _any_coordinate, _any_coordinate,
                      _any_coordinate),
            st.sampled_from([1e-9, 1e-3, 0.1]))
@@ -134,6 +134,9 @@ class TestAdmissible:
                   HgParams(0.3, 0.21, value)):
             assert admissible(p, guard) == _nested_admissible(p, guard)
 
+    # hypothesis seeds a derandomized test from its source, decorators
+    # included, so this one keeps its full settings and its examples: the
+    # property fails one ulp from the guard (see the strict xfail below)
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.builds(HgParams, _coordinate, _coordinate, _coordinate),
            st.sampled_from([1e-9, 1e-3]))
@@ -149,6 +152,15 @@ class TestAdmissible:
             assert names(q) == expected
             for shift in SHIFT_RULES.values():
                 assert names(q.shifted(*shift)) == expected
+
+    @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: a shift "
+                       "moves a value at the guard distance by one ulp")
+    def test_shift_keeps_a_violation_at_the_guard_distance(self):
+        # gamma = -0.001 sits exactly 1e-3 from 0; shifted by 1 it reads
+        # 0.999, 1e-3 + 1 ulp from 1, and c0 is no longer flagged
+        p = HgParams(-0.0, -0.0, -0.001)
+        shifted = p.shifted(*SHIFT_RULES[1])
+        assert any(v.startswith("c0 ") for v in admissible(shifted, 1e-3)[1])
 
 
 class TestHomologyH:

@@ -540,6 +540,12 @@ class TestThetaTaylor:
         with pytest.raises(SeriesError):
             theta_taylor(2, 13, TAU_I)
 
+    @pytest.mark.parametrize("order", [-1, -5, 2.5])
+    def test_order_outside_0_to_12(self, order):
+        # -1 returned [], -5 and 2.5 raised bare numpy and slice errors
+        with pytest.raises(SeriesError, match="not an integer in 0..12"):
+            theta_taylor(3, order, TAU_I)
+
     @pytest.mark.parametrize("tau_re", [-0.5, -0.2, 0.0, 0.3, 0.5])
     @pytest.mark.parametrize("tau_im", [0.1, 0.35, 1.0, 3.0])
     def test_matches_mpmath(self, tau_re, tau_im):

@@ -24,7 +24,6 @@ from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
                                    VerificationReport,
                                    resolve_tolerances, run_sweep,
                                    sample_admissible, verify_entry22,
-                                   verify_orthogonality,
                                    verify_series_identities, verify_tpr,
                                    verify_whipple)
 
@@ -137,6 +136,14 @@ class TestTolerances:
         with pytest.raises(ValueError):
             resolve_tolerances(-1.0)
 
+    @pytest.mark.parametrize("spec", [None, [1], {}])
+    def test_unreadable_spec_rejected(self, spec):
+        # a spec float() cannot read is a ValueError, whatever its type
+        with pytest.raises(ValueError, match="unknown tolerance profile"):
+            resolve_tolerances(spec)
+        with pytest.raises(ValueError, match="unknown tolerance profile"):
+            verify_tpr(P_REF, TAU_I, spec)
+
     @pytest.mark.parametrize("spec", [math.inf, math.nan, "inf", "1e400",
                                       "nan"])
     def test_non_finite_tolerance_rejected(self, spec):
@@ -158,13 +165,13 @@ class TestFullTpr:
     def test_tau_inside_a_disc_errors_all_three(self):
         # there the closed-form sigma_1 is off by 39% while the full
         # relation would still read 3.3e-15
-        for r in verify_tpr(P_REF, TauPoint(-0.4 + 0.2j)):
+        for r in verify_tpr(P_REF, TauPoint(-0.4 + 0.2j))[:3]:
             assert not r.passed and "inside a disc" in r.error
 
     def test_overflowing_norm_is_an_errored_check(self):
         # the norms overflow inside the check, which errors; no
         # RuntimeWarning escapes, and both block relations pass
-        full, minus, plus = verify_tpr(P_OVERFLOW, TauPoint(TAU_OVERFLOW))
+        full, minus, plus, _ = verify_tpr(P_OVERFLOW, TauPoint(TAU_OVERFLOW))
         assert full.error == "non-finite residual inf"
         assert minus.passed and plus.passed
 
@@ -176,9 +183,11 @@ class TestFullTpr:
     def test_conditioning_recorded_per_check(self, monkeypatch):
         # the LU solve of H and the diagonal solves of H' share one limit
         monkeypatch.setattr(matrices, "COND_LIMIT", 1.0)
-        for r in verify_tpr(P_REF, TAU_I):
+        *relations, orthogonality = verify_tpr(P_REF, TAU_I)
+        for r in relations:
             assert not r.passed and "condition estimate" in r.error
             assert "exceeds limit 1e+00" in r.error
+        assert orthogonality.passed  # it solves nothing
 
     def test_failed_h_errors_only_the_checks_that_read_it(self, monkeypatch):
         # each check errors with the first build it reads that fails: H is
@@ -189,12 +198,26 @@ class TestFullTpr:
             raise error
 
         monkeypatch.setattr(verify, "homology_H", failing)
-        full, minus, plus = verify_tpr(P_REF, TAU_I)
-        assert full.error == str(error) and minus.passed and plus.passed
+        full, minus, plus, orthogonality = verify_tpr(P_REF, TAU_I)
+        assert full.error == orthogonality.error == str(error)
+        assert minus.passed and plus.passed
         errored = [(c.name, c.error) for c in run_sweep(seed=3, count=1).checks
                    if not c.passed]
         assert errored == [("full-tpr", str(error)),
                            ("orthogonality", str(error))]
+
+    def test_one_homology_h_per_call(self, monkeypatch):
+        # full-tpr and orthogonality read one H
+        calls = Counter()
+        original = verify.homology_H
+
+        def counting(p):
+            calls[p] += 1
+            return original(p)
+
+        monkeypatch.setattr(verify, "homology_H", counting)
+        assert all(r.passed for r in verify_tpr(P_REF, TAU_I))
+        assert calls == {P_REF: 1}
 
     def test_one_build_per_draw(self, monkeypatch):
         # full and block relations share one C, one P+ and one P-
@@ -214,12 +237,12 @@ class TestFullTpr:
 
 class TestBlockTpr:
     def test_both_blocks_pass(self):
-        minus, plus = verify_tpr(P_REF, TAU_I)[1:]
+        minus, plus = verify_tpr(P_REF, TAU_I)[1:3]
         assert minus.name == "block-tpr-minus" and minus.passed
         assert plus.name == "block-tpr-plus" and plus.passed
 
     def test_inadmissible_errors_both_blocks(self):
-        results = verify_tpr(HgParams(0.30, 0.21, 1.0), TAU_I)[1:]
+        results = verify_tpr(HgParams(0.30, 0.21, 1.0), TAU_I)[1:3]
         assert [r.name for r in results] == ["block-tpr-minus",
                                              "block-tpr-plus"]
         for r in results:
@@ -230,7 +253,7 @@ class TestBlockTpr:
             raise matrices.ConditioningError("no H'")
 
         monkeypatch.setattr(verify, "block_H_prime", failing)
-        full, minus, plus = verify_tpr(P_REF, TAU_I)
+        full, minus, plus, _ = verify_tpr(P_REF, TAU_I)
         assert full.passed
         assert minus.error == plus.error == "no H'"
 
@@ -253,7 +276,7 @@ class TestBlockTpr:
         rng = np.random.default_rng(0)
         tau = TauPoint(tau_val)
         for _ in range(40):
-            minus, plus = verify_tpr(sample_admissible(rng), tau)[1:]
+            minus, plus = verify_tpr(sample_admissible(rng), tau)[1:3]
             assert minus.passed and plus.passed
 
     @pytest.mark.parametrize("tau_val", [*SWEEP_TAUS, 0.1 + 10j])
@@ -268,7 +291,7 @@ class TestBlockTpr:
                       verify.block_periods(verify.period_matrix("+", p, tau)),
                       verify.block_periods(verify.period_matrix("-", p, tau)),
                       matrices.block_H_prime(p))
-            results = verify_tpr(p, tau)[1:]
+            results = verify_tpr(p, tau)[1:3]
             for sign, result in zip((-1, 1), results):
                 c_b, pp_b, pm_b, h_b = (b.for_sign(sign) for b in blocks)
                 lu = (np.linalg.norm(
@@ -277,7 +300,8 @@ class TestBlockTpr:
                 assert abs(result.residual - lu) <= 1e-13
 
     def test_orthogonality(self):
-        result = verify_orthogonality(P_REF)
+        result = verify_tpr(P_REF, TAU_I)[3]
+        assert result.name == "orthogonality"
         assert result.passed and result.residual <= 1e-12
 
 
@@ -479,7 +503,7 @@ def test_verifiers_return_results_without_warnings(tau_re, tau_im):
     results = verify_series_identities(tau)
     for alpha, beta, gamma in GRID_DRAWS:
         p = HgParams(alpha, beta, gamma)
-        results += [*verify_tpr(p, tau), verify_orthogonality(p),
+        results += [*verify_tpr(p, tau),
                     *verify_entry22(alpha, beta, gamma, tau),
                     verify_whipple(alpha, beta, gamma)]
     assert all(isinstance(r, CheckResult) for r in results)
@@ -588,6 +612,18 @@ class TestReportErrors:
         with pytest.raises(ValueError, match="malformed report"):
             VerificationReport.from_json(text)
 
+    @pytest.mark.parametrize("row", [
+        ["full-tpr", 0, math.nan, 1e-8, False, None],
+        ["full-tpr", 0, 1e-15, 1e-8, 1, None],
+        ["full-tpr", 0, True, 1e-8, False, None],
+        ["full-tpr", 0, None, 1e-8, False, 5]],
+        ids=["nan-residual", "int-pass", "bool-residual", "int-error"])
+    def test_row_breaking_a_check_invariant(self, row):
+        # each row breaks an invariant every check keeps: a bool pass flag,
+        # an error text or None, and without an error a finite residual
+        with pytest.raises(ValueError, match="is not a"):
+            VerificationReport.from_json(_report_text(checks=[row]))
+
 
 _KEYS = st.sampled_from(["alpha", "tau_re", "n_max", "a", "x"])
 _FINITE_VALUES = st.one_of(
@@ -626,7 +662,7 @@ def _leaves(report):
 
 
 class TestReportCodecProperties:
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(_reports(_FINITE_VALUES))
     def test_finite_params_round_trip(self, report):
         text = report.to_json()
@@ -639,7 +675,7 @@ class TestReportCodecProperties:
             if isinstance(then, float):
                 assert math.copysign(1.0, now) == math.copysign(1.0, then)
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100)
     @given(_reports(_ANY_VALUES))
     def test_non_finite_params_re_encode_byte_for_byte(self, report):
         # nan and inf are kept out of the equality above only because
@@ -738,7 +774,7 @@ class TestSweep:
             p = sample_admissible(rng)
             tau = taus[k % len(taus)]
             a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
-            checks += [*verify_tpr(p, tau), verify_orthogonality(p),
+            checks += [*verify_tpr(p, tau),
                        *verify_entry22(a, b, c, tau), verify_whipple(a, b, c),
                        *verify_series_identities(tau)]
         assert _report_json(run_sweep(seed, 8).checks) == _report_json(checks)

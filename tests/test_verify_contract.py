@@ -11,22 +11,20 @@ from strategies import params, taus
 
 from twistedperiods.cli import main
 from twistedperiods.verify import (CHECK_REGISTRY, verify_entry22,
-                                   verify_orthogonality,
                                    verify_series_identities, verify_tpr,
                                    verify_whipple)
 
 NAMES = list(CHECK_REGISTRY)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(params, taus)
 def test_each_verifier_returns_its_registered_checks(p, tau):
     a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         calls = (
-            (verify_tpr(p, tau), NAMES[:3]),
-            ([verify_orthogonality(p)], NAMES[3:4]),
+            (verify_tpr(p, tau), NAMES[:4]),
             (verify_entry22(a, b, c, tau), NAMES[4:7]),
             ([verify_whipple(a, b, c)], NAMES[7:8]),
             (verify_series_identities(tau), NAMES[8:]),
@@ -38,7 +36,7 @@ def test_each_verifier_returns_its_registered_checks(p, tau):
             assert (r.error is None) == (r.residual is not None)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(params, taus)
 def test_cli_exits_with_a_code(p, tau):
     a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
