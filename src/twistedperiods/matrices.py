@@ -21,9 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hypergeom import INTEGRALITY_GUARD
-from .series import ThetaConstants
-
-TWO_PI_I = 2j * math.pi
+from .series import TWO_PI_I, ThetaConstants
 
 COND_LIMIT = 1e12
 

@@ -116,6 +116,10 @@ class CheckResult:
             raise ValueError(f"unregistered check name {self.name!r}")
         if type(self.passed) is not bool:
             raise ValueError(f"pass flag {self.passed!r} is not a bool")
+        if (type(self.tolerance) not in (float, int)
+                or not 0.0 < self.tolerance < math.inf):
+            raise ValueError(f"tolerance {self.tolerance!r} is not a "
+                             "finite positive real")
         if self.error is None:
             if (type(self.residual) not in (float, int)
                     or not 0.0 <= self.residual < math.inf):
@@ -382,8 +386,7 @@ def verify_whipple(a: float, b: float, c: float,
     def residual():
         coeffs = product_coeffs(WHIPPLE_N_MAX, a, b, c)
         return _worst(abs(coeffs[0][0] - c), abs(coeffs[1][0] - (a - b + 1)),
-                      *(abs(c1 + c2) / (1.0 + abs(c1))
-                        for c1, c2 in coeffs[2:]))
+                      *(_rel(c1, -c2) for c1, c2 in coeffs[2:]))
 
     return _run_check("whipple-cancellation", params, tols.whipple, residual)
 
@@ -510,16 +513,14 @@ def verify_series_identities(tau: TauPoint,
 
 
 def sample_admissible(rng: np.random.Generator) -> HgParams:
-    """Draw one parameter triple uniformly from (-2, 2)^3, rejecting any
-    draw whose shifted or negated variants come within SAMPLER_MARGIN of
-    an admissibility boundary."""
+    """Draw p uniformly from (-2, 2)^3 until the eight sets the period rows
+    evaluate, p and -p under the four ``SHIFT_RULES`` (row 3's is zero),
+    all keep SAMPLER_MARGIN from every admissibility boundary."""
     while True:
         alpha, beta, gamma = rng.uniform(-2.0, 2.0, size=3)
         p = HgParams(float(alpha), float(beta), float(gamma))
-        variants = [p, p.negated()]
-        variants += [p.shifted(*s) for s in SHIFT_RULES.values()]
-        variants += [p.negated().shifted(*s) for s in SHIFT_RULES.values()]
-        if all(admissible(v, SAMPLER_MARGIN)[0] for v in variants):
+        if all(admissible(v.shifted(*s), SAMPLER_MARGIN)[0]
+               for v in (p, p.negated()) for s in SHIFT_RULES.values()):
             return p
 
 

@@ -57,3 +57,31 @@ f21_arguments = st.builds(
     st.one_of(uniform(0.0, RADIUS_GUARD),
               st.sampled_from([0.0, RADIUS_GUARD])),
     st.one_of(uniform(-math.pi, math.pi), st.sampled_from([0.0, math.pi])))
+
+# u for a theta function: real, exact integers and half-integers (zeros of
+# theta1 and theta2) or complex, with |Im u| up to where the terms'
+# cosh(2 pi mu Im u) growth needs more terms than the cap allows
+theta_arguments = st.one_of(
+    uniform(-3.0, 3.0), coordinates(3),
+    st.builds(complex, uniform(-3.0, 3.0),
+              st.one_of(uniform(-2.0, 2.0), st.floats(-60.0, 60.0))))
+
+# (-1, 2]-exponents of an endpoint power, many in (-1, -0.94], where
+# tanh_sinh subtracts the power, some within a few ulps of -1
+endpoint_exponents = st.one_of(
+    uniform(-1.0, 2.0), uniform(-1.0, -0.94),
+    st.floats(-1.0, 2.0, exclude_min=True)).filter(lambda e: e > -1.0)
+
+# p with alpha > 0 and gamma - alpha > 0, where the Wirtinger integral
+# converges, both as small as the floats reach
+_positive = st.one_of(uniform(0.0, 2.0), st.floats(0.0, 2.0, exclude_min=True))
+wirtinger_params = st.builds(
+    lambda a, b, d: HgParams(a, b, a + d), _positive,
+    st.one_of(uniform(-2.0, 2.0), coordinates(2)), _positive).filter(
+        lambda p: p.alpha > 0.0 and p.gamma - p.alpha > 0.0)
+
+# tau on the imaginary axis over the whole admitted Im range
+imaginary_taus = st.one_of(
+    uniform(IM_TAU_FLOOR, IM_TAU_CEILING), uniform(IM_TAU_FLOOR, 3.0),
+    st.floats(IM_TAU_FLOOR, IM_TAU_CEILING)).map(
+        lambda im: TauPoint(complex(0.0, im)))

@@ -105,7 +105,8 @@ class TestGammaReal:
         assert gamma_real(-15.3) == pytest.approx(
             1.301122413447024419195e-12, rel=1e-13)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0, math.nan, math.inf,
+                                   -math.inf])
     def test_pole_errors(self, x):
         with pytest.raises(HypergeomError):
             gamma_real(x)
@@ -189,6 +190,13 @@ class TestGauss2F1:
     def test_c_pole(self):
         with pytest.raises(HypergeomError):
             gauss_2f1(0.3, 0.2, -1.0, 0.5)
+
+    def test_non_convergence_raises(self):
+        # at the radius guard with large a and b the terms still grow at
+        # the term cap
+        with pytest.raises(HypergeomError, match="did not converge within "
+                                                 "2000 terms"):
+            gauss_2f1(40.0, 40.0, 0.5, 0.95)
 
     def test_float_counter_matches_an_integer_counter_bitwise(self):
         def int_counter_series(a, b, c, z):

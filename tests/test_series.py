@@ -231,6 +231,9 @@ class TestTheta:
     def test_invalid_index(self):
         with pytest.raises(SeriesError):
             theta(5, 0.1, TAU_I)
+        for j in (0, 5):
+            with pytest.raises(SeriesError, match="invalid theta index"):
+                theta_taylor(j, 2, TAU_I)
 
     def test_non_finite_u(self):
         with pytest.raises(SeriesError):
@@ -375,6 +378,7 @@ class TestTheta:
     @pytest.mark.parametrize("u, tau_val", [
         (0.1 + 50j, 0.1j),     # the bound needs more than MAX_TERMS terms
         (0.1 + 200j, 3j),      # cosh(2 pi mu Im u) overflows
+        (1e200j, 1j),          # the term bound itself overflows
     ])
     def test_term_cap_and_overflow_raise(self, u, tau_val):
         with warnings.catch_warnings():

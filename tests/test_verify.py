@@ -18,6 +18,7 @@ from twistedperiods import matrices, series, verify
 from twistedperiods.cli import main
 from twistedperiods.hypergeom import HypergeomError
 from twistedperiods.matrices import HgParams
+from twistedperiods.periods import SHIFT_RULES
 from twistedperiods.series import TauPoint, lambda_tau, theta_constants
 from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
                                    REPORT_COLUMNS, SWEEP_TAUS, Tolerances,
@@ -624,6 +625,20 @@ class TestReportErrors:
         with pytest.raises(ValueError, match="is not a"):
             VerificationReport.from_json(_report_text(checks=[row]))
 
+    @pytest.mark.parametrize("tolerance", ["x", None, True, -1, 0, math.nan],
+                             ids=["str", "null", "bool", "negative", "zero",
+                                  "nan-token"])
+    @pytest.mark.parametrize("residual, error", [(0.5, None), (None, "boom")],
+                             ids=["computed", "errored"])
+    def test_row_with_a_bad_tolerance(self, tolerance, residual, error):
+        # a tolerance is a finite positive real, errored row or not; NaN
+        # reaches from_json as the bare NaN token json.dumps writes for it
+        row = ["full-tpr", 0, residual, tolerance, False, error]
+        text = _report_text(checks=[row])
+        assert ("NaN" in text) == (tolerance is math.nan)
+        with pytest.raises(ValueError, match="tolerance .* is not a finite"):
+            VerificationReport.from_json(text)
+
 
 _KEYS = st.sampled_from(["alpha", "tau_re", "n_max", "a", "x"])
 _FINITE_VALUES = st.one_of(
@@ -682,6 +697,68 @@ class TestReportCodecProperties:
         # nan != nan after a parse; they must still re-encode exactly
         text = report.to_json()
         assert VerificationReport.from_json(text).to_json() == text
+
+
+def _ten_test_sample(rng: np.random.Generator) -> HgParams:
+    """The sampler's earlier rule, the reference: p and -p, then both under
+    every shift, ten admissibility tests of which two repeat (row 3's
+    shift is zero)."""
+    while True:
+        alpha, beta, gamma = rng.uniform(-2.0, 2.0, size=3)
+        p = HgParams(float(alpha), float(beta), float(gamma))
+        variants = [p, p.negated()]
+        variants += [p.shifted(*s) for s in SHIFT_RULES.values()]
+        variants += [p.negated().shifted(*s) for s in SHIFT_RULES.values()]
+        if all(matrices.admissible(v, verify.SAMPLER_MARGIN)[0]
+               for v in variants):
+            return p
+
+
+class _CountingRng:
+    """A generator that notes, at each draw, how many admissibility tests
+    the sampler had made before it."""
+
+    def __init__(self, seed, tests):
+        self._rng, self._tests, self.marks = (
+            np.random.default_rng(seed), tests, [])
+
+    def uniform(self, *args, **kwargs):
+        self.marks.append(len(self._tests))
+        return self._rng.uniform(*args, **kwargs)
+
+
+class TestSampleAdmissible:
+    def test_eight_tests_of_the_sets_the_rows_evaluate(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(verify, "admissible", lambda p, guard: (
+            tested.append((p, guard)) or (True, [])))
+        p = sample_admissible(np.random.default_rng(0))
+        expect = [(v.shifted(*s), verify.SAMPLER_MARGIN)
+                  for v in (p, p.negated()) for s in SHIFT_RULES.values()]
+        assert tested == expect
+        assert len(set(tested)) == 8
+
+    def test_at_most_eight_tests_per_candidate(self, monkeypatch):
+        tested, rejected = [], []
+        admissible = matrices.admissible
+        monkeypatch.setattr(verify, "admissible", lambda p, guard: (
+            tested.append(p) or admissible(p, guard)))
+        for seed in range(200):
+            tested.clear()
+            rng = _CountingRng(seed, tested)
+            sample_admissible(rng)
+            counts = np.diff([*rng.marks, len(tested)])
+            assert counts[-1] == 8
+            rejected.extend(counts[:-1])
+        # a rejected candidate stops at its first failed test
+        assert rejected and max(rejected) <= 8
+
+    def test_same_draws_as_the_ten_test_rule(self):
+        for seed in range(2000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_admissible(rng) == _ten_test_sample(ref)
+            # and both leave the stream at the same place
+            assert rng.random() == ref.random()
 
 
 class TestSweep:
