@@ -10,8 +10,7 @@ ties the layers together into named identity checks and seeded sweeps;
 
 __version__ = "0.1.0"
 
-from .hypergeom import (HypergeomError, gamma_real, gauss_2f1,
-                        hyper_4f3_terminating, product_coeffs)
+from .hypergeom import HypergeomError, gamma_real, gauss_2f1, product_coeffs
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        SignPair, admissible, basis_change, block_C,
                        block_H_prime, cohomology_C, guarded_solve, homology_H,
@@ -36,8 +35,7 @@ __all__ = [
     "admissible", "basis_change", "block_C", "block_H_prime", "block_periods",
     "cohomology_C", "eisenstein_g2", "euler_pairing", "euler_pairing_closed",
     "gamma_real", "gauss_2f1", "guarded_solve", "homology_H",
-    "hyper_4f3_terminating", "lambda_tau", "period_matrix",
-    "product_coeffs", "require_admissible",
+    "lambda_tau", "period_matrix", "product_coeffs", "require_admissible",
     "resolve_tolerances", "run_sweep", "sample_admissible", "tanh_sinh",
     "theta", "theta_constants", "theta_taylor", "unit_phase",
     "verify_entry22", "verify_series_identities", "verify_tpr",

@@ -1,4 +1,4 @@
-"""Gamma, Gauss 2F1 in the unit disk, terminating 4F3, Whipple coefficients.
+"""Gamma, Gauss 2F1 in the unit disk, and the Whipple product coefficients.
 
 Parameters are restricted to real values; complexity enters only through the
 series argument z.  The 2F1 is served by its defining power series within
@@ -17,8 +17,7 @@ import sys
 # this distance of an integer.
 INTEGRALITY_GUARD = 1e-9
 
-# Largest degree or termination index accepted: n! leaves double range
-# above it (the library's own callers stop at degree 12).
+# Largest degree accepted, a cap on one table's work (callers stop at 12).
 MAX_DEGREE = 170
 
 
@@ -102,7 +101,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
         raise HypergeomError(f"2F1 pole: c = {c} is a non-positive integer")
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
-    n = 0.0  # a float counter, as in hyper_4f3_terminating
+    n = 0.0  # a float counter: no int-to-float conversion per operation
     for _ in range(F21_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
@@ -117,76 +116,39 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     )
 
 
-def hyper_4f3_terminating(n: int, uppers, lowers) -> float:
-    """Terminating 4F3(-n, a, b, c; d, e, f; 1) as an exact finite sum.
-
-    ``uppers`` = (a, b, c) and ``lowers`` = (d, e, f).  Terms are accumulated
-    left to right; a non-finite parameter, or a lower parameter hitting a
-    non-positive integer inside the summation range, raises.
-    """
-    n = _count(n, "termination index n")
-    a, b, c = map(float, uppers)
-    d, e, f = map(float, lowers)
-    if not math.isfinite(a + b + c + d + e + f):
-        _require_finite("4F3 parameter", "abcdef", (a, b, c, d, e, f))
-    for low in (d, e, f):
-        # only the nearest integer to -low can lie within the guard
-        k = -round(low)
-        if 0 <= k < n and abs(low + k) <= INTEGRALITY_GUARD:
-            raise HypergeomError(
-                f"lower parameter {low} hits a pole at term k = {k + 1}"
-            )
-    total = 1.0
-    term = 1.0
-    # a float counter: the same values as an int k, without converting k
-    # in every operation
-    m, k = float(n), 0.0
-    for _ in range(n):
-        term *= (k - m) * (a + k) * (b + k) * (c + k)
-        term /= (d + k) * (e + k) * (f + k) * (k + 1.0)
-        total += term
-        k += 1.0
-    return total
+def _f21_coeffs(x: float, y: float, z: float, n: int) -> list[float]:
+    """(x)_k (y)_k / ((z)_k k!) for k = 0..n, one running product; raises
+    if z is within the integrality guard of -k for some k < n."""
+    if is_near_nonpositive_integer(z) and -round(z) < n:
+        raise HypergeomError(
+            f"lower parameter {z} hits a pole at term k = {1 - round(z)}")
+    return list(itertools.accumulate(
+        ((x + k) * (y + k) / ((z + k) * (k + 1.0)) for k in range(n)),
+        operator.mul, initial=1.0))
 
 
 def product_coeffs(n_max: int, a: float, b: float, c: float
                    ) -> list[tuple[float, float]]:
-    """(term 1, term 2) power-series coefficients, degrees n = 0..n_max,
-    of the two 2F1-product terms in the theta-constant quadratic identity.
-
-    Term 1 is c at n = 0 and a - b + 1 at n = 1; term 2 is 0 below n = 2
-    and cancels term 1 above.  Every Pochhammer symbol is a prefix of one
-    running product per base; degrees run in order, term 1 first, so the
-    first failing coefficient raises; a non-finite one (the products
-    overflow from about degree 100 on) raises naming its degree.
-    """
+    """(term 1, term 2) power-series coefficients, degrees n = 0..n_max, of
+    c F(a, b; c) F(-a-1, 1-b; -c) and K z^2 F(a+2, b; 2+c) F(1-a, 1-b; 2-c),
+    K = a(a+1)(c-b)(c-b+1) / (c(1+c)(1-c)), whose sum is c + (a-b+1) z:
+    Cauchy sums in k order.  A lower parameter at a pole of the 2F1
+    coefficients used raises, as does the first non-finite degree's pair."""
     n_max = _count(n_max, "n_max")
     _require_finite("Whipple parameter", "abc", (a, b, c))
-    neg_c, neg_a_1, one_b, two_c, one_a = (
-        list(itertools.accumulate((x + k for k in range(n_max)),
-                                  operator.mul, initial=1.0))
-        for x in (-c, -a - 1.0, -b + 1.0, 2.0 - c, -a + 1.0))
-
-    def term(num, denom, k, uppers, lowers):
-        if denom == 0.0:
-            raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
-        return num / denom * hyper_4f3_terminating(k, uppers, lowers)
-
+    f = _f21_coeffs(a, b, c, n_max)
+    g = _f21_coeffs(-a - 1.0, 1.0 - b, -c, n_max)
+    h = _f21_coeffs(a + 2.0, b, 2.0 + c, n_max - 2)
+    m = _f21_coeffs(1.0 - a, 1.0 - b, 2.0 - c, n_max - 2)
+    if n_max >= 2:  # c and -c passed the guard: c(1+c)(1-c) is not 0
+        K = (a * (a + 1.0) * (c - b) * (c - b + 1.0)
+             / (c * (1.0 + c) * (1.0 - c)))
     pairs = []
     for n in range(n_max + 1):
-        term1 = term(c * neg_a_1[n] * one_b[n], neg_c[n] * math.factorial(n),
-                     n, (b, a, 1.0 - n + c), (2.0 - n + a, c, -float(n) + b))
-        # Lower parameter 2 - n + b (not -n + b): verified against a direct
-        # Cauchy-product expansion of the two 2F1 factors.
-        term2 = 0.0 if n < 2 else term(
-            a * (a + 1.0) * (c - b) * (c - b + 1.0)
-            * one_a[n - 2] * one_b[n - 2],
-            c * (1.0 + c) * (1.0 - c) * two_c[n - 2] * math.factorial(n - 2),
-            n - 2, (b, a + 2.0, 1.0 - n + c),
-            (2.0 - n + a, 2.0 + c, 2.0 - n + b))
+        term1 = c * sum(map(operator.mul, f, g[n::-1]))
+        term2 = 0.0 if n < 2 else K * sum(map(operator.mul, h, m[n - 2::-1]))
         if not (math.isfinite(term1) and math.isfinite(term2)):
-            raise HypergeomError(
-                f"Whipple coefficients ({term1}, {term2}) at degree {n} "
-                "are not finite")
+            raise HypergeomError(f"Whipple coefficients ({term1}, {term2}) "
+                                 f"at degree {n} are not finite")
         pairs.append((term1, term2))
     return pairs

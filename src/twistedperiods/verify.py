@@ -114,6 +114,8 @@ class CheckResult:
     def __post_init__(self):
         if self.name not in CHECK_REGISTRY:
             raise ValueError(f"unregistered check name {self.name!r}")
+        if type(self.params) is not dict:
+            raise ValueError(f"params {self.params!r} is not a dict")
         if type(self.passed) is not bool:
             raise ValueError(f"pass flag {self.passed!r} is not a bool")
         if (type(self.tolerance) not in (float, int)
@@ -190,6 +192,10 @@ class VerificationReport:
                 if type(row[1]) is not int or not 0 <= row[1] < len(table):
                     raise ValueError(f"params index {row[1]!r} out of range")
                 checks.append(CheckResult(row[0], table[row[1]], *row[2:]))
+            for key, kind in (("tool_version", str), ("seed", int)):
+                if type(d[key]) is not kind:
+                    raise ValueError(
+                        f"{key} {d[key]!r} is not of type {kind.__name__}")
             return cls(d["tool_version"], d["seed"], checks)
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed report: {exc!r}") from None

@@ -1,4 +1,4 @@
-"""Gamma, 2F1, terminating 4F3, and the product-coefficient cancellation."""
+"""Gamma, 2F1, and the product-coefficient cancellation with its pole rule."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from twistedperiods.hypergeom import (INTEGRALITY_GUARD, MAX_DEGREE,
-                                      HypergeomError, beta_real, gamma_real, gauss_2f1,
-                                      hyper_4f3_terminating, product_coeffs)
+                                      HypergeomError, beta_real, gamma_real,
+                                      gauss_2f1, product_coeffs)
 
 # 30-digit oracle values
 GAMMA_03 = 2.9915689876875906283
@@ -15,58 +15,19 @@ GAMMA_M17 = 2.5139235190652022087
 F21_HALF = 1.0543792385836535546  # 2F1(0.3, 0.21, 0.77; 0.5)
 
 
-def _rising(x, n):
-    """Rising factorial x (x+1) ... (x+n-1), a running product from 1.0,
-    as each of the library's Pochhammer tables builds it."""
-    return math.prod((x + k for k in range(n)), start=1.0)
-
-
-def _scanning_4f3(n, uppers, lowers):
-    """``hyper_4f3_terminating`` with its pole test as a scan over every
-    term: the reference for the nearest-integer test.  A non-finite
-    parameter raises first, as in the library."""
-    a, b, c = (float(v) for v in uppers)
-    d, e, f = (float(v) for v in lowers)
-    for name, value in zip("abcdef", (a, b, c, d, e, f)):
-        if not math.isfinite(value):
-            raise HypergeomError(f"non-finite 4F3 parameter {name} = {value}")
-    for low in (d, e, f):
+def _scanned_pole(n_max, c):
+    """The pole ``product_coeffs(n_max, a, b, c)`` reports, from a scan over
+    every term its 2F1 series reach: lower parameters c and -c up to degree
+    n_max, 2 + c and 2 - c up to n_max - 2; None if no term is a pole.  A
+    non-finite c is reported first, as in the library."""
+    if not math.isfinite(c):
+        return f"non-finite Whipple parameter c = {c}"
+    for low, n in ((c, n_max), (-c, n_max), (2.0 + c, n_max - 2),
+                   (2.0 - c, n_max - 2)):
         for k in range(n):
             if abs(low + k) <= INTEGRALITY_GUARD:
-                raise HypergeomError(
-                    f"lower parameter {low} hits a pole at term k = {k + 1}")
-    total = 1.0
-    term = 1.0
-    for k in range(n):
-        term *= (-n + k) * (a + k) * (b + k) * (c + k)
-        term /= (d + k) * (e + k) * (f + k) * (k + 1.0)
-        total += term
-    return total
-
-
-def _degree_term1(n, a, b, c):
-    """Degree-n term-1 coefficient from per-degree Pochhammer products."""
-    denom = _rising(-c, n) * math.factorial(n)
-    if denom == 0.0:
-        raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
-    pref = (c * _rising(-a - 1.0, n) * _rising(-b + 1.0, n) / denom)
-    return pref * _scanning_4f3(
-        n, (b, a, 1.0 - n + c), (2.0 - n + a, c, -float(n) + b))
-
-
-def _degree_term2(n, a, b, c):
-    """Degree-n term-2 coefficient from per-degree Pochhammer products."""
-    if n < 2:
-        return 0.0
-    denom = (c * (1.0 + c) * (1.0 - c)
-             * _rising(2.0 - c, n - 2) * math.factorial(n - 2))
-    if denom == 0.0:
-        raise HypergeomError(f"coefficient denominator vanishes at c = {c}")
-    pref = (a * (a + 1.0) * (c - b) * (c - b + 1.0)
-            * _rising(-a + 1.0, n - 2) * _rising(-b + 1.0, n - 2)
-            / denom)
-    return pref * _scanning_4f3(
-        n - 2, (b, a + 2.0, 1.0 - n + c), (2.0 - n + a, 2.0 + c, 2.0 - n + b))
+                return f"lower parameter {low} hits a pole at term k = {k + 1}"
+    return None
 
 
 def _outcome(fn, *args):
@@ -139,27 +100,18 @@ class TestBetaReal:
 
 
 class TestMaxDegree:
-    """Every degree and termination index is checked against one cap
-    before a loop starts."""
-
-    CALLS = {
-        "4f3": lambda n: hyper_4f3_terminating(n, (0.3, 0.4, 0.5),
-                                               (1.1, 1.2, 1.3)),
-        "product_coeffs": lambda n: product_coeffs(n, 0.2, 0.3, 0.6),
-    }
+    """The degree is checked against one cap before a loop starts."""
 
     @pytest.mark.parametrize("n", [MAX_DEGREE + 1, 10**6, 1e12])
-    @pytest.mark.parametrize("call", sorted(CALLS))
-    def test_above_the_cap_raises(self, call, n):
+    def test_above_the_cap_raises(self, n):
         with pytest.raises(HypergeomError, match=(
-                f"= {n} exceeds the maximum degree {MAX_DEGREE}")):
-            self.CALLS[call](n)
+                f"n_max = {n} exceeds the maximum degree {MAX_DEGREE}")):
+            product_coeffs(n, 0.2, 0.3, 0.6)
 
     def test_the_cap_is_accepted(self):
-        assert math.isfinite(self.CALLS["4f3"](MAX_DEGREE))
-        # the table passes the cap and stops at its first overflow
-        with pytest.raises(HypergeomError, match="at degree 100 are not"):
-            product_coeffs(MAX_DEGREE, 0.2, 0.3, 0.6)
+        table = product_coeffs(MAX_DEGREE, 0.2, 0.3, 0.6)
+        assert len(table) == MAX_DEGREE + 1
+        assert all(math.isfinite(x) for pair in table for x in pair)
 
 
 class TestGauss2F1:
@@ -241,83 +193,6 @@ class TestGauss2F1:
         assert numeric == pytest.approx(analytic, rel=1e-7)
 
 
-class TestTerminating4F3:
-    def test_n_zero(self):
-        assert hyper_4f3_terminating(0, (0.3, 0.4, 0.5), (1.1, 1.2, 1.3)) == 1.0
-
-    def test_negative_n_raises(self):
-        with pytest.raises(HypergeomError):
-            hyper_4f3_terminating(-1, (0.3, 0.4, 0.5), (1.1, 1.2, 1.3))
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("position", range(6))
-    def test_non_finite_parameter_names_it(self, position, value):
-        params = [0.3, 0.4, 0.5, 1.1, 1.2, 1.3]
-        params[position] = value
-        name = "abcdef"[position]
-        with pytest.raises(HypergeomError, match=(
-                f"non-finite 4F3 parameter {name} = {value}")):
-            hyper_4f3_terminating(3, params[:3], params[3:])
-
-    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
-    def test_non_integer_n_raises_typed_error(self, n):
-        with pytest.raises(HypergeomError, match="non-negative integer"):
-            hyper_4f3_terminating(n, (0.3, 0.4, 0.5), (1.1, 1.2, 1.3))
-
-    def test_lower_pole_raises(self):
-        with pytest.raises(HypergeomError):
-            hyper_4f3_terminating(3, (0.3, 0.4, 0.5), (-1.0, 1.2, 1.3))
-
-    @pytest.mark.parametrize("low, n, message", [
-        (-1.0, 3, "lower parameter -1.0 hits a pole at term k = 2"),
-        (0.0, 1, "lower parameter 0.0 hits a pole at term k = 1"),
-        (-3.0 + 5e-10, 4, f"lower parameter {-3.0 + 5e-10} hits a pole "
-                          "at term k = 4"),
-    ])
-    def test_pole_inside_the_range_keeps_its_message(self, low, n, message):
-        for lowers in ((low, 1.2, 1.3), (1.2, 1.3, low)):
-            with pytest.raises(HypergeomError) as err:
-                hyper_4f3_terminating(n, (0.3, 0.4, 0.5), lowers)
-            assert str(err.value) == message
-
-    @pytest.mark.parametrize("low, n", [(-3.0, 3), (-5.0, 2), (1.0, 4),
-                                        (-2.0 + 2e-9, 4)])
-    def test_pole_past_the_range_does_not_raise(self, low, n):
-        assert math.isfinite(
-            hyper_4f3_terminating(n, (0.3, 0.4, 0.5), (low, 1.2, 1.3)))
-
-    @pytest.mark.parametrize("low", [
-        -2.0, -2.0 + 9e-10, -2.0 - 1.1e-9, -2.5, -7.0, 0.0, -0.0, 1e-10,
-        -1e17, 1e308, -1e308, math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("n", [0, 1, 3, 8])
-    def test_nearest_integer_test_matches_a_full_scan(self, low, n):
-        for lowers in ((low, 1.2, 1.3), (1.2, low, -2.0), (low, low, 1.3)):
-            new = _outcome(hyper_4f3_terminating, n, (0.3, 0.4, 0.5), lowers)
-            old = _outcome(_scanning_4f3, n, (0.3, 0.4, 0.5), lowers)
-            assert new == old or (math.isnan(new) and math.isnan(old))
-
-    def test_whipple_balance(self):
-        # Whipple's balanced transformation, a + b + c - n + 1 = d + e + f:
-        # 4F3(-n, a, b, c; d, e, f) = (e-a)_n (f-a)_n / ((e)_n (f)_n)
-        #   4F3(-n, a, d-b, d-c; d, a-e-n+1, a-f-n+1)
-        rng = np.random.default_rng(7)
-        for _ in range(15):
-            n = int(rng.integers(1, 9))
-            a, b, c = rng.uniform(0.1, 1.5, 3)
-            d, e = rng.uniform(1.6, 3.0, 2)
-            f = a + b + c - n + 1.0 - d - e
-            if f > -0.05:  # keep f safely away from pole range
-                f -= 2.0
-                d += 2.0
-            lhs = hyper_4f3_terminating(n, (a, b, c), (d, e, f))
-            rhs = (_rising(e - a, n) * _rising(f - a, n)
-                   / (_rising(e, n) * _rising(f, n))
-                   * hyper_4f3_terminating(n, (a, d - b, d - c),
-                                           (d, a - e - n + 1.0,
-                                            a - f - n + 1.0)))
-            assert lhs == pytest.approx(rhs, rel=1e-11)
-
-
 class TestProductCoefficients:
     def test_degree_zero_and_one(self):
         rng = np.random.default_rng(9)
@@ -327,33 +202,68 @@ class TestProductCoefficients:
             assert t0 == pytest.approx(c, abs=1e-12)
             assert t1 == pytest.approx(a - b + 1.0, abs=1e-12)
 
-    def test_table_matches_per_degree_products_bitwise(self):
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            a, b, c = (float(x) for x in rng.uniform(-2.0, 2.0, 3))
-            table = product_coeffs(12, a, b, c)
-            assert len(table) == 13
-            for n, pair in enumerate(table):
-                expect = (_degree_term1(n, a, b, c), _degree_term2(n, a, b, c))
-                assert pair == expect
+    # the first pole of each case's lower parameters c, -c, 2 + c, 2 - c
+    # below degree 8; integer a or b are no poles (they are only in
+    # numerators) and give a table
+    POLES = {1.0: "lower parameter -1.0 hits a pole at term k = 2",
+             -1.0: "lower parameter -1.0 hits a pole at term k = 2",
+             3.0: "lower parameter -3.0 hits a pole at term k = 4",
+             -3.0 + 5e-10: f"lower parameter {-3.0 + 5e-10} hits a pole "
+                           "at term k = 4",
+             0.0: "lower parameter 0.0 hits a pole at term k = 1"}
 
     @pytest.mark.parametrize("a, b, c", [
         (0.3, 0.2, 1.0), (0.3, 0.2, -1.0), (0.3, 0.2, 3.0), (-1.0, 0.3, 0.6),
         (2.0, 0.3, 0.6), (0.3, 2.0, 0.6), (0.3, 0.2, -3.0 + 5e-10),
         (0.3, 0.2, 0.0)])
     def test_each_degree_keeps_its_error(self, a, b, c):
-        # the table raises at the first degree whose per-degree product
-        # raises, term 1 before term 2, with that product's message
-        expected = []
-        for n in range(9):
-            for ref in (_degree_term1, _degree_term2):
-                expected.append(_outcome(ref, n, a, b, c))
-        first_error = next((o for o in expected if isinstance(o, str)), None)
         table = _outcome(product_coeffs, 8, a, b, c)
-        if first_error is None:
-            assert [x for pair in table for x in pair] == expected
-        else:
-            assert table == first_error
+        if c in self.POLES:
+            assert table == self.POLES[c] == _scanned_pole(8, c)
+            return
+        assert len(table) == 9
+        assert table[0][0] == pytest.approx(c, abs=1e-12)
+        assert table[1][0] == pytest.approx(a - b + 1.0, abs=1e-12)
+        for c1, c2 in table[2:]:
+            assert abs(c1 + c2) / (1.0 + abs(c1)) < 1e-12
+
+    @pytest.mark.parametrize("low, n, message", [
+        (-1.0, 3, "lower parameter -1.0 hits a pole at term k = 2"),
+        (0.0, 1, "lower parameter 0.0 hits a pole at term k = 1"),
+        (-3.0 + 5e-10, 4, f"lower parameter {-3.0 + 5e-10} hits a pole "
+                          "at term k = 4"),
+    ])
+    def test_pole_inside_the_range_keeps_its_message(self, low, n, message):
+        # low as c, and as -c where c = -low is not a pole itself; the
+        # poles of 2 + c and 2 - c lie in the range of c and -c
+        for c in (low, -low) if low else (low,):
+            with pytest.raises(HypergeomError) as err:
+                product_coeffs(n, 0.2, 0.3, c)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("c, n", [(-3.0, 3), (3.0, 3), (-5.0, 2),
+                                      (1.0, 1), (0.0, 0), (-2.0 + 2e-9, 4),
+                                      (5.0, 5), (-5.0, 5), (6.0, 5),
+                                      (-6.0, 5)])
+    def test_pole_past_the_range_does_not_raise(self, c, n):
+        # each lower parameter's first pole is a term the table never
+        # reaches, or lies just outside the guard
+        table = product_coeffs(n, 0.2, 0.3, c)
+        assert all(math.isfinite(x) for pair in table for x in pair)
+
+    @pytest.mark.parametrize("low", [
+        -2.0, -2.0 + 9e-10, -2.0 - 1.1e-9, -2.5, -7.0, 0.0, -0.0, 1e-10,
+        -1e17, 1e308, -1e308, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("n", [0, 1, 3, 8])
+    def test_nearest_integer_test_matches_a_full_scan(self, low, n):
+        # low as each of the four lower parameters c, -c, 2 + c, 2 - c
+        for c in (low, -low, low - 2.0, 2.0 - low):
+            outcome = _outcome(product_coeffs, n, 0.2, 0.3, c)
+            expect = _scanned_pole(n, c)
+            if expect is None:
+                assert "pole" not in str(outcome)
+            else:
+                assert outcome == expect
 
     @pytest.mark.parametrize("n_max", [-1, 2.5, math.nan, math.inf])
     def test_rejects_a_bad_degree(self, n_max):
@@ -374,14 +284,14 @@ class TestProductCoefficients:
             product_coeffs(12, **args)
 
     def test_first_non_finite_degree_raises(self):
-        # the running products overflow and divide inf by inf at degree
-        # 100, below MAX_DEGREE; degree 99 and below stay finite
-        table = product_coeffs(99, 0.2, 0.3, 0.6)
+        # at a = 1e200 the degree-2 coefficients of F(a, b; c) and
+        # F(-a-1, 1-b; -c) overflow; degrees 0 and 1 stay finite
+        table = product_coeffs(1, 1e200, 0.3, 0.6)
         assert all(math.isfinite(x) for pair in table for x in pair)
         with pytest.raises(HypergeomError, match=(
-                r"Whipple coefficients \(nan, 0.0\) at degree 100 are not "
+                r"Whipple coefficients \(nan, inf\) at degree 2 are not "
                 "finite")):
-            product_coeffs(170, 0.2, 0.3, 0.6)
+            product_coeffs(12, 1e200, 0.3, 0.6)
 
     def test_cancellation(self):
         rng = np.random.default_rng(17)

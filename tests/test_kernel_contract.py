@@ -14,8 +14,7 @@ from strategies import (coordinates, endpoint_exponents, f21_arguments,
                         f21_parameters, imaginary_taus, taus,
                         theta_arguments, wirtinger_params)
 
-from twistedperiods.hypergeom import (HypergeomError, gauss_2f1,
-                                      hyper_4f3_terminating, product_coeffs)
+from twistedperiods.hypergeom import HypergeomError, gauss_2f1, product_coeffs
 from twistedperiods.matrices import AdmissibilityError, HgParams
 from twistedperiods.periods import (PeriodError, period_matrix,
                                     wirtinger_quadrature)
@@ -157,37 +156,14 @@ def test_lambda_and_g2_agree_with_mpmath(tau):
     assert g2 is None or abs(g2 - expect) <= 1e-13 * scale
 
 
-def _f43_series(n, uppers, lowers) -> tuple[float, float]:
-    """The terminating 4F3 at 1 as a 30-digit sum of Pochhammer ratios,
-    and the sum of its terms' moduli."""
-    with mpmath.workdps(30):
-        terms = [mpmath.rf(-n, k)
-                 * mpmath.fprod(mpmath.rf(x, k) for x in uppers)
-                 / mpmath.fprod(mpmath.rf(x, k) for x in lowers)
-                 / mpmath.factorial(k) for k in range(n + 1)]
-        return float(mpmath.fsum(terms)), float(mpmath.fsum(map(abs, terms)))
-
-
-@settings(max_examples=120)
-@given(st.integers(0, 40), st.tuples(*[coordinates(3)] * 3),
-       st.tuples(*[coordinates(3)] * 3))
-def test_hyper_4f3_terminating_agrees_with_mpmath_or_raises(n, uppers, lowers):
-    value = _served(hyper_4f3_terminating, n, uppers, lowers,
-                    errors=HypergeomError)
-    if value is None:
-        return
-    expect, scale = _f43_series(n, uppers, lowers)
-    assert math.isfinite(value)
-    assert abs(value - expect) <= 1e-13 * scale
-
-
 def _product_series(n_max, a, b, c) -> list[tuple[float, float, float]]:
     """(term 1, term 2, scale) for degrees 0..n_max as 40-digit Cauchy
     products of the 2F1 power series they multiply,
     c F(a, b; c) F(-a-1, 1-b; -c) and
     a(a+1)(c-b)(c-b+1) / (c(1+c)(1-c)) z^2 F(a+2, b; 2+c) F(1-a, 1-b; 2-c),
-    with the moduli of each product's terms summed as its scale.  This is
-    not the 4F3 route ``product_coeffs`` takes."""
+    with the moduli of each product's terms summed as its scale.  The sums
+    ``product_coeffs`` forms in double precision, each coefficient from
+    mpmath's Pochhammer symbols rather than a running product."""
     with mpmath.workdps(40):
         a, b, c = map(mpmath.mpf, (a, b, c))
 
@@ -210,30 +186,35 @@ def _product_series(n_max, a, b, c) -> list[tuple[float, float, float]]:
         return out
 
 
-@settings(max_examples=100)
-@given(st.integers(0, 16), coordinates(2), coordinates(2), coordinates(2))
-def test_product_coeffs_agree_with_cauchy_products_or_raise(n_max, a, b, c):
-    pairs = _served(product_coeffs, n_max, a, b, c, errors=HypergeomError)
-    if pairs is None:
-        return
-    assert len(pairs) == n_max + 1
+def _assert_cauchy_products(pairs, a, b, c):
     for (term1, term2), (one, two, scale) in zip(
-            pairs, _product_series(n_max, a, b, c)):
+            pairs, _product_series(len(pairs) - 1, a, b, c)):
         assert math.isfinite(term1) and math.isfinite(term2)
         assert abs(term1 - one) <= 1e-11 * scale
         assert abs(term2 - two) <= 1e-11 * scale
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: product_coeffs "
-                   "loses digits when a lies just outside the pole guard")
-def test_product_coeffs_near_an_integer_a():
-    # the 4F3 lower parameter 2 - n + a sits 1.5e-9 from a pole at n >= 3
-    # and the sum cancels; the Cauchy products are well conditioned
-    a, b, c = 1.0 + 1.5e-9, 0.3, 0.6
-    for (term1, term2), (one, two, scale) in zip(
-            product_coeffs(12, a, b, c), _product_series(12, a, b, c)):
-        assert abs(term1 - one) <= 1e-11 * scale
-        assert abs(term2 - two) <= 1e-11 * scale
+@settings(max_examples=100)
+@given(st.integers(0, 16), coordinates(2), coordinates(2), coordinates(2))
+def test_product_coeffs_agree_with_cauchy_products_or_raise(n_max, a, b, c):
+    pairs = _served(product_coeffs, n_max, a, b, c, errors=HypergeomError)
+    if pairs is not None:
+        assert len(pairs) == n_max + 1
+        _assert_cauchy_products(pairs, a, b, c)
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (1.0 + 1.5e-9, 0.3, 0.6), (2.0, 0.3, 0.6), (-1.0, 0.3, 0.6),
+    (0.3, 2.0, 0.6), (0.2, 3.0 + 1e-8, 0.6)])
+def test_product_coeffs_near_an_integer_a_or_b(a, b, c):
+    # a and b sit only in numerators: the coefficients have no pole there
+    _assert_cauchy_products(product_coeffs(12, a, b, c), a, b, c)
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (0.2, 0.3, 0.6), (2.0, 0.3, 0.6), (-0.7, 1.4, -2.5)])
+def test_product_coeffs_at_degree_120(a, b, c):
+    _assert_cauchy_products(product_coeffs(120, a, b, c), a, b, c)
 
 
 @settings(max_examples=150)

@@ -388,6 +388,14 @@ class TestWhipple:
             assert result.passed
             assert result.params["n_max"] == 12
 
+    @pytest.mark.parametrize("a, b, c", [
+        (1.0 + 1.5e-9, 0.3, 0.6), (2.0, 0.3, 0.6), (-1.0, 0.3, 0.6),
+        (0.3, 2.0, 0.6), (0.2, 3.0 + 1e-8, 0.6)])
+    def test_near_and_at_an_integer_a_or_b(self, a, b, c):
+        # the identity holds there, and its coefficients have no pole
+        result = verify_whipple(a, b, c)
+        assert result.passed and result.error is None
+
     def test_pole_recorded(self):
         result = verify_whipple(0.3, 0.2, 1.0)
         assert result.error is not None
@@ -638,6 +646,16 @@ class TestReportErrors:
         assert ("NaN" in text) == (tolerance is math.nan)
         with pytest.raises(ValueError, match="tolerance .* is not a finite"):
             VerificationReport.from_json(text)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"params": [5, {"alpha": -0.0}]}, "params 5 is not a dict"),
+        ({"seed": "abc"}, "seed 'abc' is not of type int"),
+        ({"seed": True}, "seed True is not of type int"),
+        ({"tool_version": 7}, "tool_version 7 is not of type str")],
+        ids=["int-params", "str-seed", "bool-seed", "int-tool-version"])
+    def test_mistyped_field(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            VerificationReport.from_json(_report_text(**changes))
 
 
 _KEYS = st.sampled_from(["alpha", "tau_re", "n_max", "a", "x"])
