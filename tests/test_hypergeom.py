@@ -102,7 +102,8 @@ class TestBetaReal:
 class TestMaxDegree:
     """The degree is checked against one cap before a loop starts."""
 
-    @pytest.mark.parametrize("n", [MAX_DEGREE + 1, 10**6, 1e12])
+    @pytest.mark.parametrize("n", [MAX_DEGREE + 1, 10**6, 1e12],
+                             ids=lambda n: f"product_coeffs-{n}")
     def test_above_the_cap_raises(self, n):
         with pytest.raises(HypergeomError, match=(
                 f"n_max = {n} exceeds the maximum degree {MAX_DEGREE}")):
@@ -193,39 +194,12 @@ class TestGauss2F1:
         assert numeric == pytest.approx(analytic, rel=1e-7)
 
 
-class TestProductCoefficients:
-    def test_degree_zero_and_one(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            a, b, c = rng.uniform(0.1, 0.9, 3) + np.array([0.0, 0.0, 1.0])
-            (t0, _), (t1, _) = product_coeffs(1, a, b, c)
-            assert t0 == pytest.approx(c, abs=1e-12)
-            assert t1 == pytest.approx(a - b + 1.0, abs=1e-12)
-
-    # the first pole of each case's lower parameters c, -c, 2 + c, 2 - c
-    # below degree 8; integer a or b are no poles (they are only in
-    # numerators) and give a table
-    POLES = {1.0: "lower parameter -1.0 hits a pole at term k = 2",
-             -1.0: "lower parameter -1.0 hits a pole at term k = 2",
-             3.0: "lower parameter -3.0 hits a pole at term k = 4",
-             -3.0 + 5e-10: f"lower parameter {-3.0 + 5e-10} hits a pole "
-                           "at term k = 4",
-             0.0: "lower parameter 0.0 hits a pole at term k = 1"}
-
-    @pytest.mark.parametrize("a, b, c", [
-        (0.3, 0.2, 1.0), (0.3, 0.2, -1.0), (0.3, 0.2, 3.0), (-1.0, 0.3, 0.6),
-        (2.0, 0.3, 0.6), (0.3, 2.0, 0.6), (0.3, 0.2, -3.0 + 5e-10),
-        (0.3, 0.2, 0.0)])
-    def test_each_degree_keeps_its_error(self, a, b, c):
-        table = _outcome(product_coeffs, 8, a, b, c)
-        if c in self.POLES:
-            assert table == self.POLES[c] == _scanned_pole(8, c)
-            return
-        assert len(table) == 9
-        assert table[0][0] == pytest.approx(c, abs=1e-12)
-        assert table[1][0] == pytest.approx(a - b + 1.0, abs=1e-12)
-        for c1, c2 in table[2:]:
-            assert abs(c1 + c2) / (1.0 + abs(c1)) < 1e-12
+class TestTerminating4F3:
+    """The pole rule of the terminating 4F3 the product coefficients were
+    once summed as, kept unchanged by ``product_coeffs`` for the lower
+    parameters c, -c, 2 + c and 2 - c of its four 2F1 series: a lower
+    parameter raises only within ``INTEGRALITY_GUARD`` of -k for a term k
+    its list reaches."""
 
     @pytest.mark.parametrize("low, n, message", [
         (-1.0, 3, "lower parameter -1.0 hits a pole at term k = 2"),
@@ -264,6 +238,41 @@ class TestProductCoefficients:
                 assert "pole" not in str(outcome)
             else:
                 assert outcome == expect
+
+
+class TestProductCoefficients:
+    def test_degree_zero_and_one(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            a, b, c = rng.uniform(0.1, 0.9, 3) + np.array([0.0, 0.0, 1.0])
+            (t0, _), (t1, _) = product_coeffs(1, a, b, c)
+            assert t0 == pytest.approx(c, abs=1e-12)
+            assert t1 == pytest.approx(a - b + 1.0, abs=1e-12)
+
+    # the first pole of each case's lower parameters c, -c, 2 + c, 2 - c
+    # below degree 8; integer a or b are no poles (they are only in
+    # numerators) and give a table
+    POLES = {1.0: "lower parameter -1.0 hits a pole at term k = 2",
+             -1.0: "lower parameter -1.0 hits a pole at term k = 2",
+             3.0: "lower parameter -3.0 hits a pole at term k = 4",
+             -3.0 + 5e-10: f"lower parameter {-3.0 + 5e-10} hits a pole "
+                           "at term k = 4",
+             0.0: "lower parameter 0.0 hits a pole at term k = 1"}
+
+    @pytest.mark.parametrize("a, b, c", [
+        (0.3, 0.2, 1.0), (0.3, 0.2, -1.0), (0.3, 0.2, 3.0), (-1.0, 0.3, 0.6),
+        (2.0, 0.3, 0.6), (0.3, 2.0, 0.6), (0.3, 0.2, -3.0 + 5e-10),
+        (0.3, 0.2, 0.0)])
+    def test_each_degree_keeps_its_error(self, a, b, c):
+        table = _outcome(product_coeffs, 8, a, b, c)
+        if c in self.POLES:
+            assert table == self.POLES[c] == _scanned_pole(8, c)
+            return
+        assert len(table) == 9
+        assert table[0][0] == pytest.approx(c, abs=1e-12)
+        assert table[1][0] == pytest.approx(a - b + 1.0, abs=1e-12)
+        for c1, c2 in table[2:]:
+            assert abs(c1 + c2) / (1.0 + abs(c1)) < 1e-12
 
     @pytest.mark.parametrize("n_max", [-1, 2.5, math.nan, math.inf])
     def test_rejects_a_bad_degree(self, n_max):
