@@ -1,7 +1,8 @@
 """Command-line interface for evaluations, identity checks, and sweeps.
 
 Exit codes: 0 when every check passes (or a pure evaluation succeeds),
-1 when any check fails, 2 on usage or admissibility errors.
+1 when any check fails, 2 on a usage error, an errored check or a typed
+error a check would record (``verify.RECOVERABLE``).
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ import argparse
 import sys
 
 from . import __version__
-from .hypergeom import HypergeomError, gauss_2f1
-from .matrices import AdmissibilityError, ConditioningError, HgParams
-from .series import SeriesError, TauPoint, lambda_tau, theta
-from .verify import (CheckResult, VerificationReport, resolve_tolerances,
-                     run_sweep, verify_entry22, verify_series_identities,
-                     verify_tpr)
+from .hypergeom import gauss_2f1
+from .matrices import HgParams
+from .series import IM_TAU_CEILING, IM_TAU_FLOOR, TauPoint, lambda_tau, theta
+from .verify import (RECOVERABLE, CheckResult, VerificationReport,
+                     resolve_tolerances, run_sweep, verify_entry22,
+                     verify_series_identities, verify_tpr)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -26,8 +27,9 @@ def _add_tau_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau-re", type=float, default=0.0,
                         help="real part of tau (default 0)")
     parser.add_argument("--tau-im", type=float, default=1.0,
-                        help="imaginary part of tau "
-                             "(default 1, 0.1 <= Im tau <= 50)")
+                        help=f"imaginary part of tau (default 1, "
+                             f"{IM_TAU_FLOOR:g} <= Im tau <= "
+                             f"{IM_TAU_CEILING:g})")
 
 
 def _add_abg_flags(parser: argparse.ArgumentParser) -> None:
@@ -165,8 +167,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             report = run_sweep(args.seed, args.count, tols)
             return _emit_report(report.checks, seed=args.seed, args=args)
-    except (AdmissibilityError, ConditioningError, HypergeomError,
-            SeriesError, ValueError) as exc:
+    except (*RECOVERABLE, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")

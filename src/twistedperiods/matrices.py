@@ -152,13 +152,6 @@ def theta_bracket(p: HgParams, tc: ThetaConstants) -> complex:
     return -p.c1 * r1 - p.c2 * r2 - p.c3 * r3 + (2.0 * p.c1 - p.c4) * r4
 
 
-def _c22(p: HgParams, tc: ThetaConstants) -> complex:
-    """The theta-constant entry of the cohomology intersection matrix
-    (before the overall 2 pi i factor)."""
-    return theta_bracket(p, tc) / (
-        math.pi**2 * tc.th3_0**4 * (p.c1 - 1.0) * (p.c1 + 1.0))
-
-
 def cohomology_C(p: HgParams, tc: ThetaConstants) -> np.ndarray:
     """Closed-form 4x4 cohomology intersection matrix (block diagonal)."""
     require_admissible(p)
@@ -166,7 +159,8 @@ def cohomology_C(p: HgParams, tc: ThetaConstants) -> np.ndarray:
     m = np.zeros((4, 4), dtype=complex)
     m[0, 1] = 1.0 / (c1 + 1.0)
     m[1, 0] = 1.0 / (c1 - 1.0)
-    m[1, 1] = _c22(p, tc)
+    m[1, 1] = theta_bracket(p, tc) / (  # the one theta-constant entry
+        math.pi**2 * tc.th3_0**4 * (c1 - 1.0) * (c1 + 1.0))
     m[2, 2] = (c1 + c2) / (c1 * c2)
     m[2, 3] = 1.0 / c1
     m[3, 2] = 1.0 / c1

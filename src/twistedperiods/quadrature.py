@@ -5,8 +5,9 @@ sinh t)) / 2 maps the real line onto (a, b) and turns endpoint algebraic
 singularities with exponents > -1 into integrands that decay doubly
 exponentially in t (Takahasi & Mori, Publ. RIMS 9, 1974).  Levels halve
 the step size, reusing previous nodes; node order is fixed so results are
-bit-reproducible.  An endpoint power too close to -1 for the nodes is
-subtracted and integrated in closed form (Davis & Rabinowitz, 1984).
+bit-reproducible, and every stopping rule is relative to the result.  An
+endpoint power too close to -1 for the nodes is subtracted and integrated
+in closed form (Davis & Rabinowitz, 1984).
 
 Integrands receive (x, dl, dr) where dl = x - a and dr = b - x are computed
 directly from the transform, so endpoint distances keep full relative
@@ -26,10 +27,7 @@ _REL_STOP = 1e-11
 # An end whose part below the last node exceeds this share of the integral
 # is subtracted; at any other end that part may not exceed it.
 _ROUNDING = 2.0**-53
-# Maximum doubling levels, and the absolute floor below which a
-# successive-level difference counts as converged.
-_LEVELS = 10
-_ABS_FLOOR = 1e-15
+_LEVELS = 10  # maximum doubling levels
 
 
 class QuadratureError(Exception):
@@ -76,17 +74,17 @@ def tanh_sinh(f, a: float, b: float,
     ``f(x, dl, dr)`` must accept ndarrays and return the integrand values;
     dl and dr are the exact distances to the endpoints, near which f
     behaves like c d^e with the ``exponents`` e > -1 (at a, at b).
-    Convergence is declared when two successive levels differ by less
-    than 1e-11 relative (or 1e-15 absolute); otherwise, or at the first
-    level with a non-finite value, QuadratureError is raised.
+    Two successive levels must agree within 1e-11 of the result, with no
+    absolute floor, or QuadratureError is raised; so an integral that
+    cancels to rounding level raises, as does a non-finite value.
 
     The nodes stop d0 = 6e-276 (b - a) from each end, below which lies a
     fraction of about d0^(e+1) of the power's part.  Where that exceeds
     2^-53 (e below about -0.942), c = f(d0) / d0^e is read off the
     outermost level-0 value, c d^e is subtracted at every level and
     c (b-a)^(e+1) / (e+1) added back.  Elsewhere the part below the last
-    node, about |f(d0)| d0, must stay within 2^-53 of the result (or
-    1e-15), or the call raises.
+    node, about |f(d0)| d0, must stay within 2^-53 of the result, or the
+    call raises.
     """
     scale = b - a
     if scale <= 0 or not (exponents[0] > -1.0 and exponents[1] > -1.0):
@@ -126,7 +124,7 @@ def tanh_sinh(f, a: float, b: float,
         for level in range(1, _LEVELS + 1):
             total = prev / 2.0 + level_sum(level)
             diff = abs(total - prev)
-            if diff <= max(_REL_STOP * abs(total + closed), _ABS_FLOOR):
+            if diff <= _REL_STOP * abs(total + closed):
                 break
             prev = total
         else:
@@ -135,7 +133,7 @@ def tanh_sinh(f, a: float, b: float,
                 f"(last successive difference {diff:.3e})"
             )
     total += closed
-    if below > max(_ROUNDING * abs(total), _ABS_FLOOR):
+    if below > _ROUNDING * abs(total):
         raise QuadratureError(
             f"about {below:.1e} of the integral lies below the last nodes: "
             "pass the endpoint exponents")

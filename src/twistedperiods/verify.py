@@ -96,8 +96,9 @@ _SERIES_CHECKS = tuple(CHECK_REGISTRY)[8:]
 
 REPORT_COLUMNS = ("name", "params", "residual", "tolerance", "pass", "error")
 
-_RECOVERABLE = (AdmissibilityError, ConditioningError, HypergeomError,
-                PeriodError, QuadratureError, SeriesError)
+# the typed errors a check records as its error, and the CLI exits 2 on
+RECOVERABLE = (AdmissibilityError, ConditioningError, HypergeomError,
+               PeriodError, QuadratureError, SeriesError)
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,8 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
-        """The report ``text`` encodes; a malformed one raises ValueError."""
+        """The report ``text`` encodes; a malformed one, or one whose summary
+        or params table its rows contradict, raises ValueError."""
         d = json.loads(text)
         try:
             schema, table = d.get("schema", 1), d.get("params")
@@ -192,11 +194,17 @@ class VerificationReport:
                 if type(row[1]) is not int or not 0 <= row[1] < len(table):
                     raise ValueError(f"params index {row[1]!r} out of range")
                 checks.append(CheckResult(row[0], table[row[1]], *row[2:]))
+            if len({row[1] for row in d["checks"]}) < len(table):
+                raise ValueError("params has an entry no check row indexes")
             for key, kind in (("tool_version", str), ("seed", int)):
                 if type(d[key]) is not kind:
                     raise ValueError(
                         f"{key} {d[key]!r} is not of type {kind.__name__}")
-            return cls(d["tool_version"], d["seed"], checks)
+            report = cls(d["tool_version"], d["seed"], checks)
+            if d["summary"] != report.summary:
+                raise ValueError(f"summary {d['summary']!r} disagrees with "
+                                 "the check rows")
+            return report
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed report: {exc!r}") from None
 
@@ -244,30 +252,18 @@ def _params_dict(p: HgParams | None, tau: TauPoint | None, **extra) -> dict:
             "tau_im": im, **extra}
 
 
-def _errored(name: str, params: dict, tolerance: float,
-             error: Exception | str) -> CheckResult:
-    return CheckResult(name=name, params=params, residual=None,
-                       tolerance=tolerance, passed=False, error=str(error))
-
-
 def _run_check(name: str, params: dict, tolerance: float, fn) -> CheckResult:
-    """A check of ``fn()``'s residual; a recoverable exception or a
-    non-finite residual makes it an errored check, never a plain FAIL."""
+    """The check of ``fn()``'s residual, the one place a verdict is made: a
+    recoverable error or a non-finite residual errors it, never a FAIL."""
     try:
         residual = float(fn())
-    except _RECOVERABLE as exc:
-        return _errored(name, params, tolerance, exc)
-    return _verdict(name, params, tolerance, residual)
-
-
-def _verdict(name: str, params: dict, tolerance: float,
-             residual: float) -> CheckResult:
-    """A check of a computed residual; a non-finite one errors it."""
+    except RECOVERABLE as exc:
+        return CheckResult(name, params, None, tolerance, False, str(exc))
     if not math.isfinite(residual):
-        return _errored(name, params, tolerance,
-                        f"non-finite residual {residual}")
-    return CheckResult(name=name, params=params, residual=residual,
-                       tolerance=tolerance, passed=residual <= tolerance)
+        return CheckResult(name, params, None, tolerance, False,
+                           f"non-finite residual {residual}")
+    return CheckResult(name, params, residual, tolerance,
+                       residual <= tolerance)
 
 
 def _worst(*residuals: float) -> float:
@@ -351,30 +347,27 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
     """Both routes to the reduced (2,2) entry against (a-b+1) lambda + c.
 
     Residuals are absolute: the target is order one over the sampled range.
-    Each form is evaluated once, by the first check that needs it; one that
-    raises is not kept, so every check using it errors.  entry22-theta sums
-    no 2F1, so only the other two checks error where |lambda(tau)| exceeds
-    the 2F1 radius guard.
+    Every check first reads one cached ``require_admissible`` of
+    p = (a+1/2, b-1/2, c) (None when it passes), so an inadmissible p errors
+    all three.  Each form is evaluated once, by the first check that needs
+    it; one that raises is not kept, so every check using it errors.
+    entry22-theta sums no 2F1, so only the other two checks error where
+    |lambda(tau)| exceeds the 2F1 radius guard.
     """
     tols = resolve_tolerances(tol)
     p = HgParams(a + 0.5, b - 0.5, c)
     params = _params_dict(p, tau, a=a, b=b, c=c)
-    try:
-        require_admissible(p)
-    except AdmissibilityError as exc:
-        return tuple(_errored(name, params, tols.entry22, exc) for name in (
-            "entry22-theta", "entry22-2f1", "entry22-cross"))
-
+    admitted = functools.cache(lambda: require_admissible(p))
     target = functools.cache(lambda: (a - b + 1) * lambda_tau(tau) + c)
     theta_form = functools.cache(
         lambda: _entry22_theta_form(p, theta_constants(tau)))
     f21_form = functools.cache(
         lambda: _entry22_2f1_form(a, b, c, lambda_tau(tau)))
-    return tuple(_run_check(name, params, tols.entry22, fn) for name, fn in (
-        ("entry22-theta", lambda: abs(theta_form() - target())),
-        ("entry22-2f1", lambda: abs(f21_form() - target())),
-        ("entry22-cross", lambda: abs(theta_form() - f21_form())),
-    ))
+    return tuple(_run_check(name, params, tols.entry22,
+                            lambda x=x, y=y: admitted() or abs(x() - y()))
+                 for name, x, y in (("entry22-theta", theta_form, target),
+                                    ("entry22-2f1", f21_form, target),
+                                    ("entry22-cross", theta_form, f21_form)))
 
 
 def verify_whipple(a: float, b: float, c: float,
@@ -514,8 +507,8 @@ def verify_series_identities(tau: TauPoint,
     """
     tols = resolve_tolerances(tol)
     params = _params_dict(None, tau)
-    return [_verdict(name, params, tols.series, residual)
-            for name, residual in zip(_SERIES_CHECKS, _series_residuals(tau))]
+    return [_run_check(name, params, tols.series, lambda r=r: r)
+            for name, r in zip(_SERIES_CHECKS, _series_residuals(tau))]
 
 
 def sample_admissible(rng: np.random.Generator) -> HgParams:

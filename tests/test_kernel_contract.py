@@ -231,14 +231,19 @@ def test_tanh_sinh_integrates_beta_powers(e0, e1):
     assert abs(value - expect) <= 1e-10 * expect
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: tanh_sinh's "
-                   "1e-15 absolute stopping floor ends a small integral early")
 def test_tanh_sinh_on_a_small_integral():
-    # 1e-16 x^2 (1-x)^2 is 1e-16 B(3, 3) = 3.3e-18; level 1 already
-    # differs from level 0 by less than 1e-15, and the result is 0.76% off
+    # 1e-16 x^2 (1-x)^2 is 1e-16 B(3, 3) = 3.3e-18: every stopping rule is
+    # relative, so a small integral is refined like a large one
     value = tanh_sinh(lambda x, dl, dr: 1e-16 * dl**2 * dr**2, 0.0, 1.0,
                       (2.0, 2.0))
     assert abs(value - 1e-16 / 30.0) <= 1e-10 * 1e-16 / 30.0
+
+
+def test_tanh_sinh_on_an_integral_that_cancels_raises():
+    # sin 2 pi x integrates to 0: the levels settle at rounding noise,
+    # which no relative rule accepts
+    with pytest.raises(QuadratureError, match="failed to converge"):
+        tanh_sinh(lambda x, dl, dr: np.sin(2.0 * np.pi * x), 0.0, 1.0)
 
 
 def _wirtinger_closed_form(p: HgParams, tau: TauPoint) -> complex:
@@ -262,10 +267,15 @@ def test_wirtinger_quadrature_agrees_with_the_closed_form_or_raises(p, tau):
     expect = _served(_wirtinger_closed_form, p, tau, errors=_PERIOD_ERRORS)
     if expect is None:
         return
-    # 1e-13 absolute: tanh_sinh stops at a 1e-15 level difference, so an
-    # integral far below 1e-4 is only absolutely accurate (the FOUND that
-    # test_tanh_sinh_on_a_small_integral pins)
-    assert abs(value - expect) <= 1e-8 * abs(expect) + 1e-13
+    assert abs(value - expect) <= 1e-8 * abs(expect)
+
+
+def test_wirtinger_quadrature_on_a_small_integral():
+    # about 1.4e-90 at Im tau = 47: only a relative stopping rule serves it
+    p = HgParams(1.9135967254381523, -1.174299349621414, 3.8048274903709496)
+    tau = TauPoint(47.05385905767068j)
+    expect = _wirtinger_closed_form(p, tau)
+    assert abs(wirtinger_quadrature(p, tau) - expect) <= 1e-8 * abs(expect)
 
 
 @pytest.mark.xfail(strict=True, raises=QuadratureError,

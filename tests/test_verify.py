@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistedperiods
-from twistedperiods import matrices, series, verify
+from twistedperiods import cli, matrices, series, verify
 from twistedperiods.cli import main
 from twistedperiods.hypergeom import HypergeomError
 from twistedperiods.matrices import HgParams
@@ -421,6 +421,21 @@ class TestSeriesIdentities:
         results = {r.name: r for r in verify_series_identities(TAU_I)}
         assert results["phi2-laurent"].residual <= 1e-11
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_residual_errors_only_its_check(self, monkeypatch,
+                                                       value):
+        clean = verify_series_identities(TAU_I)
+        residuals = list(verify._series_residuals(TAU_I))
+        residuals[6] = value
+        monkeypatch.setattr(verify, "_series_residuals",
+                            lambda tau: tuple(residuals))
+        results = verify_series_identities(TAU_I)
+        bad = results.pop(6)
+        assert bad.name == clean[6].name
+        assert bad.residual is None and not bad.passed
+        assert bad.error == f"non-finite residual {value}"
+        assert results == clean[:6] + clean[7:]
+
 
 def _clear_kernel_caches():
     for cache in (series.theta_constants, verify._series_residuals):
@@ -656,6 +671,26 @@ class TestReportErrors:
     def test_mistyped_field(self, changes, message):
         with pytest.raises(ValueError, match=message):
             VerificationReport.from_json(_report_text(**changes))
+
+    @pytest.mark.parametrize("summary", [
+        {"pass": 7, "fail": 3, "errored": 0},
+        {"pass": 1, "fail": 1, "errored": 0}, None],
+        ids=["inflated", "error-as-fail", "null"])
+    def test_summary_that_disagrees_with_the_rows(self, summary):
+        # the rows hold one pass and one errored check
+        with pytest.raises(ValueError, match="summary .* disagrees"):
+            VerificationReport.from_json(_report_text(summary=summary))
+
+    def test_missing_summary(self):
+        d = json.loads(_report_text())
+        del d["summary"]
+        with pytest.raises(ValueError, match="malformed report"):
+            VerificationReport.from_json(json.dumps(d))
+
+    def test_params_entry_that_no_row_indexes(self):
+        table = [{"alpha": 0.3}, {"alpha": -0.0}, {"alpha": 5.0}]
+        with pytest.raises(ValueError, match="params has an entry"):
+            VerificationReport.from_json(_report_text(params=table))
 
 
 _KEYS = st.sampled_from(["alpha", "tau_re", "n_max", "a", "x"])
@@ -1066,6 +1101,27 @@ class TestCli:
         [check] = _json_checks(capsys.readouterr().out)
         assert check["residual"] is None and not check["pass"]
         assert check["error"].startswith("non-finite residual")
+
+    @pytest.mark.parametrize("kind", verify.RECOVERABLE,
+                             ids=lambda kind: kind.__name__)
+    def test_each_typed_error_exits_2(self, monkeypatch, capsys, kind):
+        def raising(*args):
+            if kind is matrices.AdmissibilityError:
+                raise kind(["injected"])
+            raise kind("injected")
+
+        monkeypatch.setattr(cli, "verify_tpr", raising)
+        assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
+                     "--gamma", "0.77"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "injected" in err
+
+    def test_tau_help_reads_the_admitted_range(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["lambda", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert (f"{series.IM_TAU_FLOOR:g} <= Im tau <= "
+                f"{series.IM_TAU_CEILING:g}") in help_text
 
     def test_gamma_overflow_is_an_errored_check(self, capsys):
         assert main(["tpr", "full", "--alpha", "200.3", "--beta", "0.25",
