@@ -17,8 +17,8 @@ tau = TauPoint(1j)
 print(f"Parameters alpha = {p.alpha}, beta = {p.beta}, gamma = {p.gamma}; "
       "tau = i")
 
-pp = period_matrix("+", p, tau)
-pm = period_matrix("-", p, tau)
+pp = period_matrix(p, tau)
+pm = period_matrix(p.negated(), tau)
 h = homology_H(p)
 c = cohomology_C(p, theta_constants(tau))
 # P+ . H^-T . P-^T without an explicit inverse: solve H^T X = P-^T

@@ -5,11 +5,11 @@ four reference cycles (columns) as one 4x4 matrix, and ``block_periods``
 slices the eigenspace blocks out of it.  Every row reduces, by the shift
 table below, to the two independent closed forms for the first and third
 cycle; the second and fourth columns are fixed linear combinations of
-those.  The plus-sign matrix uses the parameters as given, the minus-sign
-matrix the negated parameters (which is what integrating the inverse
-weight amounts to).
+those.  P+ is ``period_matrix(p, tau)`` and P- is
+``period_matrix(p.negated(), tau)``: integrating the inverse weight
+negates the parameters.
 
-Prefactors, at the signed (a, b, g): the first cycle's period carries
+Prefactors, at the (a, b, g) given: the first cycle's period carries
 P1 = theta2^(2g) theta3^(-2a-2b) theta4^(2a+2b-2g) in every row, the third's
 P3 / lambda^(d_gamma), P3 = theta2^(4-2g) theta3^(2a+2b-4) theta4^(2g-2a-2b).
 
@@ -17,13 +17,14 @@ A direct tanh-sinh evaluation of the defining integral over (0, 1/2) is
 kept for purely imaginary tau, where the integrand is a product of
 positive reals and the principal powers are unambiguous.  The analogous
 Euler integrals on the projective line (paired plus/minus weights over
-(0,1) and (1/z, infinity)) are provided both by quadrature, where the
-endpoint exponents allow it, and by their Gamma-factor closed forms.
+(0,1) and (1/z, infinity)) are provided both by ``tanh_sinh``, where it
+admits the endpoint exponents, and by their Gamma-factor closed forms.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -70,17 +71,15 @@ def _period_row(i: int, p: HgParams, lam: complex, p1: complex,
     return np.array([s1, s2, s3, s4], dtype=complex)
 
 
-def period_matrix(sign: str, p: HgParams, tau: TauPoint) -> np.ndarray:
-    """4x4 period matrix for sign "+" or "-"; the minus sign negates all
-    three parameters.
+def period_matrix(p: HgParams, tau: TauPoint) -> np.ndarray:
+    """4x4 period matrix of the weight with exponents ``p``: P+ at p, and
+    P- at ``p.negated()``.
 
     Raises PeriodError inside the discs |tau -+ 1/2| < 1/2, past lambda's
     cut: there sigma_1 is wrong (39% off at -0.4+0.2i) yet full-tpr passes.
     Also raises for |Re tau| > 1, where sigma_1 is the integral times a
     phase exp(+-i pi gamma) (at 1.3+1.2i and -1.3+1.2i, for instance).
     """
-    if sign not in ("+", "-"):
-        raise PeriodError(f"invalid sign {sign!r}")
     t = tau.tau
     if abs(t.real) > 1.0:
         raise PeriodError(
@@ -90,16 +89,15 @@ def period_matrix(sign: str, p: HgParams, tau: TauPoint) -> np.ndarray:
         raise PeriodError(
             f"tau = {t} lies inside a disc |tau -+ 1/2| < 1/2, "
             "where the closed-form periods are on the wrong branch")
-    q = p if sign == "+" else p.negated()
-    require_admissible(q)
-    a, b, g = q.alpha, q.beta, q.gamma
+    require_admissible(p)
+    a, b, g = p.alpha, p.beta, p.gamma
     tc = theta_constants(tau)
     lam = lambda_tau(tau)
     p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
           * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
     p3 = (_cpow(tc.th2_0, 4 - 2 * g) * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
           * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
-    return np.array([_period_row(i, q, lam, p1, p3) for i in (1, 2, 3, 4)],
+    return np.array([_period_row(i, p, lam, p1, p3) for i in (1, 2, 3, 4)],
                     dtype=complex)
 
 
@@ -121,34 +119,33 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     Integrand: theta1(u)^(2a-1) theta2(u)^(2g-2a-1) theta3(u)^(-2b+1)
     theta4(u)^(2b-2g+1).  Requires purely imaginary tau (|Re tau| up to
     1e-12 is taken as 0), where every factor is a positive real on
-    (0, 1/2) and principal real powers apply, and endpoint exponents > -1
-    (a > 0 and g - a > 0), where the integral converges; both go to
-    ``tanh_sinh``, which subtracts an end power near -1.  The closed form
-    ``period_matrix("+", p, tau)[2, 0]`` (cocycle 3 over cycle 1) equals
-    pi theta2(0)^2 times this value, the Jacobian of the coordinate change
-    from the rational model.
+    (0, 1/2) and principal real powers apply.  The endpoint exponents go
+    to ``tanh_sinh``, which requires both > -1 (a > 0 and g - a > 0),
+    where the integral converges, and subtracts an end power near -1.  The
+    closed form ``period_matrix(p, tau)[2, 0]`` (cocycle 3 over cycle 1)
+    equals pi theta2(0)^2 times this value, the Jacobian of the coordinate
+    change from the rational model.
 
     theta1 vanishes linearly at the endpoint u = 0 and theta2 at u = 1/2;
     both are summed as theta1 at the exact endpoint distance (theta2(u) =
     theta1(1/2 - u)), keeping full relative accuracy at either end.  Only
     the real prefactors are summed, so each level builds one sine table
-    (theta1, theta2) and one cosine table (theta3, theta4).
+    (theta1, theta2) and one cosine table (theta3, theta4).  theta1's are
+    divided exactly by s, the power of two nearest 2 q_half^(1/4), and the
+    integral multiplied by s^(2g-2), so its powers do not overflow.
     """
     require_admissible(p)
     if abs(tau.tau.real) > 1e-12:
         raise PeriodError("quadrature route requires purely imaginary tau")
     a, b, g = p.alpha, p.beta, p.gamma
-    if not (a > 0 and g - a > 0):
-        raise PeriodError(
-            f"endpoint exponents 2a-1 = {2*a-1} and 2g-2a-1 = {2*(g-a)-1} "
-            "must exceed -1"
-        )
     sin_freq, th1_pref = _theta_terms(1, tau, 0.0)
     cos_freq, th3_pref = _theta_terms(3, tau, 0.0)
     th4_pref = _theta_terms(4, tau, 0.0)[1]
+    s = 2.0 ** round(math.log2(th1_pref[0].real))
+    th1_pref = th1_pref.real / s
 
     def integrand(u, dl, dr):
-        (t1,) = trig_sums(np.sin, dl, sin_freq, th1_pref.real)
+        (t1,) = trig_sums(np.sin, dl, sin_freq, th1_pref)
         # the tanh-sinh nodes are mirror-symmetric, so dr is dl reversed
         # and theta1(dr) is t1 reversed; a contiguous copy keeps np.power's
         # rounding that of a fresh array
@@ -162,8 +159,8 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
             * t4 ** (2 * b - 2 * g + 1)
         )
 
-    return float(np.real(tanh_sinh(integrand, 0.0, 0.5,
-                                   (2 * a - 1, 2 * g - 2 * a - 1))))
+    return s ** (2 * g - 2) * float(np.real(tanh_sinh(
+        integrand, 0.0, 0.5, (2 * a - 1, 2 * g - 2 * a - 1))))
 
 
 # Euler-integral pairings on the projective line.  Each side is z^z_power
@@ -188,10 +185,10 @@ def euler_pairing(p_side: str, a: float, b: float, c: float,
                   z: complex) -> complex:
     """Euler-integral pairing by tanh-sinh quadrature.
 
-    ``p_side`` is one of '1+', '2+', '1-', '2-'.  Requires real z in (0,1)
-    and both endpoint exponents > -1, which go to ``tanh_sinh`` (this
-    rules out, e.g., the '1-' side whenever the '1+' side converges; use
-    ``euler_pairing_closed`` for the regularized value there).
+    ``p_side`` is one of '1+', '2+', '1-', '2-'.  Requires real z in (0,1);
+    the endpoint exponents go to ``tanh_sinh``, which requires both > -1
+    (this rules out, e.g., the '1-' side whenever the '1+' side converges;
+    use ``euler_pairing_closed`` for the regularized value there).
     """
     z = complex(z)
     if abs(z.imag) > 1e-14 or not (0.0 < z.real < 1.0):
@@ -199,10 +196,6 @@ def euler_pairing(p_side: str, a: float, b: float, c: float,
     zr = z.real
     A, B, C, zpow = _euler_side(p_side, a, b, c)
     e0, e1, ez = A - 1.0, C - A - 1.0, -B
-    if not (e0 > -1.0 and e1 > -1.0):
-        raise PeriodError(
-            f"endpoint exponents ({e0}, {e1}) for side {p_side} must exceed -1"
-        )
 
     def integrand(t, dl, dr):
         return dl**e0 * dr**e1 * (1.0 - zr + zr * dr) ** ez
@@ -213,7 +206,9 @@ def euler_pairing(p_side: str, a: float, b: float, c: float,
 
 def euler_pairing_closed(p_side: str, a: float, b: float, c: float, z: complex) -> complex:
     """Gamma-factor closed form of the Euler pairing (valid by continuation
-    even where the literal integral diverges)."""
+    even where the literal integral diverges); sides '2+-' need z != 0."""
     A, B, C, zpow = _euler_side(p_side, a, b, c)
+    if p_side[0] == "2" and z == 0:
+        raise PeriodError(f"side {p_side} is undefined at z = 0")
     value = beta_real(A, C) * gauss_2f1(A, B, C, z)
     return _cpow(complex(z), zpow) * value if zpow else value

@@ -31,8 +31,8 @@ _LEVELS = 10  # maximum doubling levels
 
 
 class QuadratureError(Exception):
-    """Raised when level doubling fails to converge, the integrand is not
-    finite, or an end loses more than rounding below its last node."""
+    """Raised for a >= b or an exponent <= -1, no convergence, a non-finite
+    integrand, or an end losing more than rounding below its last node."""
 
 
 @functools.cache
@@ -73,8 +73,9 @@ def tanh_sinh(f, a: float, b: float,
 
     ``f(x, dl, dr)`` must accept ndarrays and return the integrand values;
     dl and dr are the exact distances to the endpoints, near which f
-    behaves like c d^e with the ``exponents`` e > -1 (at a, at b).
-    Two successive levels must agree within 1e-11 of the result, with no
+    behaves like c d^e with the ``exponents`` e (at a, at b).  a < b and
+    each e > -1 (not NaN) are checked here alone, for every caller, and
+    two successive levels must agree within 1e-11 of the result, with no
     absolute floor, or QuadratureError is raised; so an integral that
     cancels to rounding level raises, as does a non-finite value.
 
@@ -88,8 +89,8 @@ def tanh_sinh(f, a: float, b: float,
     """
     scale = b - a
     if scale <= 0 or not (exponents[0] > -1.0 and exponents[1] > -1.0):
-        raise ValueError(f"need a < b and endpoint exponents > -1, not "
-                         f"({a}, {b}) and {exponents}")
+        raise QuadratureError(f"need a < b and endpoint exponents > -1, "
+                              f"not ({a}, {b}) and {exponents}")
     d0 = scale * float(_level_nodes(0)[0][0])
     powers = []  # (c, e, end) of each subtracted c d^e; end 0 is a, 1 is b
     closed = below = 0.0

@@ -132,8 +132,10 @@ def _theta_terms(j: int, tau: TauPoint, im_u: float, order: int = 0):
     derivatives grow by a further ``(mu / mu_1)^order`` (mu_1 the first
     frequency); the count keeps every term whose bound exceeds REL_CUTOFF,
     and at least MIN_TERMS.  For j = 3, 4 the constant term comes first, as
-    frequency 0.
+    frequency 0.  The one check of the index j is here.
     """
+    if j not in (1, 2, 3, 4):
+        raise SeriesError(f"invalid theta index {j}")
     t = tau.tau.imag
     first, lead = (0.5, 0.5) if j in (1, 2) else (1.0, 0.0)
     # largest root of pi t (mu^2 - lead^2) - 2 pi mu im_u = ln(1/REL_CUTOFF),
@@ -199,8 +201,6 @@ def theta(j: int, u, tau: TauPoint):
     ``cosh(2 pi mu Im u)`` growth overflows.  Each point is summed on its
     own, so at real u its value does not depend on the other points.
     """
-    if j not in (1, 2, 3, 4):
-        raise SeriesError(f"invalid theta index {j}")
     arr = _as_array(u)
     # x - rint(x) is exact; adding 0.0 turns rint's -0.0 into 0.0, so that
     # u = -0.0 keeps its sign and |Re u| <= 1/2 is summed as given
@@ -252,8 +252,6 @@ def theta_taylor(j: int, order: int, tau: TauPoint) -> np.ndarray:
     coefficients of the even functions (j = 2, 3, 4) and even-index
     coefficients of ``theta_1`` are zero.
     """
-    if j not in (1, 2, 3, 4):
-        raise SeriesError(f"invalid theta index {j}")
     if not (isinstance(order, (int, np.integer)) and 0 <= order <= 12):
         raise SeriesError(f"order {order!r} is not an integer in 0..12")
     freq, pref = _theta_terms(j, tau, 0.0, order)

@@ -85,8 +85,7 @@ CHECK_REGISTRY: dict[str, str] = {
                         "q-sum and lambda forms",
     "phi2-laurent": "second cocycle over du has u^-2 coefficient "
                     "1/(pi theta3^2) (Jacobi's theta1' = pi theta2 theta3 "
-                    "theta4) and u^0 coefficient that times "
-                    "theta4''/theta4 - theta1'''/(3 theta1')",
+                    "theta4)",
     "entry22-g2-form": "theta-derivative form of the (2,2) entry equals "
                        "its G2-combination rewrite",
 }
@@ -298,7 +297,7 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
     h = functools.cache(lambda: homology_H(p))
     c = functools.cache(lambda: cohomology_C(p, theta_constants(tau)))
     periods = functools.cache(
-        lambda: tuple(period_matrix(side, p, tau) for side in "+-"))
+        lambda: (period_matrix(p, tau), period_matrix(p.negated(), tau)))
     blocks = functools.cache(lambda: (
         block_C(c()), *map(block_periods, periods()), block_H_prime(p)))
 
@@ -392,7 +391,7 @@ def verify_whipple(a: float, b: float, c: float,
 
 def _laurent_coefficients(tc: ThetaConstants) -> tuple[complex, ...]:
     """The u^1 Laurent coefficients of theta_j / theta_1 for j = 2, 3, 4,
-    then the u^-2 and u^0 ones of phi2 = pi theta2(0)^2 (theta4/theta1)^2.
+    then the u^-2 one of phi2 = pi theta2(0)^2 (theta4/theta1)^2.
 
     They follow from theta_j = theta_j(0) (1 + (r_j/2) u^2 + ...) and
     theta_1 = theta1'(0) u (1 + (r1/6) u^2 + ...), r = ``tc.log_ratios``.
@@ -401,7 +400,7 @@ def _laurent_coefficients(tc: ThetaConstants) -> tuple[complex, ...]:
     t21, t31, t41 = (th / tc.th1p_0 * (r / 2.0 - r1 / 6.0) for th, r in (
         (tc.th2_0, r2), (tc.th3_0, r3), (tc.th4_0, r4)))
     m2 = math.pi * tc.th2_0**2 * tc.th4_0**2 / tc.th1p_0**2
-    return t21, t31, t41, m2, m2 * (r4 - r1 / 3.0)
+    return t21, t31, t41, m2
 
 
 def _rel(x: complex, y: complex) -> float:
@@ -418,7 +417,9 @@ def _series_residuals(tau: TauPoint) -> tuple[float, ...]:
     check's params or tolerance.  Every kernel is read before the first
     residual, so a kernel error raises from here and is not cached; the
     residuals themselves are plain arithmetic, and one that is not finite
-    errors its check in the caller.
+    errors its check in the caller.  Each Jacobi family's values are built
+    once; its u^1 Laurent coefficient is k times its q-sum and its lambda
+    form, k = (-pi^2/3, pi^2/6, pi^2/6), as (2K)^2 = pi^2 theta3(0)^4.
     """
     pi2 = math.pi**2
     # Lambert-series terms in q^n and in q_half^m, with q^m = q_half^(2m)
@@ -434,28 +435,23 @@ def _series_residuals(tau: TauPoint) -> tuple[float, ...]:
     g2_ht = g2_lambert(m, qhm)
     g2_2t = g2_lambert(*q_terms(cmath.exp(TWO_PI_I * (tau.tau_mod8 * 2.0))))
     r1, r2, r3, r4 = tc.log_ratios
-    # the odd slices [::2] hold the powers q_half^(2n-1)
-    sum_cs = 1.0 + 24.0 * (n * qn / (1 + qn)).sum()
-    sum_ds = 1.0 - 24.0 * (m * qhm / (1 + qhm))[::2].sum()
-    sum_ns = 1.0 + 24.0 * (m * qhm / (1 - qhm))[::2].sum()
-    t21, t31, t41, phi2_m2, phi2_0 = _laurent_coefficients(tc)
-    two_k_sq = (math.pi * tc.th3_0**2) ** 2
-    # (series, q-sum, lambda) forms of each u^1 Laurent coefficient
-    laurent = (
-        (math.pi * tc.th3_0 * tc.th4_0 * t21, -(pi2 / 3.0) * sum_cs,
-         (-1.0 / 3.0 + lam / 6.0) * two_k_sq),
-        (math.pi * tc.th2_0 * tc.th4_0 * t31, (pi2 / 6.0) * sum_ds,
-         (1.0 / 6.0 - lam / 3.0) * two_k_sq),
-        (math.pi * tc.th2_0 * tc.th3_0 * t41, (pi2 / 6.0) * sum_ns,
-         (1.0 / 6.0 + lam / 6.0) * two_k_sq),
+    t21, t31, t41, phi2_m2 = _laurent_coefficients(tc)
+    # per family cs, ds, ns: q-sum, L = (1 - lambda/2, 1 - 2 lambda,
+    # 1 + lambda) theta3(0)^4, G2 combination, u^1 coefficient from the
+    # theta series; the odd slices [::2] hold the powers q_half^(2n-1)
+    families = (
+        (1.0 + 24.0 * (n * qn / (1 + qn)).sum(), (1.0 - lam / 2.0) * t34,
+         2.0 * g2_2t - g2t, math.pi * tc.th3_0 * tc.th4_0 * t21),
+        (1.0 - 24.0 * (m * qhm / (1 + qhm))[::2].sum(),
+         (1.0 - 2.0 * lam) * t34, 4.0 * g2_2t + g2_ht - 4.0 * g2t,
+         math.pi * tc.th2_0 * tc.th4_0 * t31),
+        (1.0 + 24.0 * (m * qhm / (1 - qhm))[::2].sum(), (1.0 + lam) * t34,
+         2.0 * g2t - g2_ht, math.pi * tc.th2_0 * tc.th3_0 * t41),
     )
-    lead = 1.0 / (math.pi * tc.th3_0**2)
+    g2_cs, g2_ds, g2_ns = (family[2] for family in families)
     a, b, c = 0.2, 0.3, 0.6
-    g2_rewrite = (
-        2.0 * (a - b + c + 1) * (2.0 * g2_2t - g2t)
-        - 2.0 * (a - b + 1) * (4.0 * g2_2t + g2_ht - 4.0 * g2t)
-        + c * (2.0 * g2t - g2_ht)
-    ) / (pi2 * t34)
+    g2_rewrite = (2.0 * (a - b + c + 1) * g2_cs - 2.0 * (a - b + 1) * g2_ds
+                  + c * g2_ns) / (pi2 * t34)
     return tuple(map(float, (
         # theta1-log-derivative
         _worst(_rel(r1, pi2 * (-1.0 + 24.0 * (qn / (1 - qn)**2).sum())),
@@ -472,18 +468,16 @@ def _series_residuals(tau: TauPoint) -> tuple[float, ...]:
         _worst(_rel(r4, g2t - g2_ht),
                _rel(r4, 8.0 * pi2 * (m * qhm / (1 - qm)).sum())),
         # lambda-quartic-cs, -ds, -ns
-        _rel(sum_cs, (1.0 - lam / 2.0) * t34),
-        _rel(sum_ds, (1.0 - 2.0 * lam) * t34),
-        _rel(sum_ns, (1.0 + lam) * t34),
+        *(_rel(q_sum, lam_form) for q_sum, lam_form, _, _ in families),
         # g2-combination-cs, -ds, -ns
-        _rel(2.0 * g2_2t - g2t, (pi2 / 3.0) * (1.0 - lam / 2.0) * t34),
-        _rel(4.0 * g2_2t + g2_ht - 4.0 * g2t,
-             (pi2 / 3.0) * (1.0 - 2.0 * lam) * t34),
-        _rel(2.0 * g2t - g2_ht, (pi2 / 3.0) * (1.0 + lam) * t34),
+        *(_rel(g2c, (pi2 / 3.0) * lam_form)
+          for _, lam_form, g2c, _ in families),
         # laurent-coeff-cs, -ds, -ns
-        *(_worst(_rel(sc, qc), _rel(sc, lc)) for sc, qc, lc in laurent),
+        *(_worst(_rel(coeff, k * q_sum), _rel(coeff, k * lam_form))
+          for (q_sum, lam_form, _, coeff), k in zip(
+              families, (-pi2 / 3.0, pi2 / 6.0, pi2 / 6.0))),
         # phi2-laurent
-        _worst(_rel(phi2_m2, lead), _rel(phi2_0, lead * (r4 - r1 / 3.0))),
+        _rel(phi2_m2, 1.0 / (math.pi * tc.th3_0**2)),
         # entry22-g2-form
         _rel(_entry22_theta_form(HgParams(a + 0.5, b - 0.5, c), tc),
              g2_rewrite),
@@ -525,15 +519,16 @@ def sample_admissible(rng: np.random.Generator) -> HgParams:
 
 def run_sweep(seed: int, count: int,
               tol_profile="default") -> VerificationReport:
-    """Seeded sweep of every check over ``count`` admissible draws.
+    """Seeded sweep of every check over ``count`` admissible draws, an int
+    or numpy integer >= 1 (a bool is neither).
 
     tau cycles through the fixed list, one ``TauPoint`` per entry; its
     theta constants and suite residuals are cached, and residuals are
     deterministic given the seed because every summation order is fixed.
     Each draw runs the four public ``verify_*`` in registry order.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not np.issubdtype(type(count), np.integer) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, not {count!r}")
     tols = resolve_tolerances(tol_profile)
     rng = np.random.default_rng(seed)
     taus = [TauPoint(t) for t in SWEEP_TAUS]

@@ -72,6 +72,11 @@ endpoint_exponents = st.one_of(
     uniform(-1.0, 2.0), uniform(-1.0, -0.94),
     st.floats(-1.0, 2.0, exclude_min=True)).filter(lambda e: e > -1.0)
 
+# exponents tanh_sinh refuses: -1 itself, anything below it (-inf too), NaN
+refused_exponents = st.one_of(
+    st.just(-1.0), uniform(-3.0, -1.0), st.floats(max_value=-1.0),
+    st.just(math.nan))
+
 # p with alpha > 0 and gamma - alpha > 0, where the Wirtinger integral
 # converges, both as small as the floats reach
 _positive = st.one_of(uniform(0.0, 2.0), st.floats(0.0, 2.0, exclude_min=True))

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import (coordinates, endpoint_exponents, f21_arguments,
-                        f21_parameters, imaginary_taus, taus,
-                        theta_arguments, wirtinger_params)
+                        f21_parameters, imaginary_taus, refused_exponents,
+                        taus, theta_arguments, wirtinger_params)
 
 from twistedperiods.hypergeom import HypergeomError, gauss_2f1, product_coeffs
 from twistedperiods.matrices import AdmissibilityError, HgParams
@@ -231,6 +231,20 @@ def test_tanh_sinh_integrates_beta_powers(e0, e1):
     assert abs(value - expect) <= 1e-10 * expect
 
 
+@settings(max_examples=100)
+@given(refused_exponents, st.one_of(endpoint_exponents, refused_exponents),
+       st.booleans())
+def test_tanh_sinh_refuses_exponents_outside_its_domain(bad, other, swap):
+    # the one check of the endpoint-exponent domain: QuadratureError and
+    # nothing else, before the integrand is called
+    exponents = (other, bad) if swap else (bad, other)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="endpoint exponents > -1"):
+            tanh_sinh(lambda x, dl, dr: pytest.fail("integrand called"),
+                      0.0, 1.0, exponents)
+
+
 def test_tanh_sinh_on_a_small_integral():
     # 1e-16 x^2 (1-x)^2 is 1e-16 B(3, 3) = 3.3e-18: every stopping rule is
     # relative, so a small integral is refined like a large one
@@ -249,7 +263,7 @@ def test_tanh_sinh_on_an_integral_that_cancels_raises():
 def _wirtinger_closed_form(p: HgParams, tau: TauPoint) -> complex:
     """The Wirtinger integral from its closed form: cocycle 3 over cycle 1
     of P+, over the Jacobian pi theta2(0)^2."""
-    return (period_matrix("+", p, tau)[2, 0]
+    return (period_matrix(p, tau)[2, 0]
             / (math.pi * theta_constants(tau).th2_0 ** 2))
 
 
@@ -278,13 +292,11 @@ def test_wirtinger_quadrature_on_a_small_integral():
     assert abs(wirtinger_quadrature(p, tau) - expect) <= 1e-8 * abs(expect)
 
 
-@pytest.mark.xfail(strict=True, raises=QuadratureError,
-                   reason="FOUND in CHANGES.md: the integrand overflows at "
-                   "Im tau = 50 with both endpoint exponents near -1")
 def test_wirtinger_quadrature_with_both_exponents_near_minus_one():
-    # theta1(d0)^(2a-1) is about 1e292 at the outermost node and the
-    # theta2 power takes it past the double range, although the closed
-    # form is about 4.4e36
+    # unscaled, theta1(d0)^(2a-1) is about 1e292 at the outermost node and
+    # the theta2 power takes it past the double range, although the closed
+    # form is about 4.4e36; theta1's prefactors divided by a power of two
+    # near 2 q_half^(1/4) keep the powers in range
     p, tau = HgParams(0.0001, -0.13, 0.0025), TauPoint(50j)
     expect = _wirtinger_closed_form(p, tau)
     assert math.isfinite(abs(expect))

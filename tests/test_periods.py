@@ -3,12 +3,14 @@ Euler-integral pairings."""
 
 import cmath
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
-from twistedperiods.hypergeom import HypergeomError, gamma_real, gauss_2f1
+from twistedperiods.hypergeom import (HypergeomError, beta_real, gamma_real,
+                                      gauss_2f1)
 from twistedperiods.matrices import HgParams, unit_phase
 from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
                                     euler_pairing, euler_pairing_closed,
@@ -24,7 +26,7 @@ TAU_I = TauPoint(1j)
 
 def period(i, j, p, tau):
     """Period of cocycle i over cycle j (both 1..4), by the closed forms."""
-    return period_matrix("+", p, tau)[i - 1, j - 1]
+    return period_matrix(p, tau)[i - 1, j - 1]
 
 
 # 30-digit oracle: Gamma(0.3) Gamma(0.47) / (2 Gamma(0.77)) *
@@ -47,7 +49,7 @@ class TestTanhSinh:
         assert complex(val).real == pytest.approx(math.e - 1.0, rel=1e-13)
 
     def test_interval_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(QuadratureError, match="need a < b"):
             tanh_sinh(lambda x, dl, dr: x, 1.0, 0.0)
 
     @pytest.mark.parametrize("eps, e", [(1e-6, -0.99), (1e-9, -0.999)])
@@ -87,7 +89,7 @@ class TestTanhSinh:
     @pytest.mark.parametrize("exponents", [(-1.0, 0.0), (0.0, -1.5),
                                            (math.nan, 0.0)])
     def test_exponents_must_exceed_minus_one(self, exponents):
-        with pytest.raises(ValueError, match="endpoint exponents > -1"):
+        with pytest.raises(QuadratureError, match="endpoint exponents > -1"):
             tanh_sinh(lambda x, dl, dr: x, 0.0, 1.0, exponents)
 
     def test_non_finite_integrand_raises_at_its_first_level(self):
@@ -209,15 +211,16 @@ class TestPeriodEntries:
 
 class TestPeriodMatrices:
     def test_minus_matrix_negates_parameters(self):
-        pm = period_matrix("-", P_REF, TAU_I)
-        assert pm[2, 0] == pytest.approx(
-            period(3, 1, P_REF.negated(), TAU_I), rel=1e-14)
-
-    def test_invalid_sign(self):
-        # only "+" and "-" name a sign
-        for sign in ("x", "plus", "+1", 1, "minus", -1):
-            with pytest.raises(PeriodError):
-                period_matrix(sign, P_REF, TAU_I)
+        # P- is the period matrix at -p: its entry (3, 1) is the Gauss
+        # closed form of ENTRY_31_REF at the negated parameters
+        a, b, g = -P_REF.alpha, -P_REF.beta, -P_REF.gamma
+        tc = theta_constants(TAU_I)
+        expect = (beta_real(a, g) / 2.0 * tc.th2_0 ** (2 * g)
+                  * tc.th3_0 ** (-2 * a - 2 * b)
+                  * tc.th4_0 ** (2 * a + 2 * b - 2 * g)
+                  * gauss_2f1(a, b, g, lambda_tau(TAU_I)))
+        pm = period_matrix(P_REF.negated(), TAU_I)
+        assert pm[2, 0] == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("tau_val", [-0.4 + 0.2j, 0.4 + 0.2j,
                                          0.5 + 0.49j, -0.7 + 0.2j])
@@ -225,7 +228,7 @@ class TestPeriodMatrices:
         # lambda crosses its cut on the circles |tau -+ 1/2| = 1/2, and
         # inside them the closed forms are on the wrong branch
         with pytest.raises(PeriodError, match="inside a disc"):
-            period_matrix("+", P_REF, TauPoint(tau_val))
+            period_matrix(P_REF, TauPoint(tau_val))
 
     @pytest.mark.parametrize("tau_val", [1.6 + 0.2j, -2.4 + 0.2j,
                                          1.05 + 1.2j, -1.3 + 1.2j])
@@ -235,10 +238,10 @@ class TestPeriodMatrices:
         # at 1.6 + 0.2i, where lambda is that of -0.4 + 0.2i, |sigma_1| is
         # 0.677 of the integral's
         with pytest.raises(PeriodError, match=r"\|Re tau\| > 1"):
-            period_matrix("+", P_REF, TauPoint(tau_val))
+            period_matrix(P_REF, TauPoint(tau_val))
 
     def test_admits_real_part_one(self):
-        pm = period_matrix("+", P_REF, TauPoint(1.0 + 1.2j))
+        pm = period_matrix(P_REF, TauPoint(1.0 + 1.2j))
         assert np.isfinite(pm).all()
 
     @pytest.mark.parametrize("tau_val", [0.5 + 0.5j, -0.5 + 0.5j])
@@ -246,10 +249,10 @@ class TestPeriodMatrices:
         # on the circles lambda = 2 lies on its cut, so the build passes
         # the disc test and stops at the 2F1 radius guard
         with pytest.raises(HypergeomError, match="radius guard"):
-            period_matrix("+", P_REF, TauPoint(tau_val))
+            period_matrix(P_REF, TauPoint(tau_val))
 
     def test_block_entries(self):
-        bp = block_periods(period_matrix("+", P_REF, TAU_I))
+        bp = block_periods(period_matrix(P_REF, TAU_I))
         assert bp.plus[0, 0] == pytest.approx(
             period(3, 1, P_REF, TAU_I), rel=1e-14)
         assert bp.plus[1, 1] == pytest.approx(
@@ -263,8 +266,8 @@ class TestPeriodMatrices:
         for tau_val in SWEEP_TAUS:
             for _ in range(5):
                 p = sample_admissible(rng)
-                for sign in ("+", "-"):
-                    full = period_matrix(sign, p, TauPoint(tau_val))
+                for q in (p, p.negated()):
+                    full = period_matrix(q, TauPoint(tau_val))
                     blocks = block_periods(full)
                     cols = full[:, [0, 2]]
                     assert np.array_equal(blocks.minus, cols[[0, 1]])
@@ -277,8 +280,8 @@ class TestPeriodMatrices:
         rng = np.random.default_rng(41)
         for tau in (TAU_I, TauPoint(0.3 + 1.2j)):
             p = sample_admissible(rng)
-            for sign_name, q in (("+", p), ("-", p.negated())):
-                full = period_matrix(sign_name, p, tau)
+            for q in (p, p.negated()):
+                full = period_matrix(q, tau)
                 combo = basis_change(q)
                 blocks = block_periods(full)
                 for eps, rows in ((-1, (0, 1)), (1, (2, 3))):
@@ -288,14 +291,13 @@ class TestPeriodMatrices:
                         1.0, float(np.max(np.abs(expect))))
 
 
-def _per_row_period_matrix(sign, p, tau):
+def _per_row_period_matrix(q, tau):
     """The period matrix with each row's theta-constant prefactors taken
     at its shifted parameters and rescaled by (theta3/theta2)^(2 d_gamma):
     the reference for the prefactors taken once per matrix."""
     def cpow(z, s):
         return cmath.exp(s * cmath.log(z))
 
-    q = p if sign == "+" else p.negated()
     tc, lam, e = theta_constants(tau), lambda_tau(tau), unit_phase
     rows = []
     for i in (1, 2, 3, 4):
@@ -337,9 +339,9 @@ class TestPrefactorsOncePerMatrix:
         rng = np.random.default_rng(59)
         for _ in range(30):
             p = sample_admissible(rng)
-            for sign in ("+", "-"):
-                old = _per_row_period_matrix(sign, p, tau)
-                err = np.abs(period_matrix(sign, p, tau) - old)
+            for q in (p, p.negated()):
+                old = _per_row_period_matrix(q, tau)
+                err = np.abs(period_matrix(q, tau) - old)
                 # entry by entry for the closed forms (columns 1 and 3);
                 # column 2 is a cancelling combination of them
                 assert np.max(err[:, ::2] / np.abs(old[:, ::2])) <= 1e-13
@@ -354,7 +356,7 @@ class TestPrefactorsOncePerMatrix:
             return original(z, s)
 
         monkeypatch.setattr(periods, "_cpow", counting)
-        period_matrix("+", P_REF, TauPoint(0.3 + 1.2j))
+        period_matrix(P_REF, TauPoint(0.3 + 1.2j))
         assert len(calls) == 6
 
 
@@ -363,13 +365,16 @@ def _four_theta_wirtinger(p, tau):
     real prefactors summed, which is what the real part of a vector theta
     call summed when real u had a path of its own (every node lies in
     [0, 1/2], where theta sums at u as given): the reference for the
-    two-table integrand."""
+    two-table integrand.  theta1's prefactors are divided by the same
+    power of two s, and the integral multiplied by s^(2g-2)."""
     a, b, g = p.alpha, p.beta, p.gamma
+    s = 2.0 ** round(math.log2(series._theta_terms(1, tau, 0.0)[1][0].real))
 
     def real_theta(j, x):
         freq, pref = series._theta_terms(j, tau, 0.0)
         trig = np.sin if j == 1 else np.cos
-        return series.trig_sums(trig, x, freq, pref.real.copy())[0]
+        pref = pref.real / s if j == 1 else pref.real.copy()
+        return series.trig_sums(trig, x, freq, pref)[0]
 
     def integrand(u, dl, dr):
         t1 = real_theta(1, dl)
@@ -379,8 +384,8 @@ def _four_theta_wirtinger(p, tau):
         return (t1 ** (2 * a - 1) * t2 ** (2 * g - 2 * a - 1)
                 * t3 ** (-2 * b + 1) * t4 ** (2 * b - 2 * g + 1))
 
-    return float(np.real(tanh_sinh(integrand, 0.0, 0.5,
-                                   (2 * a - 1, 2 * g - 2 * a - 1))))
+    return s ** (2 * g - 2) * float(np.real(tanh_sinh(
+        integrand, 0.0, 0.5, (2 * a - 1, 2 * g - 2 * a - 1))))
 
 
 def _outcome(fn, p, tau):
@@ -393,8 +398,9 @@ def _outcome(fn, p, tau):
 
 def _wirtinger_cases():
     # draws as in the quadrature benchmark, then endpoint exponents near
-    # -1 (a or g - a below 0.02), Re tau = 1e-13, and a failing integral
-    # (its integrand overflows at the last node)
+    # -1 (a or g - a below 0.02), Re tau = 1e-13, and both near -1 at
+    # Im tau = 50, where theta1's powers overflow unless its prefactors
+    # are scaled
     rng = np.random.default_rng(2024)
     cases = []
     while len(cases) < 35:
@@ -469,12 +475,6 @@ class TestWirtingerQuadrature:
         assert (_outcome(wirtinger_quadrature, p, tau)
                 == _outcome(_four_theta_wirtinger, p, tau))
 
-    def test_reference_cases_include_a_failure(self):
-        p, tau_val = WIRTINGER_CASES[-1]
-        with pytest.raises(QuadratureError,
-                           match="non-finite value inf at level 0"):
-            wirtinger_quadrature(p, TauPoint(tau_val))
-
     @pytest.mark.parametrize("p, tau_val, rel", [
         # endpoint exponent 2a - 1 = -0.974, subtracted
         (HgParams(0.013, 0.3, 0.6), 1j, 1e-13),
@@ -493,7 +493,8 @@ class TestWirtingerQuadrature:
     def test_preconditions(self):
         with pytest.raises(PeriodError):
             wirtinger_quadrature(P_REF, TauPoint(0.3 + 1.2j))
-        with pytest.raises(PeriodError):
+        # 2a - 1 = -1.6: tanh_sinh is the one check of the exponents
+        with pytest.raises(QuadratureError, match="endpoint exponents > -1"):
             wirtinger_quadrature(HgParams(-0.3, 0.21, 0.27), TAU_I)
 
 
@@ -525,7 +526,7 @@ class TestEulerPairings:
 
     def test_p1_minus_diverges_where_p1_plus_converges(self):
         # the literal integral has endpoint exponent -a - 2 < -1
-        with pytest.raises(PeriodError):
+        with pytest.raises(QuadratureError, match="endpoint exponents > -1"):
             euler_pairing("1-", 0.35, 0.27, 1.22, 0.5)
 
     def test_combination_identity(self):
@@ -566,6 +567,20 @@ class TestEulerPairings:
             A, B, C, zpow = periods._euler_side(side, a, b, c)
             assert (A - 1.0, C - A - 1.0, -B, zpow) == pytest.approx(
                 expect, abs=1e-15)
+
+    @pytest.mark.parametrize("side", ["2+", "2-"])
+    def test_closed_form_second_sides_at_z_zero_raise(self, side):
+        # the (1/z, infinity) sides carry z^z_power, with no value at 0
+        with pytest.raises(PeriodError,
+                           match=re.escape(f"side {side} is undefined")):
+            euler_pairing_closed(side, 0.2, 0.3, 0.6, 0.0)
+
+    @pytest.mark.parametrize("side", ["1+", "1-"])
+    def test_closed_form_first_sides_at_z_zero(self, side):
+        # 2F1 is 1 at z = 0, leaving Euler's Beta factor B(A, C)
+        A, _, C, _ = periods._euler_side(side, 0.2, 0.3, 0.6)
+        assert euler_pairing_closed(side, 0.2, 0.3, 0.6, 0.0) == beta_real(
+            A, C)
 
     def test_z_domain(self):
         with pytest.raises(PeriodError):

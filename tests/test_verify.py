@@ -289,8 +289,8 @@ class TestBlockTpr:
             p = sample_admissible(rng)
             c = matrices.cohomology_C(p, theta_constants(tau))
             blocks = (matrices.block_C(c),
-                      verify.block_periods(verify.period_matrix("+", p, tau)),
-                      verify.block_periods(verify.period_matrix("-", p, tau)),
+                      *(verify.block_periods(verify.period_matrix(q, tau))
+                        for q in (p, p.negated())),
                       matrices.block_H_prime(p))
             results = verify_tpr(p, tau)[1:3]
             for sign, result in zip((-1, 1), results):
@@ -842,6 +842,16 @@ class TestSweep:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             run_sweep(seed=1, count=0)
+
+    @pytest.mark.parametrize("count", [2.5, 1.0, True, False, "2", None])
+    def test_count_that_is_not_an_integer(self, count):
+        # True == 1, but a bool is no count
+        with pytest.raises(ValueError, match="count must be an integer"):
+            run_sweep(seed=1, count=count)
+
+    def test_numpy_integer_count(self):
+        assert (run_sweep(seed=1, count=np.int64(2)).to_json()
+                == run_sweep(seed=1, count=2).to_json())
 
     def test_summary_matches_tallies(self):
         report = run_sweep(seed=7, count=2)
