@@ -36,7 +36,7 @@ print(f"\n|P+ H^-T P-^T - C|_F / |C|_F = {residual:.3e}")
 # C(+-1) = P'+ . diag(1/d) . P'-^T with d the diagonal of H'(+-1).
 blocks = (block_C(c), block_periods(pp), block_periods(pm), block_H_prime(p))
 for sign in (-1, 1):
-    c_blk, pp_blk, pm_blk, h_blk = (pair.for_sign(sign) for pair in blocks)
+    c_blk, pp_blk, pm_blk, h_blk = (pair[sign] for pair in blocks)
     d = np.diag(h_blk)
     resid = (np.linalg.norm(pp_blk @ (pm_blk.T / d[:, None]) - c_blk)
              / np.linalg.norm(c_blk))

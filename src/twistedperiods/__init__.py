@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .hypergeom import HypergeomError, gamma_real, gauss_2f1, product_coeffs
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
-                       SignPair, admissible, basis_change, block_C,
-                       block_H_prime, cohomology_C, guarded_solve, homology_H,
+                       admissible, basis_change, block_C, block_H_prime,
+                       cohomology_C, guarded_solve, homology_H,
                        require_admissible, unit_phase)
 from .periods import (PeriodError, block_periods, euler_pairing,
                       euler_pairing_closed, period_matrix,
@@ -30,7 +30,7 @@ __all__ = [
     "__version__",
     "AdmissibilityError", "CheckResult", "CHECK_REGISTRY", "ConditioningError",
     "HgParams", "HypergeomError", "PeriodError", "PROFILES",
-    "QuadratureError", "SeriesError", "SignPair", "TauPoint", "ThetaConstants",
+    "QuadratureError", "SeriesError", "TauPoint", "ThetaConstants",
     "Tolerances", "VerificationReport",
     "admissible", "basis_change", "block_C", "block_H_prime", "block_periods",
     "cohomology_C", "eisenstein_g2", "euler_pairing", "euler_pairing_closed",

@@ -13,6 +13,8 @@ import math
 import operator
 import sys
 
+import numpy as np
+
 # Shared "near-integer" guard: a real x counts as integral when it is within
 # this distance of an integer.
 INTEGRALITY_GUARD = 1e-9
@@ -31,7 +33,7 @@ def is_near_nonpositive_integer(x: float) -> bool:
 
 def _count(n, what: str) -> int:
     """``n`` as an int if it is an integer in 0..MAX_DEGREE (3.0 counts)."""
-    if not (n >= 0 and n % 1 == 0):
+    if np.issubdtype(type(n), np.bool_) or not (n >= 0 and n % 1 == 0):
         raise HypergeomError(f"{what} must be a non-negative integer, not {n}")
     if n > MAX_DEGREE:
         raise HypergeomError(
@@ -88,7 +90,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     """Gauss hypergeometric series sum (a)_n (b)_n / ((c)_n n!) z^n.
 
     Valid for finite arguments with |z| <= RADIUS_GUARD and c not a
-    non-positive integer.
+    non-positive integer; raises if 2^-53 sum |t_n| >= |F|: no digit kept.
     """
     z = complex(z)
     if not cmath.isfinite(a + b + c + z):
@@ -101,14 +103,20 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
         raise HypergeomError(f"2F1 pole: c = {c} is a non-positive integer")
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
+    size = 1.0  # sum |t_n|, the scale of the sum's rounding error
     n = 0.0  # a float counter: no int-to-float conversion per operation
     for _ in range(F21_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) <= F21_REL_TOL * abs(total):
+        size += (t := abs(term))
+        if t <= F21_REL_TOL * abs(total):
             # one extra term as a tail guard
             nxt = term * (a + n + 1) * (b + n + 1) / ((c + n + 1) * (n + 2.0)) * z
             if abs(nxt) <= F21_REL_TOL * abs(total):
+                if size * 2.0**-53 >= abs(total):
+                    raise HypergeomError(f"2F1 sum {total} lost every digit "
+                                         f"to cancellation: sum |t_n| = "
+                                         f"{size:.3e}")
                 return total
         n += 1.0
     raise HypergeomError(

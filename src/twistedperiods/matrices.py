@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,30 +79,21 @@ class HgParams:
 
 def admissible(p: HgParams,
                guard: float = INTEGRALITY_GUARD) -> tuple[bool, list[str]]:
-    """Check every non-integrality condition the closed forms rely on.
+    """Check that none of the five exponents c0..c4 is integral.
 
-    Returns (ok, violations).  The conditions keep all 1 - e(.) and
+    Returns (ok, violations).  These conditions keep all 1 - e(.) and
     1 +- e(.) denominators, the C-matrix rational denominators, and the
-    Gamma factors of the period formulas away from their zeros/poles.  A
-    value counts as integral within ``guard`` of an integer; a non-finite
-    value is a violation of its own.
+    Gamma factors of the period formulas away from their zeros/poles.  An
+    exponent counts as integral within ``guard`` of an integer; a
+    non-finite one is a violation of its own.
     """
-    a, b, g = p.alpha, p.beta, p.gamma
-    c1, c2, c3, c4 = 2.0 * a, 2.0 * g - 2.0 * a, -2.0 * b, 2.0 * b - 2.0 * g
-    half = "in (1/2)Z"
     violations = []
-    # (name, condition, value, scaled value that must avoid the integers)
-    for name, condition, value, scaled in (
-            ("c0", "integral", g, g), ("c1", "integral", c1, c1),
-            ("c2", "integral", c2, c2), ("c3", "integral", c3, c3),
-            ("c4", "integral", c4, c4), ("alpha", half, a, 2.0 * a),
-            ("beta", half, b, 2.0 * b),
-            ("gamma-alpha", half, g - a, 2.0 * (g - a)),
-            ("gamma-beta", half, g - b, 2.0 * (g - b))):
-        if not math.isfinite(scaled):
-            violations.append(f"{name} not finite ({name} = {value})")
-        elif abs(math.remainder(scaled, 1.0)) <= guard:  # exact x - round(x)
-            violations.append(f"{name} {condition} ({name} = {value})")
+    for name, c in (("c0", p.c0), ("c1", p.c1), ("c2", p.c2), ("c3", p.c3),
+                    ("c4", p.c4)):
+        if not math.isfinite(c):
+            violations.append(f"{name} not finite ({name} = {c})")
+        elif abs(math.remainder(c, 1.0)) <= guard:  # exact x - round(x)
+            violations.append(f"{name} integral ({name} = {c})")
     return (not violations, violations)
 
 
@@ -168,26 +158,15 @@ def cohomology_C(p: HgParams, tc: ThetaConstants) -> np.ndarray:
     return TWO_PI_I * m
 
 
-class SignPair(NamedTuple):
-    """A pair of arrays indexed by the involution eigenvalue: 2x2 blocks,
-    or the 2x4 rows of ``basis_change``."""
-
-    minus: np.ndarray
-    plus: np.ndarray
-
-    def for_sign(self, sign: int) -> np.ndarray:
-        return self.plus if sign > 0 else self.minus
-
-
-def basis_change(p: HgParams) -> SignPair:
+def basis_change(p: HgParams) -> dict[int, np.ndarray]:
     """Coefficients of the involution-eigenspace cycle combinations in the
-    original four-cycle basis: a 2x4 array per eigenvalue, one row per
-    combination."""
+    original four-cycle basis: a 2x4 array per eigenvalue -1 and 1, one row
+    per combination."""
     require_admissible(p)
     e = unit_phase
     a, b, g = p.alpha, p.beta, p.gamma
 
-    def rows(eps: float) -> np.ndarray:
+    def rows(eps: int) -> np.ndarray:
         out = np.zeros((2, 4), dtype=complex)
         pref1 = -eps / (2.0 * e(g - a))
         out[0, 0] = pref1 * (-(1.0 + eps * e(g - a)))
@@ -199,28 +178,28 @@ def basis_change(p: HgParams) -> SignPair:
         out[1, 3] = pref2 * e(g)
         return out
 
-    return SignPair(minus=rows(-1.0), plus=rows(+1.0))
+    return {eps: rows(eps) for eps in (-1, 1)}
 
 
-def block_H_prime(p: HgParams) -> SignPair:
-    """Diagonal 2x2 homology intersection blocks in the eigenspace bases."""
+def block_H_prime(p: HgParams) -> dict[int, np.ndarray]:
+    """Diagonal 2x2 homology intersection blocks {e: H'(e)}, e = -1, 1."""
     require_admissible(p)
     e = unit_phase
     a, b, g = p.alpha, p.beta, p.gamma
 
-    def block(eps: float) -> np.ndarray:
+    def block(eps: int) -> np.ndarray:
         front = (1.0 - e(g)) / 2.0
         d1 = front / ((1.0 - eps * e(g - a)) * (1.0 - eps * e(a)))
         d2 = -front / ((1.0 - eps * e(g - b)) * (1.0 - eps * e(b)))
         return np.diag([d1, d2]).astype(complex)
 
-    return SignPair(minus=block(-1.0), plus=block(+1.0))
+    return {eps: block(eps) for eps in (-1, 1)}
 
 
-def block_C(c: np.ndarray) -> SignPair:
-    """The 2x2 cohomology intersection blocks: the diagonal blocks of the
-    4x4 ``cohomology_C`` matrix ``c``."""
-    return SignPair(minus=c[:2, :2], plus=c[2:, 2:])
+def block_C(c: np.ndarray) -> dict[int, np.ndarray]:
+    """The 2x2 cohomology intersection blocks, keyed by the eigenvalue: the
+    diagonal blocks of the 4x4 ``cohomology_C`` matrix ``c``."""
+    return {-1: c[:2, :2], 1: c[2:, 2:]}
 
 
 def _check_condition(cond: float) -> None:

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .hypergeom import beta_real, gauss_2f1
-from .matrices import HgParams, SignPair, require_admissible, unit_phase
+from .matrices import HgParams, require_admissible, unit_phase
 from .quadrature import tanh_sinh
 from .series import (TauPoint, _theta_terms, lambda_tau, theta_constants,
                      trig_sums)
@@ -101,7 +101,7 @@ def period_matrix(p: HgParams, tau: TauPoint) -> np.ndarray:
                     dtype=complex)
 
 
-def block_periods(m: np.ndarray) -> SignPair:
+def block_periods(m: np.ndarray) -> dict[int, np.ndarray]:
     """The 2x2 period blocks in the eigenspace bases, from the 4x4
     ``period_matrix`` ``m``.
 
@@ -110,7 +110,7 @@ def block_periods(m: np.ndarray) -> SignPair:
     forms: rows (1,2) for the odd eigenspace, rows (3,4) for the even one,
     columns (1,3) in both.
     """
-    return SignPair(minus=m[:2, ::2], plus=m[2:, ::2])
+    return {-1: m[:2, ::2], 1: m[2:, ::2]}
 
 
 def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:

@@ -252,7 +252,7 @@ def theta_taylor(j: int, order: int, tau: TauPoint) -> np.ndarray:
     coefficients of the even functions (j = 2, 3, 4) and even-index
     coefficients of ``theta_1`` are zero.
     """
-    if not (isinstance(order, (int, np.integer)) and 0 <= order <= 12):
+    if not (np.issubdtype(type(order), np.integer) and 0 <= order <= 12):
         raise SeriesError(f"order {order!r} is not an integer in 0..12")
     freq, pref = _theta_terms(j, tau, 0.0, order)
     # the parity-matching orders k: odd for theta_1, even for the others

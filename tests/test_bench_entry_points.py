@@ -1,15 +1,26 @@
 """The benchmark's workloads reach the library only through names on the
-``twistedperiods`` package; every such name must keep resolving."""
+``twistedperiods`` package; every such name must keep resolving.  Its
+tracer wraps library functions by (module, qualname), and a target that no
+longer resolves silently reports zero for its layer."""
 
 import ast
 import functools
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import twistedperiods
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
+
+# tracer targets whose functions were merged away before this test existed
+STALE_TRACER_TARGETS = {
+    ("hypergeom", "product_term1_coeff"), ("hypergeom", "product_term2_coeff"),
+    ("matrices", "lu_inverse"), ("verify", "verify_full_tpr"),
+    ("verify", "verify_block_tpr"), ("verify", "verify_orthogonality")}
 
 
 def _tp_chains(tree: ast.AST) -> set:
@@ -41,3 +52,23 @@ def test_workloads_import_the_package_as_tp():
 @pytest.mark.parametrize("chain", CHAINS, ids=".".join)
 def test_chain_resolves_on_the_package(chain):
     functools.reduce(getattr, chain, twistedperiods)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_resolves_but_the_known_stale_ones():
+    unresolved = set()
+    for targets in _load_tracer().LAYERS.values():
+        for module, qualname, _ in targets:
+            owner = importlib.import_module(f"twistedperiods.{module}")
+            try:
+                functools.reduce(getattr, qualname.split("."), owner)
+            except AttributeError:
+                unresolved.add((module, qualname))
+    assert unresolved - STALE_TRACER_TARGETS == set()

@@ -185,6 +185,16 @@ class TestGauss2F1:
         with pytest.raises(HypergeomError, match="argument z"):
             gauss_2f1(0.3, 0.2, 0.7, complex(0.1, math.nan))
 
+    def test_sum_cancelled_below_its_rounding_raises(self):
+        # sum |t_n| = 3.0e18 cancels to -84.4; the true value is 3.236
+        with pytest.raises(HypergeomError, match="lost every digit"):
+            gauss_2f1(-100.3, -0.21, -0.77, 0.5)
+
+    def test_sum_with_digits_left_returns(self):
+        # sum |t_n| / |F| is about 2e7 here, so about eight digits are kept
+        assert complex(gauss_2f1(-40.3, -0.21, -0.77, 0.5)).real == (
+            pytest.approx(2.64799111137651, rel=1e-8))
+
     def test_derivative_contiguous_relation(self):
         a, b, c, z = 0.4, -0.7, 1.3, 0.3
         h = 1e-6
@@ -274,8 +284,10 @@ class TestProductCoefficients:
         for c1, c2 in table[2:]:
             assert abs(c1 + c2) / (1.0 + abs(c1)) < 1e-12
 
-    @pytest.mark.parametrize("n_max", [-1, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("n_max", [-1, 2.5, math.nan, math.inf, True,
+                                       np.True_])
     def test_rejects_a_bad_degree(self, n_max):
+        # True == 1, but a bool is no degree
         with pytest.raises(HypergeomError, match="n_max must be"):
             product_coeffs(n_max, 0.2, 0.3, 0.6)
 

@@ -253,11 +253,11 @@ class TestPeriodMatrices:
 
     def test_block_entries(self):
         bp = block_periods(period_matrix(P_REF, TAU_I))
-        assert bp.plus[0, 0] == pytest.approx(
+        assert bp[1][0, 0] == pytest.approx(
             period(3, 1, P_REF, TAU_I), rel=1e-14)
-        assert bp.plus[1, 1] == pytest.approx(
+        assert bp[1][1, 1] == pytest.approx(
             period(4, 3, P_REF, TAU_I), rel=1e-14)
-        assert bp.minus[0, 0] == pytest.approx(
+        assert bp[-1][0, 0] == pytest.approx(
             period(1, 1, P_REF, TAU_I), rel=1e-14)
 
     def test_blocks_are_exact_slices(self):
@@ -270,8 +270,8 @@ class TestPeriodMatrices:
                     full = period_matrix(q, TauPoint(tau_val))
                     blocks = block_periods(full)
                     cols = full[:, [0, 2]]
-                    assert np.array_equal(blocks.minus, cols[[0, 1]])
-                    assert np.array_equal(blocks.plus, cols[[2, 3]])
+                    assert np.array_equal(blocks[-1], cols[[0, 1]])
+                    assert np.array_equal(blocks[1], cols[[2, 3]])
 
     def test_blocks_match_basis_changed_periods(self):
         # integrating over the eigenspace cycle combinations reproduces
@@ -285,8 +285,8 @@ class TestPeriodMatrices:
                 combo = basis_change(q)
                 blocks = block_periods(full)
                 for eps, rows in ((-1, (0, 1)), (1, (2, 3))):
-                    projected = full[rows, :] @ combo.for_sign(eps).T
-                    expect = blocks.for_sign(eps)
+                    projected = full[rows, :] @ combo[eps].T
+                    expect = blocks[eps]
                     assert np.max(np.abs(projected - expect)) < 1e-11 * max(
                         1.0, float(np.max(np.abs(expect))))
 

@@ -544,9 +544,10 @@ class TestThetaTaylor:
         with pytest.raises(SeriesError):
             theta_taylor(2, 13, TAU_I)
 
-    @pytest.mark.parametrize("order", [-1, -5, 2.5])
+    @pytest.mark.parametrize("order", [-1, -5, 2.5, True, np.True_])
     def test_order_outside_0_to_12(self, order):
-        # -1 returned [], -5 and 2.5 raised bare numpy and slice errors
+        # -1 returned [], -5 and 2.5 raised bare numpy and slice errors;
+        # True == 1, but a bool is no order
         with pytest.raises(SeriesError, match="not an integer in 0..12"):
             theta_taylor(3, order, TAU_I)
 

@@ -137,9 +137,10 @@ class TestTolerances:
         with pytest.raises(ValueError):
             resolve_tolerances(-1.0)
 
-    @pytest.mark.parametrize("spec", [None, [1], {}])
+    @pytest.mark.parametrize("spec", [None, [1], {}, True, np.True_])
     def test_unreadable_spec_rejected(self, spec):
-        # a spec float() cannot read is a ValueError, whatever its type
+        # a spec float() cannot read is a ValueError, whatever its type;
+        # float(True) is 1.0, a tolerance that passes almost anything
         with pytest.raises(ValueError, match="unknown tolerance profile"):
             resolve_tolerances(spec)
         with pytest.raises(ValueError, match="unknown tolerance profile"):
@@ -294,7 +295,7 @@ class TestBlockTpr:
                       matrices.block_H_prime(p))
             results = verify_tpr(p, tau)[1:3]
             for sign, result in zip((-1, 1), results):
-                c_b, pp_b, pm_b, h_b = (b.for_sign(sign) for b in blocks)
+                c_b, pp_b, pm_b, h_b = (b[sign] for b in blocks)
                 lu = (np.linalg.norm(
                     c_b - pp_b @ matrices.guarded_solve(h_b.T, pm_b.T))
                     / np.linalg.norm(c_b))
@@ -304,6 +305,27 @@ class TestBlockTpr:
         result = verify_tpr(P_REF, TAU_I)[3]
         assert result.name == "orthogonality"
         assert result.passed and result.residual <= 1e-12
+
+    def test_orthogonality_is_relative_to_the_product_scale(self):
+        # the benchmark's sweep seed 6, unit 206 (run_sweep(1053948815, 4)):
+        # H's entries are large near the sampler margin, and the absolute
+        # max |B(e) H B(-e)^T| read 1.74e-12, a FAIL of a true identity
+        p = HgParams(-1.9984996790080625, 1.8238264237732533,
+                     1.510139500042322)
+        result = verify_tpr(p, TAU_I)[3]
+        assert result.passed and result.residual <= 1e-14
+
+    def test_orthogonality_fails_a_wrong_basis_change(self, monkeypatch):
+        original = verify.basis_change
+
+        def mutated(p):
+            pair = original(p)
+            pair[1][1, 2] = -pair[1][1, 2]
+            return pair
+
+        monkeypatch.setattr(verify, "basis_change", mutated)
+        result = verify_tpr(P_REF, TAU_I)[3]
+        assert not result.passed and result.residual > 1e-2
 
 
 class TestEntry22:
@@ -535,7 +557,9 @@ def test_verifiers_return_results_without_warnings(tau_re, tau_im):
 
 def _assert_matches_fixture(report, fixture):
     # residuals to 1e-3 of their tolerance, so that another BLAS build
-    # passes too; everything else exactly
+    # passes too; everything else exactly.  orthogonality's residual was
+    # redefined relative to |B(e)| |H| |B(-e)| after the fixtures were
+    # written, so its rows are held to 1e-14 instead
     assert report.seed == fixture.seed
     assert report.summary == fixture.summary
     assert len(report.checks) == len(fixture.checks)
@@ -545,6 +569,8 @@ def _assert_matches_fixture(report, fixture):
                                then.passed, then.error)
         if then.residual is None:
             assert now.residual is None
+        elif now.name == "orthogonality":
+            assert now.residual <= 1e-14
         else:
             assert abs(now.residual - then.residual) <= 1e-3 * then.tolerance
 
@@ -956,6 +982,18 @@ class TestCli:
         assert main(["2f1", "--alpha", "1", "--beta", "1", "--gamma", "2",
                      "--z", "0.5"]) == 0
         assert "1.386294361" in capsys.readouterr().out
+
+    def test_2f1_command_cancelled_sum_exit_code(self, capsys):
+        # 2F1(-100.3, -0.21; -0.77; 0.5) = 3.236 sums to noise in doubles
+        assert main(["2f1", "--alpha", "-100.3", "--beta", "-0.21",
+                     "--gamma", "-0.77", "--z", "0.5"]) == 2
+        assert "error: 2F1 sum" in capsys.readouterr().err
+
+    def test_tpr_full_cancelled_2f1_exit_code(self, capsys):
+        # the periods sum a cancelled 2F1: an error, not a FAIL at 1e31
+        assert main(["tpr", "full", "--alpha", "100.3", "--beta", "0.21",
+                     "--gamma", "0.77"]) == 2
+        assert "ERROR full-tpr: 2F1 sum" in capsys.readouterr().out
 
     def test_tpr_full_pass(self):
         assert main(["tpr", "full", "--alpha", "0.3", "--beta", "0.21",
