@@ -86,12 +86,23 @@ def beta_real(a: float, c: float) -> float:
     return gamma_real(a) * gamma_real(c - a) / gamma_real(c)
 
 
-def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
+def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric series sum (a)_n (b)_n / ((c)_n n!) z^n.
 
     Valid for finite arguments with |z| <= RADIUS_GUARD and c not a
     non-positive integer; raises if 2^-53 sum |t_n| >= |F|: no digit kept.
+
+    Scalar arguments are summed by a loop, term by term.  If any argument
+    is a numpy array, they broadcast, one series per element, and are
+    summed as tables of series x terms (``_f21_table``), with the loop's
+    results bit for bit; the first series in order that fails raises the
+    loop's error.  The table pays from about a dozen series: the 64 period
+    series of a 4-draw sweep call took 0.23 ms as one table and 0.50 ms as
+    loops, but the four series of one ``verify_entry22`` 0.08 ms as a
+    table and 0.05 ms as loops (best of 7, shared 2-vCPU VM).
     """
+    if np.ndarray in (type(a), type(b), type(c), type(z)):
+        return _f21_table(a, b, c, z)
     z = complex(z)
     if not cmath.isfinite(a + b + c + z):
         _require_finite("2F1 argument", "abcz", (a, b, c, z))
@@ -122,6 +133,72 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     raise HypergeomError(
         f"2F1 series did not converge within {F21_MAX_TERMS} terms at z = {z}"
     )
+
+
+# Elements of one 2F1 table; more series than fit are split over tables.
+F21_TABLE_SIZE = 2**14
+
+
+def _f21_table(a, b, c, z) -> np.ndarray:
+    """``gauss_2f1`` over arrays that broadcast, as tables of series x terms.
+
+    The series are taken in order of falling |z|, and each table's term
+    count is sized from its first |z|: about 1.4 times the terms |z|^n
+    takes to fall below F21_REL_TOL.  A table runs the loop's sequences:
+    np.cumprod of the term ratios from the leading 1, and np.cumsum of the
+    terms and of their moduli, so its terms and partial sums T_n equal the
+    loop's bit for bit (np.hypot is ``abs``'s modulus; np.abs rounds
+    differently).  A series stops, as in the loop, at its first term
+    below F21_REL_TOL |T_n|, when the next term is too, and keeps its sum
+    if 2^-53 sum |t_n| < |T_n|.  The table's next term is the loop's tail
+    guard rounded in another order, a few ulps off, so it must pass with a
+    margin of 2^-40.  Every other series, one that fails or that does not
+    clearly stop within its table, is summed by the loop, which gives its
+    sum or raises its error.  Terms past a series' stop may overflow; they
+    are never read.
+    """
+    a, b, c, z = np.broadcast_arrays(
+        np.asarray(a, float), np.asarray(b, float), np.asarray(c, float),
+        np.asarray(z, complex))
+    shape = a.shape
+    a, b, c, z = (x.ravel() for x in (a, b, c, z))
+    out = np.empty(a.size, complex)
+    summed = np.zeros(a.size, bool)
+    with np.errstate(all="ignore"):
+        radius = np.hypot(z.real, z.imag)
+        rows = np.flatnonzero(
+            np.isfinite(a + b + c + z) & (radius <= RADIUS_GUARD)
+            & ~((c <= INTEGRALITY_GUARD)
+                & (np.abs(c - np.round(c)) <= INTEGRALITY_GUARD)))
+        rows = rows[np.argsort(-radius[rows], kind="stable")]
+        while rows.size:
+            m = min(F21_MAX_TERMS, 4 + math.ceil(
+                1.4 * math.log(F21_REL_TOL)
+                / math.log(max(radius[rows[0]], 1e-300))))
+            table, rows = np.split(rows, [F21_TABLE_SIZE // m + 1])
+            n = np.arange(m, dtype=float)  # the loop's n of each term
+            terms = np.ones((table.size, m + 1), complex)
+            terms[:, 1:] = ((a[table, None] + n) * (b[table, None] + n)
+                            / ((c[table, None] + n) * (n + 1.0))
+                            * z[table, None])
+            np.cumprod(terms, axis=1, out=terms)
+            totals = np.cumsum(terms, axis=1)
+            moduli = np.hypot(terms.real, terms.imag)
+            sizes = np.cumsum(moduli, axis=1)
+            scales = np.hypot(totals.real, totals.imag)
+            below = moduli[:, 1:-1] <= F21_REL_TOL * scales[:, 1:-1]
+            k = below.argmax(axis=1) + 1  # the first term below, if any
+            r = np.arange(table.size)
+            stops = (below[r, k - 1]
+                     & (moduli[r, k + 1]
+                        <= (1.0 - 2.0**-40) * F21_REL_TOL * scales[r, k])
+                     & (sizes[r, k] * 2.0**-53 < scales[r, k]))
+            out[table[stops]] = totals[r[stops], k[stops]]
+            summed[table[stops]] = True
+    for i in np.flatnonzero(~summed).tolist():
+        out[i] = gauss_2f1(float(a[i]), float(b[i]), float(c[i]),
+                           complex(z[i]))
+    return out.reshape(shape)
 
 
 def _f21_coeffs(x: float, y: float, z: float, n: int) -> list[float]:

@@ -198,8 +198,9 @@ def block_H_prime(p: HgParams) -> dict[int, np.ndarray]:
 
 def block_C(c: np.ndarray) -> dict[int, np.ndarray]:
     """The 2x2 cohomology intersection blocks, keyed by the eigenvalue: the
-    diagonal blocks of the 4x4 ``cohomology_C`` matrix ``c``."""
-    return {-1: c[:2, :2], 1: c[2:, 2:]}
+    diagonal blocks of the 4x4 ``cohomology_C`` matrix ``c``, or of each
+    matrix of a stack."""
+    return {-1: c[..., :2, :2], 1: c[..., 2:, 2:]}
 
 
 def _check_condition(cond: float) -> None:
@@ -210,19 +211,24 @@ def _check_condition(cond: float) -> None:
 
 
 def guarded_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solution x of ``a x = b`` by LU with partial pivoting.
+    """Solution x of ``a x = b`` by LU with partial pivoting; for a stack
+    of matrices (k, n, n), of each slice, in one call.
 
-    Rejects matrices whose condition number exceeds ``COND_LIMIT``.
+    Rejects ``a`` if the condition number of a slice exceeds
+    ``COND_LIMIT`` (the error names the largest), before any solve.
     """
-    _check_condition(np.linalg.cond(a))
+    _check_condition(np.max(np.linalg.cond(a)))
     return np.linalg.solve(a, b)
 
 
 def diagonal_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solution x of ``a x = b`` for a diagonal ``a``, guarded like
-    ``guarded_solve`` by max|d| / min|d|, its exact 2-norm condition number."""
-    d = np.diagonal(a)
+    """Solution x of ``a x = b`` for a diagonal ``a``, or for each slice of a
+    stack of them, guarded like ``guarded_solve`` by max|d| / min|d|, the
+    exact 2-norm condition number."""
+    d = np.diagonal(a, axis1=-2, axis2=-1)
     size = np.abs(d)
-    smallest = size.min()
-    _check_condition(size.max() / smallest if smallest > 0.0 else math.inf)
-    return b / d[:, None]
+    smallest = size.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(smallest > 0.0, size.max(axis=-1) / smallest, math.inf)
+    _check_condition(np.max(cond))
+    return b / d[..., :, None]

@@ -28,11 +28,12 @@ import math
 
 import numpy as np
 
-from .hypergeom import beta_real, gauss_2f1
-from .matrices import HgParams, require_admissible, unit_phase
+from .hypergeom import HypergeomError, beta_real, gauss_2f1
+from .matrices import (AdmissibilityError, HgParams, require_admissible,
+                       unit_phase)
 from .quadrature import tanh_sinh
-from .series import (TauPoint, _theta_terms, lambda_tau, theta_constants,
-                     trig_sums)
+from .series import (SeriesError, TauPoint, _theta_terms, lambda_tau,
+                     theta_constants, trig_sums)
 
 # Parameter shifts reducing each cocycle's periods to the third cocycle's
 # closed form: index -> (d_alpha, d_beta, d_gamma).
@@ -53,17 +54,31 @@ def _cpow(z: complex, s: float) -> complex:
     return cmath.exp(s * cmath.log(z))
 
 
-def _period_row(i: int, p: HgParams, lam: complex, p1: complex,
-                p3: complex) -> np.ndarray:
-    """All four cycle periods of cocycle i (1..4) as a length-4 vector;
-    the first carries ``p1``, the third ``p3 / lambda^(d_gamma)``."""
-    d_gamma = SHIFT_RULES[i][2]
-    ps = p.shifted(*SHIFT_RULES[i])
+def _row_params(p: HgParams) -> list[tuple[float, float, float]]:
+    """(a, b, g) of the rows 1..4 of ``period_matrix(p, tau)``: p under
+    each row's ``SHIFT_RULES``."""
+    return [(p.alpha + da, p.beta + db, p.gamma + dg)
+            for da, db, dg in SHIFT_RULES.values()]
+
+
+def _value(x):
+    """``x``, unless it is the error that took its place."""
+    if isinstance(x, Exception):
+        raise x
+    return x
+
+
+def _period_row(a: float, b: float, g: float, d_gamma: float, lam: complex,
+                p1: complex, p3: complex, f21) -> np.ndarray:
+    """All four cycle periods of the cocycle whose shifted parameters are
+    (a, b, g) as a length-4 vector; the first carries ``p1``, the third
+    ``p3 / lambda^(d_gamma)``.  ``f21`` yields the 2F1 values at lambda of
+    sigma_1, at (a, b, g), and of sigma_3, at (1 - b, 1 - a, 2 - g), or
+    the error of each."""
     e = unit_phase
-    a, b, g = ps.alpha, ps.beta, ps.gamma
-    s1 = beta_real(a, g) / 2.0 * p1 * gauss_2f1(a, b, g, lam)
+    s1 = beta_real(a, g) / 2.0 * p1 * _value(next(f21))
     s3 = (-e(0.5 * (a + b - g)) * beta_real(1 - b, 2 - g) / 2.0
-          * p3 / lam**d_gamma * gauss_2f1(1 - b, 1 - a, 2 - g, lam))
+          * p3 / lam**d_gamma * _value(next(f21)))
     s4 = (1.0 - e(g - a)) * s1
     s2 = -((1.0 - e(a)) * s1 + e(2 * a + 2 * b - 2 * g) * (1.0 - e(g - b)) * s3) / (
         e(2 * a - 2 * g) * (1.0 - e(g))
@@ -73,32 +88,73 @@ def _period_row(i: int, p: HgParams, lam: complex, p1: complex,
 
 def period_matrix(p: HgParams, tau: TauPoint) -> np.ndarray:
     """4x4 period matrix of the weight with exponents ``p``: P+ at p, and
-    P- at ``p.negated()``.
+    P- at ``p.negated()``.  The batch of one of ``period_matrices``.
 
     Raises PeriodError inside the discs |tau -+ 1/2| < 1/2, past lambda's
     cut: there sigma_1 is wrong (39% off at -0.4+0.2i) yet full-tpr passes.
     Also raises for |Re tau| > 1, where sigma_1 is the integral times a
     phase exp(+-i pi gamma) (at 1.3+1.2i and -1.3+1.2i, for instance).
     """
-    t = tau.tau
-    if abs(t.real) > 1.0:
-        raise PeriodError(
-            f"tau = {t} has |Re tau| > 1, where the closed-form periods "
-            "differ from the integral by a phase")
-    if abs(t - 0.5) < 0.5 or abs(t + 0.5) < 0.5:
-        raise PeriodError(
-            f"tau = {t} lies inside a disc |tau -+ 1/2| < 1/2, "
-            "where the closed-form periods are on the wrong branch")
-    require_admissible(p)
-    a, b, g = p.alpha, p.beta, p.gamma
-    tc = theta_constants(tau)
-    lam = lambda_tau(tau)
-    p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
-          * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
-    p3 = (_cpow(tc.th2_0, 4 - 2 * g) * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
-          * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
-    return np.array([_period_row(i, p, lam, p1, p3) for i in (1, 2, 3, 4)],
-                    dtype=complex)
+    return _value(period_matrices([(p, tau)])[0])
+
+
+# the typed errors that a draw of period_matrices records in its place
+_DRAW_ERRORS = (AdmissibilityError, HypergeomError, PeriodError, SeriesError)
+
+
+def period_matrices(draws) -> list:
+    """``period_matrix(p, tau)`` for each (p, tau) of ``draws``, or the typed
+    error it raises, with the same text and precedence.
+
+    The eight 2F1 series of every matrix, at all the taus, are summed by
+    one array ``gauss_2f1`` call, as tables.  If it raises, each series is
+    summed alone, so an error reaches only its own matrix.  The rest is
+    scalar, per matrix: Gamma, the phases and the prefactors.
+    """
+    out: list = [None] * len(draws)
+    summed = []  # (index, tau, lambda, p, row params) of the summed draws
+    for k, (p, tau) in enumerate(draws):
+        t = tau.tau
+        try:
+            if abs(t.real) > 1.0:
+                raise PeriodError(
+                    f"tau = {t} has |Re tau| > 1, where the closed-form "
+                    "periods differ from the integral by a phase")
+            if abs(t - 0.5) < 0.5 or abs(t + 0.5) < 0.5:
+                raise PeriodError(
+                    f"tau = {t} lies inside a disc |tau -+ 1/2| < 1/2, "
+                    "where the closed-form periods are on the wrong branch")
+            require_admissible(p)
+            summed.append((k, tau, lambda_tau(tau), p, _row_params(p)))
+        except _DRAW_ERRORS as exc:
+            out[k] = exc
+    series = [(abc, lam) for _, _, lam, _, rows in summed
+              for a, b, g in rows for abc in ((a, b, g), (1 - b, 1 - a, 2 - g))]
+    try:
+        abc = np.array([x[0] for x in series]).reshape(-1, 3).T
+        values = gauss_2f1(*abc, np.array([x[1] for x in series])).tolist()
+    except HypergeomError:
+        values = []
+        for abc, lam in series:
+            try:
+                values.append(gauss_2f1(*abc, lam))
+            except HypergeomError as exc:
+                values.append(exc)
+    for j, (k, tau, lam, p, rows) in enumerate(summed):
+        a, b, g = p.alpha, p.beta, p.gamma
+        tc = theta_constants(tau)
+        p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
+              * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
+        p3 = (_cpow(tc.th2_0, 4 - 2 * g) * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
+              * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
+        f21 = iter(values[8 * j:8 * j + 8])
+        try:
+            out[k] = np.array([
+                _period_row(*abg, shift[2], lam, p1, p3, f21)
+                for abg, shift in zip(rows, SHIFT_RULES.values())])
+        except _DRAW_ERRORS as exc:
+            out[k] = exc
+    return out
 
 
 def block_periods(m: np.ndarray) -> dict[int, np.ndarray]:
@@ -108,9 +164,9 @@ def block_periods(m: np.ndarray) -> dict[int, np.ndarray]:
     Integrals over the eigenspace cycle combinations reduce to the first
     and third cycle, so the blocks are sub-matrices of the full closed
     forms: rows (1,2) for the odd eigenspace, rows (3,4) for the even one,
-    columns (1,3) in both.
+    columns (1,3) in both.  A stack of matrices gives stacks of blocks.
     """
-    return {-1: m[:2, ::2], 1: m[2:, ::2]}
+    return {-1: m[..., :2, ::2], 1: m[..., 2:, ::2]}
 
 
 def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:

@@ -23,7 +23,8 @@ from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        admissible, basis_change, block_C, block_H_prime,
                        cohomology_C, diagonal_solve, guarded_solve,
                        homology_H, require_admissible, theta_bracket)
-from .periods import SHIFT_RULES, PeriodError, block_periods, period_matrix
+from .periods import (SHIFT_RULES, PeriodError, _value, block_periods,
+                      period_matrices, period_matrix)
 from .quadrature import QuadratureError
 from .series import (KERNEL_CACHE_SIZE, TWO_PI_I, SeriesError, TauPoint,
                      ThetaConstants, g2_lambert, lambda_tau, q_terms,
@@ -279,54 +280,145 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
     C = P+ . H^-T . P-^T and of its two eigenspace blocks, and the
     orthogonality of the eigenspaces that the blocks rest on.
 
-    Returns (full-tpr, block-tpr-minus, block-tpr-plus, orthogonality).
-    H, C, P+-, and the blocks of C, P+- and H' (read in that order) are
-    each built once, by the first check that reads it.  The blocks are
-    diagonal slices, paired with the diagonal ``block_H_prime`` d, in the
-    simple form C(+-1) = P'+ . diag(1/d) . P'-^T (``diagonal_solve``); H is
-    solved by LU.  orthogonality pairs the basis changes of p and -p
-    through the same H, over the product of the three Frobenius norms, and
-    reads no tau, so its params echo none.  A check errors with the text
-    of the first build it reads that fails (C or P+-: the three relations;
-    H: full-tpr and orthogonality; the blocks: both block checks), and a
+    Returns (full-tpr, block-tpr-minus, block-tpr-plus, orthogonality):
+    the batch of one of ``_verify_tpr_batch``, which ``run_sweep`` runs
+    over all its draws.  H, C, P+-, and the blocks of C, P+- and H' are
+    each built once.  The blocks are diagonal slices, paired with the
+    diagonal ``block_H_prime`` d, in the simple form
+    C(+-1) = P'+ . diag(1/d) . P'-^T (``diagonal_solve``); H is solved by
+    LU.  orthogonality pairs the basis changes of p and -p through the
+    same H, over the product of the three Frobenius norms, and reads no
+    tau, so its params echo none.  A check errors with the text of the
+    first build it reads that fails (C or P+-: the three relations; H:
+    full-tpr and orthogonality; the blocks: both block checks), and a
     badly conditioned H or H' errors only its own.
 
     full-tpr is not a certificate above Im tau of about 3: over 40 seeded
     draws at Re tau = 0.1 it failed 0 at Im tau = 3, 7 at 4, 33 at 10 and
     40 at 50, while both block relations stayed at or below 1.1e-13.
     """
-    tols = resolve_tolerances(tol)
-    params = _params_dict(p, tau)
-    h = functools.cache(lambda: homology_H(p))
-    c = functools.cache(lambda: cohomology_C(p, theta_constants(tau)))
-    periods = functools.cache(
-        lambda: (period_matrix(p, tau), period_matrix(p.negated(), tau)))
-    blocks = functools.cache(lambda: (
-        block_C(c()), *map(block_periods, periods()), block_H_prime(p)))
+    return _verify_tpr_batch([(p, tau)], resolve_tolerances(tol))[0]
 
-    def relation(sign: int) -> float:  # sign 0: the full relation
-        cm, pp, pm, hm = ((c(), *periods(), h()) if sign == 0 else
-                          (pair[sign] for pair in blocks()))
-        solve = diagonal_solve if sign else guarded_solve
-        # norms that overflow near the Im ceiling error the check, unwarned
-        with np.errstate(all="ignore"):
-            r = cm - pp @ solve(hm.T, pm.T)
-            return np.linalg.norm(r) / np.linalg.norm(cm)
 
-    def orthogonality() -> float:
-        rows, dual = basis_change(p), basis_change(p.negated())
-        norm = np.linalg.norm
-        return _worst(*(
-            float(np.max(np.abs(rows[sign] @ h() @ dual[-sign].T))
-                  / (norm(rows[sign]) * norm(h()) * norm(dual[-sign])))
-            for sign in (-1, 1)))
+def _attempt(build):
+    """``build()``, or the typed error it raises, in its place."""
+    try:
+        return build()
+    except RECOVERABLE as exc:
+        return exc
 
-    return (*(_run_check(name, params, tols.matrix,
-                         functools.partial(relation, sign))
-              for name, sign in (("full-tpr", 0), ("block-tpr-minus", -1),
-                                 ("block-tpr-plus", 1))),
+
+def _first_error(*builds) -> Exception | None:
+    return next((x for x in builds if isinstance(x, Exception)), None)
+
+
+def _by_sign(pair: dict[int, np.ndarray]) -> np.ndarray:
+    """An eigenspace pair as an array, eigenvalue -1 first."""
+    return np.array([pair[-1], pair[1]])
+
+
+def _stack(builds: list, shape: tuple[int, ...]) -> np.ndarray:
+    """The builds of one shape as one stack.  A failed build's slice is an
+    identity, which the stacked solves accept and no check reads."""
+    return np.array([np.broadcast_to(np.eye(*shape[-2:]), shape)
+                     if isinstance(x, Exception) else x for x in builds],
+                    dtype=complex)
+
+
+def _solve_stack(solve, a: np.ndarray, b: np.ndarray):
+    """``solve(a, b)`` over stacks, and the errors of the slices it rejects,
+    by index.  A stack that it rejects is solved again slice by slice, so
+    a rejected slice (left nan) errors only its own draw, and no LU solve
+    meets a matrix that the condition guard rejects."""
+    try:
+        return solve(a, b), {}
+    except ConditioningError:
+        x, errors = np.full(b.shape, np.nan, complex), {}
+        for k, (ak, bk) in enumerate(zip(a, b)):
+            try:
+                x[k] = solve(ak, bk)
+            except ConditioningError as exc:
+                errors[k] = exc
+        return x, errors
+
+
+def _verify_tpr_batch(draws, tols: Tolerances
+                      ) -> list[tuple[CheckResult, ...]]:
+    """``verify_tpr``'s four checks for each (p, tau) of ``draws``, each
+    draw's bits, errors and texts those of its batch of one.
+
+    Per draw, H, C, H' and the basis changes of p and -p are scalar
+    closed forms, and every draw's P+- come from one ``period_matrices``
+    call.  A build that fails is kept as its error.  Each relation then
+    runs over all draws as stacks: one ``guarded_solve`` of the H^T, one
+    ``diagonal_solve`` of the H' of both signs, and batched products.
+    Every stacked operation works slice by slice; only the Frobenius norms
+    are taken per draw, as a norm over a stacked axis sums in another
+    order.  A check reports the first failed build it reads, else its
+    solve's error, else its residual.
+    """
+    builds = {key: [] for key in ("c", "h", "hd", "rows", "dual")}
+    signed = []  # (p, tau) and (-p, tau) of each draw: its P+ and P-
+    for p, tau in draws:
+        q = p.negated()
+        signed += [(p, tau), (q, tau)]
+        for key, build in (
+                ("c", lambda: cohomology_C(p, theta_constants(tau))),
+                ("h", lambda: homology_H(p)),
+                ("hd", lambda: _by_sign(block_H_prime(p))),
+                ("rows", lambda: _by_sign(basis_change(p))),
+                ("dual", lambda: _by_sign(basis_change(q))[::-1])):
+            builds[key].append(_attempt(build))
+    periods = period_matrices(signed)
+    builds["pp"], builds["pm"] = periods[::2], periods[1::2]
+    c, pp, pm, h, hd, rows, dual = (
+        _stack(builds[key], shape) for key, shape in (
+            ("c", (4, 4)), ("pp", (4, 4)), ("pm", (4, 4)), ("h", (4, 4)),
+            ("hd", (2, 2, 2)), ("rows", (2, 2, 4)), ("dual", (2, 2, 4))))
+    norm = np.linalg.norm
+    # norms that overflow near the Im ceiling error the check, unwarned
+    with np.errstate(all="ignore"):
+        x, full_errors = _solve_stack(guarded_solve, np.swapaxes(h, 1, 2),
+                                      np.swapaxes(pm, 1, 2))
+        full = [norm(r) / norm(cm) for r, cm in zip(c - pp @ x, c)]
+        # the blocks of both signs, draw by draw: slice 2 k + i of the
+        # solve is draw k's sign (-1, 1)[i]
+        cb, pb, mb = block_C(c), block_periods(pp), block_periods(pm)
+        x, block_errors = _solve_stack(
+            diagonal_solve, hd.reshape(-1, 2, 2),
+            np.swapaxes(np.stack([mb[-1], mb[1]], axis=1), 2, 3).reshape(
+                -1, 2, 2))
+        x = x.reshape(-1, 2, 2, 2)
+        blocks = [[norm(r) / norm(cm) for r, cm in zip(
+            cb[sign] - pb[sign] @ x[:, i], cb[sign])]
+            for i, sign in enumerate((-1, 1))]
+        # rows[k, i] is B(e), e = (-1, 1)[i], and dual[k, i] is -p's B(-e)
+        top = np.abs(rows @ h[:, None] @ np.swapaxes(dual, 2, 3)).max(
+            axis=(2, 3))
+        orthogonal = [_worst(*(
+            float(top[k, i] / (norm(rows[k, i]) * norm(h[k])
+                               * norm(dual[k, i]))) for i in (0, 1)))
+            for k in range(len(draws))]
+    results = []
+    for k, (p, tau) in enumerate(draws):
+        c_k, pp_k, pm_k, h_k = (builds[key][k] for key in ("c", "pp", "pm",
+                                                           "h"))
+        outcomes = (
+            _first_error(c_k, pp_k, pm_k, h_k) or full_errors.get(k, full[k]),
+            *(_first_error(c_k, pp_k, pm_k, builds["hd"][k])
+              or block_errors.get(2 * k + i, blocks[i][k]) for i in (0, 1)))
+        orthogonality = _first_error(builds["rows"][k], builds["dual"][k],
+                                     h_k) or orthogonal[k]
+        params = _params_dict(p, tau)
+        results.append((
+            *(_run_check(name, params, tols.matrix,
+                         functools.partial(_value, outcome))
+              for name, outcome in zip(("full-tpr", "block-tpr-minus",
+                                        "block-tpr-plus"), outcomes)),
             _run_check("orthogonality", _params_dict(p, None),
-                       tols.orthogonality, orthogonality))
+                       tols.orthogonality,
+                       functools.partial(_value, orthogonality))))
+    return results
 
 
 def _entry22_theta_form(p: HgParams, tc: ThetaConstants) -> complex:
@@ -529,19 +621,23 @@ def run_sweep(seed: int, count: int,
     tau cycles through the fixed list, one ``TauPoint`` per entry; its
     theta constants and suite residuals are cached, and residuals are
     deterministic given the seed because every summation order is fixed.
-    Each draw runs the four public ``verify_*`` in registry order.
+    All ``count`` draws are made first (the sampler is the only reader of
+    the generator), and ``verify_tpr``'s checks run for all of them as one
+    batch (``_verify_tpr_batch``).  Each draw then reports them and the
+    other three public ``verify_*``, in registry order: the results of the
+    public calls, bit for bit.
     """
     if not np.issubdtype(type(count), np.integer) or count < 1:
         raise ValueError(f"count must be an integer >= 1, not {count!r}")
     tols = resolve_tolerances(tol_profile)
     rng = np.random.default_rng(seed)
     taus = [TauPoint(t) for t in SWEEP_TAUS]
+    draws = [(sample_admissible(rng), taus[k % len(taus)])
+             for k in range(count)]
     checks: list[CheckResult] = []
-    for k in range(count):
-        p = sample_admissible(rng)
-        tau = taus[k % len(taus)]
+    for (p, tau), tpr in zip(draws, _verify_tpr_batch(draws, tols)):
         a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
-        checks += [*verify_tpr(p, tau, tols),
+        checks += [*tpr,
                    *verify_entry22(a, b, c, tau, tols),
                    verify_whipple(a, b, c, tols),
                    *verify_series_identities(tau, tols)]

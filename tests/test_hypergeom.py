@@ -8,6 +8,9 @@ import pytest
 from twistedperiods.hypergeom import (INTEGRALITY_GUARD, MAX_DEGREE,
                                       HypergeomError, beta_real, gamma_real,
                                       gauss_2f1, product_coeffs)
+from twistedperiods.periods import SHIFT_RULES
+from twistedperiods.series import TauPoint, lambda_tau
+from twistedperiods.verify import SWEEP_TAUS, sample_admissible
 
 # 30-digit oracle values
 GAMMA_03 = 2.9915689876875906283
@@ -202,6 +205,76 @@ class TestGauss2F1:
                    - complex(gauss_2f1(a, b, c, z - h))) / (2.0 * h)
         analytic = a * b / c * complex(gauss_2f1(a + 1, b + 1, c + 1, z))
         assert numeric == pytest.approx(analytic, rel=1e-7)
+
+
+class TestTableRoute:
+    """Arrays are summed as tables of series x terms, with the scalar
+    loop's results and errors, bit for bit and text for text."""
+
+    @staticmethod
+    def _bits(x):
+        x = complex(x)
+        return x.real.hex(), x.imag.hex()  # -0.0 and 0.0 differ here
+
+    def test_equals_the_loop_bitwise(self):
+        # the 16 period and 4 entry22 series of 75 sampler draws, at the
+        # sweep taus, two complex taus and |lambda| = 0.94: 10,500 series
+        rng = np.random.default_rng(26)
+        params = []
+        for _ in range(75):
+            p = sample_admissible(rng)
+            for q in (p, p.negated()):
+                for shift in SHIFT_RULES.values():
+                    ps = q.shifted(*shift)
+                    a, b, g = ps.alpha, ps.beta, ps.gamma
+                    params += [(a, b, g), (1 - b, 1 - a, 2 - g)]
+            a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
+            params += [(a, b, c), (-a - 1, -b + 1, -c), (a + 2, b, 2 + c),
+                       (-a + 1, -b + 1, 2 - c)]
+        a, b, c = np.array(params).T
+        for tau in (*SWEEP_TAUS, 0.2 + 0.9j, -0.1 + 2j, 0.565j):
+            z = lambda_tau(TauPoint(tau))
+            assert ([self._bits(x) for x in gauss_2f1(a, b, c, z)]
+                    == [self._bits(gauss_2f1(*abc, z)) for abc in params])
+
+    def test_tail_guard_as_the_loop(self):
+        # a + 2 (or a + 4) is one ulp, so the next term is below
+        # F21_REL_TOL, but c + 3 (or c + 5) is about 1e-8, so the one after
+        # is about 1e7 times larger: the tail guard passes over the first
+        # candidate, and a stop there would be off by about 1e-11
+        cases = [(-2 - 1e-15, -1.9, -3 + 1e-8, 0.5),
+                 (-2 - 1e-15, -1.9, -3 + 1e-8, 0.3 + 0.4j),
+                 (-4 - 2e-15, 0.7, -5 + 3e-9, -0.6)]
+        table = gauss_2f1(*map(np.array, zip(*cases)))
+        assert ([self._bits(x) for x in table]
+                == [self._bits(gauss_2f1(*args)) for args in cases])
+
+    @pytest.mark.parametrize("args", [
+        (-100.3, -0.21, -0.77, 0.5),  # the terms cancel to rounding
+        (0.3, 0.2, -1.0, 0.5),  # a pole c
+        (0.3, math.nan, 0.7, 0.5),
+        (0.3, 0.2, 0.7, complex(0.1, math.inf)),
+        (0.3, 0.2, 0.7, 0.97),  # past the radius guard
+        (40.0, 40.0, 0.5, 0.95),  # not converged at F21_MAX_TERMS
+    ], ids=["cancelled", "pole", "nan", "inf", "radius", "cap"])
+    def test_raises_the_loops_error(self, args):
+        # the failing series sits between two that sum
+        good = (0.3, 0.21, 0.77, 0.5)
+        arrays = [np.array([g, x, g]) for g, x in zip(good, args)]
+        error = _outcome(gauss_2f1, *args)
+        assert isinstance(error, str)
+        assert _outcome(gauss_2f1, *arrays) == error
+
+    def test_first_failing_series_raises(self):
+        assert _outcome(gauss_2f1, 0.3, 0.2, np.array([0.7, -1.0, 0.7]),
+                        np.array([0.5, 0.5, 0.97])) == (
+            "2F1 pole: c = -1.0 is a non-positive integer")
+
+    def test_arguments_broadcast(self):
+        a, z = np.array([[0.3], [0.4]]), np.array([0.1, 0.2j, -0.3])
+        table = gauss_2f1(a, 0.2, 0.7, z)
+        assert table.shape == (2, 3)
+        assert table[1, 2] == gauss_2f1(0.4, 0.2, 0.7, -0.3)
 
 
 class TestTerminating4F3:

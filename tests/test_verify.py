@@ -222,19 +222,26 @@ class TestFullTpr:
         assert calls == {P_REF: 1}
 
     def test_one_build_per_draw(self, monkeypatch):
-        # full and block relations share one C, one P+ and one P-
-        calls = Counter()
-        for name in ("cohomology_C", "period_matrix"):
+        # full and block relations share one C, one P+ and one P-: the
+        # sweep's one period batch builds P+ at p and P- at -p once each
+        calls, built = Counter(), Counter()
+        for name in ("cohomology_C", "period_matrices"):
             original = getattr(verify, name)
 
             def counting(*args, name=name, original=original):
                 calls[name] += 1
+                if name == "period_matrices":
+                    built.update(args[0])
                 return original(*args)
 
             monkeypatch.setattr(verify, name, counting)
         report = run_sweep(seed=3, count=2)
         assert report.summary["pass"] == len(report.checks)
-        assert calls == {"cohomology_C": 2, "period_matrix": 4}
+        assert calls == {"cohomology_C": 2, "period_matrices": 1}
+        rng = np.random.default_rng(3)
+        draws = [(sample_admissible(rng), TauPoint(t)) for t in SWEEP_TAUS[:2]]
+        assert built == {(q, tau): 1 for p, tau in draws
+                         for q in (p, p.negated())}
 
 
 class TestBlockTpr:
@@ -326,6 +333,66 @@ class TestBlockTpr:
         monkeypatch.setattr(verify, "basis_change", mutated)
         result = verify_tpr(P_REF, TAU_I)[3]
         assert not result.passed and result.residual > 1e-2
+
+
+class TestTprBatch:
+    """A failure planted in one draw of a batch errors only that draw's
+    checks, with the rows of its batch of one; the other draws keep their
+    bits."""
+
+    TAU = TauPoint(SWEEP_TAUS[0])
+
+    @staticmethod
+    def _draws(planted):
+        rng = np.random.default_rng(11)
+        draws = [(sample_admissible(rng), TauPoint(t)) for t in SWEEP_TAUS]
+        return draws[:2] + [planted] + draws[2:]
+
+    def _assert_isolated(self, planted, errored):
+        draws = self._draws(planted)
+        tols = resolve_tolerances("default")
+        batch = verify._verify_tpr_batch(draws, tols)
+        for draw, rows in zip(draws, batch):
+            assert _report_json(rows) == _report_json(verify_tpr(*draw))
+        for k, rows in enumerate(batch):
+            assert [r.name for r in rows if r.error is not None] == (
+                errored if k == 2 else [])
+
+    @pytest.mark.parametrize("planted, errored", [
+        # inadmissible: every build that tests p errors
+        ((HgParams(0.30, 0.21, 1.0), TAU), ["full-tpr", "block-tpr-minus",
+                                            "block-tpr-plus",
+                                            "orthogonality"]),
+        # inside a disc: the periods fail, orthogonality reads no tau
+        ((P_REF, TauPoint(-0.4 + 0.2j)), ["full-tpr", "block-tpr-minus",
+                                          "block-tpr-plus"]),
+        # a Gamma overflow and a cancelled 2F1 sum in the period rows
+        ((HgParams(171.3, 0.21, 0.77), TAU), ["full-tpr", "block-tpr-minus",
+                                              "block-tpr-plus"]),
+        ((HgParams(100.3, 0.21, 0.77), TAU), ["full-tpr", "block-tpr-minus",
+                                              "block-tpr-plus"]),
+    ], ids=["inadmissible", "disc", "gamma", "2f1"])
+    def test_failed_build(self, planted, errored):
+        self._assert_isolated(planted, errored)
+
+    def test_conditioning(self, monkeypatch):
+        # near alpha = 1/2, cond(H) = 8.9e5 and cond(H'(-1)) = 7.1e4; the
+        # other draws stay far below the lowered limit
+        monkeypatch.setattr(matrices, "COND_LIMIT", 1e4)
+        self._assert_isolated((HgParams(0.5 + 1e-6, 0.21, 0.77), self.TAU),
+                              ["full-tpr", "block-tpr-minus"])
+
+    def test_singular_h(self, monkeypatch):
+        # a singular H is rejected before any LU solve: np.linalg.solve
+        # would raise for the whole stack
+        singular = HgParams(0.31, 0.22, 0.78)
+        original = verify.homology_H
+        monkeypatch.setattr(verify, "homology_H", lambda p: (
+            np.zeros((4, 4), complex) if p == singular else original(p)))
+        self._assert_isolated((singular, self.TAU),
+                              ["full-tpr", "orthogonality"])
+        full = verify_tpr(singular, self.TAU)[0]
+        assert full.error.startswith("condition estimate inf")
 
 
 class TestEntry22:
@@ -929,21 +996,25 @@ class TestSweep:
         assert {"alpha", "beta", "gamma", "tau_re", "tau_im"} <= set(
             check["params"])
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_equals_the_public_checks_in_order(self, seed):
+    @pytest.mark.parametrize("seed, count", [
+        *(pytest.param(seed, 8, id=str(seed)) for seed in range(10)),
+        pytest.param(42, 100, id="42-100")])
+    def test_equals_the_public_checks_in_order(self, seed, count):
         # one code path: the same names, params (signed zeros and int/float
-        # included), verdicts, errors and residual bits as the public calls
+        # included), verdicts, errors and residual bits as the public calls;
+        # the sweep runs verify_tpr's checks as one batch of count draws
         rng = np.random.default_rng(seed)
         taus = [TauPoint(t) for t in SWEEP_TAUS]
         checks = []
-        for k in range(8):
+        for k in range(count):
             p = sample_admissible(rng)
             tau = taus[k % len(taus)]
             a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
             checks += [*verify_tpr(p, tau),
                        *verify_entry22(a, b, c, tau), verify_whipple(a, b, c),
                        *verify_series_identities(tau)]
-        assert _report_json(run_sweep(seed, 8).checks) == _report_json(checks)
+        assert (_report_json(run_sweep(seed, count).checks)
+                == _report_json(checks))
 
     def test_one_homology_h_per_draw(self, monkeypatch):
         # full-tpr and orthogonality read the same H
