@@ -215,9 +215,11 @@ def guarded_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of matrices (k, n, n), of each slice, in one call.
 
     Rejects ``a`` if the condition number of a slice exceeds
-    ``COND_LIMIT`` (the error names the largest), before any solve.
+    ``COND_LIMIT`` (the error names the largest), or if ``a`` holds a nan
+    or an infinity (the estimate is then nan), before any solve.
     """
-    _check_condition(np.max(np.linalg.cond(a)))
+    finite = np.isfinite(a).all()  # np.linalg.cond raises on a nan
+    _check_condition(np.max(np.linalg.cond(a)) if finite else math.nan)
     return np.linalg.solve(a, b)
 
 

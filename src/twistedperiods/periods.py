@@ -29,9 +29,9 @@ import math
 import numpy as np
 
 from .hypergeom import HypergeomError, beta_real, gauss_2f1
-from .matrices import (AdmissibilityError, HgParams, require_admissible,
-                       unit_phase)
-from .quadrature import tanh_sinh
+from .matrices import (AdmissibilityError, ConditioningError, HgParams,
+                       require_admissible, unit_phase)
+from .quadrature import QuadratureError, tanh_sinh
 from .series import (SeriesError, TauPoint, _theta_terms, lambda_tau,
                      theta_constants, trig_sums)
 
@@ -49,6 +49,36 @@ class PeriodError(Exception):
     """Raised on precondition violations in period evaluation."""
 
 
+# the typed errors a draw or a check records in its place; the CLI exits 2
+RECOVERABLE = (AdmissibilityError, ConditioningError, HypergeomError,
+               PeriodError, QuadratureError, SeriesError)
+
+
+def _attempt(build):
+    """``build()``, or the typed error it raises, in its place."""
+    try:
+        return build()
+    except RECOVERABLE as exc:
+        return exc
+
+
+def _value(x):
+    """``x``, unless it is the error that took its place."""
+    if isinstance(x, Exception):
+        raise x
+    return x
+
+
+def each_draw(step, n: int) -> list:
+    """The values of n draws from one stacked pass, ``step(range(n))``.  If
+    that raises a typed error, each draw k is redone alone, by
+    ``step(range(k, k + 1))``, and keeps its value or its error."""
+    try:
+        return step(range(n))
+    except RECOVERABLE:
+        return [_attempt(lambda: step(range(k, k + 1))[0]) for k in range(n)]
+
+
 def _cpow(z: complex, s: float) -> complex:
     """Principal power z**s for complex z, real s."""
     return cmath.exp(s * cmath.log(z))
@@ -61,24 +91,16 @@ def _row_params(p: HgParams) -> list[tuple[float, float, float]]:
             for da, db, dg in SHIFT_RULES.values()]
 
 
-def _value(x):
-    """``x``, unless it is the error that took its place."""
-    if isinstance(x, Exception):
-        raise x
-    return x
-
-
 def _period_row(a: float, b: float, g: float, d_gamma: float, lam: complex,
                 p1: complex, p3: complex, f21) -> np.ndarray:
     """All four cycle periods of the cocycle whose shifted parameters are
     (a, b, g) as a length-4 vector; the first carries ``p1``, the third
     ``p3 / lambda^(d_gamma)``.  ``f21`` yields the 2F1 values at lambda of
-    sigma_1, at (a, b, g), and of sigma_3, at (1 - b, 1 - a, 2 - g), or
-    the error of each."""
+    sigma_1, at (a, b, g), and of sigma_3, at (1 - b, 1 - a, 2 - g)."""
     e = unit_phase
-    s1 = beta_real(a, g) / 2.0 * p1 * _value(next(f21))
+    s1 = beta_real(a, g) / 2.0 * p1 * next(f21)
     s3 = (-e(0.5 * (a + b - g)) * beta_real(1 - b, 2 - g) / 2.0
-          * p3 / lam**d_gamma * _value(next(f21)))
+          * p3 / lam**d_gamma * next(f21))
     s4 = (1.0 - e(g - a)) * s1
     s2 = -((1.0 - e(a)) * s1 + e(2 * a + 2 * b - 2 * g) * (1.0 - e(g - b)) * s3) / (
         e(2 * a - 2 * g) * (1.0 - e(g))
@@ -98,24 +120,20 @@ def period_matrix(p: HgParams, tau: TauPoint) -> np.ndarray:
     return _value(period_matrices([(p, tau)])[0])
 
 
-# the typed errors that a draw of period_matrices records in its place
-_DRAW_ERRORS = (AdmissibilityError, HypergeomError, PeriodError, SeriesError)
-
-
 def period_matrices(draws) -> list:
     """``period_matrix(p, tau)`` for each (p, tau) of ``draws``, or the typed
-    error it raises, with the same text and precedence.
+    error it raises, in its place: one step of ``each_draw``.
 
-    The eight 2F1 series of every matrix, at all the taus, are summed by
-    one array ``gauss_2f1`` call, as tables.  If it raises, each series is
-    summed alone, so an error reaches only its own matrix.  The rest is
-    scalar, per matrix: Gamma, the phases and the prefactors.
+    A stack of draws sums the eight 2F1 series of every matrix, at all the
+    taus, as one array ``gauss_2f1`` table.  A draw alone sums its eight by
+    the scalar loop, lazily in row order, so that a Gamma error of row 1
+    still comes before a 2F1 error of row 3.  The rest is scalar, per
+    matrix: Gamma, the phases and the prefactors.
     """
-    out: list = [None] * len(draws)
-    summed = []  # (index, tau, lambda, p, row params) of the summed draws
-    for k, (p, tau) in enumerate(draws):
-        t = tau.tau
-        try:
+    def step(ks):
+        prepared = []  # (tau, lambda, p, row params) of each draw
+        for p, tau in (draws[k] for k in ks):
+            t = tau.tau
             if abs(t.real) > 1.0:
                 raise PeriodError(
                     f"tau = {t} has |Re tau| > 1, where the closed-form "
@@ -125,36 +143,27 @@ def period_matrices(draws) -> list:
                     f"tau = {t} lies inside a disc |tau -+ 1/2| < 1/2, "
                     "where the closed-form periods are on the wrong branch")
             require_admissible(p)
-            summed.append((k, tau, lambda_tau(tau), p, _row_params(p)))
-        except _DRAW_ERRORS as exc:
-            out[k] = exc
-    series = [(abc, lam) for _, _, lam, _, rows in summed
-              for a, b, g in rows for abc in ((a, b, g), (1 - b, 1 - a, 2 - g))]
-    try:
-        abc = np.array([x[0] for x in series]).reshape(-1, 3).T
-        values = gauss_2f1(*abc, np.array([x[1] for x in series])).tolist()
-    except HypergeomError:
-        values = []
-        for abc, lam in series:
-            try:
-                values.append(gauss_2f1(*abc, lam))
-            except HypergeomError as exc:
-                values.append(exc)
-    for j, (k, tau, lam, p, rows) in enumerate(summed):
-        a, b, g = p.alpha, p.beta, p.gamma
-        tc = theta_constants(tau)
-        p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
-              * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
-        p3 = (_cpow(tc.th2_0, 4 - 2 * g) * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
-              * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
-        f21 = iter(values[8 * j:8 * j + 8])
-        try:
-            out[k] = np.array([
+            prepared.append((tau, lambda_tau(tau), p, _row_params(p)))
+        series = [(*abc, lam) for _, lam, _, rows in prepared
+                  for a, b, g in rows
+                  for abc in ((a, b, g), (1 - b, 1 - a, 2 - g))]
+        f21 = (iter(gauss_2f1(*map(np.array, zip(*series))).tolist())
+               if len(ks) > 1 else (gauss_2f1(*x) for x in series))
+        out = []
+        for tau, lam, p, rows in prepared:
+            a, b, g = p.alpha, p.beta, p.gamma
+            tc = theta_constants(tau)
+            p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
+                  * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
+            p3 = (_cpow(tc.th2_0, 4 - 2 * g)
+                  * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
+                  * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
+            out.append(np.array([
                 _period_row(*abg, shift[2], lam, p1, p3, f21)
-                for abg, shift in zip(rows, SHIFT_RULES.values())])
-        except _DRAW_ERRORS as exc:
-            out[k] = exc
-    return out
+                for abg, shift in zip(rows, SHIFT_RULES.values())]))
+        return out
+
+    return each_draw(step, len(draws))
 
 
 def block_periods(m: np.ndarray) -> dict[int, np.ndarray]:

@@ -18,17 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .hypergeom import HypergeomError, gauss_2f1, product_coeffs
-from .matrices import (AdmissibilityError, ConditioningError, HgParams,
-                       admissible, basis_change, block_C, block_H_prime,
-                       cohomology_C, diagonal_solve, guarded_solve,
-                       homology_H, require_admissible, theta_bracket)
-from .periods import (SHIFT_RULES, PeriodError, _value, block_periods,
-                      period_matrices, period_matrix)
-from .quadrature import QuadratureError
-from .series import (KERNEL_CACHE_SIZE, TWO_PI_I, SeriesError, TauPoint,
-                     ThetaConstants, g2_lambert, lambda_tau, q_terms,
-                     theta_constants)
+from .hypergeom import gauss_2f1, product_coeffs, product_k, product_params
+from .matrices import (HgParams, admissible, basis_change, block_C,
+                       block_H_prime, cohomology_C, diagonal_solve,
+                       guarded_solve, homology_H, require_admissible,
+                       theta_bracket)
+from .periods import (RECOVERABLE, SHIFT_RULES, _attempt, _value,
+                      block_periods, each_draw, period_matrices,
+                      period_matrix)
+from .series import (KERNEL_CACHE_SIZE, TWO_PI_I, TauPoint, ThetaConstants,
+                     g2_lambert, lambda_tau, q_terms, theta_constants)
 
 SWEEP_TAUS = (1j, 1.3j, 2j, 0.3 + 1.2j)
 
@@ -95,11 +94,6 @@ CHECK_REGISTRY: dict[str, str] = {
 _SERIES_CHECKS = tuple(CHECK_REGISTRY)[8:]
 
 REPORT_COLUMNS = ("name", "params", "residual", "tolerance", "pass", "error")
-
-# the typed errors a check records as its error, and the CLI exits 2 on
-RECOVERABLE = (AdmissibilityError, ConditioningError, HypergeomError,
-               PeriodError, QuadratureError, SeriesError)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -282,16 +276,10 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
 
     Returns (full-tpr, block-tpr-minus, block-tpr-plus, orthogonality):
     the batch of one of ``_verify_tpr_batch``, which ``run_sweep`` runs
-    over all its draws.  H, C, P+-, and the blocks of C, P+- and H' are
-    each built once.  The blocks are diagonal slices, paired with the
-    diagonal ``block_H_prime`` d, in the simple form
-    C(+-1) = P'+ . diag(1/d) . P'-^T (``diagonal_solve``); H is solved by
-    LU.  orthogonality pairs the basis changes of p and -p through the
-    same H, over the product of the three Frobenius norms, and reads no
-    tau, so its params echo none.  A check errors with the text of the
-    first build it reads that fails (C or P+-: the three relations; H:
-    full-tpr and orthogonality; the blocks: both block checks), and a
-    badly conditioned H or H' errors only its own.
+    over all its draws and which states what each check builds and reads.
+    The blocks take the simple form C(+-1) = P'+ . diag(1/d) . P'-^T of
+    the diagonal ``block_H_prime`` d; orthogonality reads no tau, so its
+    params echo none.
 
     full-tpr is not a certificate above Im tau of about 3: over 40 seeded
     draws at Re tau = 0.1 it failed 0 at Im tau = 3, 7 at 4, 33 at 10 and
@@ -300,46 +288,9 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
     return _verify_tpr_batch([(p, tau)], resolve_tolerances(tol))[0]
 
 
-def _attempt(build):
-    """``build()``, or the typed error it raises, in its place."""
-    try:
-        return build()
-    except RECOVERABLE as exc:
-        return exc
-
-
-def _first_error(*builds) -> Exception | None:
-    return next((x for x in builds if isinstance(x, Exception)), None)
-
-
 def _by_sign(pair: dict[int, np.ndarray]) -> np.ndarray:
     """An eigenspace pair as an array, eigenvalue -1 first."""
     return np.array([pair[-1], pair[1]])
-
-
-def _stack(builds: list, shape: tuple[int, ...]) -> np.ndarray:
-    """The builds of one shape as one stack.  A failed build's slice is an
-    identity, which the stacked solves accept and no check reads."""
-    return np.array([np.broadcast_to(np.eye(*shape[-2:]), shape)
-                     if isinstance(x, Exception) else x for x in builds],
-                    dtype=complex)
-
-
-def _solve_stack(solve, a: np.ndarray, b: np.ndarray):
-    """``solve(a, b)`` over stacks, and the errors of the slices it rejects,
-    by index.  A stack that it rejects is solved again slice by slice, so
-    a rejected slice (left nan) errors only its own draw, and no LU solve
-    meets a matrix that the condition guard rejects."""
-    try:
-        return solve(a, b), {}
-    except ConditioningError:
-        x, errors = np.full(b.shape, np.nan, complex), {}
-        for k, (ak, bk) in enumerate(zip(a, b)):
-            try:
-                x[k] = solve(ak, bk)
-            except ConditioningError as exc:
-                errors[k] = exc
-        return x, errors
 
 
 def _verify_tpr_batch(draws, tols: Tolerances
@@ -347,15 +298,14 @@ def _verify_tpr_batch(draws, tols: Tolerances
     """``verify_tpr``'s four checks for each (p, tau) of ``draws``, each
     draw's bits, errors and texts those of its batch of one.
 
-    Per draw, H, C, H' and the basis changes of p and -p are scalar
-    closed forms, and every draw's P+- come from one ``period_matrices``
-    call.  A build that fails is kept as its error.  Each relation then
-    runs over all draws as stacks: one ``guarded_solve`` of the H^T, one
-    ``diagonal_solve`` of the H' of both signs, and batched products.
-    Every stacked operation works slice by slice; only the Frobenius norms
-    are taken per draw, as a norm over a stacked axis sums in another
-    order.  A check reports the first failed build it reads, else its
-    solve's error, else its residual.
+    Per draw, H, C, H' and the basis changes of p and -p are scalar closed
+    forms, kept as values or errors, and every draw's P+- come from one
+    ``period_matrices`` call.  Each check is one step of ``each_draw``: it
+    reads its builds as stacks, each built once per batch (C, P+, P-, then
+    H or H'; orthogonality the basis changes and H), then runs one stacked
+    solve and batched products.  A draw redone alone reports its first
+    failed build, else its solve's error.  The Frobenius norms are taken
+    per draw: a norm over a stacked axis sums in another order.
     """
     builds = {key: [] for key in ("c", "h", "hd", "rows", "dual")}
     signed = []  # (p, tau) and (-p, tau) of each draw: its P+ and P-
@@ -371,53 +321,53 @@ def _verify_tpr_batch(draws, tols: Tolerances
             builds[key].append(_attempt(build))
     periods = period_matrices(signed)
     builds["pp"], builds["pm"] = periods[::2], periods[1::2]
-    c, pp, pm, h, hd, rows, dual = (
-        _stack(builds[key], shape) for key, shape in (
-            ("c", (4, 4)), ("pp", (4, 4)), ("pm", (4, 4)), ("h", (4, 4)),
-            ("hd", (2, 2, 2)), ("rows", (2, 2, 4)), ("dual", (2, 2, 4))))
+
+    @functools.cache
+    def stack(key: str, ks: range) -> np.ndarray:
+        return np.array([_value(builds[key][k]) for k in ks])
+
+    @functools.cache
+    def blocks(key: str, ks: range) -> dict[int, np.ndarray]:
+        return block_periods(stack(key, ks))
+
     norm = np.linalg.norm
-    # norms that overflow near the Im ceiling error the check, unwarned
-    with np.errstate(all="ignore"):
-        x, full_errors = _solve_stack(guarded_solve, np.swapaxes(h, 1, 2),
-                                      np.swapaxes(pm, 1, 2))
-        full = [norm(r) / norm(cm) for r, cm in zip(c - pp @ x, c)]
-        # the blocks of both signs, draw by draw: slice 2 k + i of the
-        # solve is draw k's sign (-1, 1)[i]
-        cb, pb, mb = block_C(c), block_periods(pp), block_periods(pm)
-        x, block_errors = _solve_stack(
-            diagonal_solve, hd.reshape(-1, 2, 2),
-            np.swapaxes(np.stack([mb[-1], mb[1]], axis=1), 2, 3).reshape(
-                -1, 2, 2))
-        x = x.reshape(-1, 2, 2, 2)
-        blocks = [[norm(r) / norm(cm) for r, cm in zip(
-            cb[sign] - pb[sign] @ x[:, i], cb[sign])]
-            for i, sign in enumerate((-1, 1))]
+
+    def full(ks):
+        c, pp, pm, h = (stack(key, ks) for key in ("c", "pp", "pm", "h"))
+        x = guarded_solve(np.swapaxes(h, 1, 2), np.swapaxes(pm, 1, 2))
+        return [norm(r) / norm(cm) for r, cm in zip(c - pp @ x, c)]
+
+    def block(i: int, sign: int, ks):
+        cb = block_C(stack("c", ks))[sign]
+        pb, mb = (blocks(key, ks)[sign] for key in ("pp", "pm"))
+        x = diagonal_solve(stack("hd", ks)[:, i], np.swapaxes(mb, 1, 2))
+        return [norm(r) / norm(cm) for r, cm in zip(cb - pb @ x, cb)]
+
+    def orthogonality(ks):
         # rows[k, i] is B(e), e = (-1, 1)[i], and dual[k, i] is -p's B(-e)
+        rows, dual, h = (stack(key, ks) for key in ("rows", "dual", "h"))
         top = np.abs(rows @ h[:, None] @ np.swapaxes(dual, 2, 3)).max(
             axis=(2, 3))
-        orthogonal = [_worst(*(
-            float(top[k, i] / (norm(rows[k, i]) * norm(h[k])
-                               * norm(dual[k, i]))) for i in (0, 1)))
-            for k in range(len(draws))]
+        return [_worst(*(float(top[k, i] / (norm(rows[k, i]) * norm(h[k])
+                                            * norm(dual[k, i])))
+                         for i in (0, 1))) for k in range(len(ks))]
+
+    # norms that overflow near the Im ceiling error the check, unwarned
+    with np.errstate(all="ignore"):
+        outcomes = [each_draw(step, len(draws)) for step in (
+            full, functools.partial(block, 0, -1),
+            functools.partial(block, 1, 1), orthogonality)]
     results = []
-    for k, (p, tau) in enumerate(draws):
-        c_k, pp_k, pm_k, h_k = (builds[key][k] for key in ("c", "pp", "pm",
-                                                           "h"))
-        outcomes = (
-            _first_error(c_k, pp_k, pm_k, h_k) or full_errors.get(k, full[k]),
-            *(_first_error(c_k, pp_k, pm_k, builds["hd"][k])
-              or block_errors.get(2 * k + i, blocks[i][k]) for i in (0, 1)))
-        orthogonality = _first_error(builds["rows"][k], builds["dual"][k],
-                                     h_k) or orthogonal[k]
+    for (p, tau), (*relations, orthogonal) in zip(draws, zip(*outcomes)):
         params = _params_dict(p, tau)
         results.append((
             *(_run_check(name, params, tols.matrix,
                          functools.partial(_value, outcome))
               for name, outcome in zip(("full-tpr", "block-tpr-minus",
-                                        "block-tpr-plus"), outcomes)),
+                                        "block-tpr-plus"), relations)),
             _run_check("orthogonality", _params_dict(p, None),
                        tols.orthogonality,
-                       functools.partial(_value, orthogonality))))
+                       functools.partial(_value, orthogonal))))
     return results
 
 
@@ -427,14 +377,8 @@ def _entry22_theta_form(p: HgParams, tc: ThetaConstants) -> complex:
 
 def _entry22_2f1_form(a: float, b: float, c: float,
                       lam: complex) -> complex:
-    first = c * gauss_2f1(a, b, c, lam) * gauss_2f1(-a - 1, -b + 1, -c, lam)
-    second = (
-        a * (a + 1) * (c - b) * (c - b + 1) / (c * (1 + c) * (1 - c))
-        * lam**2
-        * gauss_2f1(a + 2, b, 2 + c, lam)
-        * gauss_2f1(-a + 1, -b + 1, 2 - c, lam)
-    )
-    return first + second
+    f1, f2, f3, f4 = (gauss_2f1(*abc, lam) for abc in product_params(a, b, c))
+    return c * f1 * f2 + product_k(a, b, c) * lam**2 * f3 * f4
 
 
 def verify_entry22(a: float, b: float, c: float, tau: TauPoint,

@@ -349,6 +349,17 @@ class TestLuInverse:
         with pytest.raises(ConditioningError):
             diagonal_solve(np.diag([1.0, entry]).astype(complex), np.eye(2))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_matrix_is_a_conditioning_error(self, entry):
+        # np.linalg.cond raises an untyped LinAlgError on a nan
+        a = np.eye(4, dtype=complex)
+        a[1, 2] = entry
+        for m, b in ((a, np.eye(4)), (np.array([np.eye(4), a]),
+                                       np.ones((2, 4, 4)))):
+            with pytest.raises(ConditioningError,
+                               match="condition estimate nan exceeds"):
+                guarded_solve(m, b)
+
     def test_package_imports_without_scipy(self):
         # numpy is the only runtime dependency
         src = Path(twistedperiods.__file__).resolve().parents[1]

@@ -13,7 +13,8 @@ from twistedperiods.hypergeom import (HypergeomError, beta_real, gamma_real,
                                       gauss_2f1)
 from twistedperiods.matrices import HgParams, unit_phase
 from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
-                                    euler_pairing, euler_pairing_closed,
+                                    each_draw, euler_pairing,
+                                    euler_pairing_closed, period_matrices,
                                     period_matrix, wirtinger_quadrature)
 from twistedperiods import periods, quadrature, series
 from twistedperiods.quadrature import QuadratureError, tanh_sinh
@@ -209,7 +210,57 @@ class TestPeriodEntries:
             assert period(i, 2, p, tau) == pytest.approx(expect, rel=1e-13)
 
 
+class TestEachDraw:
+    def test_one_stacked_pass_when_it_succeeds(self):
+        calls = []
+
+        def step(ks):
+            calls.append(ks)
+            return [10 * k for k in ks]
+
+        assert each_draw(step, 3) == [0, 10, 20]
+        assert calls == [range(3)]
+
+    def test_a_failed_stack_is_redone_draw_by_draw(self):
+        calls = []
+
+        def step(ks):
+            calls.append(ks)
+            if 1 in ks:
+                raise PeriodError(f"draw 1 of {ks}")
+            return [10 * k for k in ks]
+
+        out = each_draw(step, 3)
+        assert out[0] == 0 and out[2] == 20
+        assert isinstance(out[1], PeriodError)
+        assert str(out[1]) == "draw 1 of range(1, 2)"
+        assert calls == [range(3), range(0, 1), range(1, 2), range(2, 3)]
+
+    def test_an_untyped_error_is_raised(self):
+        def step(ks):
+            raise ZeroDivisionError("not a draw's failure")
+
+        with pytest.raises(ZeroDivisionError):
+            each_draw(step, 2)
+
+
 class TestPeriodMatrices:
+    def test_gamma_error_of_row_one_wins_over_its_2f1_error(self):
+        # row 1's first 2F1 series cancels to rounding, but its Gamma factor
+        # is read first, also when the draw sits in a batch
+        q = HgParams(-171.3, -0.21, -0.77)
+        row1 = q.shifted(*SHIFT_RULES[1])
+        with pytest.raises(HypergeomError, match="lost every digit"):
+            gauss_2f1(row1.alpha, row1.beta, row1.gamma, lambda_tau(TAU_I))
+        with pytest.raises(HypergeomError,
+                           match=re.escape("1/Gamma(-170.8) overflows")):
+            period_matrix(q, TAU_I)
+        out = period_matrices([(P_REF, TAU_I), (q, TAU_I),
+                               (P_REF.negated(), TAU_I)])
+        assert str(out[1]) == "1/Gamma(-170.8) overflows double precision"
+        for m, p in zip(out[::2], (P_REF, P_REF.negated())):
+            assert np.array_equal(m, period_matrix(p, TAU_I))
+
     def test_minus_matrix_negates_parameters(self):
         # P- is the period matrix at -p: its entry (3, 1) is the Gauss
         # closed form of ENTRY_31_REF at the negated parameters

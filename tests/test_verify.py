@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistedperiods
-from twistedperiods import cli, matrices, series, verify
+from twistedperiods import cli, matrices, periods, series, verify
 from twistedperiods.cli import main
 from twistedperiods.hypergeom import HypergeomError
 from twistedperiods.matrices import HgParams
@@ -393,6 +393,54 @@ class TestTprBatch:
                               ["full-tpr", "orthogonality"])
         full = verify_tpr(singular, self.TAU)[0]
         assert full.error.startswith("condition estimate inf")
+
+    def test_nan_h(self, monkeypatch):
+        # a nan in H is a ConditioningError of its own draw's full-tpr, and
+        # a non-finite residual of its orthogonality
+        planted = HgParams(0.31, 0.22, 0.78)
+        original = verify.homology_H
+        monkeypatch.setattr(verify, "homology_H", lambda p: (
+            np.full((4, 4), np.nan, complex) if p == planted
+            else original(p)))
+        self._assert_isolated((planted, self.TAU),
+                              ["full-tpr", "orthogonality"])
+        full, *_, orthogonality = verify_tpr(planted, self.TAU)
+        assert full.error.startswith("condition estimate nan")
+        assert orthogonality.error == "non-finite residual nan"
+
+    def test_two_failures_of_different_kinds(self, monkeypatch):
+        # a tau inside a disc in draw 1 and an H near alpha = 1/2, past a
+        # lowered COND_LIMIT, in draw 4: each errors only its own checks
+        monkeypatch.setattr(matrices, "COND_LIMIT", 1e4)
+        rng = np.random.default_rng(11)
+        draws = [(sample_admissible(rng), TauPoint(t)) for t in SWEEP_TAUS]
+        draws.insert(1, (P_REF, TauPoint(-0.4 + 0.2j)))
+        draws.insert(4, (HgParams(0.5 + 1e-6, 0.21, 0.77), self.TAU))
+        batch = verify._verify_tpr_batch(draws, resolve_tolerances("default"))
+        for draw, rows in zip(draws, batch):
+            assert _report_json(rows) == _report_json(verify_tpr(*draw))
+        errored = [[r.error for r in rows if r.error is not None]
+                   for rows in batch]
+        assert [len(e) for e in errored] == [0, 3, 0, 0, 2, 0]
+        assert all("inside a disc" in e for e in errored[1])
+        assert all("exceeds limit 1e+04" in e for e in errored[4])
+
+    def test_a_clean_sweep_takes_the_stacked_path(self, monkeypatch):
+        # one 2F1 table of the 8 draws' 128 period series and one stacked
+        # LU solve of their H^T: no draw is redone alone
+        calls = []
+        for module, name in ((periods, "gauss_2f1"),
+                             (verify, "guarded_solve")):
+            original = getattr(module, name)
+
+            def counting(*args, name=name, original=original):
+                calls.append((name, np.shape(args[0])))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        report = run_sweep(seed=3, count=8)
+        assert report.summary["errored"] == 0
+        assert calls == [("gauss_2f1", (128,)), ("guarded_solve", (8, 4, 4))]
 
 
 class TestEntry22:
