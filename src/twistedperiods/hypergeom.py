@@ -101,10 +101,10 @@ def gauss_2f1(a, b, c, z):
     is a numpy array, they broadcast, one series per element, and are
     summed as tables of series x terms (``_f21_table``), with the loop's
     results bit for bit; the first series in order that fails raises the
-    loop's error.  The table pays from about a dozen series: the 64 period
-    series of a 4-draw sweep call took 0.23 ms as one table and 0.50 ms as
-    loops, but the four series of one ``verify_entry22`` 0.08 ms as a
-    table and 0.05 ms as loops (best of 7, shared 2-vCPU VM).
+    loop's error.  Both routes stop by one rule: at the first term t_n
+    where |t_n| and the next term, rounded as the update rounds it, are
+    both at most F21_REL_TOL |T_n|, T_n the partial sum.  The table pays
+    from about a dozen series (timings in the README).
     """
     if np.ndarray in (type(a), type(b), type(c), type(z)):
         return _f21_table(a, b, c, z)
@@ -125,16 +125,16 @@ def gauss_2f1(a, b, c, z):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         size += (t := abs(term))
-        if t <= F21_REL_TOL * abs(total):
-            # one extra term as a tail guard
-            nxt = term * (a + n + 1) * (b + n + 1) / ((c + n + 1) * (n + 2.0)) * z
-            if abs(nxt) <= F21_REL_TOL * abs(total):
-                if size * 2.0**-53 >= abs(total):
-                    raise HypergeomError(f"2F1 sum {total} lost every digit "
-                                         f"to cancellation: sum |t_n| = "
-                                         f"{size:.3e}")
-                return total
         n += 1.0
+        # the next term, rounded as the update rounds it, as a tail guard
+        if t <= F21_REL_TOL * abs(total) and abs(
+                term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
+        ) <= F21_REL_TOL * abs(total):
+            if size * 2.0**-53 >= abs(total):
+                raise HypergeomError(f"2F1 sum {total} lost every digit "
+                                     f"to cancellation: sum |t_n| = "
+                                     f"{size:.3e}")
+            return total
     raise HypergeomError(
         f"2F1 series did not converge within {F21_MAX_TERMS} terms at z = {z}"
     )
@@ -153,12 +153,10 @@ def _f21_table(a, b, c, z) -> np.ndarray:
     np.cumprod of the term ratios from the leading 1, and np.cumsum of the
     terms and of their moduli, so its terms and partial sums T_n equal the
     loop's bit for bit (np.hypot is ``abs``'s modulus; np.abs rounds
-    differently).  A series stops, as in the loop, at its first term
-    below F21_REL_TOL |T_n|, when the next term is too, and keeps its sum
-    if 2^-53 sum |t_n| < |T_n|.  The table's next term is the loop's tail
-    guard rounded in another order, a few ulps off, so it must pass with a
-    margin of 2^-40.  Every other series, one that fails or that does not
-    clearly stop within its table, is summed by the loop, which gives its
+    differently).  A series stops at the loop's stop, where the table's
+    next term is the loop's tail guard, and keeps its sum if
+    2^-53 sum |t_n| < |T_n|.  Every other series, one that fails or that
+    does not stop within its table, is summed by the loop, which gives its
     sum or raises its error.  Terms past a series' stop may overflow; they
     are never read.
     """
@@ -190,13 +188,11 @@ def _f21_table(a, b, c, z) -> np.ndarray:
             moduli = np.hypot(terms.real, terms.imag)
             sizes = np.cumsum(moduli, axis=1)
             scales = np.hypot(totals.real, totals.imag)
-            below = moduli[:, 1:-1] <= F21_REL_TOL * scales[:, 1:-1]
-            k = below.argmax(axis=1) + 1  # the first term below, if any
+            bound = F21_REL_TOL * scales[:, 1:-1]
+            stop = (moduli[:, 1:-1] <= bound) & (moduli[:, 2:] <= bound)
+            k = stop.argmax(axis=1) + 1  # the loop's stop, if any
             r = np.arange(table.size)
-            stops = (below[r, k - 1]
-                     & (moduli[r, k + 1]
-                        <= (1.0 - 2.0**-40) * F21_REL_TOL * scales[r, k])
-                     & (sizes[r, k] * 2.0**-53 < scales[r, k]))
+            stops = stop[r, k - 1] & (sizes[r, k] * 2.0**-53 < scales[r, k])
             out[table[stops]] = totals[r[stops], k[stops]]
             summed[table[stops]] = True
     for i in np.flatnonzero(~summed).tolist():

@@ -28,12 +28,11 @@ import math
 
 import numpy as np
 
-from .hypergeom import HypergeomError, beta_real, gauss_2f1
-from .matrices import (AdmissibilityError, ConditioningError, HgParams,
-                       require_admissible, unit_phase)
-from .quadrature import QuadratureError, tanh_sinh
-from .series import (SeriesError, TauPoint, _theta_terms, lambda_tau,
-                     theta_constants, trig_sums)
+from .hypergeom import beta_real, gauss_2f1
+from .matrices import HgParams, require_admissible, unit_phase
+from .quadrature import tanh_sinh
+from .series import (TauPoint, _theta_terms, lambda_tau, theta_constants,
+                     trig_sums)
 
 # Parameter shifts reducing each cocycle's periods to the third cocycle's
 # closed form: index -> (d_alpha, d_beta, d_gamma).
@@ -49,58 +48,22 @@ class PeriodError(Exception):
     """Raised on precondition violations in period evaluation."""
 
 
-# the typed errors a draw or a check records in its place; the CLI exits 2
-RECOVERABLE = (AdmissibilityError, ConditioningError, HypergeomError,
-               PeriodError, QuadratureError, SeriesError)
-
-
-def _attempt(build):
-    """``build()``, or the typed error it raises, in its place."""
-    try:
-        return build()
-    except RECOVERABLE as exc:
-        return exc
-
-
-def _value(x):
-    """``x``, unless it is the error that took its place."""
-    if isinstance(x, Exception):
-        raise x
-    return x
-
-
-def each_draw(step, n: int) -> list:
-    """The values of n draws from one stacked pass, ``step(range(n))``.  If
-    that raises a typed error, each draw k is redone alone, by
-    ``step(range(k, k + 1))``, and keeps its value or its error."""
-    try:
-        return step(range(n))
-    except RECOVERABLE:
-        return [_attempt(lambda: step(range(k, k + 1))[0]) for k in range(n)]
-
-
 def _cpow(z: complex, s: float) -> complex:
     """Principal power z**s for complex z, real s."""
     return cmath.exp(s * cmath.log(z))
 
 
-def _row_params(p: HgParams) -> list[tuple[float, float, float]]:
-    """(a, b, g) of the rows 1..4 of ``period_matrix(p, tau)``: p under
+def row_params(p: HgParams) -> list[HgParams]:
+    """The parameters of rows 1..4 of ``period_matrix(p, tau)``: p under
     each row's ``SHIFT_RULES``."""
-    return [(p.alpha + da, p.beta + db, p.gamma + dg)
-            for da, db, dg in SHIFT_RULES.values()]
+    return [p.shifted(*rule) for rule in SHIFT_RULES.values()]
 
 
-def _period_row(a: float, b: float, g: float, d_gamma: float, lam: complex,
-                p1: complex, p3: complex, f21) -> np.ndarray:
-    """All four cycle periods of the cocycle whose shifted parameters are
-    (a, b, g) as a length-4 vector; the first carries ``p1``, the third
-    ``p3 / lambda^(d_gamma)``.  ``f21`` yields the 2F1 values at lambda of
-    sigma_1, at (a, b, g), and of sigma_3, at (1 - b, 1 - a, 2 - g)."""
+def _period_row(a: float, b: float, g: float, s1: complex, s3: complex
+                ) -> np.ndarray:
+    """The four cycle periods of the cocycle at shifted parameters
+    (a, b, g), from those of the first and third cycle, s1 and s3."""
     e = unit_phase
-    s1 = beta_real(a, g) / 2.0 * p1 * next(f21)
-    s3 = (-e(0.5 * (a + b - g)) * beta_real(1 - b, 2 - g) / 2.0
-          * p3 / lam**d_gamma * next(f21))
     s4 = (1.0 - e(g - a)) * s1
     s2 = -((1.0 - e(a)) * s1 + e(2 * a + 2 * b - 2 * g) * (1.0 - e(g - b)) * s3) / (
         e(2 * a - 2 * g) * (1.0 - e(g))
@@ -117,53 +80,50 @@ def period_matrix(p: HgParams, tau: TauPoint) -> np.ndarray:
     Also raises for |Re tau| > 1, where sigma_1 is the integral times a
     phase exp(+-i pi gamma) (at 1.3+1.2i and -1.3+1.2i, for instance).
     """
-    return _value(period_matrices([(p, tau)])[0])
+    return period_matrices([(p, tau)])[0]
 
 
-def period_matrices(draws) -> list:
-    """``period_matrix(p, tau)`` for each (p, tau) of ``draws``, or the typed
-    error it raises, in its place: one step of ``each_draw``.
+def period_matrices(draws) -> list[np.ndarray]:
+    """``period_matrix(p, tau)`` for each (p, tau) of ``draws``; raises the
+    first typed error of a draw.
 
-    A stack of draws sums the eight 2F1 series of every matrix, at all the
-    taus, as one array ``gauss_2f1`` table.  A draw alone sums its eight by
-    the scalar loop, lazily in row order, so that a Gamma error of row 1
-    still comes before a 2F1 error of row 3.  The rest is scalar, per
-    matrix: Gamma, the phases and the prefactors.
+    Per draw, in order: the tau checks, ``require_admissible``, and each
+    row's Beta factors and prefactors, so a Gamma error of row 1 comes
+    before a 2F1 error of any row.  Then one array ``gauss_2f1`` call sums
+    the eight series of every draw, at all the taus, at lambda: sigma_1's
+    at (a, b, g) and sigma_3's at (1 - b, 1 - a, 2 - g) of each row.
     """
-    def step(ks):
-        prepared = []  # (tau, lambda, p, row params) of each draw
-        for p, tau in (draws[k] for k in ks):
-            t = tau.tau
-            if abs(t.real) > 1.0:
-                raise PeriodError(
-                    f"tau = {t} has |Re tau| > 1, where the closed-form "
-                    "periods differ from the integral by a phase")
-            if abs(t - 0.5) < 0.5 or abs(t + 0.5) < 0.5:
-                raise PeriodError(
-                    f"tau = {t} lies inside a disc |tau -+ 1/2| < 1/2, "
-                    "where the closed-form periods are on the wrong branch")
-            require_admissible(p)
-            prepared.append((tau, lambda_tau(tau), p, _row_params(p)))
-        series = [(*abc, lam) for _, lam, _, rows in prepared
-                  for a, b, g in rows
-                  for abc in ((a, b, g), (1 - b, 1 - a, 2 - g))]
-        f21 = (iter(gauss_2f1(*map(np.array, zip(*series))).tolist())
-               if len(ks) > 1 else (gauss_2f1(*x) for x in series))
-        out = []
-        for tau, lam, p, rows in prepared:
-            a, b, g = p.alpha, p.beta, p.gamma
-            tc = theta_constants(tau)
-            p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
-                  * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
-            p3 = (_cpow(tc.th2_0, 4 - 2 * g)
-                  * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
-                  * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
-            out.append(np.array([
-                _period_row(*abg, shift[2], lam, p1, p3, f21)
-                for abg, shift in zip(rows, SHIFT_RULES.values())]))
-        return out
-
-    return each_draw(step, len(draws))
+    rows = []  # (a, b, g, sigma_1 and sigma_3 factors), 4 per draw
+    series = []
+    for p, tau in draws:
+        t = tau.tau
+        if abs(t.real) > 1.0:
+            raise PeriodError(
+                f"tau = {t} has |Re tau| > 1, where the closed-form "
+                "periods differ from the integral by a phase")
+        if abs(t - 0.5) < 0.5 or abs(t + 0.5) < 0.5:
+            raise PeriodError(
+                f"tau = {t} lies inside a disc |tau -+ 1/2| < 1/2, "
+                "where the closed-form periods are on the wrong branch")
+        require_admissible(p)
+        lam = lambda_tau(tau)
+        tc = theta_constants(tau)
+        a, b, g = p.alpha, p.beta, p.gamma
+        p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
+              * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
+        p3 = (_cpow(tc.th2_0, 4 - 2 * g) * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
+              * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
+        for r, (_, _, d_gamma) in zip(row_params(p), SHIFT_RULES.values()):
+            a, b, g = r.alpha, r.beta, r.gamma
+            rows.append((a, b, g, beta_real(a, g) / 2.0 * p1,
+                         -unit_phase(0.5 * (a + b - g))
+                         * beta_real(1 - b, 2 - g) / 2.0 * p3 / lam**d_gamma))
+            series += [(a, b, g, lam), (1 - b, 1 - a, 2 - g, lam)]
+    f21 = iter(gauss_2f1(*map(np.array, zip(*series))).tolist()
+               if series else ())
+    out = [_period_row(a, b, g, f1 * next(f21), f3 * next(f21))
+           for a, b, g, f1, f3 in rows]
+    return [np.array(out[k:k + 4]) for k in range(0, len(out), 4)]
 
 
 def block_periods(m: np.ndarray) -> dict[int, np.ndarray]:

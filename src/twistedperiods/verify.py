@@ -18,16 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .hypergeom import gauss_2f1, product_coeffs, product_k, product_params
-from .matrices import (HgParams, admissible, basis_change, block_C,
-                       block_H_prime, cohomology_C, diagonal_solve,
-                       guarded_solve, homology_H, require_admissible,
-                       theta_bracket)
-from .periods import (RECOVERABLE, SHIFT_RULES, _attempt, _value,
-                      block_periods, each_draw, period_matrices,
-                      period_matrix)
-from .series import (KERNEL_CACHE_SIZE, TWO_PI_I, TauPoint, ThetaConstants,
-                     g2_lambert, lambda_tau, q_terms, theta_constants)
+from .hypergeom import (HypergeomError, gauss_2f1, product_coeffs,
+                        product_k, product_params)
+from .matrices import (AdmissibilityError, ConditioningError, HgParams,
+                       admissible, basis_change, block_C, block_H_prime,
+                       cohomology_C, diagonal_solve, guarded_solve,
+                       homology_H, require_admissible, theta_bracket)
+from .periods import (PeriodError, block_periods, period_matrices,
+                      period_matrix, row_params)
+from .quadrature import QuadratureError
+from .series import (KERNEL_CACHE_SIZE, TWO_PI_I, SeriesError, TauPoint,
+                     ThetaConstants, g2_lambert, lambda_tau, q_terms,
+                     theta_constants)
 
 SWEEP_TAUS = (1j, 1.3j, 2j, 0.3 + 1.2j)
 
@@ -248,6 +250,36 @@ def _params_dict(p: HgParams | None, tau: TauPoint | None, **extra) -> dict:
             "tau_im": im, **extra}
 
 
+# the typed errors a draw or a check records in its place; the CLI exits 2
+RECOVERABLE = (AdmissibilityError, ConditioningError, HypergeomError,
+               PeriodError, QuadratureError, SeriesError)
+
+
+def _attempt(build):
+    """``build()``, or the typed error it raises, in its place."""
+    try:
+        return build()
+    except RECOVERABLE as exc:
+        return exc
+
+
+def _value(x):
+    """``x``, unless it is the error that took its place."""
+    if isinstance(x, Exception):
+        raise x
+    return x
+
+
+def each_draw(step, n: int) -> list:
+    """The values of n draws from one stacked pass, ``step(range(n))``.  If
+    that raises a typed error, each draw k is redone alone, by
+    ``step(range(k, k + 1))``, and keeps its value or its error."""
+    try:
+        return step(range(n))
+    except RECOVERABLE:
+        return [_attempt(lambda: step(range(k, k + 1))[0]) for k in range(n)]
+
+
 def _run_check(name: str, params: dict, tolerance: float, fn) -> CheckResult:
     """The check of ``fn()``'s residual, the one place a verdict is made: a
     recoverable error or a non-finite residual errors it, never a FAIL."""
@@ -298,48 +330,50 @@ def _verify_tpr_batch(draws, tols: Tolerances
     """``verify_tpr``'s four checks for each (p, tau) of ``draws``, each
     draw's bits, errors and texts those of its batch of one.
 
-    Per draw, H, C, H' and the basis changes of p and -p are scalar closed
-    forms, kept as values or errors, and every draw's P+- come from one
-    ``period_matrices`` call.  Each check is one step of ``each_draw``: it
-    reads its builds as stacks, each built once per batch (C, P+, P-, then
-    H or H'; orthogonality the basis changes and H), then runs one stacked
-    solve and batched products.  A draw redone alone reports its first
-    failed build, else its solve's error.  The Frobenius norms are taken
-    per draw: a norm over a stacked axis sums in another order.
+    Each check is one step of ``each_draw``: it reads its builds for a
+    range of draws as stacks (C, P+ and P-, then H or H'; orthogonality
+    the basis changes of p and -p, then H), then runs one stacked solve
+    and batched products.  A stack is built where a check first reads it
+    and kept, value or error, per key and range; P+ and P- of a range come
+    from one ``period_matrices`` call.  A draw redone alone reports its
+    first failed build, else its solve's error.  The Frobenius norms are
+    taken per draw: a norm over a stacked axis sums in another order.
     """
-    builds = {key: [] for key in ("c", "h", "hd", "rows", "dual")}
-    signed = []  # (p, tau) and (-p, tau) of each draw: its P+ and P-
-    for p, tau in draws:
-        q = p.negated()
-        signed += [(p, tau), (q, tau)]
-        for key, build in (
-                ("c", lambda: cohomology_C(p, theta_constants(tau))),
-                ("h", lambda: homology_H(p)),
-                ("hd", lambda: _by_sign(block_H_prime(p))),
-                ("rows", lambda: _by_sign(basis_change(p))),
-                ("dual", lambda: _by_sign(basis_change(q))[::-1])):
-            builds[key].append(_attempt(build))
-    periods = period_matrices(signed)
-    builds["pp"], builds["pm"] = periods[::2], periods[1::2]
+    def each(build):
+        return lambda ks: np.array([build(*draws[k]) for k in ks])
+
+    def signed(ks):  # (P+, P-) of the draws ks
+        m = period_matrices([(q, tau) for p, tau in (draws[k] for k in ks)
+                             for q in (p, p.negated())])
+        return np.array(m[::2]), np.array(m[1::2])
+
+    builders = {
+        "c": each(lambda p, tau: cohomology_C(p, theta_constants(tau))),
+        "h": each(lambda p, tau: homology_H(p)),
+        "hd": each(lambda p, tau: _by_sign(block_H_prime(p))),
+        "rows": each(lambda p, tau: _by_sign(basis_change(p))),
+        "dual": each(lambda p, tau: _by_sign(basis_change(p.negated()))[::-1]),
+        "periods": signed,
+        "blocks": lambda ks: [block_periods(m) for m in stack("periods", ks)],
+    }
 
     @functools.cache
-    def stack(key: str, ks: range) -> np.ndarray:
-        return np.array([_value(builds[key][k]) for k in ks])
+    def built(key: str, ks: range):
+        return _attempt(lambda: builders[key](ks))
 
-    @functools.cache
-    def blocks(key: str, ks: range) -> dict[int, np.ndarray]:
-        return block_periods(stack(key, ks))
+    def stack(key: str, ks: range):
+        return _value(built(key, ks))
 
     norm = np.linalg.norm
 
     def full(ks):
-        c, pp, pm, h = (stack(key, ks) for key in ("c", "pp", "pm", "h"))
+        c, (pp, pm), h = (stack(key, ks) for key in ("c", "periods", "h"))
         x = guarded_solve(np.swapaxes(h, 1, 2), np.swapaxes(pm, 1, 2))
         return [norm(r) / norm(cm) for r, cm in zip(c - pp @ x, c)]
 
     def block(i: int, sign: int, ks):
         cb = block_C(stack("c", ks))[sign]
-        pb, mb = (blocks(key, ks)[sign] for key in ("pp", "pm"))
+        pb, mb = (pair[sign] for pair in stack("blocks", ks))
         x = diagonal_solve(stack("hd", ks)[:, i], np.swapaxes(mb, 1, 2))
         return [norm(r) / norm(cm) for r, cm in zip(cb - pb @ x, cb)]
 
@@ -547,20 +581,20 @@ def verify_series_identities(tau: TauPoint,
 
 def sample_admissible(rng: np.random.Generator) -> HgParams:
     """Draw p uniformly from (-2, 2)^3 until the eight sets the period rows
-    evaluate, p and -p under the four ``SHIFT_RULES`` (row 3's is zero),
-    all keep their five exponents SAMPLER_MARGIN from the integers."""
+    evaluate, ``row_params`` of p and of -p, all keep their five exponents
+    SAMPLER_MARGIN from the integers."""
     while True:
         alpha, beta, gamma = rng.uniform(-2.0, 2.0, size=3)
         p = HgParams(float(alpha), float(beta), float(gamma))
-        if all(admissible(v.shifted(*s), SAMPLER_MARGIN)[0]
-               for v in (p, p.negated()) for s in SHIFT_RULES.values()):
+        if all(admissible(r, SAMPLER_MARGIN)[0]
+               for v in (p, p.negated()) for r in row_params(v)):
             return p
 
 
 def run_sweep(seed: int, count: int,
               tol_profile="default") -> VerificationReport:
-    """Seeded sweep of every check over ``count`` admissible draws, an int
-    or numpy integer >= 1 (a bool is neither).
+    """Seeded sweep of every check over ``count`` admissible draws; the seed
+    >= 0 and the count >= 1 are ints or numpy integers (a bool is neither).
 
     tau cycles through the fixed list, one ``TauPoint`` per entry; its
     theta constants and suite residuals are cached, and residuals are
@@ -571,8 +605,9 @@ def run_sweep(seed: int, count: int,
     other three public ``verify_*``, in registry order: the results of the
     public calls, bit for bit.
     """
-    if not np.issubdtype(type(count), np.integer) or count < 1:
-        raise ValueError(f"count must be an integer >= 1, not {count!r}")
+    for name, n, least in (("seed", seed, 0), ("count", count, 1)):
+        if not np.issubdtype(type(n), np.integer) or n < least:
+            raise ValueError(f"{name} must be an integer >= {least}, not {n!r}")
     tols = resolve_tolerances(tol_profile)
     rng = np.random.default_rng(seed)
     taus = [TauPoint(t) for t in SWEEP_TAUS]
@@ -585,5 +620,5 @@ def run_sweep(seed: int, count: int,
                    *verify_entry22(a, b, c, tau, tols),
                    verify_whipple(a, b, c, tols),
                    *verify_series_identities(tau, tols)]
-    return VerificationReport(tool_version=__version__, seed=seed,
+    return VerificationReport(tool_version=__version__, seed=int(seed),
                               checks=checks)

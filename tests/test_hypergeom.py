@@ -8,6 +8,7 @@ import pytest
 from twistedperiods.hypergeom import (INTEGRALITY_GUARD, MAX_DEGREE,
                                       HypergeomError, beta_real, gamma_real,
                                       gauss_2f1, product_coeffs)
+from twistedperiods import hypergeom
 from twistedperiods.periods import SHIFT_RULES
 from twistedperiods.series import TauPoint, lambda_tau
 from twistedperiods.verify import SWEEP_TAUS, sample_admissible
@@ -248,6 +249,23 @@ class TestTableRoute:
         table = gauss_2f1(*map(np.array, zip(*cases)))
         assert ([self._bits(x) for x in table]
                 == [self._bits(gauss_2f1(*args)) for args in cases])
+
+    def test_tail_guard_series_stop_in_the_table(self, monkeypatch):
+        # the table's next term is the loop's tail guard, bit for bit, so
+        # the series of test_tail_guard_as_the_loop need no loop call
+        calls = []
+        original = hypergeom.gauss_2f1
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hypergeom, "gauss_2f1", counting)
+        cases = [(-2 - 1e-15, -1.9, -3 + 1e-8, 0.5),
+                 (-2 - 1e-15, -1.9, -3 + 1e-8, 0.3 + 0.4j),
+                 (-4 - 2e-15, 0.7, -5 + 3e-9, -0.6)]
+        hypergeom.gauss_2f1(*map(np.array, zip(*cases)))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("args", [
         (-100.3, -0.21, -0.77, 0.5),  # the terms cancel to rounding

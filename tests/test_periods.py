@@ -13,13 +13,14 @@ from twistedperiods.hypergeom import (HypergeomError, beta_real, gamma_real,
                                       gauss_2f1)
 from twistedperiods.matrices import HgParams, unit_phase
 from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
-                                    each_draw, euler_pairing,
-                                    euler_pairing_closed, period_matrices,
-                                    period_matrix, wirtinger_quadrature)
-from twistedperiods import periods, quadrature, series
+                                    euler_pairing, euler_pairing_closed,
+                                    period_matrices, period_matrix,
+                                    wirtinger_quadrature)
+from twistedperiods import periods, quadrature, series, verify
 from twistedperiods.quadrature import QuadratureError, tanh_sinh
 from twistedperiods.series import TauPoint, lambda_tau, theta_constants
-from twistedperiods.verify import SWEEP_TAUS, sample_admissible
+from twistedperiods.verify import (SWEEP_TAUS, resolve_tolerances,
+                                   sample_admissible)
 
 P_REF = HgParams(0.30, 0.21, 0.77)
 TAU_I = TauPoint(1j)
@@ -210,40 +211,6 @@ class TestPeriodEntries:
             assert period(i, 2, p, tau) == pytest.approx(expect, rel=1e-13)
 
 
-class TestEachDraw:
-    def test_one_stacked_pass_when_it_succeeds(self):
-        calls = []
-
-        def step(ks):
-            calls.append(ks)
-            return [10 * k for k in ks]
-
-        assert each_draw(step, 3) == [0, 10, 20]
-        assert calls == [range(3)]
-
-    def test_a_failed_stack_is_redone_draw_by_draw(self):
-        calls = []
-
-        def step(ks):
-            calls.append(ks)
-            if 1 in ks:
-                raise PeriodError(f"draw 1 of {ks}")
-            return [10 * k for k in ks]
-
-        out = each_draw(step, 3)
-        assert out[0] == 0 and out[2] == 20
-        assert isinstance(out[1], PeriodError)
-        assert str(out[1]) == "draw 1 of range(1, 2)"
-        assert calls == [range(3), range(0, 1), range(1, 2), range(2, 3)]
-
-    def test_an_untyped_error_is_raised(self):
-        def step(ks):
-            raise ZeroDivisionError("not a draw's failure")
-
-        with pytest.raises(ZeroDivisionError):
-            each_draw(step, 2)
-
-
 class TestPeriodMatrices:
     def test_gamma_error_of_row_one_wins_over_its_2f1_error(self):
         # row 1's first 2F1 series cancels to rounding, but its Gamma factor
@@ -255,11 +222,16 @@ class TestPeriodMatrices:
         with pytest.raises(HypergeomError,
                            match=re.escape("1/Gamma(-170.8) overflows")):
             period_matrix(q, TAU_I)
-        out = period_matrices([(P_REF, TAU_I), (q, TAU_I),
-                               (P_REF.negated(), TAU_I)])
-        assert str(out[1]) == "1/Gamma(-170.8) overflows double precision"
-        for m, p in zip(out[::2], (P_REF, P_REF.negated())):
-            assert np.array_equal(m, period_matrix(p, TAU_I))
+        draws = [(P_REF, TAU_I), (q, TAU_I), (P_REF.negated(), TAU_I)]
+        text = "1/Gamma(-170.8) overflows double precision"
+        with pytest.raises(HypergeomError, match=re.escape(text)):
+            period_matrices(draws)
+        # the checks redo the failed batch draw by draw: only q's errors
+        batch = verify._verify_tpr_batch(draws, resolve_tolerances("default"))
+        assert [r.error for r in batch[1][:3]] == [text] * 3
+        for draw, rows in zip(draws[::2], batch[::2]):
+            assert rows == verify._verify_tpr_batch(
+                [draw], resolve_tolerances("default"))[0]
 
     def test_minus_matrix_negates_parameters(self):
         # P- is the period matrix at -p: its entry (3, 1) is the Gauss

@@ -18,11 +18,11 @@ from twistedperiods import cli, matrices, periods, series, verify
 from twistedperiods.cli import main
 from twistedperiods.hypergeom import HypergeomError
 from twistedperiods.matrices import HgParams
-from twistedperiods.periods import SHIFT_RULES
+from twistedperiods.periods import SHIFT_RULES, PeriodError
 from twistedperiods.series import TauPoint, lambda_tau, theta_constants
 from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
                                    REPORT_COLUMNS, SWEEP_TAUS, Tolerances,
-                                   VerificationReport,
+                                   VerificationReport, each_draw,
                                    resolve_tolerances, run_sweep,
                                    sample_admissible, verify_entry22,
                                    verify_series_identities, verify_tpr,
@@ -333,6 +333,40 @@ class TestBlockTpr:
         monkeypatch.setattr(verify, "basis_change", mutated)
         result = verify_tpr(P_REF, TAU_I)[3]
         assert not result.passed and result.residual > 1e-2
+
+
+class TestEachDraw:
+    def test_one_stacked_pass_when_it_succeeds(self):
+        calls = []
+
+        def step(ks):
+            calls.append(ks)
+            return [10 * k for k in ks]
+
+        assert each_draw(step, 3) == [0, 10, 20]
+        assert calls == [range(3)]
+
+    def test_a_failed_stack_is_redone_draw_by_draw(self):
+        calls = []
+
+        def step(ks):
+            calls.append(ks)
+            if 1 in ks:
+                raise PeriodError(f"draw 1 of {ks}")
+            return [10 * k for k in ks]
+
+        out = each_draw(step, 3)
+        assert out[0] == 0 and out[2] == 20
+        assert isinstance(out[1], PeriodError)
+        assert str(out[1]) == "draw 1 of range(1, 2)"
+        assert calls == [range(3), range(0, 1), range(1, 2), range(2, 3)]
+
+    def test_an_untyped_error_is_raised(self):
+        def step(ks):
+            raise ZeroDivisionError("not a draw's failure")
+
+        with pytest.raises(ZeroDivisionError):
+            each_draw(step, 2)
 
 
 class TestTprBatch:
@@ -993,6 +1027,17 @@ class TestSweep:
     def test_numpy_integer_count(self):
         assert (run_sweep(seed=1, count=np.int64(2)).to_json()
                 == run_sweep(seed=1, count=2).to_json())
+
+    def test_numpy_integer_seed(self):
+        # the report stores an int, which its JSON can write
+        assert (run_sweep(seed=np.int64(3), count=1).to_json()
+                == run_sweep(seed=3, count=1).to_json())
+
+    @pytest.mark.parametrize("seed", [True, 1.5])
+    def test_seed_that_is_not_an_integer(self, seed):
+        # a bool seed would write a report that from_json refuses
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_sweep(seed=seed, count=1)
 
     def test_summary_matches_tallies(self):
         report = run_sweep(seed=7, count=2)
