@@ -29,7 +29,8 @@ import math
 import numpy as np
 
 from .hypergeom import beta_real, gauss_2f1
-from .matrices import HgParams, require_admissible, unit_phase
+from .matrices import (HgParams, _admit, require_admissible, stacked,
+                       unit_phase)
 from .quadrature import tanh_sinh
 from .series import (TauPoint, _theta_terms, lambda_tau, theta_constants,
                      trig_sums)
@@ -42,6 +43,10 @@ SHIFT_RULES: dict[int, tuple[float, float, float]] = {
     3: (0.0, 0.0, 0.0),
     4: (0.0, 1.0, 1.0),
 }
+# the rules as an array: (d_alpha, d_beta, d_gamma) x row; sigma_3 is at
+# _SIGMA3 minus the (b, a, g) of sigma_1
+_SHIFTS = np.array(list(SHIFT_RULES.values())).T
+_SIGMA3 = np.array([1.0, 1.0, 2.0])[:, None, None]
 
 
 class PeriodError(Exception):
@@ -59,18 +64,6 @@ def row_params(p: HgParams) -> list[HgParams]:
     return [p.shifted(*rule) for rule in SHIFT_RULES.values()]
 
 
-def _period_row(a: float, b: float, g: float, s1: complex, s3: complex
-                ) -> np.ndarray:
-    """The four cycle periods of the cocycle at shifted parameters
-    (a, b, g), from those of the first and third cycle, s1 and s3."""
-    e = unit_phase
-    s4 = (1.0 - e(g - a)) * s1
-    s2 = -((1.0 - e(a)) * s1 + e(2 * a + 2 * b - 2 * g) * (1.0 - e(g - b)) * s3) / (
-        e(2 * a - 2 * g) * (1.0 - e(g))
-    )
-    return np.array([s1, s2, s3, s4], dtype=complex)
-
-
 def period_matrix(p: HgParams, tau: TauPoint) -> np.ndarray:
     """4x4 period matrix of the weight with exponents ``p``: P+ at p, and
     P- at ``p.negated()``.  The batch of one of ``period_matrices``.
@@ -83,19 +76,39 @@ def period_matrix(p: HgParams, tau: TauPoint) -> np.ndarray:
     return period_matrices([(p, tau)])[0]
 
 
-def period_matrices(draws) -> list[np.ndarray]:
-    """``period_matrix(p, tau)`` for each (p, tau) of ``draws``; raises the
-    first typed error of a draw.
+def _prefactors(p: HgParams, taus) -> np.ndarray:
+    """P1 and P3 of each draw of a batch p at its tau, with an axis for the
+    rows: exponentials of sums of the theta constants' logarithms, P1 as in
+    the module docstring and P3 = (theta2/theta3)^4 / P1."""
+    l2, l3, l4 = np.log(np.array([
+        (tc.th2_0, tc.th3_0, tc.th4_0) for tc in map(theta_constants, taus)
+    ])).T
+    ab, g = 2.0 * (p.alpha + p.beta), 2.0 * p.gamma
+    log_p1 = g * l2 - ab * l3 + (ab - g) * l4
+    return np.exp([log_p1, 4 * (l2 - l3) - log_p1])[..., None]
 
-    Per draw, in order: the tau checks, ``require_admissible``, and each
-    row's Beta factors and prefactors, so a Gamma error of row 1 comes
-    before a 2F1 error of any row.  Then one array ``gauss_2f1`` call sums
-    the eight series of every draw, at all the taus, at lambda: sigma_1's
-    at (a, b, g) and sigma_3's at (1 - b, 1 - a, 2 - g) of each row.
+
+def period_matrices(draws) -> np.ndarray:
+    """``period_matrix(p, tau)`` of each (p, tau) of ``draws``, stacked on
+    a leading batch axis: an array (draws, 4, 4).  The rows' Beta factors,
+    prefactors, phases and the combinations of columns 2 and 4 are numpy
+    closed forms evaluated once over the batch; a single draw is a batch of
+    one (shape-(1,) arrays), so a draw's matrix has the same bits in any
+    batch.
+
+    Each rule is tested once over the batch, in order: the tau checks,
+    admissibility, the Gamma rules of every Beta factor (per draw and row,
+    sigma_1's before sigma_3's), then one ``gauss_2f1`` table sums the
+    eight series of every draw, at lambda: sigma_1's at (a, b, g) and
+    sigma_3's at (1 - b, 1 - a, 2 - g) of each row.  The first draw that
+    breaks a rule raises its error, so a batch of one raises the first
+    error of its draw: a Gamma error of row 1 comes before a 2F1 error of
+    any row.
     """
-    rows = []  # (a, b, g, sigma_1 and sigma_3 factors), 4 per draw
-    series = []
-    for p, tau in draws:
+    if not draws:
+        return np.zeros((0, 4, 4), complex)
+    taus = [tau for _, tau in draws]
+    for tau in taus:
         t = tau.tau
         if abs(t.real) > 1.0:
             raise PeriodError(
@@ -105,25 +118,26 @@ def period_matrices(draws) -> list[np.ndarray]:
             raise PeriodError(
                 f"tau = {t} lies inside a disc |tau -+ 1/2| < 1/2, "
                 "where the closed-form periods are on the wrong branch")
-        require_admissible(p)
-        lam = lambda_tau(tau)
-        tc = theta_constants(tau)
-        a, b, g = p.alpha, p.beta, p.gamma
-        p1 = (_cpow(tc.th2_0, 2 * g) * _cpow(tc.th3_0, -2 * a - 2 * b)
-              * _cpow(tc.th4_0, 2 * a + 2 * b - 2 * g))
-        p3 = (_cpow(tc.th2_0, 4 - 2 * g) * _cpow(tc.th3_0, 2 * a + 2 * b - 4)
-              * _cpow(tc.th4_0, 2 * g - 2 * a - 2 * b))
-        for r, (_, _, d_gamma) in zip(row_params(p), SHIFT_RULES.values()):
-            a, b, g = r.alpha, r.beta, r.gamma
-            rows.append((a, b, g, beta_real(a, g) / 2.0 * p1,
-                         -unit_phase(0.5 * (a + b - g))
-                         * beta_real(1 - b, 2 - g) / 2.0 * p3 / lam**d_gamma))
-            series += [(a, b, g, lam), (1 - b, 1 - a, 2 - g, lam)]
-    f21 = iter(gauss_2f1(*map(np.array, zip(*series))).tolist()
-               if series else ())
-    out = [_period_row(a, b, g, f1 * next(f21), f3 * next(f21))
-           for a, b, g, f1, f3 in rows]
-    return [np.array(out[k:k + 4]) for k in range(0, len(out), 4)]
+    p = stacked([p for p, _ in draws])
+    _admit(p)
+    lam = np.array([lambda_tau(tau) for tau in taus])[:, None]
+    p1, p3 = _prefactors(p, taus)
+    # (a, b, g) of each draw and row, then the series' parameters
+    # (a, b, g) and (1 - b, 1 - a, 2 - g) on a last axis
+    rows = np.array([p.alpha, p.beta, p.gamma])[..., None] + _SHIFTS[:, None]
+    series = np.stack([rows, _SIGMA3 - rows[[1, 0, 2]]], axis=-1)
+    beta = beta_real(series[0], series[2])
+    f21 = gauss_2f1(*series, lam[..., None])
+    a, b, g = rows
+    h, ga = a + b - g, g - a
+    e_half, e_ga, e_a, e_abg, e_gb, e_ag, e_g = unit_phase(np.array([
+        0.5 * h, ga, a, 2.0 * h, g - b, -2.0 * ga, g]))
+    s1 = beta[..., 0] / 2.0 * p1 * f21[..., 0]
+    s3 = -e_half * beta[..., 1] / 2.0 * p3 / lam**_SHIFTS[2] * f21[..., 1]
+    s4 = (1.0 - e_ga) * s1
+    s2 = -((1.0 - e_a) * s1 + e_abg * (1.0 - e_gb) * s3) / (
+        e_ag * (1.0 - e_g))
+    return np.stack([s1, s2, s3, s4], axis=-1)
 
 
 def block_periods(m: np.ndarray) -> dict[int, np.ndarray]:

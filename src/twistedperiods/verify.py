@@ -23,9 +23,9 @@ from .hypergeom import (HypergeomError, gauss_2f1, product_coeffs,
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        admissible, basis_change, block_C, block_H_prime,
                        cohomology_C, diagonal_solve, guarded_solve,
-                       homology_H, require_admissible, theta_bracket)
-from .periods import (PeriodError, block_periods, period_matrices,
-                      period_matrix, row_params)
+                       homology_H, require_admissible, stacked,
+                       theta_bracket)
+from .periods import PeriodError, block_periods, period_matrices, row_params
 from .quadrature import QuadratureError
 from .series import (KERNEL_CACHE_SIZE, TWO_PI_I, SeriesError, TauPoint,
                      ThetaConstants, g2_lambert, lambda_tau, q_terms,
@@ -320,9 +320,21 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
     return _verify_tpr_batch([(p, tau)], resolve_tolerances(tol))[0]
 
 
-def _by_sign(pair: dict[int, np.ndarray]) -> np.ndarray:
-    """An eigenspace pair as an array, eigenvalue -1 first."""
-    return np.array([pair[-1], pair[1]])
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack, the squares of its
+    entries' real and imaginary parts summed in memory order (np.cumsum),
+    whatever the stack's size."""
+    square = np.square(np.ascontiguousarray(m).view(float))
+    return np.sqrt(np.cumsum(square.reshape(m.shape[:-2] + (-1,)),
+                             axis=-1)[..., -1])
+
+
+def _checks(name: str, params: list, tol: float, outcomes: list
+            ) -> list[CheckResult]:
+    """The check ``name`` of each draw, from its params and its
+    ``each_draw`` outcome, a residual or the error in its place."""
+    return [_run_check(name, q, tol, functools.partial(_value, outcome))
+            for q, outcome in zip(params, outcomes)]
 
 
 def _verify_tpr_batch(draws, tols: Tolerances
@@ -334,25 +346,31 @@ def _verify_tpr_batch(draws, tols: Tolerances
     range of draws as stacks (C, P+ and P-, then H or H'; orthogonality
     the basis changes of p and -p, then H), then runs one stacked solve
     and batched products.  A stack is built where a check first reads it
-    and kept, value or error, per key and range; P+ and P- of a range come
-    from one ``period_matrices`` call.  A draw redone alone reports its
-    first failed build, else its solve's error.  The Frobenius norms are
-    taken per draw: a norm over a stacked axis sums in another order.
+    and kept, value or error, per key and range, by one builder call over
+    the range's draws, and over their negations where a check reads -p:
+    the basis changes of p and -p, and P+ and P- (``period_matrices``).  A
+    draw redone alone reports its first failed build, else its solve's
+    error.  The Frobenius norms (``_frobenius``) sum each matrix in one
+    order, whatever the batch.
     """
-    def each(build):
-        return lambda ks: np.array([build(*draws[k]) for k in ks])
+    abg = np.array(list(zip(*(vars(p).values() for p, _ in draws))))
+    taus = [tau for _, tau in draws]
+
+    def part(ks, both=False):  # p of the draws ks, then -p's if both
+        x = abg[:, ks.start:ks.stop]
+        return HgParams(*(np.hstack([x, -x]) if both else x))
 
     def signed(ks):  # (P+, P-) of the draws ks
-        m = period_matrices([(q, tau) for p, tau in (draws[k] for k in ks)
-                             for q in (p, p.negated())])
-        return np.array(m[::2]), np.array(m[1::2])
+        plus = [draws[k] for k in ks]
+        m = period_matrices(plus + [(q.negated(), tau) for q, tau in plus])
+        return m[:len(ks)], m[len(ks):]
 
     builders = {
-        "c": each(lambda p, tau: cohomology_C(p, theta_constants(tau))),
-        "h": each(lambda p, tau: homology_H(p)),
-        "hd": each(lambda p, tau: _by_sign(block_H_prime(p))),
-        "rows": each(lambda p, tau: _by_sign(basis_change(p))),
-        "dual": each(lambda p, tau: _by_sign(basis_change(p.negated()))[::-1]),
+        "c": lambda ks: cohomology_C(part(ks), stacked(
+            [theta_constants(tau) for tau in taus[ks.start:ks.stop]])),
+        "h": lambda ks: homology_H(part(ks)),
+        "hd": lambda ks: block_H_prime(part(ks)),
+        "b": lambda ks: basis_change(part(ks, both=True)),
         "periods": signed,
         "blocks": lambda ks: [block_periods(m) for m in stack("periods", ks)],
     }
@@ -364,45 +382,39 @@ def _verify_tpr_batch(draws, tols: Tolerances
     def stack(key: str, ks: range):
         return _value(built(key, ks))
 
-    norm = np.linalg.norm
-
     def full(ks):
         c, (pp, pm), h = (stack(key, ks) for key in ("c", "periods", "h"))
         x = guarded_solve(np.swapaxes(h, 1, 2), np.swapaxes(pm, 1, 2))
-        return [norm(r) / norm(cm) for r, cm in zip(c - pp @ x, c)]
+        return (_frobenius(c - pp @ x) / _frobenius(c)).tolist()
 
-    def block(i: int, sign: int, ks):
+    def block(sign: int, ks):
         cb = block_C(stack("c", ks))[sign]
         pb, mb = (pair[sign] for pair in stack("blocks", ks))
-        x = diagonal_solve(stack("hd", ks)[:, i], np.swapaxes(mb, 1, 2))
-        return [norm(r) / norm(cm) for r, cm in zip(cb - pb @ x, cb)]
+        x = diagonal_solve(stack("hd", ks)[sign], np.swapaxes(mb, 1, 2))
+        return (_frobenius(cb - pb @ x) / _frobenius(cb)).tolist()
 
     def orthogonality(ks):
-        # rows[k, i] is B(e), e = (-1, 1)[i], and dual[k, i] is -p's B(-e)
-        rows, dual, h = (stack(key, ks) for key in ("rows", "dual", "h"))
-        top = np.abs(rows @ h[:, None] @ np.swapaxes(dual, 2, 3)).max(
-            axis=(2, 3))
-        return [_worst(*(float(top[k, i] / (norm(rows[k, i]) * norm(h[k])
-                                            * norm(dual[k, i])))
-                         for i in (0, 1))) for k in range(len(ks))]
+        # B(e) of p against -p's B(-e), through H, for e = -1 and 1
+        b, h, n = stack("b", ks), stack("h", ks), len(ks)
+        size = {e: _frobenius(b[e]) for e in (-1, 1)}  # p's, then -p's
+        return np.maximum(*(  # nan if either is
+            np.abs(b[e][:n] @ h @ np.swapaxes(b[-e][n:], 1, 2)).max(
+                axis=(1, 2)) / (size[e][:n] * _frobenius(h) * size[-e][n:])
+            for e in (-1, 1))).tolist()
 
     # norms that overflow near the Im ceiling error the check, unwarned
     with np.errstate(all="ignore"):
-        outcomes = [each_draw(step, len(draws)) for step in (
-            full, functools.partial(block, 0, -1),
-            functools.partial(block, 1, 1), orthogonality)]
-    results = []
-    for (p, tau), (*relations, orthogonal) in zip(draws, zip(*outcomes)):
-        params = _params_dict(p, tau)
-        results.append((
-            *(_run_check(name, params, tols.matrix,
-                         functools.partial(_value, outcome))
-              for name, outcome in zip(("full-tpr", "block-tpr-minus",
-                                        "block-tpr-plus"), relations)),
-            _run_check("orthogonality", _params_dict(p, None),
-                       tols.orthogonality,
-                       functools.partial(_value, orthogonal))))
-    return results
+        full_, minus, plus, orthogonal = (
+            each_draw(step, len(draws)) for step in (
+                full, functools.partial(block, -1),
+                functools.partial(block, 1), orthogonality))
+    params = [_params_dict(p, tau) for p, tau in draws]
+    return list(zip(
+        *(_checks(name, params, tols.matrix, outcomes) for name, outcomes in (
+            ("full-tpr", full_), ("block-tpr-minus", minus),
+            ("block-tpr-plus", plus))),
+        _checks("orthogonality", [_params_dict(p, None) for p, _ in draws],
+                tols.orthogonality, orthogonal)))
 
 
 def _entry22_theta_form(p: HgParams, tc: ThetaConstants) -> complex:
@@ -450,17 +462,31 @@ def verify_whipple(a: float, b: float, c: float,
     ``product_coeffs`` table.
 
     The degree-0 and degree-1 anchors (c and a - b + 1) are folded into the
-    residual, so a wrong low-order coefficient also fails the check.
+    residual, so a wrong low-order coefficient also fails the check.  The
+    batch of one of ``_verify_whipple_batch``.
     """
-    tols = resolve_tolerances(tol)
-    params = _params_dict(None, None, a=a, b=b, c=c, n_max=WHIPPLE_N_MAX)
+    return _verify_whipple_batch([(a, b, c)], resolve_tolerances(tol))[0]
 
-    def residual():
-        coeffs = product_coeffs(WHIPPLE_N_MAX, a, b, c)
-        return _worst(abs(coeffs[0][0] - c), abs(coeffs[1][0] - (a - b + 1)),
-                      *(_rel(c1, -c2) for c1, c2 in coeffs[2:]))
 
-    return _run_check("whipple-cancellation", params, tols.whipple, residual)
+def _verify_whipple_batch(abcs, tols: Tolerances) -> list[CheckResult]:
+    """``verify_whipple`` for each (a, b, c) of ``abcs``, from one
+    ``product_coeffs`` table of them all (one ``each_draw`` step), each
+    draw's bits, errors and texts those of its batch of one."""
+    a, b, c = map(np.array, zip(*abcs))
+
+    def residuals(ks):
+        ks = slice(ks.start, ks.stop)
+        pairs = product_coeffs(WHIPPLE_N_MAX, a[ks], b[ks], c[ks])
+        # each degree's term 1 against c, a - b + 1, then -(term 2), the
+        # cancellations relative to 1 + |term 1| (``_rel``)
+        target, scale = -pairs[..., 1], 1.0 + np.abs(pairs[..., 0])
+        target[:, 0], target[:, 1] = c[ks], a[ks] - b[ks] + 1
+        scale[:, :2] = 1.0
+        return (np.abs(pairs[..., 0] - target) / scale).max(axis=1).tolist()
+
+    return _checks("whipple-cancellation", [
+        _params_dict(None, None, a=x, b=y, c=z, n_max=WHIPPLE_N_MAX)
+        for x, y, z in abcs], tols.whipple, each_draw(residuals, len(abcs)))
 
 
 def _laurent_coefficients(tc: ThetaConstants) -> tuple[complex, ...]:
@@ -613,12 +639,14 @@ def run_sweep(seed: int, count: int,
     taus = [TauPoint(t) for t in SWEEP_TAUS]
     draws = [(sample_admissible(rng), taus[k % len(taus)])
              for k in range(count)]
+    abcs = [(p.alpha - 0.5, p.beta + 0.5, p.gamma) for p, _ in draws]
     checks: list[CheckResult] = []
-    for (p, tau), tpr in zip(draws, _verify_tpr_batch(draws, tols)):
-        a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
+    for (_, tau), (a, b, c), tpr, whipple in zip(
+            draws, abcs, _verify_tpr_batch(draws, tols),
+            _verify_whipple_batch(abcs, tols)):
         checks += [*tpr,
                    *verify_entry22(a, b, c, tau, tols),
-                   verify_whipple(a, b, c, tols),
+                   whipple,
                    *verify_series_identities(tau, tols)]
     return VerificationReport(tool_version=__version__, seed=int(seed),
                               checks=checks)

@@ -370,17 +370,19 @@ class TestPrefactorsOncePerMatrix:
                 assert np.max(err[:, ::2] / np.abs(old[:, ::2])) <= 1e-13
                 assert np.max(err) <= 1e-13 * np.max(np.abs(old))
 
-    def test_six_principal_powers_per_matrix(self, monkeypatch):
+    def test_one_prefactor_table_per_batch(self, monkeypatch):
+        # P1 and P3 of every draw of a batch, taken once for its four rows
         calls = []
-        original = periods._cpow
+        original = periods._prefactors
 
-        def counting(z, s):
-            calls.append(s)
-            return original(z, s)
+        def counting(p, taus):
+            calls.append(len(taus))
+            return original(p, taus)
 
-        monkeypatch.setattr(periods, "_cpow", counting)
+        monkeypatch.setattr(periods, "_prefactors", counting)
         period_matrix(P_REF, TauPoint(0.3 + 1.2j))
-        assert len(calls) == 6
+        periods.period_matrices([(P_REF, TAU_I), (P_REF.negated(), TAU_I)])
+        assert calls == [1, 2]
 
 
 def _four_theta_wirtinger(p, tau):

@@ -76,6 +76,19 @@ def _written_out_entry22_theta_form(a, b, c, tau):
     return bracket / (2.0 * math.pi**2 * tc.th3_0**4)
 
 
+def _planted_h(planted: HgParams, value: float):
+    """A ``homology_H`` that fills the planted draw's matrices with value,
+    in a stack and in its batch of one."""
+    original = verify.homology_H
+
+    def build(p):
+        h = original(p)
+        h[p.alpha == planted.alpha] = value
+        return h
+
+    return build
+
+
 class TestCheckResult:
     def test_registry_enforced(self):
         with pytest.raises(ValueError):
@@ -209,17 +222,17 @@ class TestFullTpr:
                            ("orthogonality", str(error))]
 
     def test_one_homology_h_per_call(self, monkeypatch):
-        # full-tpr and orthogonality read one H
-        calls = Counter()
+        # full-tpr and orthogonality read one H, built as a batch of one
+        calls = []
         original = verify.homology_H
 
         def counting(p):
-            calls[p] += 1
+            calls.append(tuple(x.tolist() for x in vars(p).values()))
             return original(p)
 
         monkeypatch.setattr(verify, "homology_H", counting)
         assert all(r.passed for r in verify_tpr(P_REF, TAU_I))
-        assert calls == {P_REF: 1}
+        assert calls == [([P_REF.alpha], [P_REF.beta], [P_REF.gamma])]
 
     def test_one_build_per_draw(self, monkeypatch):
         # full and block relations share one C, one P+ and one P-: the
@@ -237,7 +250,7 @@ class TestFullTpr:
             monkeypatch.setattr(verify, name, counting)
         report = run_sweep(seed=3, count=2)
         assert report.summary["pass"] == len(report.checks)
-        assert calls == {"cohomology_C": 2, "period_matrices": 1}
+        assert calls == {"cohomology_C": 1, "period_matrices": 1}
         rng = np.random.default_rng(3)
         draws = [(sample_admissible(rng), TauPoint(t)) for t in SWEEP_TAUS[:2]]
         assert built == {(q, tau): 1 for p, tau in draws
@@ -297,7 +310,7 @@ class TestBlockTpr:
             p = sample_admissible(rng)
             c = matrices.cohomology_C(p, theta_constants(tau))
             blocks = (matrices.block_C(c),
-                      *(verify.block_periods(verify.period_matrix(q, tau))
+                      *(verify.block_periods(periods.period_matrix(q, tau))
                         for q in (p, p.negated())),
                       matrices.block_H_prime(p))
             results = verify_tpr(p, tau)[1:3]
@@ -327,7 +340,7 @@ class TestBlockTpr:
 
         def mutated(p):
             pair = original(p)
-            pair[1][1, 2] = -pair[1][1, 2]
+            pair[1][..., 1, 2] = -pair[1][..., 1, 2]
             return pair
 
         monkeypatch.setattr(verify, "basis_change", mutated)
@@ -420,9 +433,7 @@ class TestTprBatch:
         # a singular H is rejected before any LU solve: np.linalg.solve
         # would raise for the whole stack
         singular = HgParams(0.31, 0.22, 0.78)
-        original = verify.homology_H
-        monkeypatch.setattr(verify, "homology_H", lambda p: (
-            np.zeros((4, 4), complex) if p == singular else original(p)))
+        monkeypatch.setattr(verify, "homology_H", _planted_h(singular, 0.0))
         self._assert_isolated((singular, self.TAU),
                               ["full-tpr", "orthogonality"])
         full = verify_tpr(singular, self.TAU)[0]
@@ -432,10 +443,7 @@ class TestTprBatch:
         # a nan in H is a ConditioningError of its own draw's full-tpr, and
         # a non-finite residual of its orthogonality
         planted = HgParams(0.31, 0.22, 0.78)
-        original = verify.homology_H
-        monkeypatch.setattr(verify, "homology_H", lambda p: (
-            np.full((4, 4), np.nan, complex) if p == planted
-            else original(p)))
+        monkeypatch.setattr(verify, "homology_H", _planted_h(planted, np.nan))
         self._assert_isolated((planted, self.TAU),
                               ["full-tpr", "orthogonality"])
         full, *_, orthogonality = verify_tpr(planted, self.TAU)
@@ -474,7 +482,8 @@ class TestTprBatch:
             monkeypatch.setattr(module, name, counting)
         report = run_sweep(seed=3, count=8)
         assert report.summary["errored"] == 0
-        assert calls == [("gauss_2f1", (128,)), ("guarded_solve", (8, 4, 4))]
+        assert calls == [("gauss_2f1", (16, 4, 2)),
+                         ("guarded_solve", (8, 4, 4))]
 
 
 class TestEntry22:
@@ -1110,18 +1119,19 @@ class TestSweep:
                 == _report_json(checks))
 
     def test_one_homology_h_per_draw(self, monkeypatch):
-        # full-tpr and orthogonality read the same H
-        calls = Counter()
+        # full-tpr and orthogonality read the same H, one stack of the
+        # call's three draws
+        calls = []
         original = verify.homology_H
 
         def counting(p):
-            calls[p] += 1
+            calls.append(p.alpha.tolist())
             return original(p)
 
         monkeypatch.setattr(verify, "homology_H", counting)
         report = run_sweep(seed=3, count=3)
         assert report.summary["pass"] == len(report.checks)
-        assert sorted(calls.values()) == [1, 1, 1]
+        assert len(calls) == 1 and len(set(calls[0])) == 3
 
 
 class TestCli:
