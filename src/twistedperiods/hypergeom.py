@@ -60,38 +60,39 @@ F21_REL_TOL = 1e-16
 RADIUS_GUARD = 0.95
 
 
-# The largest x where ``math.gamma`` does not overflow.
-GAMMA_MAX = 171.6243769563027
-
-
 def gamma_real(x):
     """Gamma function for real x (``math.gamma``) with typed errors;
-    elementwise on an array, whose shape the values keep, and a float is
-    its batch of one.
+    elementwise on an array, whose shape the values keep: each element in
+    C order is a float's ``gamma_real``, so the first that breaks a rule
+    raises its error.
 
     Raises at non-positive integers (within the integrality guard), where
-    Gamma overflows double precision (x above GAMMA_MAX), and where
+    Gamma overflows double precision (x above about 171.6), and where
     |Gamma| falls below the smallest normal double, so that its reciprocal
-    overflows (x below about -170.6, except close to a pole).  The rules
-    are tested once over an array, and its first element in C order that
-    breaks one raises.
+    overflows (x below about -170.6, except close to a pole).
     """
-    if not isinstance(x, np.ndarray):
-        return float(gamma_real(np.array([x], float))[0])
-    flat = np.asarray(x, float).ravel()
-    finite = np.isfinite(flat)
-    ok = finite & (flat <= GAMMA_MAX) & ~is_near_nonpositive_integer(
-        np.where(finite, flat, 0.5))
-    value = np.ones(flat.size)
-    value[ok] = list(map(math.gamma, flat[ok].tolist()))
-    for v in flat[~ok | (np.abs(value) < sys.float_info.min)][:1].tolist():
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(_gamma, x.ravel().tolist())),
+                        float).reshape(x.shape)
+    return _gamma(x)
+
+
+def _gamma(x: float) -> float:
+    """``gamma_real`` of one float."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise HypergeomError(f"non-finite argument {x}")
+    if is_near_nonpositive_integer(x):
+        raise HypergeomError(f"gamma pole at x = {x}")
+    try:
+        value = math.gamma(x)
+    except OverflowError:
         raise HypergeomError(
-            f"non-finite argument {v}" if not math.isfinite(v)
-            else f"gamma pole at x = {v}" if is_near_nonpositive_integer(v)
-            else f"Gamma({v}) overflows double precision" if v > GAMMA_MAX
-            # math.gamma returns a subnormal or zero here, not raising
-            else f"1/Gamma({v}) overflows double precision")
-    return value.reshape(x.shape)
+            f"Gamma({x}) overflows double precision") from None
+    if abs(value) < sys.float_info.min:
+        # math.gamma returns a subnormal or zero here instead of raising
+        raise HypergeomError(f"1/Gamma({x}) overflows double precision")
+    return value
 
 
 def beta_real(a, c):
@@ -266,15 +267,13 @@ def product_coeffs(n_max: int, a, b, c):
     n_max = _count(n_max, "n_max")
     one = np.ndim(a) == np.ndim(b) == np.ndim(c) == 0
     a, b, c = abc = np.array([a, b, c], float).reshape(3, -1)
-    finite = np.isfinite(abc).all(axis=0)
-    if not finite.all():
-        _require_finite("Whipple parameter", "abc", abc[:, finite.argmin()])
+    for bad in abc.T[~np.isfinite(abc).all(axis=0)][:1]:
+        _require_finite("Whipple parameter", "abc", bad)
     # the four series' (x, y, z), each (series, draws), and term counts
     x, y, z = (np.array(v) for v in zip(*product_params(a, b, c)))
     counts = (n_max, n_max, n_max - 2, n_max - 2)
     pole = is_near_nonpositive_integer(z.T) & (-np.rint(z.T) < counts)
-    if pole.any():
-        low = z.T.flat[pole.argmax()]
+    for low in z.T[pole][:1].tolist():
         raise HypergeomError(
             f"lower parameter {low} hits a pole at term k = {1 - round(low)}")
     pairs = np.zeros((a.size, n_max + 1, 2))
@@ -284,8 +283,7 @@ def product_coeffs(n_max: int, a, b, c):
         pairs[..., 0] = c[:, None] * sums[0]
         if n_max >= 2:  # c and -c passed the guard: c(1+c)(1-c) is not 0
             pairs[:, 2:, 1] = product_k(a, b, c)[:, None] * sums[1, :, :-2]
-    if not np.isfinite(pairs).all():
-        k, n = np.argwhere(~np.isfinite(pairs).all(axis=-1))[0]
+    for k, n in np.argwhere(~np.isfinite(pairs).all(axis=-1))[:1].tolist():
         raise HypergeomError(f"Whipple coefficients ({pairs[k, n, 0]}, "
                              f"{pairs[k, n, 1]}) at degree {n} are not finite")
     return [tuple(pair) for pair in pairs[0].tolist()] if one else pairs

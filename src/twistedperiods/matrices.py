@@ -9,18 +9,11 @@ H'(+-1), C(+-1) are all finite closed forms in the unit phases e(c_j) and
 (for C) the theta constants.  Matrices are built entry by entry from those
 closed forms; consistency between the routes is checked by the verifier,
 not re-derived here.
-
-The builders (``homology_H``, ``cohomology_C``, ``basis_change``,
-``block_H_prime``) evaluate their closed forms once over a batch: an
-``HgParams`` whose fields are 1-D arrays, one draw per element (``stacked``
-makes one), gives matrices stacked on a leading batch axis.  A p of floats
-is the batch of one, evaluated on shape-(1,) arrays, never on numpy
-scalars, so a draw's matrix has the same bits in any batch.
 """
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,10 +37,9 @@ class ConditioningError(Exception):
     """Raised when a matrix is too ill-conditioned to solve with reliably."""
 
 
-def unit_phase(x):
-    """e(x) = exp(2 pi i x), elementwise on an array (``np.exp`` of an
-    imaginary argument has the bits of ``cmath.exp``)."""
-    return np.exp(TWO_PI_I * x)
+def unit_phase(x: float) -> complex:
+    """e(x) = exp(2 pi i x)."""
+    return cmath.exp(TWO_PI_I * x)
 
 
 @dataclass(frozen=True)
@@ -111,78 +103,37 @@ def require_admissible(p: HgParams) -> None:
         raise AdmissibilityError(violations)
 
 
-def stacked(items):
-    """Instances of one dataclass (``HgParams``, ``ThetaConstants``) as one
-    whose fields are 1-D arrays over the items: a batch for the builders."""
-    return type(items[0])(*np.array(list(zip(*(vars(x).values()
-                                                for x in items)))))
-
-
-def _batched(build):
-    """``build(p, *tc)`` over a leading batch axis: the fields of p and tc
-    are 1-D arrays of one length, and each result stacks its draws' on a
-    first axis.  A p of floats is the batch of one, built from shape-(1,)
-    arrays, never numpy scalars, which round complex products otherwise,
-    and its single result is returned."""
-    @functools.wraps(build)
-    def builder(p, *tc):
-        if np.ndim(p.alpha):
-            return build(p, *tc)
-        out = build(stacked([p]), *(stacked([t]) for t in tc))
-        return ({eps: m[0] for eps, m in out.items()}
-                if isinstance(out, dict) else out[0])
-    return builder
-
-
-# the exponents c0..c4 as rows of coefficients of (alpha, beta, gamma)
-_EXPONENTS = np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 0.0], [-2.0, 0.0, 2.0],
-                       [0.0, -2.0, 0.0], [0.0, 2.0, -2.0]])
-
-# the eigenvalues -1 and 1 on an axis before the draws'
-_SIGNS = np.array([[-1.0], [1.0]])
-
-
-def _admit(p: HgParams) -> np.ndarray:
-    """The exponents c0..c4 of a batch p, one row each, with each draw
-    tested as ``require_admissible`` tests it: once over the batch, and if
-    a draw fails, each alone, in order, so the first inadmissible draw
-    raises its error.  Each exponent sums at most two exact products, so
-    the matrix product has the bits of ``HgParams.c0`` .. ``c4``."""
-    abg = np.array([p.alpha, p.beta, p.gamma])
-    # finite and far below overflow, so that c is finite: no 0 * inf, and
-    # no inf - inf below (a coordinate this large is integral anyway)
-    c = _EXPONENTS @ abg if np.abs(abg).max(initial=0.0) < 1e300 else None
-    if c is None or not (np.abs(c - np.rint(c)) > INTEGRALITY_GUARD).all():
-        for draw in zip(*abg.tolist()):
-            require_admissible(HgParams(*draw))
-    return c
-
-
-def _matrix(rows) -> np.ndarray:
-    """Matrices from their rows of entries, each entry an array over the
-    batch: a contiguous stack with the batch axes first."""
-    m = np.array(rows, complex)
-    return np.ascontiguousarray(m.transpose(tuple(range(2, m.ndim)) + (0, 1)))
-
-
-@_batched
 def homology_H(p: HgParams) -> np.ndarray:
-    """Closed-form 4x4 homology intersection matrix, one per draw of a
-    batch p (see the module docstring)."""
-    c = _admit(p)
-    # e(x) and f(x) = 1 - e(x) at x = c0..c4, c1 + c2, c2 + c3, c3 + c4, -c0
-    e = unit_phase(np.concatenate([c, c[1:4] + c[2:], -c[:1]]))
-    f = 1 - e
-    diag = f[5:8] / (f[1:4] * f[2:5])  # H[i, i], i = 0, 1, 2
-    upper = -1 / f[2:4]  # H[i, i + 1], i = 0, 1
-    lower = -e[2:4] / f[2:4]  # H[i + 1, i], i = 0, 1
-    zero = np.zeros_like(e[0])
-    return _matrix([
-        [diag[0], upper[0], zero, e[1] * f[8] / f[1]],
-        [lower[0], diag[1], upper[1], zero],
-        [zero, lower[1], diag[2], zero],
-        [f[0] / f[1], zero, zero, f[0] * (e[0] - e[1]) / (e[0] * f[1])],
-    ])
+    """Closed-form 4x4 homology intersection matrix."""
+    require_admissible(p)
+    e = unit_phase
+    c0, c1, c2, c3, c4 = p.c0, p.c1, p.c2, p.c3, p.c4
+    return np.array([
+        [
+            (1 - e(c1 + c2)) / ((1 - e(c1)) * (1 - e(c2))),
+            -1 / (1 - e(c2)),
+            0.0,
+            e(c1) * (1 - e(-c0)) / (1 - e(c1)),
+        ],
+        [
+            -e(c2) / (1 - e(c2)),
+            (1 - e(c2 + c3)) / ((1 - e(c2)) * (1 - e(c3))),
+            -1 / (1 - e(c3)),
+            0.0,
+        ],
+        [
+            0.0,
+            -e(c3) / (1 - e(c3)),
+            (1 - e(c3 + c4)) / ((1 - e(c3)) * (1 - e(c4))),
+            0.0,
+        ],
+        [
+            (1 - e(c0)) / (1 - e(c1)),
+            0.0,
+            0.0,
+            (1 - e(c0)) * (e(c0) - e(c1)) / (e(c0) * (1 - e(c1))),
+        ],
+    ], dtype=complex)
 
 
 def theta_bracket(p: HgParams, tc: ThetaConstants) -> complex:
@@ -191,60 +142,58 @@ def theta_bracket(p: HgParams, tc: ThetaConstants) -> complex:
     return -p.c1 * r1 - p.c2 * r2 - p.c3 * r3 + (2.0 * p.c1 - p.c4) * r4
 
 
-@_batched
 def cohomology_C(p: HgParams, tc: ThetaConstants) -> np.ndarray:
-    """Closed-form 4x4 cohomology intersection matrix (block diagonal), one
-    per draw of a batch p, each at its draw's theta constants: tc's fields
-    are arrays over the batch too (floats for a p of floats)."""
-    c1, c2, c3 = _admit(p)[1:4]
-    low, high, inv = c1 - 1.0, c1 + 1.0, 1.0 / c1
-    zero = np.zeros_like(c1)
-    return TWO_PI_I * _matrix([
-        [zero, 1.0 / high, zero, zero],
-        [1.0 / low, theta_bracket(p, tc) / (  # the theta entry
-            math.pi**2 * tc.th3_0**4 * low * high), zero, zero],
-        [zero, zero, (c1 + c2) / (c1 * c2), inv],
-        [zero, zero, inv, (c1 + c3) / (c1 * c3)],
-    ])
+    """Closed-form 4x4 cohomology intersection matrix (block diagonal)."""
+    require_admissible(p)
+    c1, c2, c3 = p.c1, p.c2, p.c3
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1] = 1.0 / (c1 + 1.0)
+    m[1, 0] = 1.0 / (c1 - 1.0)
+    m[1, 1] = theta_bracket(p, tc) / (  # the one theta-constant entry
+        math.pi**2 * tc.th3_0**4 * (c1 - 1.0) * (c1 + 1.0))
+    m[2, 2] = (c1 + c2) / (c1 * c2)
+    m[2, 3] = 1.0 / c1
+    m[3, 2] = 1.0 / c1
+    m[3, 3] = (c1 + c3) / (c1 * c3)
+    return TWO_PI_I * m
 
 
-@_batched
 def basis_change(p: HgParams) -> dict[int, np.ndarray]:
     """Coefficients of the involution-eigenspace cycle combinations in the
     original four-cycle basis: a 2x4 array per eigenvalue -1 and 1, one row
-    per combination, for each draw of a batch p (a stack per eigenvalue).
-    Both eigenvalues are one evaluation, on an axis before the draws'."""
-    _admit(p)
+    per combination."""
+    require_admissible(p)
+    e = unit_phase
     a, b, g = p.alpha, p.beta, p.gamma
-    ega, ebg, e2ag, e2a2g, eg, e2b, egb = unit_phase(np.array([
-        g - a, b + g, 2 * a - g, 2 * a - 2 * g, g, 2 * b, g - b]))
-    eps = _SIGNS
-    pref1 = -eps / (2.0 * ega)
-    pref2 = eps / (2.0 * ebg)
-    zero = np.zeros_like(pref1)
-    m = _matrix([
-        [pref1 * (-(1.0 + eps * ega)), zero, zero, pref1],
-        [pref2 * (1.0 - e2ag) / e2a2g, pref2 * (1.0 - eg),
-         pref2 * e2b * (1.0 + eps * egb), pref2 * eg],
-    ])
-    return {-1: m[0], 1: m[1]}
+
+    def rows(eps: int) -> np.ndarray:
+        out = np.zeros((2, 4), dtype=complex)
+        pref1 = -eps / (2.0 * e(g - a))
+        out[0, 0] = pref1 * (-(1.0 + eps * e(g - a)))
+        out[0, 3] = pref1
+        pref2 = eps / (2.0 * e(b + g))
+        out[1, 0] = pref2 * (1.0 - e(2 * a - g)) / e(2 * a - 2 * g)
+        out[1, 1] = pref2 * (1.0 - e(g))
+        out[1, 2] = pref2 * e(2 * b) * (1.0 + eps * e(g - b))
+        out[1, 3] = pref2 * e(g)
+        return out
+
+    return {eps: rows(eps) for eps in (-1, 1)}
 
 
-@_batched
 def block_H_prime(p: HgParams) -> dict[int, np.ndarray]:
-    """Diagonal 2x2 homology intersection blocks {e: H'(e)}, e = -1, 1, for
-    each draw of a batch p (a stack per eigenvalue), both eigenvalues in one
-    evaluation."""
-    _admit(p)
+    """Diagonal 2x2 homology intersection blocks {e: H'(e)}, e = -1, 1."""
+    require_admissible(p)
+    e = unit_phase
     a, b, g = p.alpha, p.beta, p.gamma
-    ea, eb, ega, egb, eg = unit_phase(np.array([a, b, g - a, g - b, g]))
-    eps = _SIGNS
-    front = (1.0 - eg) / 2.0
-    d1 = front / ((1.0 - eps * ega) * (1.0 - eps * ea))
-    d2 = -front / ((1.0 - eps * egb) * (1.0 - eps * eb))
-    zero = np.zeros_like(d1)
-    m = _matrix([[d1, zero], [zero, d2]])
-    return {-1: m[0], 1: m[1]}
+
+    def block(eps: int) -> np.ndarray:
+        front = (1.0 - e(g)) / 2.0
+        d1 = front / ((1.0 - eps * e(g - a)) * (1.0 - eps * e(a)))
+        d2 = -front / ((1.0 - eps * e(g - b)) * (1.0 - eps * e(b)))
+        return np.diag([d1, d2]).astype(complex)
+
+    return {eps: block(eps) for eps in (-1, 1)}
 
 
 def block_C(c: np.ndarray) -> dict[int, np.ndarray]:

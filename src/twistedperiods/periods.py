@@ -29,11 +29,10 @@ import math
 import numpy as np
 
 from .hypergeom import beta_real, gauss_2f1
-from .matrices import (HgParams, _admit, require_admissible, stacked,
-                       unit_phase)
+from .matrices import HgParams, require_admissible
 from .quadrature import tanh_sinh
-from .series import (TauPoint, _theta_terms, lambda_tau, theta_constants,
-                     trig_sums)
+from .series import (TWO_PI_I, TauPoint, _theta_terms, lambda_tau,
+                     theta_constants, trig_sums)
 
 # Parameter shifts reducing each cocycle's periods to the third cocycle's
 # closed form: index -> (d_alpha, d_beta, d_gamma).
@@ -76,16 +75,23 @@ def period_matrix(p: HgParams, tau: TauPoint) -> np.ndarray:
     return period_matrices([(p, tau)])[0]
 
 
-def _prefactors(p: HgParams, taus) -> np.ndarray:
-    """P1 and P3 of each draw of a batch p at its tau, with an axis for the
-    rows: exponentials of sums of the theta constants' logarithms, P1 as in
-    the module docstring and P3 = (theta2/theta3)^4 / P1."""
+def _prefactors(abg: np.ndarray, taus) -> np.ndarray:
+    """P1 and P3 of each draw (a column of abg) at its tau, with an axis
+    for the rows: exponentials of sums of the theta constants' logarithms,
+    P1 as in the module docstring and P3 = (theta2/theta3)^4 / P1.  Raises
+    PeriodError for the first draw where either overflows."""
     l2, l3, l4 = np.log(np.array([
         (tc.th2_0, tc.th3_0, tc.th4_0) for tc in map(theta_constants, taus)
     ])).T
-    ab, g = 2.0 * (p.alpha + p.beta), 2.0 * p.gamma
+    ab, g = 2.0 * (abg[0] + abg[1]), 2.0 * abg[2]
     log_p1 = g * l2 - ab * l3 + (ab - g) * l4
-    return np.exp([log_p1, 4 * (l2 - l3) - log_p1])[..., None]
+    with np.errstate(all="ignore"):
+        p13 = np.exp([log_p1, 4 * (l2 - l3) - log_p1])
+    for k in np.flatnonzero(~np.isfinite(p13).all(axis=0))[:1].tolist():
+        raise PeriodError(
+            f"a theta-power prefactor of {HgParams(*abg[:, k].tolist())} "
+            f"at tau = {taus[k].tau} overflows double precision")
+    return p13[..., None]
 
 
 def period_matrices(draws) -> np.ndarray:
@@ -93,22 +99,23 @@ def period_matrices(draws) -> np.ndarray:
     a leading batch axis: an array (draws, 4, 4).  The rows' Beta factors,
     prefactors, phases and the combinations of columns 2 and 4 are numpy
     closed forms evaluated once over the batch; a single draw is a batch of
-    one (shape-(1,) arrays), so a draw's matrix has the same bits in any
-    batch.
+    one (shape-(1,) arrays, never numpy scalars), so a draw's matrix has
+    the same bits in any batch.
 
-    Each rule is tested once over the batch, in order: the tau checks,
-    admissibility, the Gamma rules of every Beta factor (per draw and row,
-    sigma_1's before sigma_3's), then one ``gauss_2f1`` table sums the
-    eight series of every draw, at lambda: sigma_1's at (a, b, g) and
-    sigma_3's at (1 - b, 1 - a, 2 - g) of each row.  The first draw that
-    breaks a rule raises its error, so a batch of one raises the first
-    error of its draw: a Gamma error of row 1 comes before a 2F1 error of
-    any row.
+    Draw by draw, in order, the tau checks and ``require_admissible``
+    run first.  The later rules are tested rule by rule, each once over
+    the whole batch: the prefactors' overflow, then the Gamma rules of
+    every Beta factor (per draw and row, sigma_1's before sigma_3's); then
+    one ``gauss_2f1`` table sums the eight series of every draw, at lambda:
+    sigma_1's at (a, b, g) and sigma_3's at (1 - b, 1 - a, 2 - g) of each
+    row.  Within a rule the first draw that breaks it raises its error.  A
+    batch of one so raises the first error of its draw (a Gamma error of
+    row 1 before a 2F1 error of any row), while in a larger batch a Gamma
+    error of draw 2 comes before a 2F1 error of draw 1.
     """
     if not draws:
         return np.zeros((0, 4, 4), complex)
-    taus = [tau for _, tau in draws]
-    for tau in taus:
+    for p, tau in draws:
         t = tau.tau
         if abs(t.real) > 1.0:
             raise PeriodError(
@@ -118,19 +125,21 @@ def period_matrices(draws) -> np.ndarray:
             raise PeriodError(
                 f"tau = {t} lies inside a disc |tau -+ 1/2| < 1/2, "
                 "where the closed-form periods are on the wrong branch")
-    p = stacked([p for p, _ in draws])
-    _admit(p)
+        require_admissible(p)
+    taus = [tau for _, tau in draws]
+    abg = np.array([(p.alpha, p.beta, p.gamma) for p, _ in draws], float).T
+    p1, p3 = _prefactors(abg, taus)
     lam = np.array([lambda_tau(tau) for tau in taus])[:, None]
-    p1, p3 = _prefactors(p, taus)
     # (a, b, g) of each draw and row, then the series' parameters
     # (a, b, g) and (1 - b, 1 - a, 2 - g) on a last axis
-    rows = np.array([p.alpha, p.beta, p.gamma])[..., None] + _SHIFTS[:, None]
+    rows = abg[..., None] + _SHIFTS[:, None]
     series = np.stack([rows, _SIGMA3 - rows[[1, 0, 2]]], axis=-1)
     beta = beta_real(series[0], series[2])
     f21 = gauss_2f1(*series, lam[..., None])
     a, b, g = rows
     h, ga = a + b - g, g - a
-    e_half, e_ga, e_a, e_abg, e_gb, e_ag, e_g = unit_phase(np.array([
+    # the unit phases e(x) = exp(2 pi i x) of the rows' closed forms
+    e_half, e_ga, e_a, e_abg, e_gb, e_ag, e_g = np.exp(TWO_PI_I * np.array([
         0.5 * h, ga, a, 2.0 * h, g - b, -2.0 * ga, g]))
     s1 = beta[..., 0] / 2.0 * p1 * f21[..., 0]
     s3 = -e_half * beta[..., 1] / 2.0 * p3 / lam**_SHIFTS[2] * f21[..., 1]

@@ -23,8 +23,7 @@ from .hypergeom import (HypergeomError, gauss_2f1, product_coeffs,
 from .matrices import (AdmissibilityError, ConditioningError, HgParams,
                        admissible, basis_change, block_C, block_H_prime,
                        cohomology_C, diagonal_solve, guarded_solve,
-                       homology_H, require_admissible, stacked,
-                       theta_bracket)
+                       homology_H, require_admissible, theta_bracket)
 from .periods import PeriodError, block_periods, period_matrices, row_params
 from .quadrature import QuadratureError
 from .series import (KERNEL_CACHE_SIZE, TWO_PI_I, SeriesError, TauPoint,
@@ -320,6 +319,11 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
     return _verify_tpr_batch([(p, tau)], resolve_tolerances(tol))[0]
 
 
+def _by_sign(pair: dict[int, np.ndarray]) -> np.ndarray:
+    """An eigenspace pair as an array, eigenvalue -1 first."""
+    return np.array([pair[-1], pair[1]])
+
+
 def _frobenius(m: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each matrix of a stack, the squares of its
     entries' real and imaginary parts summed in memory order (np.cumsum),
@@ -346,19 +350,14 @@ def _verify_tpr_batch(draws, tols: Tolerances
     range of draws as stacks (C, P+ and P-, then H or H'; orthogonality
     the basis changes of p and -p, then H), then runs one stacked solve
     and batched products.  A stack is built where a check first reads it
-    and kept, value or error, per key and range, by one builder call over
-    the range's draws, and over their negations where a check reads -p:
-    the basis changes of p and -p, and P+ and P- (``period_matrices``).  A
-    draw redone alone reports its first failed build, else its solve's
-    error.  The Frobenius norms (``_frobenius``) sum each matrix in one
-    order, whatever the batch.
+    and kept, value or error, per key and range: C, H, H' and the basis
+    changes draw by draw from their scalar closed forms, P+ and P- of a
+    range from one ``period_matrices`` call.  A draw redone alone reports
+    its first failed build, else its solve's error.  The Frobenius norms
+    (``_frobenius``) sum each matrix in one order, whatever the batch.
     """
-    abg = np.array(list(zip(*(vars(p).values() for p, _ in draws))))
-    taus = [tau for _, tau in draws]
-
-    def part(ks, both=False):  # p of the draws ks, then -p's if both
-        x = abg[:, ks.start:ks.stop]
-        return HgParams(*(np.hstack([x, -x]) if both else x))
+    def each(build):
+        return lambda ks: np.array([build(*draws[k]) for k in ks])
 
     def signed(ks):  # (P+, P-) of the draws ks
         plus = [draws[k] for k in ks]
@@ -366,11 +365,11 @@ def _verify_tpr_batch(draws, tols: Tolerances
         return m[:len(ks)], m[len(ks):]
 
     builders = {
-        "c": lambda ks: cohomology_C(part(ks), stacked(
-            [theta_constants(tau) for tau in taus[ks.start:ks.stop]])),
-        "h": lambda ks: homology_H(part(ks)),
-        "hd": lambda ks: block_H_prime(part(ks)),
-        "b": lambda ks: basis_change(part(ks, both=True)),
+        "c": each(lambda p, tau: cohomology_C(p, theta_constants(tau))),
+        "h": each(lambda p, tau: homology_H(p)),
+        "hd": each(lambda p, tau: _by_sign(block_H_prime(p))),
+        "rows": each(lambda p, tau: _by_sign(basis_change(p))),
+        "dual": each(lambda p, tau: _by_sign(basis_change(p.negated()))[::-1]),
         "periods": signed,
         "blocks": lambda ks: [block_periods(m) for m in stack("periods", ks)],
     }
@@ -387,27 +386,27 @@ def _verify_tpr_batch(draws, tols: Tolerances
         x = guarded_solve(np.swapaxes(h, 1, 2), np.swapaxes(pm, 1, 2))
         return (_frobenius(c - pp @ x) / _frobenius(c)).tolist()
 
-    def block(sign: int, ks):
+    def block(i: int, sign: int, ks):
         cb = block_C(stack("c", ks))[sign]
         pb, mb = (pair[sign] for pair in stack("blocks", ks))
-        x = diagonal_solve(stack("hd", ks)[sign], np.swapaxes(mb, 1, 2))
+        x = diagonal_solve(stack("hd", ks)[:, i], np.swapaxes(mb, 1, 2))
         return (_frobenius(cb - pb @ x) / _frobenius(cb)).tolist()
 
     def orthogonality(ks):
-        # B(e) of p against -p's B(-e), through H, for e = -1 and 1
-        b, h, n = stack("b", ks), stack("h", ks), len(ks)
-        size = {e: _frobenius(b[e]) for e in (-1, 1)}  # p's, then -p's
-        return np.maximum(*(  # nan if either is
-            np.abs(b[e][:n] @ h @ np.swapaxes(b[-e][n:], 1, 2)).max(
-                axis=(1, 2)) / (size[e][:n] * _frobenius(h) * size[-e][n:])
-            for e in (-1, 1))).tolist()
+        # rows[k, i] is B(e), e = (-1, 1)[i], and dual[k, i] is -p's B(-e)
+        rows, dual, h = (stack(key, ks) for key in ("rows", "dual", "h"))
+        top = np.abs(rows @ h[:, None] @ np.swapaxes(dual, 2, 3)).max(
+            axis=(2, 3))
+        ratio = top / (_frobenius(rows) * _frobenius(h)[:, None]
+                       * _frobenius(dual))
+        return np.maximum(ratio[:, 0], ratio[:, 1]).tolist()  # nan if either
 
     # norms that overflow near the Im ceiling error the check, unwarned
     with np.errstate(all="ignore"):
         full_, minus, plus, orthogonal = (
             each_draw(step, len(draws)) for step in (
-                full, functools.partial(block, -1),
-                functools.partial(block, 1), orthogonality))
+                full, functools.partial(block, 0, -1),
+                functools.partial(block, 1, 1), orthogonality))
     params = [_params_dict(p, tau) for p, tau in draws]
     return list(zip(
         *(_checks(name, params, tols.matrix, outcomes) for name, outcomes in (

@@ -1,9 +1,8 @@
-"""The closed forms of H, C, H', the basis changes and the period rows
-written out one draw at a time in scalar Python (``cmath``), entry by
-entry: the reference the stacked numpy builders are checked against."""
+"""The closed forms of the period rows written out one draw at a time in
+scalar Python (``cmath``), entry by entry: the reference the stacked numpy
+rows of ``periods.period_matrices`` are checked against."""
 
 import cmath
-import math
 
 import numpy as np
 
@@ -14,65 +13,6 @@ from twistedperiods.series import TWO_PI_I, lambda_tau, theta_constants
 
 def e(x: float) -> complex:
     return cmath.exp(TWO_PI_I * x)
-
-
-def homology_H(p) -> np.ndarray:
-    c0, c1, c2, c3, c4 = p.c0, p.c1, p.c2, p.c3, p.c4
-    return np.array([
-        [(1 - e(c1 + c2)) / ((1 - e(c1)) * (1 - e(c2))), -1 / (1 - e(c2)),
-         0.0, e(c1) * (1 - e(-c0)) / (1 - e(c1))],
-        [-e(c2) / (1 - e(c2)), (1 - e(c2 + c3)) / ((1 - e(c2)) * (1 - e(c3))),
-         -1 / (1 - e(c3)), 0.0],
-        [0.0, -e(c3) / (1 - e(c3)),
-         (1 - e(c3 + c4)) / ((1 - e(c3)) * (1 - e(c4))), 0.0],
-        [(1 - e(c0)) / (1 - e(c1)), 0.0, 0.0,
-         (1 - e(c0)) * (e(c0) - e(c1)) / (e(c0) * (1 - e(c1)))],
-    ], dtype=complex)
-
-
-def cohomology_C(p, tc) -> np.ndarray:
-    c1, c2, c3, c4 = p.c1, p.c2, p.c3, p.c4
-    r1, r2, r3, r4 = tc.log_ratios
-    bracket = -c1 * r1 - c2 * r2 - c3 * r3 + (2.0 * c1 - c4) * r4
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 1] = 1.0 / (c1 + 1.0)
-    m[1, 0] = 1.0 / (c1 - 1.0)
-    m[1, 1] = bracket / (math.pi**2 * tc.th3_0**4 * (c1 - 1.0) * (c1 + 1.0))
-    m[2, 2] = (c1 + c2) / (c1 * c2)
-    m[2, 3] = 1.0 / c1
-    m[3, 2] = 1.0 / c1
-    m[3, 3] = (c1 + c3) / (c1 * c3)
-    return TWO_PI_I * m
-
-
-def basis_change(p) -> dict:
-    a, b, g = p.alpha, p.beta, p.gamma
-
-    def rows(eps: int) -> np.ndarray:
-        out = np.zeros((2, 4), dtype=complex)
-        pref1 = -eps / (2.0 * e(g - a))
-        out[0, 0] = pref1 * (-(1.0 + eps * e(g - a)))
-        out[0, 3] = pref1
-        pref2 = eps / (2.0 * e(b + g))
-        out[1, 0] = pref2 * (1.0 - e(2 * a - g)) / e(2 * a - 2 * g)
-        out[1, 1] = pref2 * (1.0 - e(g))
-        out[1, 2] = pref2 * e(2 * b) * (1.0 + eps * e(g - b))
-        out[1, 3] = pref2 * e(g)
-        return out
-
-    return {eps: rows(eps) for eps in (-1, 1)}
-
-
-def block_H_prime(p) -> dict:
-    a, b, g = p.alpha, p.beta, p.gamma
-
-    def block(eps: int) -> np.ndarray:
-        front = (1.0 - e(g)) / 2.0
-        d1 = front / ((1.0 - eps * e(g - a)) * (1.0 - eps * e(a)))
-        d2 = -front / ((1.0 - eps * e(g - b)) * (1.0 - eps * e(b)))
-        return np.diag([d1, d2]).astype(complex)
-
-    return {eps: block(eps) for eps in (-1, 1)}
 
 
 def _cpow(z: complex, s: float) -> complex:

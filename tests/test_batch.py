@@ -1,6 +1,6 @@
-"""The builders over a batch of draws: each draw's slice of a stack has the
-bits of its batch of one, and the stacks agree with the scalar closed
-forms (``scalar_closed_forms``)."""
+"""The period relations and Whipple tables over a batch of draws: each
+draw's slice of a stack has the bits of its batch of one, and the period
+rows agree with their scalar closed forms (``scalar_closed_forms``)."""
 
 import numpy as np
 import pytest
@@ -11,18 +11,17 @@ import scalar_closed_forms as scalar
 from strategies import params, taus
 from twistedperiods import matrices, periods, verify
 from twistedperiods.hypergeom import product_coeffs
-from twistedperiods.matrices import HgParams, stacked
-from twistedperiods.series import TauPoint, theta_constants
+from twistedperiods.matrices import HgParams
+from twistedperiods.series import TauPoint
 from twistedperiods.verify import (SAMPLER_MARGIN, SWEEP_TAUS,
                                    VerificationReport, resolve_tolerances,
                                    run_sweep, sample_admissible, verify_tpr)
 
 TOLS = resolve_tolerances("default")
 
-# the bound on the relative difference between a stack and the scalar
-# closed forms over the 500 draws of the test below, 100 of them at the
-# sampler margin; measured: 4.8e-16 for H, C, H' and the basis changes,
-# 1.3e-15 for the period matrices' closed-form columns (numpy and CPython
+# the bound on the relative difference between the period rows' closed-form
+# columns and the scalar closed forms over the 500 draws of the test below,
+# 100 of them at the sampler margin; measured: 1.3e-15 (numpy and CPython
 # round complex products and quotients differently)
 SCALAR_REL_BOUND = 1e-14
 
@@ -70,45 +69,17 @@ def _outcome(build, *args):
 @settings(max_examples=25)
 @given(draws_strategy)
 def test_each_stack_slice_is_its_batch_of_one(draws):
+    stack = _outcome(periods.period_matrices, draws)
+    if not isinstance(stack, str):  # else some draw raises
+        for k, draw in enumerate(draws):
+            assert _bits(stack[k]) == _bits(periods.period_matrix(*draw))
     ps = [p for p, _ in draws]
-    p = stacked(ps)
-    tc = stacked([theta_constants(tau) for _, tau in draws])
-    stacks = {
-        "h": _outcome(matrices.homology_H, p),
-        "c": _outcome(matrices.cohomology_C, p, tc),
-        "b": _outcome(matrices.basis_change, p),
-        "hd": _outcome(matrices.block_H_prime, p),
-        "periods": _outcome(periods.period_matrices, draws),
-    }
-    for k, (q, tau) in enumerate(draws):
-        ones = {
-            "h": _outcome(matrices.homology_H, q),
-            "c": _outcome(matrices.cohomology_C, q, theta_constants(tau)),
-            "b": _outcome(matrices.basis_change, q),
-            "hd": _outcome(matrices.block_H_prime, q),
-            "periods": _outcome(periods.period_matrix, q, tau),
-        }
-        for key, stack in stacks.items():
-            if isinstance(stack, str):  # a failed batch: some draw fails
-                continue
-            one = ones[key]
-            if isinstance(stack, dict):
-                assert all(_bits(stack[e][k]) == _bits(one[e])
-                           for e in (-1, 1)), key
-            else:
-                assert _bits(stack[k]) == _bits(one), key
     abc = np.array([(q.alpha, q.beta, q.gamma) for q in ps]).T
     table = _outcome(product_coeffs, 12, *abc)
     if not isinstance(table, str):
         for k, q in enumerate(ps):
             assert _bits(table[k]) == _bits(
                 product_coeffs(12, q.alpha, q.beta, q.gamma))
-
-
-def _rel(stacked_value, scalar_value) -> float:
-    """The largest entry difference relative to the largest entry."""
-    return float(np.max(np.abs(stacked_value - scalar_value))
-                 / np.max(np.abs(scalar_value)))
 
 
 def _sampled_draws(count: int) -> list:
@@ -128,20 +99,11 @@ def _sampled_draws(count: int) -> list:
     return draws
 
 
-def test_stacks_agree_with_the_scalar_closed_forms():
+def test_period_rows_agree_with_the_scalar_closed_forms():
     draws = _sampled_draws(500)
-    p = stacked([q for q, _ in draws])
-    tc = stacked([theta_constants(tau) for _, tau in draws])
-    h, c = matrices.homology_H(p), matrices.cohomology_C(p, tc)
-    b, hd = matrices.basis_change(p), matrices.block_H_prime(p)
     pm = periods.period_matrices(draws)
     worst = 0.0
     for k, (q, tau) in enumerate(draws):
-        b_q, hd_q = scalar.basis_change(q), scalar.block_H_prime(q)
-        worst = max(worst, _rel(h[k], scalar.homology_H(q)),
-                    _rel(c[k], scalar.cohomology_C(q, theta_constants(tau))),
-                    *(_rel(b[e][k], b_q[e]) for e in (-1, 1)),
-                    *(_rel(hd[e][k], hd_q[e]) for e in (-1, 1)))
         # columns 1 and 3 are the closed forms; 2 and 4 combine them
         m = scalar.period_matrix(q, tau)
         worst = max(worst, float(np.max(np.abs(pm[k] - m)[:, ::2]
@@ -150,30 +112,25 @@ def test_stacks_agree_with_the_scalar_closed_forms():
 
 
 def test_admissibility_tests_of_a_sweep(monkeypatch):
-    # the sampler tests 8 sets per draw, entry22 one p per draw, and the
-    # batch builders each stack once: C, H, H', the basis changes of p and
-    # -p, and the period matrices of p and -p
+    # per draw: the sampler tests 8 sets, entry22 one p, the scalar
+    # builders C, H, H' and the basis changes of p and -p one each, and
+    # the period matrices p and -p
     calls = []
-    for module in (matrices, periods):
-        original = module._admit
-        monkeypatch.setattr(module, "_admit", lambda p, f=original: (
-            calls.append(np.size(p.alpha)), f(p))[1])
-    scalar_calls = []
     original = matrices.admissible
     monkeypatch.setattr(matrices, "admissible", lambda p, *g: (
-        scalar_calls.append(p), original(p, *g))[1])
+        calls.append(p), original(p, *g))[1])
     monkeypatch.setattr(verify, "admissible", matrices.admissible)
     report = run_sweep(1, 4)
     assert report.summary["errored"] == 0
-    assert len(scalar_calls) == 36 and sorted(calls) == [4, 4, 4, 8, 8]
-    assert len(scalar_calls) + len(calls) == 41
+    assert len(calls) == 64
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_a_non_finite_draw_raises_its_own_text(value):
-    # the batch test fails, and each draw is then tested alone, in order
-    p = stacked([HgParams(0.31, 0.22, 0.78), HgParams(value, 0.22, 0.78)])
+    # each draw is tested in order, so the batch raises the text of the
+    # bad draw alone
+    tau = TauPoint(1j)
+    bad = (HgParams(value, 0.22, 0.78), tau)
     with pytest.raises(matrices.AdmissibilityError) as err:
-        matrices.homology_H(p)
-    assert str(err.value) == str(_outcome(
-        matrices.homology_H, HgParams(value, 0.22, 0.78)))
+        periods.period_matrices([(HgParams(0.31, 0.22, 0.78), tau), bad])
+    assert str(err.value) == _outcome(periods.period_matrix, *bad)

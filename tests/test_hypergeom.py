@@ -90,6 +90,16 @@ class TestGammaReal:
         with pytest.raises(HypergeomError, match="overflows"):
             gamma_real(x)
 
+    def test_an_array_raises_its_first_failing_element(self):
+        # math.gamma decides where Gamma overflows: finite at 171.62, and
+        # raising at 171.63, as for a float
+        values = np.array([[1.5, 171.62], [171.63, math.inf]])
+        assert gamma_real(values[0]).tolist() == [gamma_real(1.5),
+                                                  math.gamma(171.62)]
+        with pytest.raises(HypergeomError) as err:
+            gamma_real(values)
+        assert str(err.value) == "Gamma(171.63) overflows double precision"
+
 
 class TestBetaReal:
     @pytest.mark.parametrize("a, c", [(0.5, 1.0), (0.3, 0.77), (-1.7, 0.4),

@@ -5,6 +5,7 @@ import cmath
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,18 @@ class TestPeriodEntries:
 
 
 class TestPeriodMatrices:
+    def test_an_overflowing_prefactor_is_a_period_error(self):
+        # at Im tau = 50, theta2^(4 - 2 gamma) overflows for gamma = 12.3:
+        # a typed error, unwarned, and the period relations' errored rows
+        p, tau = HgParams(0.31, 0.22, 12.3), TauPoint(50j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PeriodError, match="prefactor .* overflows"):
+                period_matrix(p, tau)
+            rows = verify.verify_tpr(p, tau)
+        assert [r.error is not None and "prefactor" in r.error
+                for r in rows] == [True, True, True, False]
+
     def test_gamma_error_of_row_one_wins_over_its_2f1_error(self):
         # row 1's first 2F1 series cancels to rounding, but its Gamma factor
         # is read first, also when the draw sits in a batch

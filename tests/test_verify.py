@@ -76,19 +76,6 @@ def _written_out_entry22_theta_form(a, b, c, tau):
     return bracket / (2.0 * math.pi**2 * tc.th3_0**4)
 
 
-def _planted_h(planted: HgParams, value: float):
-    """A ``homology_H`` that fills the planted draw's matrices with value,
-    in a stack and in its batch of one."""
-    original = verify.homology_H
-
-    def build(p):
-        h = original(p)
-        h[p.alpha == planted.alpha] = value
-        return h
-
-    return build
-
-
 class TestCheckResult:
     def test_registry_enforced(self):
         with pytest.raises(ValueError):
@@ -222,17 +209,17 @@ class TestFullTpr:
                            ("orthogonality", str(error))]
 
     def test_one_homology_h_per_call(self, monkeypatch):
-        # full-tpr and orthogonality read one H, built as a batch of one
-        calls = []
+        # full-tpr and orthogonality read one H
+        calls = Counter()
         original = verify.homology_H
 
         def counting(p):
-            calls.append(tuple(x.tolist() for x in vars(p).values()))
+            calls[p] += 1
             return original(p)
 
         monkeypatch.setattr(verify, "homology_H", counting)
         assert all(r.passed for r in verify_tpr(P_REF, TAU_I))
-        assert calls == [([P_REF.alpha], [P_REF.beta], [P_REF.gamma])]
+        assert calls == {P_REF: 1}
 
     def test_one_build_per_draw(self, monkeypatch):
         # full and block relations share one C, one P+ and one P-: the
@@ -250,7 +237,7 @@ class TestFullTpr:
             monkeypatch.setattr(verify, name, counting)
         report = run_sweep(seed=3, count=2)
         assert report.summary["pass"] == len(report.checks)
-        assert calls == {"cohomology_C": 1, "period_matrices": 1}
+        assert calls == {"cohomology_C": 2, "period_matrices": 1}
         rng = np.random.default_rng(3)
         draws = [(sample_admissible(rng), TauPoint(t)) for t in SWEEP_TAUS[:2]]
         assert built == {(q, tau): 1 for p, tau in draws
@@ -340,7 +327,7 @@ class TestBlockTpr:
 
         def mutated(p):
             pair = original(p)
-            pair[1][..., 1, 2] = -pair[1][..., 1, 2]
+            pair[1][1, 2] = -pair[1][1, 2]
             return pair
 
         monkeypatch.setattr(verify, "basis_change", mutated)
@@ -433,7 +420,9 @@ class TestTprBatch:
         # a singular H is rejected before any LU solve: np.linalg.solve
         # would raise for the whole stack
         singular = HgParams(0.31, 0.22, 0.78)
-        monkeypatch.setattr(verify, "homology_H", _planted_h(singular, 0.0))
+        original = verify.homology_H
+        monkeypatch.setattr(verify, "homology_H", lambda p: (
+            np.zeros((4, 4), complex) if p == singular else original(p)))
         self._assert_isolated((singular, self.TAU),
                               ["full-tpr", "orthogonality"])
         full = verify_tpr(singular, self.TAU)[0]
@@ -443,7 +432,10 @@ class TestTprBatch:
         # a nan in H is a ConditioningError of its own draw's full-tpr, and
         # a non-finite residual of its orthogonality
         planted = HgParams(0.31, 0.22, 0.78)
-        monkeypatch.setattr(verify, "homology_H", _planted_h(planted, np.nan))
+        original = verify.homology_H
+        monkeypatch.setattr(verify, "homology_H", lambda p: (
+            np.full((4, 4), np.nan, complex) if p == planted
+            else original(p)))
         self._assert_isolated((planted, self.TAU),
                               ["full-tpr", "orthogonality"])
         full, *_, orthogonality = verify_tpr(planted, self.TAU)
@@ -1119,19 +1111,18 @@ class TestSweep:
                 == _report_json(checks))
 
     def test_one_homology_h_per_draw(self, monkeypatch):
-        # full-tpr and orthogonality read the same H, one stack of the
-        # call's three draws
-        calls = []
+        # full-tpr and orthogonality read the same H
+        calls = Counter()
         original = verify.homology_H
 
         def counting(p):
-            calls.append(p.alpha.tolist())
+            calls[p] += 1
             return original(p)
 
         monkeypatch.setattr(verify, "homology_H", counting)
         report = run_sweep(seed=3, count=3)
         assert report.summary["pass"] == len(report.checks)
-        assert len(calls) == 1 and len(set(calls[0])) == 3
+        assert sorted(calls.values()) == [1, 1, 1]
 
 
 class TestCli:
