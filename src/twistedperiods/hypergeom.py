@@ -134,20 +134,24 @@ def gauss_2f1(a, b, c, z):
     term = 1.0 + 0.0j
     size = 1.0  # sum |t_n|, the scale of the sum's rounding error
     n = 0.0  # a float counter: no int-to-float conversion per operation
-    for _ in range(F21_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        size += (t := abs(term))
-        n += 1.0
-        # the next term, rounded as the update rounds it, as a tail guard
-        if t <= F21_REL_TOL * abs(total) and abs(
-                term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
-        ) <= F21_REL_TOL * abs(total):
-            if size * 2.0**-53 >= abs(total):
-                raise HypergeomError(f"2F1 sum {total} lost every digit "
-                                     f"to cancellation: sum |t_n| = "
-                                     f"{size:.3e}")
-            return total
+    try:  # free until it catches: abs() of an overflowed complex raises
+        for _ in range(F21_MAX_TERMS):
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+            total += term
+            size += (t := abs(term))
+            n += 1.0
+            # the next term, rounded as the update rounds it, as a tail guard
+            if t <= F21_REL_TOL * abs(total) and abs(
+                    term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
+            ) <= F21_REL_TOL * abs(total):
+                if size * 2.0**-53 >= abs(total):
+                    raise HypergeomError(f"2F1 sum {total} lost every digit "
+                                         f"to cancellation: sum |t_n| = "
+                                         f"{size:.3e}")
+                return total
+    except OverflowError:
+        raise HypergeomError(
+            f"2F1 terms overflow double precision at z = {z}") from None
     raise HypergeomError(
         f"2F1 series did not converge within {F21_MAX_TERMS} terms at z = {z}"
     )

@@ -177,7 +177,7 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     theta1 vanishes linearly at the endpoint u = 0 and theta2 at u = 1/2;
     both are summed as theta1 at the exact endpoint distance (theta2(u) =
     theta1(1/2 - u)), keeping full relative accuracy at either end.  Only
-    the real prefactors are summed, so each level builds one sine table
+    the real prefactors are summed, so each call builds one sine table
     (theta1, theta2) and one cosine table (theta3, theta4).  theta1's are
     divided exactly by s, the power of two nearest 2 q_half^(1/4), and the
     integral multiplied by s^(2g-2), so its powers do not overflow.

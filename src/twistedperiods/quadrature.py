@@ -67,11 +67,41 @@ def _level_nodes(level: int):
     return nodes
 
 
+# Levels 0.._BLOCK take one integrand call, on their 97 nodes together.  No
+# integral of the quadrature workload stops below level 3, so every node of
+# that call is summed; a block of levels 0-4 would evaluate 96 nodes that
+# the 79% of its Euler pairings that stop at level 3 never sum.
+_BLOCK = 3
+
+
+def _block_slice(level: int) -> slice:
+    """Where ``level``'s nodes lie, in their own order, among the nodes of
+    levels 0.._BLOCK in order of t: level 0 at every 2^_BLOCK-th node from
+    the first, level l >= 1 at every 2^(_BLOCK-l+1)-th from the
+    2^(_BLOCK-l)-th."""
+    if level == 0:
+        return slice(0, None, 2**_BLOCK)
+    return slice(2 ** (_BLOCK - level), None, 2 ** (_BLOCK - level + 1))
+
+
+def _block_sigma() -> np.ndarray:
+    """The abscissa fractions of levels 0.._BLOCK in order of t, so mirror-
+    symmetric as each level is."""
+    sigma = np.empty(sum(_level_nodes(l)[0].size for l in range(_BLOCK + 1)))
+    for level in range(_BLOCK + 1):
+        sigma[_block_slice(level)] = _level_nodes(level)[0]
+    return sigma
+
+
 def tanh_sinh(f, a: float, b: float,
               exponents: tuple[float, float] = (0.0, 0.0)) -> complex:
     """Integrate ``f`` over the open interval (a, b).
 
-    ``f(x, dl, dr)`` must accept ndarrays and return the integrand values;
+    ``f(x, dl, dr)`` must accept ndarrays and return the integrand values,
+    pointwise: a value may depend on its own point alone, not on the other
+    points or on how many calls came before.  One call covers levels 0-3,
+    on their 97 nodes in order of t, mirror-symmetric as each level is (dr
+    is dl reversed); each later level takes one call on its own nodes.
     dl and dr are the exact distances to the endpoints, near which f
     behaves like c d^e with the ``exponents`` e (at a, at b).  a < b and
     each e > -1 (not NaN) are checked here alone, for every caller, and
@@ -95,12 +125,13 @@ def tanh_sinh(f, a: float, b: float,
     powers = []  # (c, e, end) of each subtracted c d^e; end 0 is a, 1 is b
     closed = below = 0.0
 
-    def level_sum(level: int) -> complex:
+    def values(sigma: np.ndarray) -> np.ndarray:
+        dl = scale * sigma
+        return np.asarray(f(a + dl, dl, scale * sigma[::-1]))
+
+    def level_sum(level: int, vals: np.ndarray) -> complex:
         nonlocal closed, below
         sigma, comp, w = _level_nodes(level)
-        dl = scale * sigma
-        dr = scale * comp
-        vals = np.asarray(f(a + dl, dl, dr))
         if level == 0:
             for end, e in enumerate(exponents):
                 value = vals[-end].item()  # vals[0] at a, vals[-1] at b
@@ -112,7 +143,7 @@ def tanh_sinh(f, a: float, b: float,
                     below += abs(value) * d0
         rest = vals
         for c, e, end in powers:
-            rest = rest - c * (dr if end else dl) ** e
+            rest = rest - c * (scale * (comp if end else sigma)) ** e
         total = complex(np.sum(rest * w) * scale)
         if not cmath.isfinite(total):  # the weights are all positive
             bad = vals[~np.isfinite(vals)].tolist() or [total]
@@ -121,9 +152,12 @@ def tanh_sinh(f, a: float, b: float,
         return total
 
     with np.errstate(all="ignore"):
-        prev = level_sum(0)
+        block = values(_block_sigma())
+        prev = level_sum(0, block[_block_slice(0)])
         for level in range(1, _LEVELS + 1):
-            total = prev / 2.0 + level_sum(level)
+            vals = (block[_block_slice(level)] if level <= _BLOCK
+                    else values(_level_nodes(level)[0]))
+            total = prev / 2.0 + level_sum(level, vals)
             diff = abs(total - prev)
             if diff <= _REL_STOP * abs(total + closed):
                 break

@@ -431,24 +431,26 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
     """Both routes to the reduced (2,2) entry against (a-b+1) lambda + c.
 
     Residuals are absolute: the target is order one over the sampled range.
-    Every check first reads one cached ``require_admissible`` of
-    p = (a+1/2, b-1/2, c) (None when it passes), so an inadmissible p errors
-    all three.  Each form is evaluated once, by the first check that needs
-    it; one that raises is not kept, so every check using it errors.
+    Each value is built once, value or error (``_attempt``): first
+    ``require_admissible`` of p = (a+1/2, b-1/2, c), whose error stands in
+    for every form, so an inadmissible p errors all three and evaluates
+    none; then the theta form, the target and the 2F1 form.  Each check
+    reads its two values through ``_value``, so it errors with the first
+    of them that is an error, and every check reading a failed form errors.
     entry22-theta sums no 2F1, so only the other two checks error where
     |lambda(tau)| exceeds the 2F1 radius guard.
     """
     tols = resolve_tolerances(tol)
     p = HgParams(a + 0.5, b - 0.5, c)
     params = _params_dict(p, tau, a=a, b=b, c=c)
-    admitted = functools.cache(lambda: require_admissible(p))
-    target = functools.cache(lambda: (a - b + 1) * lambda_tau(tau) + c)
-    theta_form = functools.cache(
-        lambda: _entry22_theta_form(p, theta_constants(tau)))
-    f21_form = functools.cache(
-        lambda: _entry22_2f1_form(a, b, c, lambda_tau(tau)))
+    refused = _attempt(lambda: require_admissible(p))
+    theta_form, target, f21_form = (refused,) * 3 if refused else (
+        _attempt(build) for build in (
+            lambda: _entry22_theta_form(p, theta_constants(tau)),
+            lambda: (a - b + 1) * lambda_tau(tau) + c,
+            lambda: _entry22_2f1_form(a, b, c, lambda_tau(tau))))
     return tuple(_run_check(name, params, tols.entry22,
-                            lambda x=x, y=y: admitted() or abs(x() - y()))
+                            lambda x=x, y=y: abs(_value(x) - _value(y)))
                  for name, x, y in (("entry22-theta", theta_form, target),
                                     ("entry22-2f1", f21_form, target),
                                     ("entry22-cross", theta_form, f21_form)))

@@ -129,7 +129,18 @@ class TestMaxDegree:
         assert all(math.isfinite(x) for pair in table for x in pair)
 
 
+# terms that overflow a double before the series converges: abs() of the
+# overflowed complex term raises OverflowError inside the loop
+OVERFLOWING_2F1 = (87.30869786330038, 48.37645585484947, -49.45817856610617,
+                   -0.10515096227506536 + 0.9441627376319337j)
+
+
 class TestGauss2F1:
+    def test_overflowing_terms_raise_a_typed_error(self):
+        with pytest.raises(HypergeomError,
+                           match="2F1 terms overflow double precision"):
+            gauss_2f1(*OVERFLOWING_2F1)
+
     def test_at_zero(self):
         assert complex(gauss_2f1(0.3, 1.2, 0.7, 0.0)) == 1.0
 
@@ -284,7 +295,8 @@ class TestTableRoute:
         (0.3, 0.2, 0.7, complex(0.1, math.inf)),
         (0.3, 0.2, 0.7, 0.97),  # past the radius guard
         (40.0, 40.0, 0.5, 0.95),  # not converged at F21_MAX_TERMS
-    ], ids=["cancelled", "pole", "nan", "inf", "radius", "cap"])
+        OVERFLOWING_2F1,
+    ], ids=["cancelled", "pole", "nan", "inf", "radius", "cap", "overflow"])
     def test_raises_the_loops_error(self, args):
         # the failing series sits between two that sum
         good = (0.3, 0.21, 0.77, 0.5)

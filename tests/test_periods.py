@@ -6,13 +6,18 @@ import math
 import re
 import time
 import warnings
+from unittest import mock
 
+import level_by_level_quadrature as reference
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from strategies import endpoint_exponents, uniform, wirtinger_params
 
 from twistedperiods.hypergeom import (HypergeomError, beta_real, gamma_real,
                                       gauss_2f1)
-from twistedperiods.matrices import HgParams, unit_phase
+from twistedperiods.matrices import (AdmissibilityError, HgParams,
+                                     unit_phase)
 from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
                                     euler_pairing, euler_pairing_closed,
                                     period_matrices, period_matrix,
@@ -96,19 +101,24 @@ class TestTanhSinh:
             tanh_sinh(lambda x, dl, dr: x, 0.0, 1.0, exponents)
 
     def test_non_finite_integrand_raises_at_its_first_level(self):
-        # the log of a negative number at level 2, an overflow to inf at
-        # level 0: each raises where it first appears, and no
-        # RuntimeWarning escapes (the pytest configuration makes one an
-        # error)
-        levels = []
+        # the log of a negative number on the level-2 nodes, an overflow to
+        # inf at level 0: each raises at the level where it first appears,
+        # and no RuntimeWarning escapes (the pytest configuration makes one
+        # an error).  Levels 0-3 come in one call of 97 nodes in order of
+        # t: level 1 at every 8th node from the 4th, level 2 at every 4th
+        # from the 2nd
+        calls = []
 
-        def late_nan(x, dl, dr):
-            levels.append(len(levels))
-            return np.log(np.full_like(x, 1.0 - 0.75 * levels[-1]))
+        def level_2_nan(x, dl, dr):
+            calls.append(x.size)
+            arg = np.ones_like(x)
+            arg[4::8] = 0.25
+            arg[2::4] = -0.5
+            return np.log(arg)
         with pytest.raises(QuadratureError,
                            match="non-finite value nan at level 2"):
-            tanh_sinh(late_nan, 0.0, 1.0)
-        assert levels == [0, 1, 2]
+            tanh_sinh(level_2_nan, 0.0, 1.0)
+        assert calls == [97]
         with pytest.raises(QuadratureError,
                            match="non-finite value inf at level 0"):
             tanh_sinh(lambda x, dl, dr: 1e300 * dl**-0.99, 0.0, 1.0,
@@ -152,7 +162,8 @@ class TestTanhSinh:
         assert tanh_sinh(f, 0.0, 1.0) == default
 
     def test_levels_past_the_cached_tables(self, monkeypatch):
-        # cos(3000 x) converges at level 11, one past the default depth
+        # cos(3000 x) converges at level 11, one past the default depth:
+        # one call for levels 0-3, then one per level
         sums = []
 
         def f(x, dl, dr):
@@ -160,9 +171,80 @@ class TestTanhSinh:
             return np.cos(3000.0 * x)
         monkeypatch.setattr(quadrature, "_LEVELS", 12)
         val = tanh_sinh(f, 0.0, 1.0)
-        assert len(sums) == 12  # levels 0..11
+        assert sums == [97] + [quadrature._level_nodes(level)[0].size
+                               for level in range(4, 12)]
         assert complex(val).real == pytest.approx(math.sin(3000.0) / 3000.0,
                                                   abs=1e-13)
+
+
+class TestLevelBlock:
+    """Levels 0-3 share one integrand call, and every integral keeps the
+    bits of the level-by-level reference (``level_by_level_quadrature``)."""
+
+    @staticmethod
+    def outcome(quad, f, a, b, exponents):
+        """quad's value as the bits of its parts, or its error's text."""
+        try:
+            value = complex(quad(f, a, b, exponents))
+        except QuadratureError as exc:
+            return str(exc)
+        return value.real.hex(), value.imag.hex()
+
+    def assert_bitwise(self, calls):
+        assert calls
+        for f, a, b, exponents in calls:
+            assert (self.outcome(tanh_sinh, f, a, b, exponents)
+                    == self.outcome(reference.tanh_sinh, f, a, b, exponents))
+
+    @staticmethod
+    def integrals(route, *args):
+        """The (f, a, b, exponents) of each tanh_sinh call of ``route``."""
+        calls = []
+        with mock.patch.object(periods, "tanh_sinh",
+                               lambda *call: calls.append(call) or 1.0):
+            route(*args)
+        return calls
+
+    @settings(max_examples=40)
+    @given(wirtinger_params, uniform(0.1, 3.0))
+    def test_wirtinger_integrands(self, p, im):
+        try:
+            calls = self.integrals(wirtinger_quadrature, p,
+                                   TauPoint(complex(0.0, im)))
+        except AdmissibilityError:
+            assume(False)
+        self.assert_bitwise(calls)
+
+    @settings(max_examples=40)
+    @given(wirtinger_params, uniform(0.0, 1.0).filter(lambda z: z > 0.0))
+    def test_euler_pairings(self, p, z):
+        self.assert_bitwise(self.integrals(
+            euler_pairing, "1+", p.alpha, p.beta, p.gamma, z))
+
+    @settings(max_examples=60)
+    @given(endpoint_exponents, endpoint_exponents, uniform(-20.0, 20.0),
+           uniform(-2.0, 2.0), uniform(0.1, 3.0))
+    def test_pointwise_integrands(self, e0, e1, k, a, width):
+        # many exponents lie in (-1, -0.94], where an end is subtracted
+        def f(x, dl, dr):
+            return dl**e0 * dr**e1 * (2.0 + np.cos(k * x))
+        self.assert_bitwise([(f, a, a + width, (e0, e1))])
+
+    @pytest.mark.parametrize("f, stop", [
+        (lambda x: np.zeros_like(x), 1),
+        (lambda x: np.ones_like(x), 3),
+        (lambda x: np.exp(-x * x), 4),
+        (lambda x: np.cos(30.0 * x), 5),
+        (lambda x: np.cos(100.0 * x), 6)])
+    def test_one_call_covers_levels_0_to_3(self, f, stop):
+        # the reference calls f once per level 0..stop
+        counts = {}
+        for quad in (reference.tanh_sinh, tanh_sinh):
+            sizes = counts[quad] = []
+            quad(lambda x, dl, dr: sizes.append(x.size) or f(x), 0.0, 1.0)
+        assert len(counts[reference.tanh_sinh]) == stop + 1
+        assert len(counts[tanh_sinh]) == 1 + max(stop - 3, 0)
+        assert counts[tanh_sinh][0] == 97
 
 
 class TestShiftRules:
