@@ -8,7 +8,9 @@ series argument z.  The 2F1 is served by its defining power series within
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import sys
 
 import numpy as np
@@ -98,9 +100,15 @@ def _gamma(x: float) -> float:
 def beta_real(a, c):
     """Euler's Beta factor ``Gamma(a) Gamma(c - a) / Gamma(c)``; elementwise
     on arrays of one shape, each element's three Gamma factors tested in
-    that order (``gamma_real``)."""
-    g = gamma_real(np.stack([a, c - a, c], axis=-1))
-    value = g[..., 0] * g[..., 1] / g[..., 2]
+    that order (``gamma_real``).  Then the first element, in C order, whose
+    product or quotient overflows raises, even where the Beta itself is
+    finite: the factors are not reordered, so no finite value moves."""
+    g = gamma_real(x := np.stack([a, c - a, c], axis=-1))
+    with np.errstate(over="ignore"):
+        value = g[..., 0] * g[..., 1] / g[..., 2]
+    for bad in x[~np.isfinite(value)][:1].tolist():
+        raise HypergeomError("Gamma({}) Gamma({}) / Gamma({}) overflows "
+                             "double precision".format(*bad))
     return value if value.ndim else float(value)
 
 
@@ -218,25 +226,15 @@ def _f21_table(a, b, c, z) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _f21_coeffs(x, y, z, n: int) -> np.ndarray:
-    """(x)_k (y)_k / ((z)_k k!) for k = 0..n along a new last axis:
-    np.cumprod of the term ratios from the leading 1.0, in k order."""
-    k = np.arange(max(n, 0), dtype=float)
-    ratios = np.ones(np.shape(x) + (k.size + 1,))
-    ratios[..., 1:] = ((x[..., None] + k) * (y[..., None] + k)
-                       / ((z[..., None] + k) * (k + 1.0)))
-    return np.cumprod(ratios, axis=-1)
-
-
-def _cauchy(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The Cauchy sums sum_(j <= n) u_j v_(n-j), n = 0, 1, ..., over the
-    last axis, each summed in j order from 0.0, as ``sum`` sums: np.cumsum
-    of a table of the products, read on its diagonal.  The cells past the
-    diagonal (j > n, where n - j wraps around v) are never read."""
-    j = np.arange(u.shape[-1])
-    table = np.zeros(u.shape[:-1] + (j.size, j.size + 1))
-    table[..., 1:] = u[..., None, :] * v[..., j[:, None] - j]
-    return np.cumsum(table, axis=-1)[..., j, j + 1]
+def _f21_coeffs(x: float, y: float, z: float, n: int) -> list[float]:
+    """(x)_k (y)_k / ((z)_k k!) for k = 0..n, one running product; raises
+    if z is within the integrality guard of -k for some k < n."""
+    if is_near_nonpositive_integer(z) and -round(z) < n:
+        raise HypergeomError(
+            f"lower parameter {z} hits a pole at term k = {1 - round(z)}")
+    return list(itertools.accumulate(
+        ((x + k) * (y + k) / ((z + k) * (k + 1.0)) for k in range(n)),
+        operator.mul, initial=1.0))
 
 
 def product_params(a: float, b: float, c: float) -> tuple[tuple, ...]:
@@ -253,41 +251,24 @@ def product_k(a: float, b: float, c: float) -> float:
             / (c * (1.0 + c) * (1.0 - c)))
 
 
-def product_coeffs(n_max: int, a, b, c):
+def product_coeffs(n_max: int, a: float, b: float, c: float
+                   ) -> list[tuple[float, float]]:
     """(term 1, term 2) power-series coefficients, degrees n = 0..n_max, of
     the two terms of the (2,2) product (``product_params``): Cauchy sums in
     k order.  A lower parameter at a pole of the 2F1 coefficients used
-    raises, as does the first non-finite degree's pair.
-
-    Arrays a, b, c of one shape give an array (draws, n_max + 1, 2), one
-    draw per element; floats are its batch of one, evaluated on shape-(1,)
-    arrays and returned as a list of (term 1, term 2) tuples.  Each 2F1's
-    coefficients are np.cumprod of its term ratios, and the Cauchy sums
-    come from ``_cauchy``, in k order, so a draw's pairs have the same bits
-    in any batch.  Each rule (finite parameters, poles, finite pairs) is
-    tested once over the batch, and the first draw that breaks one raises
-    that draw's error.
-    """
+    raises, as does the first non-finite degree's pair."""
     n_max = _count(n_max, "n_max")
-    one = np.ndim(a) == np.ndim(b) == np.ndim(c) == 0
-    a, b, c = abc = np.array([a, b, c], float).reshape(3, -1)
-    for bad in abc.T[~np.isfinite(abc).all(axis=0)][:1]:
-        _require_finite("Whipple parameter", "abc", bad)
-    # the four series' (x, y, z), each (series, draws), and term counts
-    x, y, z = (np.array(v) for v in zip(*product_params(a, b, c)))
-    counts = (n_max, n_max, n_max - 2, n_max - 2)
-    pole = is_near_nonpositive_integer(z.T) & (-np.rint(z.T) < counts)
-    for low in z.T[pole][:1].tolist():
-        raise HypergeomError(
-            f"lower parameter {low} hits a pole at term k = {1 - round(low)}")
-    pairs = np.zeros((a.size, n_max + 1, 2))
-    with np.errstate(all="ignore"):  # terms past a count are never read
-        f = _f21_coeffs(x, y, z, n_max)
-        sums = _cauchy(f[::2], f[1::2])  # (f, g) and (h, m)
-        pairs[..., 0] = c[:, None] * sums[0]
-        if n_max >= 2:  # c and -c passed the guard: c(1+c)(1-c) is not 0
-            pairs[:, 2:, 1] = product_k(a, b, c)[:, None] * sums[1, :, :-2]
-    for k, n in np.argwhere(~np.isfinite(pairs).all(axis=-1))[:1].tolist():
-        raise HypergeomError(f"Whipple coefficients ({pairs[k, n, 0]}, "
-                             f"{pairs[k, n, 1]}) at degree {n} are not finite")
-    return [tuple(pair) for pair in pairs[0].tolist()] if one else pairs
+    _require_finite("Whipple parameter", "abc", (a, b, c))
+    f, g, h, m = (_f21_coeffs(*abc, n) for abc, n in zip(
+        product_params(a, b, c), (n_max, n_max, n_max - 2, n_max - 2)))
+    if n_max >= 2:  # c and -c passed the guard: c(1+c)(1-c) is not 0
+        K = product_k(a, b, c)
+    pairs = []
+    for n in range(n_max + 1):
+        term1 = c * sum(map(operator.mul, f, g[n::-1]))
+        term2 = 0.0 if n < 2 else K * sum(map(operator.mul, h, m[n - 2::-1]))
+        if not (math.isfinite(term1) and math.isfinite(term2)):
+            raise HypergeomError(f"Whipple coefficients ({term1}, {term2}) "
+                                 f"at degree {n} are not finite")
+        pairs.append((term1, term2))
+    return pairs

@@ -105,7 +105,8 @@ def period_matrices(draws) -> np.ndarray:
     Draw by draw, in order, the tau checks and ``require_admissible``
     run first.  The later rules are tested rule by rule, each once over
     the whole batch: the prefactors' overflow, then the Gamma rules of
-    every Beta factor (per draw and row, sigma_1's before sigma_3's); then
+    every Beta factor (per draw and row, sigma_1's before sigma_3's), then
+    the Beta factors' overflow (``beta_real``); then
     one ``gauss_2f1`` table sums the eight series of every draw, at lambda:
     sigma_1's at (a, b, g) and sigma_3's at (1 - b, 1 - a, 2 - g) of each
     row.  Within a rule the first draw that breaks it raises its error.  A
@@ -180,7 +181,10 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     the real prefactors are summed, so each call builds one sine table
     (theta1, theta2) and one cosine table (theta3, theta4).  theta1's are
     divided exactly by s, the power of two nearest 2 q_half^(1/4), and the
-    integral multiplied by s^(2g-2), so its powers do not overflow.
+    integral multiplied by s^(2g-2), so its powers do not overflow.  The
+    integral comes first, so ``tanh_sinh``'s errors (its exponent rule, a
+    non-finite integrand) come before a rescale that overflows, which
+    raises PeriodError.
     """
     require_admissible(p)
     if abs(tau.tau.real) > 1e-12:
@@ -207,8 +211,12 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
             * t4 ** (2 * b - 2 * g + 1)
         )
 
-    return s ** (2 * g - 2) * float(np.real(tanh_sinh(
-        integrand, 0.0, 0.5, (2 * a - 1, 2 * g - 2 * a - 1))))
+    value = tanh_sinh(integrand, 0.0, 0.5, (2 * a - 1, 2 * g - 2 * a - 1))
+    try:  # a float ** raises where the rescale overflows
+        return float(np.real(value)) * s ** (2 * g - 2)
+    except OverflowError:
+        raise PeriodError(f"the rescale {s}^{2 * g - 2} of the Wirtinger "
+                          "integral overflows double precision") from None
 
 
 # Euler-integral pairings on the projective line.  Each side is z^z_power

@@ -463,31 +463,17 @@ def verify_whipple(a: float, b: float, c: float,
     ``product_coeffs`` table.
 
     The degree-0 and degree-1 anchors (c and a - b + 1) are folded into the
-    residual, so a wrong low-order coefficient also fails the check.  The
-    batch of one of ``_verify_whipple_batch``.
+    residual, so a wrong low-order coefficient also fails the check.
     """
-    return _verify_whipple_batch([(a, b, c)], resolve_tolerances(tol))[0]
+    tols = resolve_tolerances(tol)
+    params = _params_dict(None, None, a=a, b=b, c=c, n_max=WHIPPLE_N_MAX)
 
+    def residual():
+        coeffs = product_coeffs(WHIPPLE_N_MAX, a, b, c)
+        return _worst(abs(coeffs[0][0] - c), abs(coeffs[1][0] - (a - b + 1)),
+                      *(_rel(c1, -c2) for c1, c2 in coeffs[2:]))
 
-def _verify_whipple_batch(abcs, tols: Tolerances) -> list[CheckResult]:
-    """``verify_whipple`` for each (a, b, c) of ``abcs``, from one
-    ``product_coeffs`` table of them all (one ``each_draw`` step), each
-    draw's bits, errors and texts those of its batch of one."""
-    a, b, c = map(np.array, zip(*abcs))
-
-    def residuals(ks):
-        ks = slice(ks.start, ks.stop)
-        pairs = product_coeffs(WHIPPLE_N_MAX, a[ks], b[ks], c[ks])
-        # each degree's term 1 against c, a - b + 1, then -(term 2), the
-        # cancellations relative to 1 + |term 1| (``_rel``)
-        target, scale = -pairs[..., 1], 1.0 + np.abs(pairs[..., 0])
-        target[:, 0], target[:, 1] = c[ks], a[ks] - b[ks] + 1
-        scale[:, :2] = 1.0
-        return (np.abs(pairs[..., 0] - target) / scale).max(axis=1).tolist()
-
-    return _checks("whipple-cancellation", [
-        _params_dict(None, None, a=x, b=y, c=z, n_max=WHIPPLE_N_MAX)
-        for x, y, z in abcs], tols.whipple, each_draw(residuals, len(abcs)))
+    return _run_check("whipple-cancellation", params, tols.whipple, residual)
 
 
 def _laurent_coefficients(tc: ThetaConstants) -> tuple[complex, ...]:
@@ -629,8 +615,9 @@ def run_sweep(seed: int, count: int,
     All ``count`` draws are made first (the sampler is the only reader of
     the generator), and ``verify_tpr``'s checks run for all of them as one
     batch (``_verify_tpr_batch``).  Each draw then reports them and the
-    other three public ``verify_*``, in registry order: the results of the
-    public calls, bit for bit.
+    other three public ``verify_*``, called per draw (one ``product_coeffs``
+    table each), in registry order: the results of the public calls, bit
+    for bit.
     """
     for name, n, least in (("seed", seed, 0), ("count", count, 1)):
         if not np.issubdtype(type(n), np.integer) or n < least:
@@ -640,14 +627,12 @@ def run_sweep(seed: int, count: int,
     taus = [TauPoint(t) for t in SWEEP_TAUS]
     draws = [(sample_admissible(rng), taus[k % len(taus)])
              for k in range(count)]
-    abcs = [(p.alpha - 0.5, p.beta + 0.5, p.gamma) for p, _ in draws]
     checks: list[CheckResult] = []
-    for (_, tau), (a, b, c), tpr, whipple in zip(
-            draws, abcs, _verify_tpr_batch(draws, tols),
-            _verify_whipple_batch(abcs, tols)):
+    for (p, tau), tpr in zip(draws, _verify_tpr_batch(draws, tols)):
+        a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
         checks += [*tpr,
                    *verify_entry22(a, b, c, tau, tols),
-                   whipple,
+                   verify_whipple(a, b, c, tols),
                    *verify_series_identities(tau, tols)]
     return VerificationReport(tool_version=__version__, seed=int(seed),
                               checks=checks)

@@ -1,6 +1,6 @@
-"""The period relations and Whipple tables over a batch of draws: each
-draw's slice of a stack has the bits of its batch of one, and the period
-rows agree with their scalar closed forms (``scalar_closed_forms``)."""
+"""The period relations over a batch of draws: each draw's slice of a
+stack has the bits of its batch of one, and the period rows agree with
+their scalar closed forms (``scalar_closed_forms``)."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import scalar_closed_forms as scalar
 from strategies import params, taus
 from twistedperiods import matrices, periods, verify
-from twistedperiods.hypergeom import product_coeffs
 from twistedperiods.matrices import HgParams
 from twistedperiods.series import TauPoint
 from twistedperiods.verify import (SAMPLER_MARGIN, SWEEP_TAUS,
@@ -73,13 +72,6 @@ def test_each_stack_slice_is_its_batch_of_one(draws):
     if not isinstance(stack, str):  # else some draw raises
         for k, draw in enumerate(draws):
             assert _bits(stack[k]) == _bits(periods.period_matrix(*draw))
-    ps = [p for p, _ in draws]
-    abc = np.array([(q.alpha, q.beta, q.gamma) for q in ps]).T
-    table = _outcome(product_coeffs, 12, *abc)
-    if not isinstance(table, str):
-        for k, q in enumerate(ps):
-            assert _bits(table[k]) == _bits(
-                product_coeffs(12, q.alpha, q.beta, q.gamma))
 
 
 def _sampled_draws(count: int) -> list:

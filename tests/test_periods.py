@@ -307,6 +307,14 @@ class TestPeriodMatrices:
         assert [r.error is not None and "prefactor" in r.error
                 for r in rows] == [True, True, True, False]
 
+    def test_an_overflowing_beta_factor_raises_a_typed_error(self):
+        # every Gamma factor is finite, but a row's Gamma(a) Gamma(g - a)
+        # overflows before the division by Gamma(g)
+        with pytest.raises(HypergeomError, match=re.escape(
+                "Gamma(-0.3) Gamma(171.60000000000002) / Gamma(171.3) "
+                "overflows double precision")):
+            period_matrix(HgParams(-0.3, 0.1, 170.3), TAU_I)
+
     def test_gamma_error_of_row_one_wins_over_its_2f1_error(self):
         # row 1's first 2F1 series cancels to rounding, but its Gamma factor
         # is read first, also when the draw sits in a batch
@@ -617,6 +625,25 @@ class TestWirtingerQuadrature:
         with pytest.raises(QuadratureError, match="endpoint exponents > -1"):
             wirtinger_quadrature(HgParams(-0.3, 0.21, 0.27), TAU_I)
 
+    @pytest.mark.parametrize("p, tau, text", [
+        # 2g - 2a - 1 = -82.2, where s^(2g - 2) alone would overflow first
+        (HgParams(0.3, 0.21, -40.3), TauPoint(50j), "endpoint exponents"),
+        # the integrand overflows, where 2^(2g - 2) alone would overflow
+        (HgParams(300.3, 0.21, 600.7), TauPoint(0.1j), "non-finite value"),
+    ])
+    def test_the_integral_is_checked_before_its_rescale(self, p, tau, text):
+        with pytest.raises(QuadratureError, match=text):
+            wirtinger_quadrature(p, tau)
+
+    def test_an_overflowing_rescale_raises_a_typed_error(self):
+        # the integrand underflows to 0 and the integral is finite, but
+        # s^(2g - 2) = 2^1072.4 is not
+        with pytest.raises(PeriodError, match=re.escape(
+                "the rescale 2.0^1072.4 of the Wirtinger integral "
+                "overflows double precision")):
+            wirtinger_quadrature(HgParams(512.1, 198.9, 537.2),
+                                 TauPoint(0.38j))
+
 
 class TestEulerPairings:
     def test_p1_plus_closed_form(self):
@@ -670,6 +697,14 @@ class TestEulerPairings:
     def test_invalid_side(self):
         with pytest.raises(PeriodError):
             euler_pairing_closed("3+", 0.3, 0.2, 1.1, 0.5)
+
+    def test_an_overflowing_beta_factor_raises_a_typed_error(self):
+        # B(-0.5, 171.4) = -46.31 (mpmath), but Gamma(-0.5) Gamma(171.4)
+        # overflows before the division by Gamma(170.9)
+        with pytest.raises(HypergeomError, match=re.escape(
+                "Gamma(-0.5) Gamma(171.4) / Gamma(170.9) overflows double "
+                "precision")):
+            euler_pairing_closed("1+", -0.5, 0.25, 170.9, 0.5)
         with pytest.raises(PeriodError, match="invalid pairing side"):
             euler_pairing("3+", 0.3, 0.2, 1.1, 0.5)
 

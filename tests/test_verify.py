@@ -477,6 +477,16 @@ class TestTprBatch:
         assert calls == [("gauss_2f1", (16, 4, 2)),
                          ("guarded_solve", (8, 4, 4))]
 
+    def test_each_draw_has_its_own_whipple_table(self, monkeypatch):
+        # product_coeffs takes one draw's floats, once per draw
+        calls = []
+        original = verify.product_coeffs
+        monkeypatch.setattr(verify, "product_coeffs", lambda *args: (
+            calls.append(tuple(map(type, args))), original(*args))[1])
+        report = run_sweep(seed=3, count=8)
+        assert report.summary["errored"] == 0
+        assert calls == [(int, float, float, float)] * 8
+
 
 class TestEntry22:
     def test_reference_triple(self):
