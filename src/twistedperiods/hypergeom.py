@@ -8,6 +8,7 @@ series argument z.  The 2F1 is served by its defining power series within
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -103,7 +104,8 @@ def beta_real(a, c):
     that order (``gamma_real``).  Then the first element, in C order, whose
     product or quotient overflows raises, even where the Beta itself is
     finite: the factors are not reordered, so no finite value moves."""
-    g = gamma_real(x := np.stack([a, c - a, c], axis=-1))
+    x = np.stack([a, c - a, c], axis=-1)
+    g = gamma_real(x)
     with np.errstate(over="ignore"):
         value = g[..., 0] * g[..., 1] / g[..., 2]
     for bad in x[~np.isfinite(value)][:1].tolist():
@@ -255,18 +257,23 @@ def product_coeffs(n_max: int, a: float, b: float, c: float
                    ) -> list[tuple[float, float]]:
     """(term 1, term 2) power-series coefficients, degrees n = 0..n_max, of
     the two terms of the (2,2) product (``product_params``): Cauchy sums in
-    k order.  A lower parameter at a pole of the 2F1 coefficients used
-    raises, as does the first non-finite degree's pair."""
+    k order from 0.0 (``functools.reduce``; ``sum`` of floats compensates
+    from Python 3.12).  A lower parameter at a pole of the 2F1 coefficients
+    used raises, as does the first non-finite degree's pair."""
     n_max = _count(n_max, "n_max")
     _require_finite("Whipple parameter", "abc", (a, b, c))
     f, g, h, m = (_f21_coeffs(*abc, n) for abc, n in zip(
         product_params(a, b, c), (n_max, n_max, n_max - 2, n_max - 2)))
     if n_max >= 2:  # c and -c passed the guard: c(1+c)(1-c) is not 0
         K = product_k(a, b, c)
+
+    def cauchy(u, v):
+        return functools.reduce(operator.add, map(operator.mul, u, v), 0.0)
+
     pairs = []
     for n in range(n_max + 1):
-        term1 = c * sum(map(operator.mul, f, g[n::-1]))
-        term2 = 0.0 if n < 2 else K * sum(map(operator.mul, h, m[n - 2::-1]))
+        term1 = c * cauchy(f, g[n::-1])
+        term2 = 0.0 if n < 2 else K * cauchy(h, m[n - 2::-1])
         if not (math.isfinite(term1) and math.isfinite(term2)):
             raise HypergeomError(f"Whipple coefficients ({term1}, {term2}) "
                                  f"at degree {n} are not finite")

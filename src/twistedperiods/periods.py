@@ -212,11 +212,14 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
         )
 
     value = tanh_sinh(integrand, 0.0, 0.5, (2 * a - 1, 2 * g - 2 * a - 1))
-    try:  # a float ** raises where the rescale overflows
-        return float(np.real(value)) * s ** (2 * g - 2)
+    try:  # a float ** raises where it overflows, a float * gives inf
+        value = float(np.real(value)) * s ** (2 * g - 2)
     except OverflowError:
+        value = math.inf
+    if math.isinf(value):  # tanh_sinh's sum is finite
         raise PeriodError(f"the rescale {s}^{2 * g - 2} of the Wirtinger "
-                          "integral overflows double precision") from None
+                          "integral overflows double precision")
+    return value
 
 
 # Euler-integral pairings on the projective line.  Each side is z^z_power

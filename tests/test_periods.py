@@ -635,14 +635,19 @@ class TestWirtingerQuadrature:
         with pytest.raises(QuadratureError, match=text):
             wirtinger_quadrature(p, tau)
 
-    def test_an_overflowing_rescale_raises_a_typed_error(self):
+    @pytest.mark.parametrize("p, tau, power", [
         # the integrand underflows to 0 and the integral is finite, but
         # s^(2g - 2) = 2^1072.4 is not
+        (HgParams(512.1, 198.9, 537.2), TauPoint(0.38j), "1072.4"),
+        # the integral (5.8e240) and s^(2g - 2) are finite, their product
+        # is not
+        (HgParams(10.1, 38.3, 118.7), TauPoint(0.13j), "235.4"),
+    ])
+    def test_an_overflowing_rescale_raises_a_typed_error(self, p, tau, power):
         with pytest.raises(PeriodError, match=re.escape(
-                "the rescale 2.0^1072.4 of the Wirtinger integral "
+                f"the rescale 2.0^{power} of the Wirtinger integral "
                 "overflows double precision")):
-            wirtinger_quadrature(HgParams(512.1, 198.9, 537.2),
-                                 TauPoint(0.38j))
+            wirtinger_quadrature(p, tau)
 
 
 class TestEulerPairings:
@@ -697,6 +702,8 @@ class TestEulerPairings:
     def test_invalid_side(self):
         with pytest.raises(PeriodError):
             euler_pairing_closed("3+", 0.3, 0.2, 1.1, 0.5)
+        with pytest.raises(PeriodError, match="invalid pairing side"):
+            euler_pairing("3+", 0.3, 0.2, 1.1, 0.5)
 
     def test_an_overflowing_beta_factor_raises_a_typed_error(self):
         # B(-0.5, 171.4) = -46.31 (mpmath), but Gamma(-0.5) Gamma(171.4)
@@ -705,8 +712,6 @@ class TestEulerPairings:
                 "Gamma(-0.5) Gamma(171.4) / Gamma(170.9) overflows double "
                 "precision")):
             euler_pairing_closed("1+", -0.5, 0.25, 170.9, 0.5)
-        with pytest.raises(PeriodError, match="invalid pairing side"):
-            euler_pairing("3+", 0.3, 0.2, 1.1, 0.5)
 
     def test_quadrature_exponents_per_side(self):
         # (e0, e1, ez, z_power) of t^e0 (1-t)^e1 (1-zt)^ez written out
