@@ -57,6 +57,21 @@ def _cpow(z: complex, s: float) -> complex:
     return cmath.exp(s * cmath.log(z))
 
 
+def _scaled(evaluate, name: str, *args):
+    """``evaluate()``, a value times a power, or PeriodError naming the
+    quantity ``name.format(*args)`` where it overflows: there a float
+    ``**`` or ``cmath.exp`` raises OverflowError, and a product gives inf
+    or nan.  ``evaluate`` is run as written, so a finite value keeps its
+    bits; the name is formatted only for the error, off the hot path."""
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise PeriodError(name.format(*args) + " overflows double precision")
+    return value
+
+
 def row_params(p: HgParams) -> list[HgParams]:
     """The parameters of rows 1..4 of ``period_matrix(p, tau)``: p under
     each row's ``SHIFT_RULES``."""
@@ -212,14 +227,8 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
         )
 
     value = tanh_sinh(integrand, 0.0, 0.5, (2 * a - 1, 2 * g - 2 * a - 1))
-    try:  # a float ** raises where it overflows, a float * gives inf
-        value = float(np.real(value)) * s ** (2 * g - 2)
-    except OverflowError:
-        value = math.inf
-    if math.isinf(value):  # tanh_sinh's sum is finite
-        raise PeriodError(f"the rescale {s}^{2 * g - 2} of the Wirtinger "
-                          "integral overflows double precision")
-    return value
+    return _scaled(lambda: float(np.real(value)) * s ** (2 * g - 2),
+                   "the rescale {}^{} of the Wirtinger integral", s, 2 * g - 2)
 
 
 # Euler-integral pairings on the projective line.  Each side is z^z_power
@@ -247,7 +256,8 @@ def euler_pairing(p_side: str, a: float, b: float, c: float,
     ``p_side`` is one of '1+', '2+', '1-', '2-'.  Requires real z in (0,1);
     the endpoint exponents go to ``tanh_sinh``, which requires both > -1
     (this rules out, e.g., the '1-' side whenever the '1+' side converges;
-    use ``euler_pairing_closed`` for the regularized value there).
+    use ``euler_pairing_closed`` for the regularized value there).  A
+    value past the double range raises PeriodError.
     """
     z = complex(z)
     if abs(z.imag) > 1e-14 or not (0.0 < z.real < 1.0):
@@ -260,14 +270,17 @@ def euler_pairing(p_side: str, a: float, b: float, c: float,
         return dl**e0 * dr**e1 * (1.0 - zr + zr * dr) ** ez
 
     val = tanh_sinh(integrand, 0.0, 1.0, (e0, e1))
-    return complex(zr**zpow * val)
+    return _scaled(lambda: complex(zr**zpow * val),
+                   "the {} Euler pairing at z = {}", p_side, zr)
 
 
 def euler_pairing_closed(p_side: str, a: float, b: float, c: float, z: complex) -> complex:
     """Gamma-factor closed form of the Euler pairing (valid by continuation
-    even where the literal integral diverges); sides '2+-' need z != 0."""
+    even where the literal integral diverges); sides '2+-' need z != 0.
+    A value past the double range raises PeriodError."""
     A, B, C, zpow = _euler_side(p_side, a, b, c)
     if p_side[0] == "2" and z == 0:
         raise PeriodError(f"side {p_side} is undefined at z = 0")
     value = beta_real(A, C) * gauss_2f1(A, B, C, z)
-    return _cpow(complex(z), zpow) * value if zpow else value
+    return _scaled(lambda: _cpow(complex(z), zpow) * value if zpow else value,
+                   "the {} Euler pairing at z = {}", p_side, z)

@@ -279,13 +279,14 @@ def each_draw(step, n: int) -> list:
         return [_attempt(lambda: step(range(k, k + 1))[0]) for k in range(n)]
 
 
-def _run_check(name: str, params: dict, tolerance: float, fn) -> CheckResult:
-    """The check of ``fn()``'s residual, the one place a verdict is made: a
-    recoverable error or a non-finite residual errors it, never a FAIL."""
-    try:
-        residual = float(fn())
-    except RECOVERABLE as exc:
-        return CheckResult(name, params, None, tolerance, False, str(exc))
+def _run_check(name: str, params: dict, tolerance: float, outcome
+               ) -> CheckResult:
+    """The check of a residual, or of the typed error that took its place
+    (``_attempt``), the one place a verdict is made: an error or a
+    non-finite residual errors it, never a FAIL."""
+    if isinstance(outcome, Exception):
+        return CheckResult(name, params, None, tolerance, False, str(outcome))
+    residual = float(outcome)
     if not math.isfinite(residual):
         return CheckResult(name, params, None, tolerance, False,
                            f"non-finite residual {residual}")
@@ -333,62 +334,39 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
                              axis=-1)[..., -1])
 
 
-def _checks(name: str, params: list, tol: float, outcomes: list
-            ) -> list[CheckResult]:
-    """The check ``name`` of each draw, from its params and its
-    ``each_draw`` outcome, a residual or the error in its place."""
-    return [_run_check(name, q, tol, functools.partial(_value, outcome))
-            for q, outcome in zip(params, outcomes)]
-
-
 def _verify_tpr_batch(draws, tols: Tolerances
                       ) -> list[tuple[CheckResult, ...]]:
     """``verify_tpr``'s four checks for each (p, tau) of ``draws``, each
     draw's bits, errors and texts those of its batch of one.
 
-    Each check is one step of ``each_draw``: it reads its builds for a
-    range of draws as stacks (C, P+ and P-, then H or H'; orthogonality
-    the basis changes of p and -p, then H), then runs one stacked solve
-    and batched products.  A stack is built where a check first reads it
-    and kept, value or error, per key and range: C, H, H' and the basis
-    changes draw by draw from their scalar closed forms, P+ and P- of a
-    range from one ``period_matrices`` call.  A draw redone alone reports
-    its first failed build, else its solve's error.  The Frobenius norms
+    Each draw's pieces are built once, value or error (``_attempt``): C,
+    H, H' and the basis changes of p and -p from their scalar closed
+    forms, then P+ and P- of every draw from one ``period_matrices`` call
+    (``each_draw``, so a failed call is redone draw by draw).  Each check
+    is one step of ``each_draw``: it gathers the pieces of a range of
+    draws as stacks (C, P+ and P-, then H or H'; orthogonality the basis
+    changes, then H), the first error among them raised, then runs one
+    stacked solve and batched products.  A draw redone alone so reports
+    its first failed piece, else its solve's error.  The Frobenius norms
     (``_frobenius``) sum each matrix in one order, whatever the batch.
     """
-    def each(build):
-        return lambda ks: np.array([build(*draws[k]) for k in ks])
-
-    def signed(ks):  # (P+, P-) of the draws ks
+    def signed(ks):  # (P+, P-) of each draw of ks
         plus = [draws[k] for k in ks]
         m = period_matrices(plus + [(q.negated(), tau) for q, tau in plus])
-        return m[:len(ks)], m[len(ks):]
+        return np.stack([m[:len(ks)], m[len(ks):]], axis=1)
 
-    builders = {
-        "c": each(lambda p, tau: cohomology_C(p, theta_constants(tau))),
-        "h": each(lambda p, tau: homology_H(p)),
-        "hd": each(lambda p, tau: _by_sign(block_H_prime(p))),
-        "rows": each(lambda p, tau: _by_sign(basis_change(p))),
-        "dual": each(lambda p, tau: _by_sign(basis_change(p.negated()))[::-1]),
-        "periods": signed,
-        "blocks": lambda ks: [block_periods(m) for m in stack("periods", ks)],
-    }
-
-    @functools.cache
-    def built(key: str, ks: range):
-        return _attempt(lambda: builders[key](ks))
-
-    def stack(key: str, ks: range):
-        return _value(built(key, ks))
+    def stack(key: str, ks: range) -> np.ndarray:
+        return np.array([_value(built[key][k]) for k in ks])
 
     def full(ks):
-        c, (pp, pm), h = (stack(key, ks) for key in ("c", "periods", "h"))
+        c, periods, h = (stack(key, ks) for key in ("c", "periods", "h"))
+        pp, pm = np.swapaxes(periods, 0, 1)
         x = guarded_solve(np.swapaxes(h, 1, 2), np.swapaxes(pm, 1, 2))
         return (_frobenius(c - pp @ x) / _frobenius(c)).tolist()
 
     def block(i: int, sign: int, ks):
         cb = block_C(stack("c", ks))[sign]
-        pb, mb = (pair[sign] for pair in stack("blocks", ks))
+        pb, mb = np.swapaxes(block_periods(stack("periods", ks))[sign], 0, 1)
         x = diagonal_solve(stack("hd", ks)[:, i], np.swapaxes(mb, 1, 2))
         return (_frobenius(cb - pb @ x) / _frobenius(cb)).tolist()
 
@@ -401,19 +379,28 @@ def _verify_tpr_batch(draws, tols: Tolerances
                        * _frobenius(dual))
         return np.maximum(ratio[:, 0], ratio[:, 1]).tolist()  # nan if either
 
-    # norms that overflow near the Im ceiling error the check, unwarned
+    pieces = {
+        "c": lambda p, tau: cohomology_C(p, theta_constants(tau)),
+        "h": lambda p, tau: homology_H(p),
+        "hd": lambda p, tau: _by_sign(block_H_prime(p)),
+        "rows": lambda p, tau: _by_sign(basis_change(p)),
+        "dual": lambda p, tau: _by_sign(basis_change(p.negated()))[::-1],
+    }
+    # a piece or a norm that overflows (a norm near the Im ceiling) errors
+    # its check as non-finite, unwarned
     with np.errstate(all="ignore"):
-        full_, minus, plus, orthogonal = (
-            each_draw(step, len(draws)) for step in (
-                full, functools.partial(block, 0, -1),
-                functools.partial(block, 1, 1), orthogonality))
-    params = [_params_dict(p, tau) for p, tau in draws]
-    return list(zip(
-        *(_checks(name, params, tols.matrix, outcomes) for name, outcomes in (
-            ("full-tpr", full_), ("block-tpr-minus", minus),
-            ("block-tpr-plus", plus))),
-        _checks("orthogonality", [_params_dict(p, None) for p, _ in draws],
-                tols.orthogonality, orthogonal)))
+        built = {key: [_attempt(lambda: build(p, tau)) for p, tau in draws]
+                 for key, build in pieces.items()}
+        built["periods"] = each_draw(signed, len(draws))
+        outcomes = list(zip(*(each_draw(step, len(draws)) for step in (
+            full, functools.partial(block, 0, -1),
+            functools.partial(block, 1, 1), orthogonality))))
+    names = ("full-tpr", "block-tpr-minus", "block-tpr-plus", "orthogonality")
+    tolerances = (tols.matrix,) * 3 + (tols.orthogonality,)
+    return [tuple(map(_run_check, names,
+                      (_params_dict(p, tau),) * 3 + (_params_dict(p, None),),
+                      tolerances, row))
+            for (p, tau), row in zip(draws, outcomes)]
 
 
 def _entry22_theta_form(p: HgParams, tc: ThetaConstants) -> complex:
@@ -450,7 +437,7 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
             lambda: (a - b + 1) * lambda_tau(tau) + c,
             lambda: _entry22_2f1_form(a, b, c, lambda_tau(tau))))
     return tuple(_run_check(name, params, tols.entry22,
-                            lambda x=x, y=y: abs(_value(x) - _value(y)))
+                            _attempt(lambda: abs(_value(x) - _value(y))))
                  for name, x, y in (("entry22-theta", theta_form, target),
                                     ("entry22-2f1", f21_form, target),
                                     ("entry22-cross", theta_form, f21_form)))
@@ -473,7 +460,8 @@ def verify_whipple(a: float, b: float, c: float,
         return _worst(abs(coeffs[0][0] - c), abs(coeffs[1][0] - (a - b + 1)),
                       *(_rel(c1, -c2) for c1, c2 in coeffs[2:]))
 
-    return _run_check("whipple-cancellation", params, tols.whipple, residual)
+    return _run_check("whipple-cancellation", params, tols.whipple,
+                      _attempt(residual))
 
 
 def _laurent_coefficients(tc: ThetaConstants) -> tuple[complex, ...]:
@@ -588,7 +576,7 @@ def verify_series_identities(tau: TauPoint,
     """
     tols = resolve_tolerances(tol)
     params = _params_dict(None, tau)
-    return [_run_check(name, params, tols.series, lambda r=r: r)
+    return [_run_check(name, params, tols.series, r)
             for name, r in zip(_SERIES_CHECKS, _series_residuals(tau))]
 
 

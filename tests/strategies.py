@@ -58,6 +58,12 @@ f21_arguments = st.builds(
               st.sampled_from([0.0, RADIUS_GUARD])),
     st.one_of(uniform(-math.pi, math.pi), st.sampled_from([0.0, math.pi])))
 
+# real z in (0, 1) for the Euler pairings: spread over it, subnormal or
+# tiny, where z^z_power may overflow, and within 1e-6 of 1
+euler_arguments = st.one_of(
+    uniform(0.0, 1.0), st.floats(0.0, 1e-300), st.floats(1.0 - 1e-6, 1.0),
+    st.floats(0.0, 1.0)).filter(lambda z: 0.0 < z < 1.0)
+
 # u for a theta function: real, exact integers and half-integers (zeros of
 # theta1 and theta2) or complex, with |Im u| up to where the terms'
 # cosh(2 pi mu Im u) growth needs more terms than the cap allows

@@ -8,15 +8,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import (coordinates, endpoint_exponents, f21_arguments,
-                        f21_parameters, imaginary_taus, refused_exponents,
-                        taus, theta_arguments, wirtinger_params)
+from strategies import (coordinates, endpoint_exponents, euler_arguments,
+                        f21_arguments, f21_parameters, imaginary_taus,
+                        refused_exponents, taus, theta_arguments,
+                        wirtinger_params)
 
 from twistedperiods.hypergeom import HypergeomError, gauss_2f1, product_coeffs
 from twistedperiods.matrices import AdmissibilityError, HgParams
-from twistedperiods.periods import (PeriodError, period_matrix,
+from twistedperiods.periods import (PeriodError, _euler_side, euler_pairing,
+                                    euler_pairing_closed, period_matrix,
                                     wirtinger_quadrature)
 from twistedperiods.quadrature import QuadratureError, tanh_sinh
 from twistedperiods.series import (SeriesError, TauPoint, eisenstein_g2,
@@ -302,3 +304,32 @@ def test_wirtinger_quadrature_with_both_exponents_near_minus_one():
     assert math.isfinite(abs(expect))
     value = wirtinger_quadrature(p, tau)
     assert abs(value - expect) <= 1e-8 * abs(expect)
+
+
+def _euler_value(side: str, a, b, c, z: float) -> tuple[complex, float]:
+    """A side's B(A, C - A) 2F1(A, B; C; z) z^z_power at 30 digits, and the
+    2F1 clause's bound scaled by |B(A, C - A) z^z_power|."""
+    A, B, C, zpow = _euler_side(side, a, b, c)
+    with mpmath.workdps(30):
+        factor = mpmath.beta(A, C - A) * mpmath.mpf(z) ** zpow
+        value = complex(factor * mpmath.hyp2f1(A, B, C, z))
+        return value, 1e-9 * float(abs(factor)) * _term_moduli(A, B, C, z)
+
+
+@example("2+", (0.3, 0.2, 2.5), 1e-300)  # z^z_power overflows in cmath.exp
+@example("2-", (0.3, 0.2, -2.5), 1e-300)
+@example("2+", (0.3, 0.99, 1.98), 5e-324)  # and in a float **
+@example("2+", (1000.0, 1.000000001, 0.0), 0.5)  # -1e9 times 2.1e301
+@settings(max_examples=200)
+@given(st.sampled_from(["1+", "1-", "2+", "2-"]), f21_parameters,
+       euler_arguments)
+def test_euler_pairings_agree_with_mpmath_or_raise(side, abc, z):
+    closed, quadrature = (_served(fn, side, *abc, z, errors=_PERIOD_ERRORS)
+                          for fn in (euler_pairing_closed, euler_pairing))
+    if closed is None and quadrature is None:
+        return
+    expect, bound = _euler_value(side, *abc, z)
+    for value in (closed, quadrature):
+        assert value is None or cmath.isfinite(value)
+    assert closed is None or abs(closed - expect) <= bound
+    assert quadrature is None or abs(quadrature - expect) <= 1e-8 * abs(expect)

@@ -713,6 +713,21 @@ class TestEulerPairings:
                 "precision")):
             euler_pairing_closed("1+", -0.5, 0.25, 170.9, 0.5)
 
+    @pytest.mark.parametrize("fn, side, a, b, c, z", [
+        # z^z_power past the double range, in cmath.exp and in a float **
+        (euler_pairing_closed, "2+", 0.3, 0.2, 2.5, 1e-300),
+        (euler_pairing_closed, "2-", 0.3, 0.2, -2.5, 1e-300),
+        (euler_pairing, "2+", 0.3, 0.99, 1.98, 5e-324),
+        # B = -1.0e9 times 2F1 = 2.1e301, an infinite product
+        (euler_pairing_closed, "2+", 1000.0, 1.000000001, 0.0, 0.5),
+    ])
+    def test_an_overflowing_pairing_raises_a_typed_error(self, fn, side, a, b,
+                                                         c, z):
+        with pytest.raises(PeriodError, match=re.escape(
+                f"the {side} Euler pairing at z = {z} overflows double "
+                "precision")):
+            fn(side, a, b, c, z)
+
     def test_quadrature_exponents_per_side(self):
         # (e0, e1, ez, z_power) of t^e0 (1-t)^e1 (1-zt)^ez written out
         # side by side; the table derives them from Euler's integral

@@ -405,7 +405,13 @@ class TestTprBatch:
                                               "block-tpr-plus"]),
         ((HgParams(100.3, 0.21, 0.77), TAU), ["full-tpr", "block-tpr-minus",
                                               "block-tpr-plus"]),
-    ], ids=["inadmissible", "disc", "gamma", "2f1"])
+        # a period row whose product overflows, unwarned: a non-finite
+        # residual of each relation
+        ((HgParams(-23.54164982876806, 1.838286094122921,
+                   -51.789906944497545),
+          TauPoint(0.08798536921073874 + 9.528187062803596j)),
+         ["full-tpr", "block-tpr-minus", "block-tpr-plus"]),
+    ], ids=["inadmissible", "disc", "gamma", "2f1", "overflow"])
     def test_failed_build(self, planted, errored):
         self._assert_isolated(planted, errored)
 
@@ -415,6 +421,29 @@ class TestTprBatch:
         monkeypatch.setattr(matrices, "COND_LIMIT", 1e4)
         self._assert_isolated((HgParams(0.5 + 1e-6, 0.21, 0.77), self.TAU),
                               ["full-tpr", "block-tpr-minus"])
+
+    def test_a_redone_draw_builds_its_pieces_once(self, monkeypatch):
+        # full-tpr and block-tpr-minus of the conditioning batch are redone
+        # draw by draw, from each draw's C, H, H' and basis changes of the
+        # batch's one build and P+ and P- of its one period call
+        monkeypatch.setattr(matrices, "COND_LIMIT", 1e4)
+        calls = Counter()
+        for name in ("cohomology_C", "homology_H", "block_H_prime",
+                     "basis_change", "period_matrices"):
+            original = getattr(verify, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(verify, name, counting)
+        draws = self._draws((HgParams(0.5 + 1e-6, 0.21, 0.77), self.TAU))
+        batch = verify._verify_tpr_batch(draws, resolve_tolerances("default"))
+        assert calls == {"cohomology_C": 5, "homology_H": 5,
+                         "block_H_prime": 5, "basis_change": 10,
+                         "period_matrices": 1}
+        for draw, rows in zip(draws, batch):
+            assert _report_json(rows) == _report_json(verify_tpr(*draw))
 
     def test_singular_h(self, monkeypatch):
         # a singular H is rejected before any LU solve: np.linalg.solve
