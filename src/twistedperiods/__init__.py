@@ -21,17 +21,16 @@ from .periods import (PeriodError, block_periods, euler_pairing,
 from .quadrature import QuadratureError, tanh_sinh
 from .series import (SeriesError, TauPoint, ThetaConstants, eisenstein_g2,
                      lambda_tau, theta, theta_constants, theta_taylor)
-from .verify import (CHECK_REGISTRY, CheckResult, PROFILES, Tolerances,
-                     VerificationReport, resolve_tolerances, run_sweep,
-                     sample_admissible, verify_entry22,
-                     verify_series_identities, verify_tpr, verify_whipple)
+from .verify import (CHECK_REGISTRY, CheckResult, PROFILES, VerificationReport,
+                     resolve_tolerances, run_sweep, sample_admissible,
+                     verify_entry22, verify_series_identities, verify_tpr,
+                     verify_whipple)
 
 __all__ = [
     "__version__",
     "AdmissibilityError", "CheckResult", "CHECK_REGISTRY", "ConditioningError",
-    "HgParams", "HypergeomError", "PeriodError", "PROFILES",
-    "QuadratureError", "SeriesError", "TauPoint", "ThetaConstants",
-    "Tolerances", "VerificationReport",
+    "HgParams", "HypergeomError", "PeriodError", "PROFILES", "QuadratureError",
+    "SeriesError", "TauPoint", "ThetaConstants", "VerificationReport",
     "admissible", "basis_change", "block_C", "block_H_prime", "block_periods",
     "cohomology_C", "eisenstein_g2", "euler_pairing", "euler_pairing_closed",
     "gamma_real", "gauss_2f1", "guarded_solve", "homology_H",

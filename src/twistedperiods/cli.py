@@ -14,9 +14,8 @@ from . import __version__
 from .hypergeom import gauss_2f1
 from .matrices import HgParams
 from .series import IM_TAU_CEILING, IM_TAU_FLOOR, TauPoint, lambda_tau, theta
-from .verify import (RECOVERABLE, CheckResult, VerificationReport,
-                     resolve_tolerances, run_sweep, verify_entry22,
-                     verify_series_identities, verify_tpr)
+from .verify import (RECOVERABLE, CheckResult, VerificationReport, run_sweep,
+                     verify_entry22, verify_series_identities, verify_tpr)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -151,21 +150,20 @@ def main(argv=None) -> int:
             value = gauss_2f1(args.alpha, args.beta, args.gamma, z)
             print(f"2F1 = {value.real:+.15e} {value.imag:+.15e}j")
             return EXIT_PASS
-        tols = resolve_tolerances(args.tol)
         if args.command == "tpr":
             tau = _tau_from_args(args)
             if args.variant in ("full", "blocks"):
                 p = HgParams(args.alpha, args.beta, args.gamma)
-                full, *blocks = verify_tpr(p, tau, tols)
+                full, *blocks = verify_tpr(p, tau, args.tol)
                 checks = [full] if args.variant == "full" else blocks
             else:
-                checks = list(verify_entry22(args.a, args.b, args.c, tau, tols))
+                checks = verify_entry22(args.a, args.b, args.c, tau, args.tol)
             return _emit_report(checks, seed=0, args=args)
         if args.command == "identities":
-            checks = verify_series_identities(_tau_from_args(args), tols)
+            checks = verify_series_identities(_tau_from_args(args), args.tol)
             return _emit_report(checks, seed=0, args=args)
         if args.command == "sweep":
-            report = run_sweep(args.seed, args.count, tols)
+            report = run_sweep(args.seed, args.count, args.tol)
             return _emit_report(report.checks, seed=args.seed, args=args)
     except (*RECOVERABLE, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 Every check computes a residual for one of the library's quadratic or
 q-series identities and compares it against a tolerance profile.  Check
-names come from a static registry mapping each name to a plain statement
-of the identity it tests; constructing a result under an unregistered
-name is an error, so the report vocabulary cannot drift from the docs.
+names come from a static registry mapping each name to its tolerance
+category and a plain statement of the identity it tests; constructing a
+result under an unregistered name is an error, so the report vocabulary
+cannot drift from the docs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,61 +40,64 @@ SAMPLER_MARGIN = 1e-3
 
 WHIPPLE_N_MAX = 12
 
-# name -> plain-math statement of the identity the check tests
-CHECK_REGISTRY: dict[str, str] = {
-    "full-tpr": "4x4 quadratic relation C = P+ . H^-T . P-^T, "
-                "relative Frobenius residual",
-    "block-tpr-minus": "2x2 odd-eigenspace relation "
-                       "C(-1) = P'+(-1) . H'(-1)^-T . P'-(-1)^T",
-    "block-tpr-plus": "2x2 even-eigenspace relation "
-                      "C(+1) = P'+(+1) . H'(+1)^-T . P'-(+1)^T",
-    "orthogonality": "cross-eigenspace cycle pairings B(e) . H . B(-e)^T "
-                     "vanish relative to |B(e)|_F |H|_F |B(-e)|_F, both signs",
-    "entry22-theta": "theta-derivative form of the (2,2) entry equals "
-                     "(a-b+1) lambda(tau) + c",
-    "entry22-2f1": "2F1-product form of the (2,2) entry equals "
-                   "(a-b+1) lambda(tau) + c",
-    "entry22-cross": "theta-derivative and 2F1-product forms of the "
-                     "(2,2) entry agree",
-    "whipple-cancellation": "degree-n coefficients of the two 2F1-product "
-                            "terms cancel for n >= 2; degrees 0 and 1 give "
-                            "c and a-b+1",
-    "theta1-log-derivative": "theta1'''(0)/theta1'(0) equals both its "
-                             "q-series and the sum of the three "
-                             "theta_j''(0)/theta_j(0)",
-    "theta2-ratio-g2": "theta2''(0)/theta2(0) = -4 G2(2 tau) + G2(tau), "
-                       "with its alternating q-series",
-    "theta3-ratio-g2": "theta3''(0)/theta3(0) = 4 G2(2 tau) - 5 G2(tau) "
-                       "+ G2(tau/2), with its q-series",
-    "theta4-ratio-g2": "theta4''(0)/theta4(0) = G2(tau) - G2(tau/2), "
-                       "with its q-series",
-    "lambda-quartic-cs": "1 + 24 sum n q^n/(1+q^n) = "
-                         "(1 - lambda/2) theta3(0)^4",
-    "lambda-quartic-ds": "1 - 24 sum (2n-1) q^(n-1/2)/(1+q^(n-1/2)) = "
-                         "(1 - 2 lambda) theta3(0)^4",
-    "lambda-quartic-ns": "1 + 24 sum (2n-1) q^(n-1/2)/(1-q^(n-1/2)) = "
-                         "(1 + lambda) theta3(0)^4",
-    "g2-combination-cs": "2 G2(2 tau) - G2(tau) = "
-                         "(pi^2/3)(1 - lambda/2) theta3(0)^4",
-    "g2-combination-ds": "4 G2(2 tau) + G2(tau/2) - 4 G2(tau) = "
-                         "(pi^2/3)(1 - 2 lambda) theta3(0)^4",
-    "g2-combination-ns": "2 G2(tau) - G2(tau/2) = "
-                         "(pi^2/3)(1 + lambda) theta3(0)^4",
-    "laurent-coeff-cs": "u^1 Laurent coefficient of 2K cs(2Ku) matches its "
-                        "q-sum and lambda forms",
-    "laurent-coeff-ds": "u^1 Laurent coefficient of 2K ds(2Ku) matches its "
-                        "q-sum and lambda forms",
-    "laurent-coeff-ns": "u^1 Laurent coefficient of 2K ns(2Ku) matches its "
-                        "q-sum and lambda forms",
-    "phi2-laurent": "second cocycle over du has u^-2 coefficient "
-                    "1/(pi theta3^2) (Jacobi's theta1' = pi theta2 theta3 "
-                    "theta4)",
-    "entry22-g2-form": "theta-derivative form of the (2,2) entry equals "
-                       "its G2-combination rewrite",
+# name -> (tolerance category, plain-math statement of the identity the
+# check tests); each check is judged at its category's tolerance
+CHECK_REGISTRY: dict[str, tuple[str, str]] = {
+    "full-tpr": ("matrix", "4x4 quadratic relation C = P+ . H^-T . P-^T, "
+                 "relative Frobenius residual"),
+    "block-tpr-minus": ("matrix", "2x2 odd-eigenspace relation "
+                        "C(-1) = P'+(-1) . H'(-1)^-T . P'-(-1)^T"),
+    "block-tpr-plus": ("matrix", "2x2 even-eigenspace relation "
+                       "C(+1) = P'+(+1) . H'(+1)^-T . P'-(+1)^T"),
+    "orthogonality": ("orthogonality", "cross-eigenspace cycle pairings "
+                      "B(e) . H . B(-e)^T vanish relative to "
+                      "|B(e)|_F |H|_F |B(-e)|_F, both signs"),
+    "entry22-theta": ("entry22", "theta-derivative form of the (2,2) entry "
+                      "equals (a-b+1) lambda(tau) + c"),
+    "entry22-2f1": ("entry22", "2F1-product form of the (2,2) entry equals "
+                    "(a-b+1) lambda(tau) + c"),
+    "entry22-cross": ("entry22", "theta-derivative and 2F1-product forms of "
+                      "the (2,2) entry agree"),
+    "whipple-cancellation": ("whipple", "degree-n coefficients of the two "
+                             "2F1-product terms cancel for n >= 2; degrees "
+                             "0 and 1 give c and a-b+1"),
+    "theta1-log-derivative": ("series", "theta1'''(0)/theta1'(0) equals "
+                              "both its q-series and the sum of the three "
+                              "theta_j''(0)/theta_j(0)"),
+    "theta2-ratio-g2": ("series", "theta2''(0)/theta2(0) = -4 G2(2 tau) + "
+                        "G2(tau), with its alternating q-series"),
+    "theta3-ratio-g2": ("series", "theta3''(0)/theta3(0) = 4 G2(2 tau) "
+                        "- 5 G2(tau) + G2(tau/2), with its q-series"),
+    "theta4-ratio-g2": ("series", "theta4''(0)/theta4(0) = G2(tau) - "
+                        "G2(tau/2), with its q-series"),
+    "lambda-quartic-cs": ("series", "1 + 24 sum n q^n/(1+q^n) = "
+                          "(1 - lambda/2) theta3(0)^4"),
+    "lambda-quartic-ds": ("series", "1 - 24 sum (2n-1) q^(n-1/2)/"
+                          "(1+q^(n-1/2)) = (1 - 2 lambda) theta3(0)^4"),
+    "lambda-quartic-ns": ("series", "1 + 24 sum (2n-1) q^(n-1/2)/"
+                          "(1-q^(n-1/2)) = (1 + lambda) theta3(0)^4"),
+    "g2-combination-cs": ("series", "2 G2(2 tau) - G2(tau) = "
+                          "(pi^2/3)(1 - lambda/2) theta3(0)^4"),
+    "g2-combination-ds": ("series", "4 G2(2 tau) + G2(tau/2) - 4 G2(tau) = "
+                          "(pi^2/3)(1 - 2 lambda) theta3(0)^4"),
+    "g2-combination-ns": ("series", "2 G2(tau) - G2(tau/2) = "
+                          "(pi^2/3)(1 + lambda) theta3(0)^4"),
+    "laurent-coeff-cs": ("series", "u^1 Laurent coefficient of 2K cs(2Ku) "
+                         "matches its q-sum and lambda forms"),
+    "laurent-coeff-ds": ("series", "u^1 Laurent coefficient of 2K ds(2Ku) "
+                         "matches its q-sum and lambda forms"),
+    "laurent-coeff-ns": ("series", "u^1 Laurent coefficient of 2K ns(2Ku) "
+                         "matches its q-sum and lambda forms"),
+    "phi2-laurent": ("series", "second cocycle over du has u^-2 coefficient "
+                     "1/(pi theta3^2) (Jacobi's theta1' = pi theta2 theta3 "
+                     "theta4)"),
+    "entry22-g2-form": ("series", "theta-derivative form of the (2,2) entry "
+                        "equals its G2-combination rewrite"),
 }
 
-# the registry lists the identity suite's 15 checks last, in suite order
-_SERIES_CHECKS = tuple(CHECK_REGISTRY)[8:]
+# the identity suite's checks: the series rows, in registry order
+_SERIES_CHECKS = tuple(name for name, (category, _) in CHECK_REGISTRY.items()
+                       if category == "series")
 
 REPORT_COLUMNS = ("name", "params", "residual", "tolerance", "pass", "error")
 
@@ -204,28 +209,21 @@ class VerificationReport:
             raise ValueError(f"malformed report: {exc!r}") from None
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerance profile by check category."""
-
-    matrix: float = 1e-8
-    series: float = 1e-10
-    entry22: float = 1e-9
-    orthogonality: float = 1e-12
-    whipple: float = 1e-10
-
-
-PROFILES: dict[str, Tolerances] = {
-    "default": Tolerances(),
-    "loose": Tolerances(matrix=1e-6, series=1e-8, entry22=1e-7,
-                        orthogonality=1e-10, whipple=1e-8),
-}
+# profile -> tolerance category -> tolerance, read-only
+PROFILES = MappingProxyType({
+    "default": MappingProxyType({"matrix": 1e-8, "orthogonality": 1e-12,
+                                 "entry22": 1e-9, "whipple": 1e-10,
+                                 "series": 1e-10}),
+    "loose": MappingProxyType({"matrix": 1e-6, "orthogonality": 1e-10,
+                               "entry22": 1e-7, "whipple": 1e-8,
+                               "series": 1e-8}),
+})
 
 
-def resolve_tolerances(spec) -> Tolerances:
-    """A profile name, a number (uniform override), or a Tolerances."""
-    if isinstance(spec, Tolerances):
-        return spec
+def resolve_tolerances(spec) -> MappingProxyType:
+    """The tolerance of each category: a profile's, by its name, or one
+    finite positive number, or a string that ``float`` reads as one, for
+    every category."""
     if isinstance(spec, str) and spec in PROFILES:
         return PROFILES[spec]
     try:
@@ -237,8 +235,7 @@ def resolve_tolerances(spec) -> Tolerances:
                          f"one of {sorted(PROFILES)} or a number") from None
     if not 0.0 < value < math.inf:
         raise ValueError(f"tolerance must be finite and positive, not {value}")
-    return Tolerances(matrix=value, series=value, entry22=value,
-                      orthogonality=value, whipple=value)
+    return MappingProxyType(dict.fromkeys(PROFILES["default"], value))
 
 
 def _params_dict(p: HgParams | None, tau: TauPoint | None, **extra) -> dict:
@@ -279,11 +276,12 @@ def each_draw(step, n: int) -> list:
         return [_attempt(lambda: step(range(k, k + 1))[0]) for k in range(n)]
 
 
-def _run_check(name: str, params: dict, tolerance: float, outcome
-               ) -> CheckResult:
+def _run_check(name: str, params: dict, tols, outcome) -> CheckResult:
     """The check of a residual, or of the typed error that took its place
-    (``_attempt``), the one place a verdict is made: an error or a
-    non-finite residual errors it, never a FAIL."""
+    (``_attempt``), the one place a verdict is made, at the tolerance in
+    ``tols`` of the check's registry category: an error or a non-finite
+    residual errors it, never a FAIL."""
+    tolerance = tols[CHECK_REGISTRY[name][0]]
     if isinstance(outcome, Exception):
         return CheckResult(name, params, None, tolerance, False, str(outcome))
     residual = float(outcome)
@@ -300,7 +298,7 @@ def _worst(*residuals: float) -> float:
     return math.nan if math.isnan(sum(residuals)) else max(residuals)
 
 
-def verify_tpr(p: HgParams, tau: TauPoint, tol=PROFILES["default"]
+def verify_tpr(p: HgParams, tau: TauPoint, tol="default"
                ) -> tuple[CheckResult, ...]:
     """Relative Frobenius residuals of the full 4x4 relation
     C = P+ . H^-T . P-^T and of its two eigenspace blocks, and the
@@ -334,8 +332,7 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
                              axis=-1)[..., -1])
 
 
-def _verify_tpr_batch(draws, tols: Tolerances
-                      ) -> list[tuple[CheckResult, ...]]:
+def _verify_tpr_batch(draws, tols) -> list[tuple[CheckResult, ...]]:
     """``verify_tpr``'s four checks for each (p, tau) of ``draws``, each
     draw's bits, errors and texts those of its batch of one.
 
@@ -349,6 +346,7 @@ def _verify_tpr_batch(draws, tols: Tolerances
     stacked solve and batched products.  A draw redone alone so reports
     its first failed piece, else its solve's error.  The Frobenius norms
     (``_frobenius``) sum each matrix in one order, whatever the batch.
+    ``tols`` is a ``resolve_tolerances`` map.
     """
     def signed(ks):  # (P+, P-) of each draw of ks
         plus = [draws[k] for k in ks]
@@ -396,10 +394,9 @@ def _verify_tpr_batch(draws, tols: Tolerances
             full, functools.partial(block, 0, -1),
             functools.partial(block, 1, 1), orthogonality))))
     names = ("full-tpr", "block-tpr-minus", "block-tpr-plus", "orthogonality")
-    tolerances = (tols.matrix,) * 3 + (tols.orthogonality,)
     return [tuple(map(_run_check, names,
                       (_params_dict(p, tau),) * 3 + (_params_dict(p, None),),
-                      tolerances, row))
+                      (tols,) * 4, row))
             for (p, tau), row in zip(draws, outcomes)]
 
 
@@ -414,7 +411,7 @@ def _entry22_2f1_form(a: float, b: float, c: float,
 
 
 def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
-                   tol=PROFILES["default"]) -> tuple[CheckResult, ...]:
+                   tol="default") -> tuple[CheckResult, ...]:
     """Both routes to the reduced (2,2) entry against (a-b+1) lambda + c.
 
     Residuals are absolute: the target is order one over the sampled range.
@@ -436,15 +433,14 @@ def verify_entry22(a: float, b: float, c: float, tau: TauPoint,
             lambda: _entry22_theta_form(p, theta_constants(tau)),
             lambda: (a - b + 1) * lambda_tau(tau) + c,
             lambda: _entry22_2f1_form(a, b, c, lambda_tau(tau))))
-    return tuple(_run_check(name, params, tols.entry22,
+    return tuple(_run_check(name, params, tols,
                             _attempt(lambda: abs(_value(x) - _value(y))))
                  for name, x, y in (("entry22-theta", theta_form, target),
                                     ("entry22-2f1", f21_form, target),
                                     ("entry22-cross", theta_form, f21_form)))
 
 
-def verify_whipple(a: float, b: float, c: float,
-                   tol=PROFILES["default"]) -> CheckResult:
+def verify_whipple(a: float, b: float, c: float, tol="default") -> CheckResult:
     """Cancellation of the product-series coefficients for
     2 <= n <= WHIPPLE_N_MAX (echoed as ``n_max``), from one
     ``product_coeffs`` table.
@@ -460,8 +456,7 @@ def verify_whipple(a: float, b: float, c: float,
         return _worst(abs(coeffs[0][0] - c), abs(coeffs[1][0] - (a - b + 1)),
                       *(_rel(c1, -c2) for c1, c2 in coeffs[2:]))
 
-    return _run_check("whipple-cancellation", params, tols.whipple,
-                      _attempt(residual))
+    return _run_check("whipple-cancellation", params, tols, _attempt(residual))
 
 
 def _laurent_coefficients(tc: ThetaConstants) -> tuple[complex, ...]:
@@ -560,7 +555,7 @@ def _series_residuals(tau: TauPoint) -> tuple[float, ...]:
 
 
 def verify_series_identities(tau: TauPoint,
-                             tol=PROFILES["default"]) -> list[CheckResult]:
+                             tol="default") -> list[CheckResult]:
     """The q-series identity suite at a single tau.
 
     Covers the theta-derivative constants (q-series, G2-combination, and
@@ -576,7 +571,7 @@ def verify_series_identities(tau: TauPoint,
     """
     tols = resolve_tolerances(tol)
     params = _params_dict(None, tau)
-    return [_run_check(name, params, tols.series, r)
+    return [_run_check(name, params, tols, r)
             for name, r in zip(_SERIES_CHECKS, _series_residuals(tau))]
 
 
@@ -602,10 +597,12 @@ def run_sweep(seed: int, count: int,
     deterministic given the seed because every summation order is fixed.
     All ``count`` draws are made first (the sampler is the only reader of
     the generator), and ``verify_tpr``'s checks run for all of them as one
-    batch (``_verify_tpr_batch``).  Each draw then reports them and the
-    other three public ``verify_*``, called per draw (one ``product_coeffs``
-    table each), in registry order: the results of the public calls, bit
-    for bit.
+    batch (``_verify_tpr_batch``).  Each draw then reports them,
+    ``verify_entry22`` and ``verify_whipple`` (one ``product_coeffs`` table
+    each), and, at each tau's first draw only, the suite of
+    ``verify_series_identities``, which reads tau alone: the results of
+    the public calls, bit for bit, in registry order.  ``tol_profile`` is a
+    spec for ``resolve_tolerances``, passed on to each call.
     """
     for name, n, least in (("seed", seed, 0), ("count", count, 1)):
         if not np.issubdtype(type(n), np.integer) or n < least:
@@ -616,11 +613,12 @@ def run_sweep(seed: int, count: int,
     draws = [(sample_admissible(rng), taus[k % len(taus)])
              for k in range(count)]
     checks: list[CheckResult] = []
-    for (p, tau), tpr in zip(draws, _verify_tpr_batch(draws, tols)):
+    for k, tpr in enumerate(_verify_tpr_batch(draws, tols)):
+        p, tau = draws[k]
         a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
-        checks += [*tpr,
-                   *verify_entry22(a, b, c, tau, tols),
-                   verify_whipple(a, b, c, tols),
-                   *verify_series_identities(tau, tols)]
+        checks += [*tpr, *verify_entry22(a, b, c, tau, tol_profile),
+                   verify_whipple(a, b, c, tol_profile)]
+        if k < len(taus):  # draw k is the first at taus[k]
+            checks += verify_series_identities(tau, tol_profile)
     return VerificationReport(tool_version=__version__, seed=int(seed),
                               checks=checks)

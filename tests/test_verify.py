@@ -21,7 +21,7 @@ from twistedperiods.matrices import HgParams
 from twistedperiods.periods import SHIFT_RULES, PeriodError
 from twistedperiods.series import TauPoint, lambda_tau, theta_constants
 from twistedperiods.verify import (CHECK_REGISTRY, CheckResult, PROFILES,
-                                   REPORT_COLUMNS, SWEEP_TAUS, Tolerances,
+                                   REPORT_COLUMNS, SWEEP_TAUS,
                                    VerificationReport, each_draw,
                                    resolve_tolerances, run_sweep,
                                    sample_admissible, verify_entry22,
@@ -102,11 +102,16 @@ class TestCheckResult:
         section = readme.read_text().split("## Check registry", 1)[1]
         rows = [line for line in section.split("\n## ", 1)[0].splitlines()
                 if line.startswith("|")]
-        assert rows[:2] == ["| check name | identity tested |",
-                            "| --- | --- |"]
-        names = [row.split(" | ", 1)[0].removeprefix("| ").strip("`")
-                 for row in rows[2:]]
-        assert names == list(CHECK_REGISTRY)
+        assert rows[:2] == [
+            "| check name | tolerance (default / loose) | identity tested |",
+            "| --- | --- | --- |"]
+        cells = [row.split(" | ", 2)[:2] for row in rows[2:]]
+        assert ([name.removeprefix("| ").strip("`") for name, _ in cells]
+                == list(CHECK_REGISTRY))
+        for (_, tolerances), (category, _) in zip(cells,
+                                                  CHECK_REGISTRY.values()):
+            assert [float(t) for t in tolerances.split(" / ")] == [
+                PROFILES["default"][category], PROFILES["loose"][category]]
 
 
 class TestWorst:
@@ -121,15 +126,62 @@ class TestWorst:
         assert verify._worst(0.0, math.inf) == math.inf
 
 
+# the tolerance of every check under the default and loose profiles
+TOLERANCE_TABLE = {
+    "full-tpr": (1e-8, 1e-6),
+    "block-tpr-minus": (1e-8, 1e-6),
+    "block-tpr-plus": (1e-8, 1e-6),
+    "orthogonality": (1e-12, 1e-10),
+    "entry22-theta": (1e-9, 1e-7),
+    "entry22-2f1": (1e-9, 1e-7),
+    "entry22-cross": (1e-9, 1e-7),
+    "whipple-cancellation": (1e-10, 1e-8),
+    "theta1-log-derivative": (1e-10, 1e-8),
+    "theta2-ratio-g2": (1e-10, 1e-8),
+    "theta3-ratio-g2": (1e-10, 1e-8),
+    "theta4-ratio-g2": (1e-10, 1e-8),
+    "lambda-quartic-cs": (1e-10, 1e-8),
+    "lambda-quartic-ds": (1e-10, 1e-8),
+    "lambda-quartic-ns": (1e-10, 1e-8),
+    "g2-combination-cs": (1e-10, 1e-8),
+    "g2-combination-ds": (1e-10, 1e-8),
+    "g2-combination-ns": (1e-10, 1e-8),
+    "laurent-coeff-cs": (1e-10, 1e-8),
+    "laurent-coeff-ds": (1e-10, 1e-8),
+    "laurent-coeff-ns": (1e-10, 1e-8),
+    "phi2-laurent": (1e-10, 1e-8),
+    "entry22-g2-form": (1e-10, 1e-8),
+}
+
+
 class TestTolerances:
+    @pytest.mark.parametrize("spec", ["default", "loose", 1e-9])
+    def test_every_check_keeps_its_tolerance(self, spec):
+        # each row's category picks its tolerance: in the public calls and
+        # in the sweep, which passes the spec on to them
+        expected = {name: {"default": default, "loose": loose}.get(spec, spec)
+                    for name, (default, loose) in TOLERANCE_TABLE.items()}
+        a, b, c = P_REF.alpha - 0.5, P_REF.beta + 0.5, P_REF.gamma
+        public = [*verify_tpr(P_REF, TAU_I, spec),
+                  *verify_entry22(a, b, c, TAU_I, spec),
+                  verify_whipple(a, b, c, spec),
+                  *verify_series_identities(TAU_I, spec)]
+        assert [(r.name, r.tolerance) for r in public] == list(
+            expected.items())
+        for seed in range(3):
+            sweep = run_sweep(seed, 4, spec).checks
+            assert len(sweep) == 4 * len(TOLERANCE_TABLE)
+            for r in sweep:
+                assert r.tolerance == expected[r.name]
+
     def test_profiles(self):
         assert resolve_tolerances("default") is PROFILES["default"]
-        assert resolve_tolerances("loose").matrix == 1e-6
+        assert resolve_tolerances("loose")["matrix"] == 1e-6
 
     def test_numeric_override(self):
         tols = resolve_tolerances("1e-6")
-        assert tols.matrix == tols.series == tols.entry22 == 1e-6
-        assert resolve_tolerances(1e-5).whipple == 1e-5
+        assert tols["matrix"] == tols["series"] == tols["entry22"] == 1e-6
+        assert resolve_tolerances(1e-5)["whipple"] == 1e-5
 
     def test_bad_profile(self):
         with pytest.raises(ValueError):
@@ -137,10 +189,12 @@ class TestTolerances:
         with pytest.raises(ValueError):
             resolve_tolerances(-1.0)
 
-    @pytest.mark.parametrize("spec", [None, [1], {}, True, np.True_])
+    @pytest.mark.parametrize("spec", [None, [1], {}, True, np.True_,
+                                      dict(PROFILES["default"])])
     def test_unreadable_spec_rejected(self, spec):
         # a spec float() cannot read is a ValueError, whatever its type;
-        # float(True) is 1.0, a tolerance that passes almost anything
+        # float(True) is 1.0, a tolerance that passes almost anything; a
+        # category map is no spec either: a profile is named, not built
         with pytest.raises(ValueError, match="unknown tolerance profile"):
             resolve_tolerances(spec)
         with pytest.raises(ValueError, match="unknown tolerance profile"):
@@ -1051,7 +1105,8 @@ class TestSweep:
 
         monkeypatch.setattr(TauPoint, "__post_init__", counting)
         report = run_sweep(seed=5, count=10)
-        assert len(report.checks) == 10 * 23
+        # 8 checks per draw, and the 15-check suite once per sweep tau
+        assert len(report.checks) == 10 * 8 + 4 * 15
         assert len(built) <= len(SWEEP_TAUS)
 
     def test_count_validation(self):
@@ -1135,7 +1190,8 @@ class TestSweep:
     def test_equals_the_public_checks_in_order(self, seed, count):
         # one code path: the same names, params (signed zeros and int/float
         # included), verdicts, errors and residual bits as the public calls;
-        # the sweep runs verify_tpr's checks as one batch of count draws
+        # the sweep runs verify_tpr's checks as one batch of count draws,
+        # and the suite, which reads tau alone, at each tau's first draw
         rng = np.random.default_rng(seed)
         taus = [TauPoint(t) for t in SWEEP_TAUS]
         checks = []
@@ -1144,8 +1200,9 @@ class TestSweep:
             tau = taus[k % len(taus)]
             a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
             checks += [*verify_tpr(p, tau),
-                       *verify_entry22(a, b, c, tau), verify_whipple(a, b, c),
-                       *verify_series_identities(tau)]
+                       *verify_entry22(a, b, c, tau), verify_whipple(a, b, c)]
+            if k < len(taus):
+                checks += verify_series_identities(tau)
         assert (_report_json(run_sweep(seed, count).checks)
                 == _report_json(checks))
 
