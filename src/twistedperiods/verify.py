@@ -315,7 +315,7 @@ def verify_tpr(p: HgParams, tau: TauPoint, tol="default"
     draws at Re tau = 0.1 it failed 0 at Im tau = 3, 7 at 4, 33 at 10 and
     40 at 50, while both block relations stayed at or below 1.1e-13.
     """
-    return _verify_tpr_batch([(p, tau)], resolve_tolerances(tol))[0]
+    return _verify_tpr_batch([(p, tau)], tol)[0]
 
 
 def _by_sign(pair: dict[int, np.ndarray]) -> np.ndarray:
@@ -332,7 +332,7 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
                              axis=-1)[..., -1])
 
 
-def _verify_tpr_batch(draws, tols) -> list[tuple[CheckResult, ...]]:
+def _verify_tpr_batch(draws, tol) -> list[tuple[CheckResult, ...]]:
     """``verify_tpr``'s four checks for each (p, tau) of ``draws``, each
     draw's bits, errors and texts those of its batch of one.
 
@@ -346,8 +346,10 @@ def _verify_tpr_batch(draws, tols) -> list[tuple[CheckResult, ...]]:
     stacked solve and batched products.  A draw redone alone so reports
     its first failed piece, else its solve's error.  The Frobenius norms
     (``_frobenius``) sum each matrix in one order, whatever the batch.
-    ``tols`` is a ``resolve_tolerances`` map.
+    ``tol`` is a spec for ``resolve_tolerances``.
     """
+    tols = resolve_tolerances(tol)
+
     def signed(ks):  # (P+, P-) of each draw of ks
         plus = [draws[k] for k in ks]
         m = period_matrices(plus + [(q.negated(), tau) for q, tau in plus])
@@ -607,13 +609,12 @@ def run_sweep(seed: int, count: int,
     for name, n, least in (("seed", seed, 0), ("count", count, 1)):
         if not np.issubdtype(type(n), np.integer) or n < least:
             raise ValueError(f"{name} must be an integer >= {least}, not {n!r}")
-    tols = resolve_tolerances(tol_profile)
     rng = np.random.default_rng(seed)
     taus = [TauPoint(t) for t in SWEEP_TAUS]
     draws = [(sample_admissible(rng), taus[k % len(taus)])
              for k in range(count)]
     checks: list[CheckResult] = []
-    for k, tpr in enumerate(_verify_tpr_batch(draws, tols)):
+    for k, tpr in enumerate(_verify_tpr_batch(draws, tol_profile)):
         p, tau = draws[k]
         a, b, c = p.alpha - 0.5, p.beta + 0.5, p.gamma
         checks += [*tpr, *verify_entry22(a, b, c, tau, tol_profile),

@@ -13,10 +13,9 @@ from twistedperiods import matrices, periods, verify
 from twistedperiods.matrices import HgParams
 from twistedperiods.series import TauPoint
 from twistedperiods.verify import (SAMPLER_MARGIN, SWEEP_TAUS,
-                                   VerificationReport, resolve_tolerances,
-                                   run_sweep, sample_admissible, verify_tpr)
+                                   VerificationReport, run_sweep,
+                                   sample_admissible, verify_tpr)
 
-TOLS = resolve_tolerances("default")
 
 # the bound on the relative difference between the period rows' closed-form
 # columns and the scalar closed forms over the 500 draws of the test below,
@@ -52,7 +51,7 @@ draws_strategy = st.lists(st.tuples(draw_params, outside_taus),
 @settings(max_examples=25)
 @given(draws_strategy)
 def test_each_batch_row_is_its_batch_of_one(draws):
-    batch = verify._verify_tpr_batch(draws, TOLS)
+    batch = verify._verify_tpr_batch(draws, "default")
     for draw, rows in zip(draws, batch):
         assert _report_json(rows) == _report_json(verify_tpr(*draw))
 

@@ -25,8 +25,7 @@ from twistedperiods.periods import (SHIFT_RULES, PeriodError, block_periods,
 from twistedperiods import periods, quadrature, series, verify
 from twistedperiods.quadrature import QuadratureError, tanh_sinh
 from twistedperiods.series import TauPoint, lambda_tau, theta_constants
-from twistedperiods.verify import (SWEEP_TAUS, resolve_tolerances,
-                                   sample_admissible)
+from twistedperiods.verify import SWEEP_TAUS, sample_admissible
 
 P_REF = HgParams(0.30, 0.21, 0.77)
 TAU_I = TauPoint(1j)
@@ -330,11 +329,10 @@ class TestPeriodMatrices:
         with pytest.raises(HypergeomError, match=re.escape(text)):
             period_matrices(draws)
         # the checks redo the failed batch draw by draw: only q's errors
-        batch = verify._verify_tpr_batch(draws, resolve_tolerances("default"))
+        batch = verify._verify_tpr_batch(draws, "default")
         assert [r.error for r in batch[1][:3]] == [text] * 3
         for draw, rows in zip(draws[::2], batch[::2]):
-            assert rows == verify._verify_tpr_batch(
-                [draw], resolve_tolerances("default"))[0]
+            assert rows == verify._verify_tpr_batch([draw], "default")[0]
 
     def test_minus_matrix_negates_parameters(self):
         # P- is the period matrix at -p: its entry (3, 1) is the Gauss

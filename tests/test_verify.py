@@ -93,8 +93,8 @@ class TestCheckResult:
                         tolerance=1.0, passed=True, error="boom")
 
     def test_registry_descriptions_nonempty(self):
-        for name, description in CHECK_REGISTRY.items():
-            assert name and description
+        for name, (category, statement) in CHECK_REGISTRY.items():
+            assert name and statement and category in PROFILES["default"]
 
     def test_readme_table_lists_the_registry_in_order(self):
         # every row of the table counts, so an unquoted name shows too
@@ -438,8 +438,7 @@ class TestTprBatch:
 
     def _assert_isolated(self, planted, errored):
         draws = self._draws(planted)
-        tols = resolve_tolerances("default")
-        batch = verify._verify_tpr_batch(draws, tols)
+        batch = verify._verify_tpr_batch(draws, "default")
         for draw, rows in zip(draws, batch):
             assert _report_json(rows) == _report_json(verify_tpr(*draw))
         for k, rows in enumerate(batch):
@@ -492,7 +491,7 @@ class TestTprBatch:
 
             monkeypatch.setattr(verify, name, counting)
         draws = self._draws((HgParams(0.5 + 1e-6, 0.21, 0.77), self.TAU))
-        batch = verify._verify_tpr_batch(draws, resolve_tolerances("default"))
+        batch = verify._verify_tpr_batch(draws, "default")
         assert calls == {"cohomology_C": 5, "homology_H": 5,
                          "block_H_prime": 5, "basis_change": 10,
                          "period_matrices": 1}
@@ -533,7 +532,7 @@ class TestTprBatch:
         draws = [(sample_admissible(rng), TauPoint(t)) for t in SWEEP_TAUS]
         draws.insert(1, (P_REF, TauPoint(-0.4 + 0.2j)))
         draws.insert(4, (HgParams(0.5 + 1e-6, 0.21, 0.77), self.TAU))
-        batch = verify._verify_tpr_batch(draws, resolve_tolerances("default"))
+        batch = verify._verify_tpr_batch(draws, "default")
         for draw, rows in zip(draws, batch):
             assert _report_json(rows) == _report_json(verify_tpr(*draw))
         errored = [[r.error for r in rows if r.error is not None]
