@@ -194,12 +194,13 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     both are summed as theta1 at the exact endpoint distance (theta2(u) =
     theta1(1/2 - u)), keeping full relative accuracy at either end.  Only
     the real prefactors are summed, so each call builds one sine table
-    (theta1, theta2) and one cosine table (theta3, theta4).  theta1's are
-    divided exactly by s, the power of two nearest 2 q_half^(1/4), and the
-    integral multiplied by s^(2g-2), so its powers do not overflow.  The
-    integral comes first, so ``tanh_sinh``'s errors (its exponent rule, a
-    non-finite integrand) come before a rescale that overflows, which
-    raises PeriodError.
+    (theta1, theta2) and one cosine table (theta3, theta4), and one set of
+    prefactors for each: theta4's are theta3's with every odd term negated,
+    which is exact.  theta1's are divided exactly by s, the power of two
+    nearest 2 q_half^(1/4), and the integral multiplied by s^(2g-2), so its
+    powers do not overflow.  The integral comes first, so ``tanh_sinh``'s
+    errors (its exponent rule, a non-finite integrand) come before a
+    rescale that overflows, which raises PeriodError.
     """
     require_admissible(p)
     if abs(tau.tau.real) > 1e-12:
@@ -207,7 +208,9 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     a, b, g = p.alpha, p.beta, p.gamma
     sin_freq, th1_pref = _theta_terms(1, tau, 0.0)
     cos_freq, th3_pref = _theta_terms(3, tau, 0.0)
-    th4_pref = _theta_terms(4, tau, 0.0)[1]
+    # theta4's prefactors are theta3's with the odd terms negated, exactly
+    th4_pref = th3_pref.copy()
+    th4_pref[1::2] *= -1.0
     s = 2.0 ** round(math.log2(th1_pref[0].real))
     th1_pref = th1_pref.real / s
 
