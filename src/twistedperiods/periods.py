@@ -208,7 +208,6 @@ def wirtinger_quadrature(p: HgParams, tau: TauPoint) -> float:
     a, b, g = p.alpha, p.beta, p.gamma
     sin_freq, th1_pref = _theta_terms(1, tau, 0.0)
     cos_freq, th3_pref = _theta_terms(3, tau, 0.0)
-    # theta4's prefactors are theta3's with the odd terms negated, exactly
     th4_pref = th3_pref.copy()
     th4_pref[1::2] *= -1.0
     s = 2.0 ** round(math.log2(th1_pref[0].real))

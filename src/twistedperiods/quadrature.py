@@ -72,7 +72,7 @@ def _level_nodes(level: int):
 # Wirtinger integrals (78% stop at level 4, 13% at level 3; 9% go on to
 # level 5) and 99.6% of the Euler pairings.  The 80% of pairings that stop
 # at level 3 never sum the call's 96 level-4 nodes; with levels 0-3 in the
-# call, 78% of the Wirtinger integrals needed a second one.
+# call, 87% of the Wirtinger integrals needed a second one.
 _BLOCK = 4
 
 

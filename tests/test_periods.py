@@ -36,6 +36,13 @@ def period(i, j, p, tau):
     return period_matrix(p, tau)[i - 1, j - 1]
 
 
+def block_nodes() -> int:
+    """The number of nodes of levels 0.._BLOCK, which one integrand call
+    covers."""
+    return sum(quadrature._level_nodes(level)[0].size
+               for level in range(quadrature._BLOCK + 1))
+
+
 # 30-digit oracle: Gamma(0.3) Gamma(0.47) / (2 Gamma(0.77)) *
 # th2^1.54 th3^-1.02 th4^-0.52 * 2F1(0.3, 0.21, 0.77; 0.5) at tau = i
 ENTRY_31_REF = 2.075818212282446322824
@@ -58,6 +65,16 @@ class TestTanhSinh:
     def test_interval_validation(self):
         with pytest.raises(QuadratureError, match="need a < b"):
             tanh_sinh(lambda x, dl, dr: x, 1.0, 0.0)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.inf),
+                                      (-1e308, 1e308)])
+    def test_interval_without_a_finite_width_refused(self, a, b):
+        # b - a is NaN or infinite: the interval is refused before the
+        # integrand is called, not blamed on its values
+        with pytest.raises(QuadratureError,
+                           match="need a < b and endpoint exponents > -1"):
+            tanh_sinh(lambda x, dl, dr: pytest.fail("integrand called"),
+                      a, b)
 
     @pytest.mark.parametrize("eps, e", [(1e-6, -0.99), (1e-9, -0.999)])
     def test_endpoint_tail_of_a_power_near_minus_one(self, eps, e):
@@ -103,21 +120,20 @@ class TestTanhSinh:
         # the log of a negative number on the level-2 nodes, an overflow to
         # inf at level 0: each raises at the level where it first appears,
         # and no RuntimeWarning escapes (the pytest configuration makes one
-        # an error).  Levels 0-3 come in one call of 97 nodes in order of
-        # t: level 1 at every 8th node from the 4th, level 2 at every 4th
-        # from the 2nd
+        # an error).  Levels 0.._BLOCK come in one call, in order of t, at
+        # the positions _block_slice gives
         calls = []
 
         def level_2_nan(x, dl, dr):
             calls.append(x.size)
             arg = np.ones_like(x)
-            arg[4::8] = 0.25
-            arg[2::4] = -0.5
+            arg[quadrature._block_slice(1)] = 0.25
+            arg[quadrature._block_slice(2)] = -0.5
             return np.log(arg)
         with pytest.raises(QuadratureError,
                            match="non-finite value nan at level 2"):
             tanh_sinh(level_2_nan, 0.0, 1.0)
-        assert calls == [97]
+        assert calls == [block_nodes()]
         with pytest.raises(QuadratureError,
                            match="non-finite value inf at level 0"):
             tanh_sinh(lambda x, dl, dr: 1e300 * dl**-0.99, 0.0, 1.0,
@@ -162,7 +178,7 @@ class TestTanhSinh:
 
     def test_levels_past_the_cached_tables(self, monkeypatch):
         # cos(3000 x) converges at level 11, one past the default depth:
-        # one call for levels 0-3, then one per level
+        # one call for levels 0.._BLOCK, then one per level
         sums = []
 
         def f(x, dl, dr):
@@ -170,15 +186,34 @@ class TestTanhSinh:
             return np.cos(3000.0 * x)
         monkeypatch.setattr(quadrature, "_LEVELS", 12)
         val = tanh_sinh(f, 0.0, 1.0)
-        assert sums == [97] + [quadrature._level_nodes(level)[0].size
-                               for level in range(4, 12)]
+        assert sums == [block_nodes()] + [
+            quadrature._level_nodes(level)[0].size
+            for level in range(quadrature._BLOCK + 1, 12)]
         assert complex(val).real == pytest.approx(math.sin(3000.0) / 3000.0,
                                                   abs=1e-13)
 
 
 class TestLevelBlock:
-    """Levels 0-3 share one integrand call, and every integral keeps the
-    bits of the level-by-level reference (``level_by_level_quadrature``)."""
+    """Levels 0.._BLOCK share one integrand call, on nodes built once, and
+    every integral keeps the bits of the level-by-level reference
+    (``level_by_level_quadrature``)."""
+
+    def test_block_nodes_built_once_read_only(self, monkeypatch):
+        # the levels' sigma interleaved by _block_slice, in order of t
+        sigma = quadrature._BLOCK_SIGMA
+        assert sigma.size == block_nodes()
+        for level in range(quadrature._BLOCK + 1):
+            assert (sigma[quadrature._block_slice(level)].tobytes()
+                    == quadrature._level_nodes(level)[0].tobytes())
+        assert np.all(np.diff(sigma) >= 0.0)
+        assert not sigma.flags.writeable
+        with pytest.raises(ValueError):
+            sigma[0] = 0.5
+        # and not rebuilt by a call
+        monkeypatch.setattr(quadrature, "_block_sigma",
+                            lambda: pytest.fail("block rebuilt"))
+        assert tanh_sinh(lambda x, dl, dr: np.ones_like(x), 0.0,
+                         1.0) == pytest.approx(1.0, rel=1e-13)
 
     @staticmethod
     def outcome(quad, f, a, b, exponents):
@@ -236,14 +271,15 @@ class TestLevelBlock:
         (lambda x: np.cos(30.0 * x), 5),
         (lambda x: np.cos(100.0 * x), 6)])
     def test_one_call_covers_levels_0_to_3(self, f, stop):
-        # the reference calls f once per level 0..stop
+        # the reference calls f once per level 0..stop; tanh_sinh once for
+        # levels 0.._BLOCK, then once per level
         counts = {}
         for quad in (reference.tanh_sinh, tanh_sinh):
             sizes = counts[quad] = []
             quad(lambda x, dl, dr: sizes.append(x.size) or f(x), 0.0, 1.0)
         assert len(counts[reference.tanh_sinh]) == stop + 1
-        assert len(counts[tanh_sinh]) == 1 + max(stop - 3, 0)
-        assert counts[tanh_sinh][0] == 97
+        assert len(counts[tanh_sinh]) == 1 + max(stop - quadrature._BLOCK, 0)
+        assert counts[tanh_sinh][0] == block_nodes()
 
 
 class TestShiftRules:
@@ -615,6 +651,46 @@ class TestWirtingerQuadrature:
             math.pi * theta_constants(tau).th2_0**2)
         assert wirtinger_quadrature(p, tau) == pytest.approx(closed.real,
                                                              rel=rel)
+
+    def test_theta4_prefactors_taken_from_theta3s(self, monkeypatch):
+        # theta4's prefactors are theta3's with the odd terms negated, byte
+        # for byte, at any tau; the Wirtinger integrand sums exactly those
+        # and builds no theta4 terms of its own
+        built, summed = [], []
+
+        def terms(j, *args):
+            built.append(j)
+            return series._theta_terms(j, *args)
+
+        def sums(trig, x, freq, *weights):
+            summed.append((trig, freq, weights))
+            return series.trig_sums(trig, x, freq, *weights)
+        monkeypatch.setattr(periods, "_theta_terms", terms)
+        monkeypatch.setattr(periods, "trig_sums", sums)
+        sizes = set()
+        for tau_val in (0.1j, 0.55j, 1j, 3j, 50j, 0.3 + 1.2j):
+            tau = TauPoint(tau_val)
+            freq3, pref3 = series._theta_terms(3, tau, 0.0)
+            freq4, pref4 = series._theta_terms(4, tau, 0.0)
+            negated = pref3.copy()
+            negated[1::2] *= -1.0
+            assert freq3.tobytes() == freq4.tobytes()
+            assert negated.tobytes() == pref4.tobytes()
+            sizes.add(pref4.size)
+            if tau_val.real:
+                continue
+            built.clear()
+            summed.clear()
+            wirtinger_quadrature(P_REF, tau)
+            assert built == [1, 3]
+            # the integrand's first call sums theta1, then theta3 and theta4
+            trig, freq, (th3, th4) = summed[1]
+            assert trig is np.cos and freq.tobytes() == freq4.tobytes()
+            assert th3.tobytes() == pref3.real.tobytes()
+            assert th4.tobytes() == pref4.real.tobytes()
+            assert th4.base.tobytes() == pref4.tobytes()
+        # theta3 and theta4 have a constant term beyond the count
+        assert series.MIN_TERMS + 1 in sizes and len(sizes) > 1
 
     def test_preconditions(self):
         with pytest.raises(PeriodError):
