@@ -104,36 +104,27 @@ def require_admissible(p: HgParams) -> None:
 
 
 def homology_H(p: HgParams) -> np.ndarray:
-    """Closed-form 4x4 homology intersection matrix."""
+    """Closed-form 4x4 homology intersection matrix.
+
+    Chain cycles 1-3 pair the exponents (u, v) = (c1, c2), (c2, c3),
+    (c3, c4).  Each meets itself in (1 - e(u + v)) / ((1 - e(u)) (1 - e(v)))
+    of its pair; cycles i and i+1 share v and meet in -1 / (1 - e(v)) at
+    (i, i+1) and -e(v) / (1 - e(v)) at (i+1, i).  Cycle 4 meets only cycle
+    1, and every other entry is 0.
+    """
     require_admissible(p)
     e = unit_phase
     c0, c1, c2, c3, c4 = p.c0, p.c1, p.c2, p.c3, p.c4
-    return np.array([
-        [
-            (1 - e(c1 + c2)) / ((1 - e(c1)) * (1 - e(c2))),
-            -1 / (1 - e(c2)),
-            0.0,
-            e(c1) * (1 - e(-c0)) / (1 - e(c1)),
-        ],
-        [
-            -e(c2) / (1 - e(c2)),
-            (1 - e(c2 + c3)) / ((1 - e(c2)) * (1 - e(c3))),
-            -1 / (1 - e(c3)),
-            0.0,
-        ],
-        [
-            0.0,
-            -e(c3) / (1 - e(c3)),
-            (1 - e(c3 + c4)) / ((1 - e(c3)) * (1 - e(c4))),
-            0.0,
-        ],
-        [
-            (1 - e(c0)) / (1 - e(c1)),
-            0.0,
-            0.0,
-            (1 - e(c0)) * (e(c0) - e(c1)) / (e(c0) * (1 - e(c1))),
-        ],
-    ], dtype=complex)
+    h = np.zeros((4, 4), dtype=complex)
+    for i, (u, v) in enumerate(((c1, c2), (c2, c3), (c3, c4))):
+        h[i, i] = (1 - e(u + v)) / ((1 - e(u)) * (1 - e(v)))
+    for i, v in enumerate((c2, c3)):
+        h[i, i + 1] = -1 / (1 - e(v))
+        h[i + 1, i] = -e(v) / (1 - e(v))
+    h[0, 3] = e(c1) * (1 - e(-c0)) / (1 - e(c1))
+    h[3, 0] = (1 - e(c0)) / (1 - e(c1))
+    h[3, 3] = (1 - e(c0)) * (e(c0) - e(c1)) / (e(c0) * (1 - e(c1)))
+    return h
 
 
 def theta_bracket(p: HgParams, tc: ThetaConstants) -> complex:

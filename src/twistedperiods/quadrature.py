@@ -41,9 +41,9 @@ def _level_nodes(level: int):
     nodes a level adds, as read-only arrays.
 
     Level 0 has the integer nodes of step h = 1 on [-T_MAX, T_MAX]; level l
-    adds the odd multiples of h = 2^-l.  Nodes whose endpoint distance
-    underflows to zero are dropped.  Each level is built once, on first
-    use.
+    adds the odd multiples of h = 2^-l.  Every node is kept: the smallest
+    sigma is 6.1e-276 at level 0 and at least 1.1e-275 at the others, so no
+    endpoint distance underflows.  Each level is built once, on first use.
 
     The nodes are mirror-symmetric, bit for bit: the complements are sigma
     reversed and the weights read the same reversed, so an integrand may
@@ -60,8 +60,7 @@ def _level_nodes(level: int):
     half_pi_sinh = (math.pi / 2.0) * sinh_t
     sech = 1.0 / np.cosh(half_pi_sinh)
     weights = (math.pi / 4.0) * np.cosh(ts) * sech * sech * h
-    keep = (sigma > 0.0) & (comp > 0.0)
-    nodes = (sigma[keep], comp[keep], weights[keep])
+    nodes = (sigma, comp, weights)
     for a in nodes:
         a.setflags(write=False)
     return nodes
@@ -138,17 +137,7 @@ def tanh_sinh(f, a: float, b: float,
         return np.asarray(f(a + dl, dl, scale * sigma[::-1]))
 
     def level_sum(level: int, vals: np.ndarray) -> complex:
-        nonlocal closed, below
         sigma, comp, w = _level_nodes(level)
-        if level == 0:
-            for end, e in enumerate(exponents):
-                value = vals[-end].item()  # vals[0] at a, vals[-1] at b
-                if d0 ** (e + 1.0) > _ROUNDING:
-                    c = value / d0**e
-                    powers.append((c, e, end))
-                    closed += c * scale ** (e + 1.0) / (e + 1.0)
-                else:
-                    below += abs(value) * d0
         rest = vals
         for c, e, end in powers:
             rest = rest - c * (scale * (comp if end else sigma)) ** e
@@ -161,6 +150,14 @@ def tanh_sinh(f, a: float, b: float,
 
     with np.errstate(all="ignore"):
         block = values(_BLOCK_SIGMA)
+        for end, e in enumerate(exponents):  # level 0's outermost nodes
+            value = block[-end].item()  # block[0] at a, block[-1] at b
+            if d0 ** (e + 1.0) > _ROUNDING:
+                c = value / d0**e
+                powers.append((c, e, end))
+                closed += c * scale ** (e + 1.0) / (e + 1.0)
+            else:
+                below += abs(value) * d0
         prev = level_sum(0, block[_block_slice(0)])
         for level in range(1, _LEVELS + 1):
             vals = (block[_block_slice(level)] if level <= _BLOCK

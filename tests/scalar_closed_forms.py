@@ -1,12 +1,15 @@
-"""The closed forms of the period rows written out one draw at a time in
-scalar Python (``cmath``), entry by entry: the reference the stacked numpy
-rows of ``periods.period_matrices`` are checked against."""
+"""Closed forms written out one draw at a time in scalar Python (``cmath``),
+entry by entry: the period rows, the reference the stacked numpy rows of
+``periods.period_matrices`` are checked against, and the homology matrix H
+as one literal, the reference ``matrices.homology_H``'s chain rule is
+checked against bit for bit."""
 
 import cmath
 
 import numpy as np
 
 from twistedperiods.hypergeom import gamma_real, gauss_2f1
+from twistedperiods.matrices import require_admissible
 from twistedperiods.periods import SHIFT_RULES
 from twistedperiods.series import TWO_PI_I, lambda_tau, theta_constants
 
@@ -39,3 +42,34 @@ def period_matrix(p, tau) -> np.ndarray:
                * (1.0 - e(g - b)) * s3) / (e(2 * a - 2 * g) * (1.0 - e(g)))
         rows.append([s1, s2, s3, s4])
     return np.array(rows, dtype=complex)
+
+
+def homology_H(p) -> np.ndarray:
+    require_admissible(p)
+    c0, c1, c2, c3, c4 = p.c0, p.c1, p.c2, p.c3, p.c4
+    return np.array([
+        [
+            (1 - e(c1 + c2)) / ((1 - e(c1)) * (1 - e(c2))),
+            -1 / (1 - e(c2)),
+            0.0,
+            e(c1) * (1 - e(-c0)) / (1 - e(c1)),
+        ],
+        [
+            -e(c2) / (1 - e(c2)),
+            (1 - e(c2 + c3)) / ((1 - e(c2)) * (1 - e(c3))),
+            -1 / (1 - e(c3)),
+            0.0,
+        ],
+        [
+            0.0,
+            -e(c3) / (1 - e(c3)),
+            (1 - e(c3 + c4)) / ((1 - e(c3)) * (1 - e(c4))),
+            0.0,
+        ],
+        [
+            (1 - e(c0)) / (1 - e(c1)),
+            0.0,
+            0.0,
+            (1 - e(c0)) * (e(c0) - e(c1)) / (e(c0) * (1 - e(c1))),
+        ],
+    ], dtype=complex)

@@ -1,6 +1,7 @@
 """The period relations over a batch of draws: each draw's slice of a
-stack has the bits of its batch of one, and the period rows agree with
-their scalar closed forms (``scalar_closed_forms``)."""
+stack has the bits of its batch of one, the period rows agree with their
+scalar closed forms, and H has the bits of its written-out literal
+(``scalar_closed_forms``)."""
 
 import numpy as np
 import pytest
@@ -100,6 +101,27 @@ def test_period_rows_agree_with_the_scalar_closed_forms():
         worst = max(worst, float(np.max(np.abs(pm[k] - m)[:, ::2]
                                         / np.abs(m[:, ::2]))))
     assert worst <= SCALAR_REL_BOUND
+
+
+def test_homology_H_has_the_bits_of_its_written_out_literal():
+    # the chain rule runs the literal's complex arithmetic, entry by entry
+    for p, _ in _sampled_draws(500):
+        assert (matrices.homology_H(p).tobytes()
+                == scalar.homology_H(p).tobytes())
+
+
+@pytest.mark.parametrize("p", [
+    HgParams(0.5, 0.21, 0.77), HgParams(0.3, 0.21, 1.0),
+    HgParams(0.3, -0.5, 0.77), HgParams(np.nan, 0.21, 0.77),
+    HgParams(0.3, 0.21, np.inf)])
+def test_homology_H_refuses_with_the_literal_s_text(p):
+    texts = []
+    for build in (matrices.homology_H, scalar.homology_H):
+        with pytest.raises(matrices.AdmissibilityError) as info:
+            build(p)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1] and texts[0].startswith(
+        "inadmissible parameters: ")
 
 
 def test_admissibility_tests_of_a_sweep(monkeypatch):

@@ -1,5 +1,6 @@
 """``tools/compare_reports.py``: a row-by-row comparison of two reports."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,14 @@ from twistedperiods.verify import CheckResult, VerificationReport, run_sweep
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(*paths) -> tuple[int, list[str]]:
-    out = subprocess.run(
+def _proc(*paths) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_reports.py"),
          *map(str, paths)], capture_output=True, text=True)
+
+
+def _run(*paths) -> tuple[int, list[str]]:
+    out = _proc(*paths)
     return out.returncode, out.stdout.splitlines()
 
 
@@ -57,3 +62,35 @@ def test_reports_of_different_lengths(tmp_path):
     (tmp_path / "b.json").write_text(run_sweep(0, 2).to_json())
     code, lines = _run(tmp_path / "a.json", tmp_path / "b.json")
     assert code == 1 and lines[-1] == "report 0: 23 rows against 46"
+
+
+def test_a_truncated_report_is_an_error_not_a_difference(tmp_path):
+    text = run_sweep(0, 1).to_json()
+    (tmp_path / "a.json").write_text(text)
+    (tmp_path / "b.json").write_text(text + "\n" + text[:len(text) // 2])
+    out = _proc(tmp_path / "a.json", tmp_path / "b.json")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith(f"error: {tmp_path / 'b.json'} line 2: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_a_params_index_past_the_table_is_an_error(tmp_path):
+    report = json.loads(run_sweep(0, 1).to_json())
+    report["checks"][0][1] = len(report["params"])
+    (tmp_path / "a.json").write_text(json.dumps(report))
+    (tmp_path / "b.json").write_text(run_sweep(0, 1).to_json())
+    out = _proc(tmp_path / "a.json", tmp_path / "b.json")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith(f"error: {tmp_path / 'a.json'} line 1: "
+                                 "params index")
+    assert "Traceback" not in out.stderr
+
+
+def test_a_missing_or_undecodable_file_is_an_error(tmp_path):
+    (tmp_path / "a.json").write_text(run_sweep(0, 1).to_json())
+    (tmp_path / "b.json").write_bytes(b"\xff\xfe")
+    for path in (tmp_path / "missing.json", tmp_path / "b.json"):
+        out = _proc(tmp_path / "a.json", path)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith(f"error: {path}: ")
+        assert "Traceback" not in out.stderr

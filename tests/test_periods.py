@@ -158,6 +158,21 @@ class TestTanhSinh:
                     cached[0] = 0.5
 
     @pytest.mark.parametrize("level", range(quadrature._LEVELS + 1))
+    def test_every_level_keeps_its_full_grid(self, level):
+        # 13 integer nodes on [-6, 6] at level 0, the 6 * 2^l odd
+        # multiples of 2^-l after it: no endpoint distance underflows
+        sigma, comp, w = quadrature._level_nodes(level)
+        assert sigma.size == comp.size == w.size == (
+            13 if level == 0 else 6 * 2**level)
+        assert sigma.min() > 0.0
+
+    def test_block_ends_are_level_0_s_ends(self):
+        # the values the endpoint pass reads
+        sigma = quadrature._level_nodes(0)[0]
+        assert quadrature._BLOCK_SIGMA[0] == sigma[0]
+        assert quadrature._BLOCK_SIGMA[-1] == sigma[-1]
+
+    @pytest.mark.parametrize("level", range(quadrature._LEVELS + 1))
     def test_nodes_mirror_symmetric(self, level):
         # integrands may read their values at dr as those at dl reversed
         sigma, comp, w = quadrature._level_nodes(level)

@@ -14,8 +14,9 @@ the pairs of each workload run in turn.
 
 The output holds, for each workload, every pair's end-to-end metrics and
 their summary (``summarize``): each metric's medians, the parent's
-quartiles and IQR, and in how many pairs the change is better; and the
-machine, Python, and both checkouts' commits.
+quartiles and IQR, in how many pairs the change is better, the metric's
+bound and whether the parent's IQR alone exceeds it (``unresolved``); and
+the machine, Python, and both checkouts' commits.
 """
 
 from __future__ import annotations
@@ -33,15 +34,19 @@ MACHINE = ("nproc", "affinity", "cpu_model", "python", "numpy", "scipy",
            "mpmath")
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric of ``better`` (name -> "lower" or "higher"): the parent's
-    and the change's medians over ``pairs`` (each {"parent": metrics,
-    "change": metrics}, metrics name -> value), the change's relative move
-    of the median, the parent's quartiles and IQR (inclusive method), and
-    ``wins``, the pairs in which the change is strictly better.  A metric
-    that a side of some pair lacks is left out."""
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric of ``end_to_end`` (BENCHMARK.json's entries, each with
+    its "name", "better": "lower" or "higher", and relative "bound"): the
+    parent's and the change's medians over ``pairs`` (each {"parent":
+    metrics, "change": metrics}, metrics name -> value), the change's
+    relative move of the median, the parent's quartiles and IQR (inclusive
+    method), ``wins``, the pairs in which the change is strictly better,
+    the bound, and ``unresolved``: whether the parent's IQR exceeds the
+    bound's share of its median, so noise alone can cross the bound.  A
+    metric that a side of some pair lacks is left out."""
     out = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name, direction = metric["name"], metric["better"]
         if not all(name in pair[side] for pair in pairs
                    for side in ("parent", "change")):
             continue
@@ -61,6 +66,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "parent_iqr": q3 - q1,
             "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
+            "bound": metric["bound"],
+            "unresolved": q3 - q1 > metric["bound"] * abs(p_med),
         }
     return out
 
@@ -96,8 +103,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0.0:
+        parser.error("--pairs must be at least 1 and --seconds positive")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     result = {
         "platform": platform.platform(),
@@ -120,7 +128,7 @@ def main(argv: list[str]) -> int:
             pairs.append(pair)
             print(json.dumps({"workload": workload, **pair}), flush=True)
         result["workloads"][workload] = {
-            "pairs": pairs, "summary": summarize(pairs, better)}
+            "pairs": pairs, "summary": summarize(pairs, spec["end_to_end"])}
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

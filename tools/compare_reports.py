@@ -7,7 +7,10 @@ report j of B.  For each check name it prints the number of rows, the
 number whose name, params, pass flag or error differ, and the largest
 |residual A - residual B| / tolerance A over the rows where both have a
 residual; then every differing row.  Exits 1 if a row differs or the
-files hold different numbers of reports or rows, else 0.
+files hold different numbers of reports or rows, else 0.  A file that
+cannot be read, or a line that ``VerificationReport.from_json`` refuses,
+is reported on stderr as ``error: PATH: MESSAGE`` or ``error: PATH line
+N: MESSAGE``, with exit code 2.
 """
 
 from __future__ import annotations
@@ -16,21 +19,30 @@ import json
 import sys
 from pathlib import Path
 
-
-def report_rows(text: str) -> list[tuple]:
-    """(name, params, residual, tolerance, pass, error) of every check row
-    of one report's JSON ``text``."""
-    d = json.loads(text)
-    if d.get("schema", 1) == 1:
-        return [(c["name"], c["params"], c["residual"], c["tolerance"],
-                 c["pass"], c["error"]) for c in d["checks"]]
-    return [(name, d["params"][i], *rest) for name, i, *rest in d["checks"]]
+# the library of this checkout, as perfbench/run.py imports it
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from twistedperiods.verify import VerificationReport  # noqa: E402
 
 
 def file_rows(path: str) -> list[list[tuple]]:
-    """The rows of each report in ``path``, one report per line."""
-    return [report_rows(line)
-            for line in Path(path).read_text().splitlines() if line.strip()]
+    """(name, params, residual, tolerance, pass, error) of every check row
+    of each report in ``path``, one report per line; a file that cannot be
+    read as text, or a line that is not a valid report, raises ValueError
+    naming ``path`` (and the line)."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    reports = []
+    for n, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                checks = VerificationReport.from_json(line).checks
+            except ValueError as exc:
+                raise ValueError(f"{path} line {n}: {exc}") from None
+            reports.append([(c.name, c.params, c.residual, c.tolerance,
+                             c.passed, c.error) for c in checks])
+    return reports
 
 
 def _key(row: tuple) -> tuple:
@@ -66,7 +78,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    summary, differing = compare(*map(file_rows, argv))
+    try:
+        reports = [file_rows(path) for path in argv]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    summary, differing = compare(*reports)
     width = max([len("check")] + [len(row[0]) for row in summary])
     print(f"{'check':<{width}}  {'rows':>6}  {'differ':>6}  "
           f"{'max |d residual|/tol':>20}")
