@@ -152,7 +152,13 @@ def cohomology_C(p: HgParams, tc: ThetaConstants) -> np.ndarray:
 def basis_change(p: HgParams) -> dict[int, np.ndarray]:
     """Coefficients of the involution-eigenspace cycle combinations in the
     original four-cycle basis: a 2x4 array per eigenvalue -1 and 1, one row
-    per combination."""
+    per combination.
+
+    Every entry is a rational function with real coefficients of unit
+    phases, so for real exponents ``basis_change(p.negated())`` is the
+    complex conjugate of ``basis_change(p)``, bit for bit up to the sign
+    of a zero imaginary part; the orthogonality check reads the dual basis
+    so.  For complex exponents it is not, and -p's must be built."""
     require_admissible(p)
     e = unit_phase
     a, b, g = p.alpha, p.beta, p.gamma

@@ -31,8 +31,9 @@ _LEVELS = 10  # maximum doubling levels
 
 
 class QuadratureError(Exception):
-    """Raised for a >= b or an exponent <= -1, no convergence, a non-finite
-    integrand, or an end losing more than rounding below its last node."""
+    """Raised for a >= b or an exponent <= -1, an integrand that does not
+    return one value per node, no convergence, a non-finite integrand, or
+    an end losing more than rounding below its last node."""
 
 
 @functools.cache
@@ -103,10 +104,11 @@ def tanh_sinh(f, a: float, b: float,
     """Integrate ``f`` over the open interval (a, b).
 
     ``f(x, dl, dr)`` must accept ndarrays and return the integrand values,
-    pointwise: a value may depend on its own point alone, not on the other
-    points or on how many calls came before.  One call covers levels 0-4,
-    on their 193 nodes in order of t, mirror-symmetric as each level is (dr
-    is dl reversed); each later level takes one call on its own nodes.
+    pointwise, one per node (any other shape raises QuadratureError): a
+    value may depend on its own point alone, not on the other points or on
+    how many calls came before.  One call covers levels 0-4, on their 193
+    nodes in order of t, mirror-symmetric as each level is (dr is dl
+    reversed); each later level takes one call on its own nodes.
     dl and dr are the exact distances to the endpoints, near which f
     behaves like c d^e with the ``exponents`` e (at a, at b).  a < b with a
     finite b - a, and each e > -1 (not NaN), are checked here alone, for
@@ -134,7 +136,11 @@ def tanh_sinh(f, a: float, b: float,
 
     def values(sigma: np.ndarray) -> np.ndarray:
         dl = scale * sigma
-        return np.asarray(f(a + dl, dl, scale * sigma[::-1]))
+        vals = np.asarray(f(a + dl, dl, scale * sigma[::-1]))
+        if vals.shape != sigma.shape:
+            raise QuadratureError(f"integrand returned shape {vals.shape} "
+                                  f"for {sigma.size} nodes")
+        return vals
 
     def level_sum(level: int, vals: np.ndarray) -> complex:
         sigma, comp, w = _level_nodes(level)

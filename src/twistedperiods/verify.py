@@ -324,12 +324,9 @@ def _by_sign(pair: dict[int, np.ndarray]) -> np.ndarray:
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a stack, the squares of its
-    entries' real and imaginary parts summed in memory order (np.cumsum),
-    whatever the stack's size."""
-    square = np.square(np.ascontiguousarray(m).view(float))
-    return np.sqrt(np.cumsum(square.reshape(m.shape[:-2] + (-1,)),
-                             axis=-1)[..., -1])
+    """The Frobenius norm of each matrix of a stack, numpy's: each matrix
+    is reduced on its own, so its norm does not depend on the stack."""
+    return np.linalg.norm(m, axis=(-2, -1))
 
 
 def _verify_tpr_batch(draws, tol) -> list[tuple[CheckResult, ...]]:
@@ -337,16 +334,24 @@ def _verify_tpr_batch(draws, tol) -> list[tuple[CheckResult, ...]]:
     draw's bits, errors and texts those of its batch of one.
 
     Each draw's pieces are built once, value or error (``_attempt``): C,
-    H, H' and the basis changes of p and -p from their scalar closed
-    forms, then P+ and P- of every draw from one ``period_matrices`` call
+    H, H' and the basis change of p from their scalar closed forms, then
+    P+ and P- of every draw from one ``period_matrices`` call
     (``each_draw``, so a failed call is redone draw by draw).  Each check
     is one step of ``each_draw``: it gathers the pieces of a range of
     draws as stacks (C, P+ and P-, then H or H'; orthogonality the basis
-    changes, then H), the first error among them raised, then runs one
+    change, then H), the first error among them raised, then runs one
     stacked solve and batched products.  A draw redone alone so reports
     its first failed piece, else its solve's error.  The Frobenius norms
-    (``_frobenius``) sum each matrix in one order, whatever the batch.
-    ``tol`` is a spec for ``resolve_tolerances``.
+    (``_frobenius``) are numpy's, each matrix reduced on its own, so no
+    draw's bits depend on the batch.  ``tol`` is a spec for
+    ``resolve_tolerances``.
+
+    Orthogonality takes -p's basis change B(-e) as the conjugate of p's,
+    which ``basis_change(p.negated())`` equals bit for bit up to signed
+    zeros: for real exponents every entry is a real rational function of
+    unit phases, and e(-x) is conj e(x).  Both signs then share one scale,
+    |B(-1)|_F |B(+1)|_F |H|_F.  Complex exponents break this: there -p's
+    basis change must be built at -p.
     """
     tols = resolve_tolerances(tol)
 
@@ -371,20 +376,19 @@ def _verify_tpr_batch(draws, tol) -> list[tuple[CheckResult, ...]]:
         return (_frobenius(cb - pb @ x) / _frobenius(cb)).tolist()
 
     def orthogonality(ks):
-        # rows[k, i] is B(e), e = (-1, 1)[i], and dual[k, i] is -p's B(-e)
-        rows, dual, h = (stack(key, ks) for key in ("rows", "dual", "h"))
-        top = np.abs(rows @ h[:, None] @ np.swapaxes(dual, 2, 3)).max(
-            axis=(2, 3))
-        ratio = top / (_frobenius(rows) * _frobenius(h)[:, None]
-                       * _frobenius(dual))
-        return np.maximum(ratio[:, 0], ratio[:, 1]).tolist()  # nan if either
+        # rows[k, i] is B(e), e = (-1, 1)[i], so -p's B(-e) is the
+        # conjugate of rows[k, 1 - i]
+        rows, h = stack("rows", ks), stack("h", ks)
+        dual = np.swapaxes(rows[:, ::-1].conj(), 2, 3)
+        top = np.abs(rows @ h[:, None] @ dual).max(axis=(1, 2, 3))  # nan stays
+        norms = _frobenius(rows)
+        return (top / (norms[:, 0] * norms[:, 1] * _frobenius(h))).tolist()
 
     pieces = {
         "c": lambda p, tau: cohomology_C(p, theta_constants(tau)),
         "h": lambda p, tau: homology_H(p),
         "hd": lambda p, tau: _by_sign(block_H_prime(p)),
         "rows": lambda p, tau: _by_sign(basis_change(p)),
-        "dual": lambda p, tau: _by_sign(basis_change(p.negated()))[::-1],
     }
     # a piece or a norm that overflows (a norm near the Im ceiling) errors
     # its check as non-finite, unwarned

@@ -125,9 +125,10 @@ def test_homology_H_refuses_with_the_literal_s_text(p):
 
 
 def test_admissibility_tests_of_a_sweep(monkeypatch):
-    # per draw: the sampler tests 8 sets, entry22 one p, the scalar
-    # builders C, H, H' and the basis changes of p and -p one each, and
-    # the period matrices p and -p
+    # per draw, 15 tests: the sampler's 8 sets, entry22's p, the scalar
+    # builders C, H, H' and the basis change of p one each (orthogonality
+    # reads -p's basis change as its conjugate), and the period matrices
+    # p and -p
     calls = []
     original = matrices.admissible
     monkeypatch.setattr(matrices, "admissible", lambda p, *g: (
@@ -135,7 +136,7 @@ def test_admissibility_tests_of_a_sweep(monkeypatch):
     monkeypatch.setattr(verify, "admissible", matrices.admissible)
     report = run_sweep(1, 4)
     assert report.summary["errored"] == 0
-    assert len(calls) == 64
+    assert len(calls) == 60
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -1,7 +1,9 @@
-"""``tools/bench_pairs.py``: the summary of parent/change benchmark pairs.
-Only the pure ``summarize`` is tested; no benchmark is run."""
+"""``tools/bench_pairs.py``: the summary of parent/change benchmark pairs,
+and the error a failed run gives.  No benchmark is run: the runs are
+faked."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,57 @@ def test_no_pair_or_no_time_refused_before_any_run(monkeypatch, option):
     with pytest.raises(SystemExit) as info:
         bench_pairs.main([word for item in argv.items() for word in item])
     assert info.value.code == 2
+
+
+def _fake_runs(monkeypatch, fail_workload, returncode=1, correct=True):
+    """Benchmark runs that succeed, except those of ``fail_workload``,
+    which exit ``returncode`` with two stderr lines, or, at 0, report
+    themselves ``correct`` or not; git reads a fixed commit, and any other
+    command runs."""
+    environment = dict.fromkeys(bench_pairs.MACHINE, "x")
+    original = bench_pairs.subprocess.run
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return bench_pairs.subprocess.CompletedProcess(cmd, 0, "c0\n", "")
+        if "perfbench/run.py" not in cmd:
+            return original(cmd, **kwargs)
+        failing = cmd[cmd.index("--workload") + 1] == fail_workload
+        last = {"correct": correct or not failing,
+                "metrics": {"passed_per_s": {"value": 1.0}}}
+        out = "\n".join(json.dumps(line) for line in (
+            {"environment": environment}, last))
+        code = returncode if failing else 0
+        return bench_pairs.subprocess.CompletedProcess(
+            cmd, code, out, "Traceback (most recent call last):\nboom\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+
+
+def _main(tmp_path, *workloads) -> int:
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--pairs", "2",
+            "--seconds", "1", "--out", str(tmp_path / "out.json")]
+    for workload in workloads:
+        argv += ["--workload", workload]
+    return bench_pairs.main(argv)
+
+
+def test_a_failed_run_is_an_error_line_and_exit_2(monkeypatch, tmp_path,
+                                                   capsys):
+    _fake_runs(monkeypatch, "quadrature", returncode=3)
+    assert _main(tmp_path, "sweep", "quadrature") == 2
+    assert capsys.readouterr().err == (
+        "error: parent quadrature seed 1 exited 3: boom\n")
+    # the finished workload stays in the output, the failed one is absent
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert list(out["workloads"]) == ["sweep"]
+    assert len(out["workloads"]["sweep"]["pairs"]) == 2
+
+
+def test_a_run_that_is_not_correct_takes_the_same_path(monkeypatch,
+                                                        tmp_path, capsys):
+    _fake_runs(monkeypatch, "sweep", returncode=0, correct=False)
+    assert _main(tmp_path, "sweep") == 2
+    assert capsys.readouterr().err == (
+        "error: parent sweep seed 1 not correct\n")
+    assert not (tmp_path / "out.json").exists()

@@ -57,6 +57,23 @@ def test_a_moved_residual_and_a_flipped_verdict(tmp_path):
     assert lines[24].endswith(", False, 'boom')")
 
 
+def test_a_loosened_tolerance_is_a_difference(tmp_path):
+    # the verdict and residual stay, so only the tolerance can flag it
+    report = run_sweep(3, 1)
+    full = report.checks[0]
+    loosened = _moved(report, 0, tolerance=10.0 * full.tolerance)
+    (tmp_path / "a.json").write_text(report.to_json())
+    (tmp_path / "b.json").write_text(loosened.to_json())
+    code, lines = _run(tmp_path / "a.json", tmp_path / "b.json")
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:24]}
+    assert code == 1
+    assert rows["full-tpr"] == ["1", "1", "0.000e+00"]
+    assert len(lines) == 25
+    assert lines[24].startswith("report 0 row 0: ('full-tpr'")
+    assert f", {full.tolerance!r}, True, None) against " in lines[24]
+    assert lines[24].endswith(f", {10.0 * full.tolerance!r}, True, None)")
+
+
 def test_reports_of_different_lengths(tmp_path):
     (tmp_path / "a.json").write_text(run_sweep(0, 1).to_json())
     (tmp_path / "b.json").write_text(run_sweep(0, 2).to_json())

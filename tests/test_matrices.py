@@ -246,6 +246,26 @@ class TestBasisChange:
             -e(p.gamma) / (2.0 * e(p.beta + p.gamma)), rel=1e-14)
 
 
+def test_negated_parameters_give_the_conjugate_bit_for_bit():
+    # for real exponents every entry is a real rational function of unit
+    # phases, and e(-x) is conj e(x) bit for bit, so X(-p) is conj X(p)
+    # (array_equal lets the signed zeros differ); the orthogonality check
+    # reads -p's basis change so.  Sampler draws, then draws from (-40, 40)^3
+    rng = np.random.default_rng(37)
+    draws = [sample_admissible(rng) for _ in range(1000)]
+    wide = (HgParams(*map(float, r)) for r in rng.uniform(-40.0, 40.0,
+                                                           (1000, 3)))
+    draws += [p for p in wide if admissible(p)[0]]
+    for build in (basis_change, homology_H, block_H_prime):
+        def stacked(p):
+            x = build(p)
+            return np.array([x[-1], x[1]]) if isinstance(x, dict) else x
+
+        at_p = np.array([stacked(p) for p in draws])
+        at_minus_p = np.array([stacked(p.negated()) for p in draws])
+        assert np.array_equal(at_minus_p, at_p.conj())
+
+
 class TestBlocks:
     def test_h_prime_diagonal(self):
         hp = block_H_prime(P_REF)

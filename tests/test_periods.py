@@ -139,6 +139,17 @@ class TestTanhSinh:
             tanh_sinh(lambda x, dl, dr: 1e300 * dl**-0.99, 0.0, 1.0,
                       (-0.99, 0.0))
 
+    @pytest.mark.parametrize("values, shape", [
+        (lambda x: 1.0, "()"),
+        (lambda x: np.ones(5), "(5,)"),
+        (lambda x: np.ones((x.size, 2)), "(193, 2)"),
+    ], ids=["scalar", "five", "two-columns"])
+    def test_one_value_per_node_or_a_typed_error(self, values, shape):
+        with pytest.raises(QuadratureError) as info:
+            tanh_sinh(lambda x, dl, dr: values(x), 0.0, 1.0)
+        assert str(info.value) == (
+            f"integrand returned shape {shape} for {block_nodes()} nodes")
+
     def test_no_tail_where_the_end_value_is_zero(self):
         # f vanishes at the outermost nodes, so nothing lies below them;
         # the sum alone is the integral of 1 over (1e-100, 1)

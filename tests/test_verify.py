@@ -388,6 +388,24 @@ class TestBlockTpr:
         result = verify_tpr(P_REF, TAU_I)[3]
         assert not result.passed and result.residual > 1e-2
 
+    def test_orthogonality_reads_the_basis_change_built_at_minus_p(self):
+        # the conjugate of p's basis change stands in for -p's: the largest
+        # cross pairing of either sign, over |B(-1)| |B(+1)| |H| in numpy's
+        # Frobenius norms, has the bits it has with -p's built, from
+        # products of the same shapes
+        rng = np.random.default_rng(43)
+        draws = [(sample_admissible(rng), TAU_I) for _ in range(40)]
+        batch = verify._verify_tpr_batch(draws, "default")
+        for (p, _), rows in zip(draws, batch):
+            b = verify._by_sign(matrices.basis_change(p))[None]
+            dual = verify._by_sign(matrices.basis_change(p.negated()))[
+                None, ::-1]
+            h = matrices.homology_H(p)[None]
+            top = np.abs(b @ h[:, None] @ np.swapaxes(dual, 2, 3)).max()
+            (n_minus, n_plus), = np.linalg.norm(b, axis=(-2, -1))
+            scale = n_minus * n_plus * np.linalg.norm(h[0], axis=(-2, -1))
+            assert rows[3].residual == float(top / scale)
+
 
 class TestEachDraw:
     def test_one_stacked_pass_when_it_succeeds(self):
@@ -477,8 +495,9 @@ class TestTprBatch:
 
     def test_a_redone_draw_builds_its_pieces_once(self, monkeypatch):
         # full-tpr and block-tpr-minus of the conditioning batch are redone
-        # draw by draw, from each draw's C, H, H' and basis changes of the
-        # batch's one build and P+ and P- of its one period call
+        # draw by draw, from each draw's C, H, H' and basis change of the
+        # batch's one build and P+ and P- of its one period call; -p's
+        # basis change is p's conjugate, never built
         monkeypatch.setattr(matrices, "COND_LIMIT", 1e4)
         calls = Counter()
         for name in ("cohomology_C", "homology_H", "block_H_prime",
@@ -493,7 +512,7 @@ class TestTprBatch:
         draws = self._draws((HgParams(0.5 + 1e-6, 0.21, 0.77), self.TAU))
         batch = verify._verify_tpr_batch(draws, "default")
         assert calls == {"cohomology_C": 5, "homology_H": 5,
-                         "block_H_prime": 5, "basis_change": 10,
+                         "block_H_prime": 5, "basis_change": 5,
                          "period_matrices": 1}
         for draw, rows in zip(draws, batch):
             assert _report_json(rows) == _report_json(verify_tpr(*draw))

@@ -16,7 +16,11 @@ The output holds, for each workload, every pair's end-to-end metrics and
 their summary (``summarize``): each metric's medians, the parent's
 quartiles and IQR, in how many pairs the change is better, the metric's
 bound and whether the parent's IQR alone exceeds it (``unresolved``); and
-the machine, Python, and both checkouts' commits.
+the machine, Python, and both checkouts' commits.  The file is written
+after each workload.  A run that exits non-zero or reports itself not
+correct stops the tool with exit code 2 and ``error: SIDE WORKLOAD seed
+N exited CODE: LAST STDERR LINE`` (or ``... seed N not correct``) on
+stderr; the workloads already finished stay in the file.
 """
 
 from __future__ import annotations
@@ -72,17 +76,26 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+class RunFailed(Exception):
+    """A benchmark run that exited non-zero or reported itself not
+    correct."""
+
+
 def _metrics(checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
     """The end-to-end metrics (name -> value) of one benchmark run, and
-    the machine it reports."""
+    the machine it reports; a failed run raises RunFailed with its exit
+    code and the last line of its stderr."""
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if run.returncode != 0:
+        last_line = (run.stderr.strip().splitlines() or [""])[-1]
+        raise RunFailed(f"exited {run.returncode}: {last_line}")
     record, last = map(json.loads, run.stdout.splitlines()[-2:])
     if not last["correct"]:
-        raise SystemExit(f"{checkout}: {workload} seed {seed} not correct")
+        raise RunFailed("not correct")
     return ({name: m["value"] for name, m in last["metrics"].items()},
             {key: record["environment"][key] for key in MACHINE})
 
@@ -123,8 +136,13 @@ def main(argv: list[str]) -> int:
                                                             "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side], result["machine"] = _metrics(
-                    sides[side], workload, seed, args.seconds)
+                try:
+                    pair[side], result["machine"] = _metrics(
+                        sides[side], workload, seed, args.seconds)
+                except RunFailed as exc:
+                    print(f"error: {side} {workload} seed {seed} {exc}",
+                          file=sys.stderr)
+                    return 2
             pairs.append(pair)
             print(json.dumps({"workload": workload, **pair}), flush=True)
         result["workloads"][workload] = {

@@ -4,13 +4,14 @@ Usage: ``python tools/compare_reports.py A.json B.json``.  Each file holds
 one report as ``run_sweep(...).to_json()`` writes it (schema 1 or 2), or
 several, one per line; row i of report j of A is compared with row i of
 report j of B.  For each check name it prints the number of rows, the
-number whose name, params, pass flag or error differ, and the largest
-|residual A - residual B| / tolerance A over the rows where both have a
-residual; then every differing row.  Exits 1 if a row differs or the
-files hold different numbers of reports or rows, else 0.  A file that
-cannot be read, or a line that ``VerificationReport.from_json`` refuses,
-is reported on stderr as ``error: PATH: MESSAGE`` or ``error: PATH line
-N: MESSAGE``, with exit code 2.
+number whose name, params, tolerance, pass flag or error differ, and
+the largest |residual A - residual B| / tolerance A over the rows where
+both have a residual; then every differing row.  Exits 1 if a row
+differs or the files hold different numbers of reports or rows, else 0.
+A file that cannot be read, or a line that
+``VerificationReport.from_json`` refuses, is reported on stderr as
+``error: PATH: MESSAGE`` or ``error: PATH line N: MESSAGE``, with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ def file_rows(path: str) -> list[list[tuple]]:
 
 def _key(row: tuple) -> tuple:
     """What must match exactly: name, params (as text, so -0.0 is not
-    0.0), pass flag and error."""
-    name, params, _, _, passed, error = row
-    return name, json.dumps(params, sort_keys=True), passed, error
+    0.0), tolerance, pass flag and error."""
+    name, params, _, tolerance, passed, error = row
+    return name, json.dumps(params, sort_keys=True), tolerance, passed, error
 
 
 def compare(a: list[list[tuple]], b: list[list[tuple]]) -> tuple[list, list]:
